@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .binforms import binary_form_resultant, squarefree_binary_form, upoly_gcd, upoly_trim
+from .binforms import binary_form_resultant, dehomogenize, squarefree_binary_form, upoly_gcd
 from .groebner import buchberger, is_zero_dimensional, leading_term_ideal
 from .lengths import (
     StabilizationError,
@@ -78,9 +78,6 @@ class MultiplicityAtLeastThree:
     """Algorithm outcome: multiplicity >= 3, outside the double-point case."""
 
     multiplicity: int
-
-
-DoublePointOutcome = "SimplePoint | DoubleA | MultiplicityAtLeastThree"
 
 
 @dataclass(frozen=True)
@@ -176,15 +173,8 @@ def k_symmetry_order(gens: Sequence[Polynomial]) -> int | None:
     if not is_zero_dimensional(leading_term_ideal(gb)):
         raise ValueError("the scheme is not zero-dimensional")
     k = min(g.min_degree() for g in polys)
-    level: list[list] = []
-    for g in polys:
-        init = g.homogeneous_component(k)
-        if init.is_zero():
-            continue
-        coeffs = [0] * (k + 1)
-        for (i, j), c in init.terms():
-            coeffs[j] = c
-        level.append(upoly_trim(coeffs))
+    level = [dehomogenize(init) for g in polys
+             if not (init := g.homogeneous_component(k)).is_zero()]
     acc: list = []
     for c in level:
         acc = upoly_gcd(acc, c) if acc else list(c)
@@ -276,7 +266,8 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     non-reduced input produces one diagnostic naming everything that went
     wrong.  The symmetry order is None when the scheme is symmetric for
     no k, and also when the ambient Jacobian ideal is not zero-dimensional
-    (curve non-reduced away from the point).
+    (curve non-reduced away from the point).  A violation of tau <= mu, or
+    of mu = (m-1)^2 at an ordinary point, raises AssertionError.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial does not define a curve")
@@ -298,8 +289,6 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     try:
         mu, mu_trace = local_length_at_origin([gx, gy])
     except StabilizationError as e:
-        errors.append(f"milnor: {e}")
-    except ValueError as e:  # constant curve: both partials vanish
         errors.append(f"milnor: {e}")
     if errors:
         raise StabilizationError(
@@ -325,9 +314,10 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     else:
         classification = Classification("non_ordinary", m)
 
-    assert tau <= mu, "Tjurina number exceeds Milnor number"
-    if ordinary:
-        assert mu == (m - 1) ** 2, "ordinary point with mu != (m-1)^2"
+    if not tau <= mu:
+        raise AssertionError(f"Tjurina number {tau} exceeds Milnor number {mu}")
+    if ordinary and mu != (m - 1) ** 2:
+        raise AssertionError(f"ordinary point with mu = {mu} != (m-1)^2 = {(m - 1) ** 2}")
 
     return SingularityReport(
         point=tuple(point),

@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -144,19 +143,10 @@ def cmd_analyze(args, out) -> int:
         raise _CliError(EXIT_BAD_INPUT, "one of --curve / --curves-file is required")
     curves = [_parse_curve(t, "affine2") for t in texts]
 
-    def run(curve):
+    results = []
+    for curve in curves:
         t0 = time.monotonic()
-        report = analyze(curve, point)
-        return report, int((time.monotonic() - t0) * 1000)
-
-    try:
-        if args.threads > 1 and len(curves) > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(run, curves))
-        else:
-            results = [run(c) for c in curves]
-    except StabilizationError as e:
-        raise _CliError(EXIT_ANALYSIS, str(e)) from e
+        results.append((analyze(curve, point), int((time.monotonic() - t0) * 1000)))
 
     docs = [_report_document(t, point, rep, [], ms)
             for t, (rep, ms) in zip(texts, results)]
@@ -203,10 +193,7 @@ def cmd_classify(args, out) -> int:
         point = _parse_point(args.point, 2)
         if curve.evaluate(point) != 0:
             raise _CliError(EXIT_OFF_CURVE, "point is not on the curve")
-        try:
-            outcome = classify_double_point(curve, point)
-        except StabilizationError as e:
-            raise _CliError(EXIT_ANALYSIS, str(e)) from e
+        outcome = classify_double_point(curve, point)
 
     if isinstance(outcome, SimplePoint):
         msg = f"simple point, tangent: {render_poly(outcome.tangent)} = 0"
@@ -229,10 +216,7 @@ def cmd_global_tjurina(args, out) -> int:
     curve = _parse_curve(args.curve, "projective3")
     if not curve.is_homogeneous() or curve.is_zero() or curve.degree() < 2:
         raise _CliError(EXIT_BAD_INPUT, "need a nonzero homogeneous curve of degree >= 2")
-    try:
-        value, hf_values, warnings = global_tjurina(curve, with_trace=True)
-    except StabilizationError as e:
-        raise _CliError(EXIT_ANALYSIS, str(e)) from e
+    value, hf_values, warnings = global_tjurina(curve, with_trace=True)
     if args.json:
         doc = {"version": __version__, "curve": args.curve,
                "global_tjurina": None if value is INFINITE else value,
@@ -270,12 +254,7 @@ def cmd_family(args, out) -> int:
         checked = 0
         for a in a_values:
             params = list(admissible_params(a))
-            if args.threads > 1:
-                with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                    verified = list(pool.map(
-                        lambda p: verify_params(p, check_gb=args.verify_gb), params))
-            else:
-                verified = [verify_params(p, check_gb=args.verify_gb) for p in params]
+            verified = [verify_params(p, check_gb=args.verify_gb) for p in params]
             live_min = None
             for p, v in zip(params, verified):
                 checked += 1
@@ -332,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--trace", action="store_true", help="include traces")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for batch runs")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect (batches run in order)")
 
     p = sub.add_parser("analyze", help="full report at a point")
     common(p)

@@ -119,51 +119,36 @@ def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
 
     No term of the remainder is divisible by any leading monomial of the
     basis.  Deterministic: each reduction step uses the first divisor in
-    the listed order.  Returns (quotients, remainder).
+    the listed order.  Returns (quotients, remainder); the loop itself is
+    ``_normal_form``, the reducer Buchberger uses.
     """
     _check_basis(basis)
     nvars = f.nvars
-    leads = [(b.leading_monomial(order), b.leading_coefficient(order), b) for b in basis]
-    work = f.terms_dict()
-    rem: dict[Monomial, object] = {}
+    leads = [(b.leading_monomial(order), b.leading_coefficient(order), tuple(b.terms()))
+             for b in basis]
     quots: list[dict] = [{} for _ in basis]
-    key = order.key
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for i, (lm, lc, b) in enumerate(leads):
-            if monomial_divides(lm, m):
-                q = monomial_div(m, lm)
-                qc = Fraction(c) / lc if not (isinstance(c, int) and isinstance(lc, int) and c % lc == 0) else c // lc
-                quots[i][q] = quots[i].get(q, 0) + qc
-                for bm, bc in b.terms():
-                    if bm == lm:
-                        continue
-                    t = monomial_mul(q, bm)
-                    s = work.get(t, 0) - qc * bc
-                    if s == 0:
-                        work.pop(t, None)
-                    else:
-                        work[t] = s
-                break
-        else:
-            rem[m] = c
+    rem = _normal_form(f.terms_dict(), leads, order.key, quots)
     return [Polynomial(nvars, q) for q in quots], Polynomial(nvars, rem)
 
 
-def _normal_form(terms: dict, leads, key) -> dict:
-    """Remainder-only division core operating on raw term tables."""
+def _normal_form(terms: dict, leads, key, quots: list[dict] | None = None) -> dict:
+    """Remainder of the term table ``terms`` on division by ``leads``, a list
+    of (leading monomial, leading coefficient, term tuple) reducers; each
+    step uses the first reducer that divides.  When ``quots`` is given, the
+    quotient terms of reducer i are accumulated into ``quots[i]``."""
     work = dict(terms)
     rem: dict = {}
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        for lm, lc, bterms in leads:
+        for i, (lm, lc, bterms) in enumerate(leads):
             if monomial_divides(lm, m):
                 q = monomial_div(m, lm)
                 qc = c / lc if isinstance(c, Fraction) or isinstance(lc, Fraction) else Fraction(c, lc)
                 if qc.denominator == 1:
                     qc = qc.numerator
+                if quots is not None:
+                    quots[i][q] = quots[i].get(q, 0) + qc
                 for bm, bc in bterms:
                     if bm == lm:
                         continue
@@ -311,20 +296,23 @@ def _verify_reduced_basis(gb: GroebnerBasis):
     gens = gb.generators
     lms = gb.leading_monomials()
     for idx, g in enumerate(gens):
-        assert g.leading_coefficient(order) == 1, "basis element is not monic"
+        if g.leading_coefficient(order) != 1:
+            raise AssertionError("basis element is not monic")
         for jdx, lm in enumerate(lms):
             if jdx == idx:
                 continue
-            assert not monomial_divides(lm, lms[idx]), "leading monomials not minimal"
-            for m, _ in g.terms():
-                assert not monomial_divides(lm, m), "basis is not inter-reduced"
+            if monomial_divides(lm, lms[idx]):
+                raise AssertionError("leading monomials not minimal")
+            if any(monomial_divides(lm, m) for m, _ in g.terms()):
+                raise AssertionError("basis is not inter-reduced")
     for j in range(len(gens)):
         for i in range(j):
             s = s_polynomial(gens[i], gens[j], order)
             if s.is_zero():
                 continue
             _, r = divide(s, gens, order)
-            assert r.is_zero(), "S-polynomial does not reduce to zero"
+            if not r.is_zero():
+                raise AssertionError("S-polynomial does not reduce to zero")
 
 
 def leading_term_ideal(gb: GroebnerBasis) -> MonomialIdeal:

@@ -17,9 +17,10 @@ of the Hilbert function of the Jacobian quotient).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Sequence, Union
+from typing import Sequence
 
 from .groebner import (
     MonomialIdeal,
@@ -38,47 +39,32 @@ from .poly import (
 )
 
 
-class Infinite:
+class Infinite(Enum):
     """Marker for the length of a scheme that is not zero-dimensional."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    INFINITE = "Infinite"
 
     def __repr__(self):
-        return "Infinite"
+        return self.value
 
-    def __eq__(self, other):
-        return isinstance(other, Infinite)
-
-    def __hash__(self):
-        return hash("Infinite")
+    __str__ = __repr__
 
 
-INFINITE = Infinite()
-
-# length of a zero-dimensional scheme, or INFINITE
-LengthResult = Union[int, Infinite]
+INFINITE = Infinite.INFINITE
 
 
-class Vertical:
+class Vertical(Enum):
     """Marker for the line x = 0 in line restrictions."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    VERTICAL = "Vertical"
 
     def __repr__(self):
-        return "Vertical"
+        return self.value
+
+    __str__ = __repr__
 
 
-VERTICAL = Vertical()
+VERTICAL = Vertical.VERTICAL
 
 
 class StabilizationError(ArithmeticError):
@@ -161,7 +147,8 @@ def _alpha(base: Sequence[Polynomial], r: int) -> int:
     gens.extend(_monomial_polys(2, r))
     gb = buchberger(gens, GRLEX, verify=False)
     n = staircase_length(leading_term_ideal(gb))
-    assert isinstance(n, int)
+    if not isinstance(n, int):
+        raise AssertionError(f"J + m^{r} is not zero-dimensional")
     return n
 
 

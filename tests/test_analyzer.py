@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -315,3 +319,28 @@ def test_analytic_invariance_smoke():
         base, _ = local_tjurina(P(f"y^2-x^{n + 1}"), O)
         moved, _ = local_tjurina(P(f"(y+x^2)^2-x^{n + 1}"), O)
         assert base == moved == n
+
+
+_TAU_ABOVE_MU = """
+import tjurina.analyzer as A
+from tjurina import parse_poly
+from tjurina.lengths import TruncationTrace
+
+if __debug__:
+    raise SystemExit("not running under -O")
+trace = TruncationTrace(((1, 1), (2, 1)), stabilized_at=1)
+A.local_length_at_origin = lambda gens: (5 if len(gens) == 3 else 4, trace)
+try:
+    A.analyze(parse_poly("y^2-x^3"), (0, 0))
+except AssertionError as e:
+    print("raised:", e)
+"""
+
+
+def test_analyze_invariant_checks_survive_optimize():
+    import tjurina
+    env = dict(os.environ, PYTHONPATH=str(Path(tjurina.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _TAU_ABOVE_MU], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: Tjurina number 5 exceeds Milnor number 4\n"

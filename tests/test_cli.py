@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from tjurina.cli import main
 
 
@@ -60,6 +62,19 @@ def test_analyze_parse_error_exit_2():
 def test_analyze_nonreduced_exit_3():
     code, _ = run_cli("analyze", "--curve", "y^2", "--point", "0,0")
     assert code == 3
+
+
+def test_stabilization_error_maps_to_exit_3(capsys):
+    from tjurina import StabilizationError, analyze, classify_double_point, parse_poly
+
+    curve, point = parse_poly("y^2"), (0, 0)
+    for command, call in (("classify", classify_double_point), ("analyze", analyze)):
+        with pytest.raises(StabilizationError) as info:
+            call(curve, point)
+        code, out = run_cli(command, "--curve", "y^2", "--point", "0,0")
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 def test_analyze_missing_curves_file_exit_2():

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from tjurina import (
+    DEGREVLEX,
     GRLEX,
+    LEX,
     MonomialIdeal,
     Polynomial,
     buchberger,
@@ -13,7 +16,7 @@ from tjurina import (
     parse_poly,
     s_polynomial,
 )
-from tjurina.poly import monomials_of_degree
+from tjurina.poly import monomial_divides, monomial_mul, monomials_of_degree
 
 P = parse_poly
 
@@ -63,6 +66,35 @@ def test_divide_is_deterministic_in_basis_order():
     assert q1[0] == P("x*y") and q1[1].is_zero() and r1.is_zero()
     q2, r2 = divide(f, [P("y"), P("x")])
     assert q2[0] == P("x^2") and q2[1].is_zero() and r2.is_zero()
+
+
+def _random_poly(rng, nvars, max_deg, n_terms):
+    monos = [m for d in range(max_deg + 1) for m in monomials_of_degree(nvars, d)]
+    return Polynomial(nvars, {m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+                              for m in rng.sample(monos, n_terms)})
+
+
+@pytest.mark.parametrize("order", [GRLEX, LEX, DEGREVLEX], ids=["grlex", "lex", "degrevlex"])
+def test_divide_random_rational_bases(order):
+    rng = random.Random(20230214)
+    for _ in range(40):
+        nvars = rng.choice((2, 3))
+        basis = [_random_poly(rng, nvars, rng.randint(1, 3), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 3))]
+        f = _random_poly(rng, nvars, 5, rng.randint(1, 8))
+        quots, rem = divide(f, basis, order)
+        total = rem
+        for q, b in zip(quots, basis):
+            total = total + q * b
+        assert total == f
+        lms = [b.leading_monomial(order) for b in basis]
+        for m, _ in rem.terms():
+            assert not any(monomial_divides(lm, m) for lm in lms)
+        # no quotient term produces a monomial above LM(f)
+        top = order.key(f.leading_monomial(order))
+        for q, lm in zip(quots, lms):
+            for m, _ in q.terms():
+                assert order.key(monomial_mul(m, lm)) <= top
 
 
 # -- S-polynomials ---------------------------------------------------------------
