@@ -1,11 +1,12 @@
 """Buchberger's algorithm and reduced Groebner bases over Q.
 
-The engine always returns the unique *reduced* basis: monic generators,
-pairwise inter-reduced, sorted by decreasing leading monomial.  Pair
-selection follows the normal strategy (smallest lcm first); useless pairs
-are pruned with the coprimality criterion and the chain criterion, and
-S-polynomials of two monomials are skipped outright since they vanish
-identically.
+The engine returns the unique *reduced* basis: monic generators,
+pairwise inter-reduced, sorted by decreasing leading monomial.  With a
+degree cut it returns a minimal standard basis in Q[x]/m^cut instead (see
+``buchberger``).  Pair selection follows the normal strategy (lowest lcm
+degree first, then smallest lcm); useless pairs are pruned with the
+coprimality criterion and the chain criterion, and S-polynomials of two
+monomials are skipped outright since they vanish identically.
 
 ``VERIFY_BASES`` turns on a full postcondition check on every emitted
 basis (reducedness invariants plus reduction of every S-polynomial to
@@ -131,12 +132,18 @@ def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
     return [Polynomial(nvars, q) for q in quots], Polynomial(nvars, rem)
 
 
-def _normal_form(terms: dict, leads, key, quots: list[dict] | None = None) -> dict:
+def _normal_form(terms: dict, leads, key, quots: list[dict] | None = None,
+                 cut: int | None = None) -> dict:
     """Remainder of the term table ``terms`` on division by ``leads``, a list
     of (leading monomial, leading coefficient, term tuple) reducers; each
     step uses the first reducer that divides.  When ``quots`` is given, the
-    quotient terms of reducer i are accumulated into ``quots[i]``."""
-    work = dict(terms)
+    quotient terms of reducer i are accumulated into ``quots[i]``.  When
+    ``cut`` is given, the division runs in Q[x]/m^cut: every term of total
+    degree >= cut is dropped."""
+    if cut is None:
+        work = dict(terms)
+    else:
+        work = {m: c for m, c in terms.items() if sum(m) < cut}
     rem: dict = {}
     while work:
         m = max(work, key=key)
@@ -153,6 +160,8 @@ def _normal_form(terms: dict, leads, key, quots: list[dict] | None = None) -> di
                     if bm == lm:
                         continue
                     t = monomial_mul(q, bm)
+                    if cut is not None and sum(t) >= cut:
+                        continue
                     s = work.get(t, 0) - qc * bc
                     if s == 0:
                         work.pop(t, None)
@@ -187,11 +196,22 @@ def s_polynomial(g: Polynomial, h: Polynomial, order: MonomialOrder = GRLEX) -> 
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
-               verify: bool | None = None) -> GroebnerBasis:
+               verify: bool | None = None, cut: int | None = None) -> GroebnerBasis:
     """Unique reduced Groebner basis of the ideal generated by ``gens``.
 
-    Raises ValueError if every generator is zero.
+    With ``cut`` the result is a minimal standard basis of the image of the
+    ideal in Q[x]/m^cut, monic but with tails left unreduced (``reduced``
+    is False): every term of total degree >= cut is dropped, and the
+    monomials of m^cut never become generators.  This is meant for an
+    order in which the lowest total degree leads (a local degree order);
+    there the monomials of degree < cut are well-ordered, so the reduction
+    terminates, and a product whose leading term has degree >= cut is zero
+    as a whole.
+
+    Raises ValueError if every generator is zero (after the cut).
     """
+    if cut is not None:
+        gens = [Polynomial(g.nvars, {m: c for m, c in g.terms() if sum(m) < cut}) for g in gens]
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
         raise ValueError("need at least one nonzero generator")
@@ -215,9 +235,11 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     heap: list = []
     pending: set[tuple[int, int]] = set()
 
+    # lowest lcm degree first, then the smallest lcm in the order: the normal
+    # strategy for degree orders, and low degrees first under a local order
     def push_pair(i: int, j: int):
         lcm = monomial_lcm(lms[i], lms[j])
-        heapq.heappush(heap, (key(lcm), i, j))
+        heapq.heappush(heap, (sum(lcm), key(lcm), i, j))
         pending.add((i, j))
 
     for j in range(len(G)):
@@ -225,12 +247,15 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
             push_pair(i, j)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, _, i, j = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
         li, lj = lms[i], lms[j]
         lcm = monomial_lcm(li, lj)
+        # every term of the S-polynomial lies in m^cut
+        if cut is not None and sum(lcm) >= cut:
+            continue
         # coprime leading monomials: S-polynomial reduces to zero
         if all(a == 0 or b == 0 for a, b in zip(li, lj)):
             continue
@@ -253,7 +278,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
         s = s_polynomial(G[i], G[j], order)
         if s.is_zero():
             continue
-        rem = _normal_form(s.terms_dict(), leads, key)
+        rem = _normal_form(s.terms_dict(), leads, key, cut=cut)
         if rem:
             r = Polynomial(nvars, rem).monic(order)
             G.append(r)
@@ -264,8 +289,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
                 push_pair(t, new)
 
     # minimalize: keep only generators whose leading monomial is not a
-    # multiple of another surviving leading monomial
-    order_idx = sorted(range(len(G)), key=lambda i: key(lms[i]))
+    # multiple of another surviving leading monomial.  A divisor never has
+    # the larger total degree; under a local order it has the larger key.
+    order_idx = sorted(range(len(G)), key=lambda i: sum(lms[i]))
     keep: list[int] = []
     for i in order_idx:
         if not any(monomial_divides(lms[k], lms[i]) for k in keep):
@@ -273,28 +299,32 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     minimal = [G[i] for i in keep]
     min_lms = [lms[i] for i in keep]
 
-    # inter-reduce tails; leading monomials form an antichain so they survive
+    # inter-reduce tails; leading monomials form an antichain so they survive.
+    # Under a cut only the leading monomials are read, so tails stay as they are.
     reduced: list[Polynomial] = []
     for i, g in enumerate(minimal):
-        others = [(min_lms[k], 1, tuple(minimal[k].terms()))
-                  for k in range(len(minimal)) if k != i]
-        if others:
+        if cut is None and len(minimal) > 1:
+            others = [(min_lms[k], 1, tuple(minimal[k].terms()))
+                      for k in range(len(minimal)) if k != i]
             rem = _normal_form(g.terms_dict(), others, key)
             g = Polynomial(nvars, rem).monic(order)
         reduced.append(g)
 
     reduced.sort(key=lambda p: key(p.leading_monomial(order)), reverse=True)
-    gb = GroebnerBasis(order=order, generators=tuple(reduced), reduced=True)
+    gb = GroebnerBasis(order=order, generators=tuple(reduced), reduced=cut is None)
     if verify or (verify is None and VERIFY_BASES):
-        _verify_reduced_basis(gb)
+        _verify_reduced_basis(gb, cut)
     return gb
 
 
-def _verify_reduced_basis(gb: GroebnerBasis):
-    """Postcondition check: reducedness invariants and Buchberger's criterion."""
+def _verify_reduced_basis(gb: GroebnerBasis, cut: int | None = None):
+    """Postcondition check: monic, minimal and (for a reduced basis)
+    inter-reduced generators, and Buchberger's criterion (in Q[x]/m^cut when
+    ``cut`` is given)."""
     order = gb.order
     gens = gb.generators
     lms = gb.leading_monomials()
+    leads = [(lm, 1, tuple(g.terms())) for lm, g in zip(lms, gens)]
     for idx, g in enumerate(gens):
         if g.leading_coefficient(order) != 1:
             raise AssertionError("basis element is not monic")
@@ -303,15 +333,14 @@ def _verify_reduced_basis(gb: GroebnerBasis):
                 continue
             if monomial_divides(lm, lms[idx]):
                 raise AssertionError("leading monomials not minimal")
-            if any(monomial_divides(lm, m) for m, _ in g.terms()):
+            if gb.reduced and any(monomial_divides(lm, m) for m, _ in g.terms()):
                 raise AssertionError("basis is not inter-reduced")
     for j in range(len(gens)):
         for i in range(j):
             s = s_polynomial(gens[i], gens[j], order)
             if s.is_zero():
                 continue
-            _, r = divide(s, gens, order)
-            if not r.is_zero():
+            if _normal_form(s.terms_dict(), leads, order.key, cut=cut):
                 raise AssertionError("S-polynomial does not reduce to zero")
 
 

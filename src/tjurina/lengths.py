@@ -5,7 +5,8 @@ Two independent routes to the same numbers live here:
 * the Groebner route: staircase counting on leading-term ideals, and the
   truncation sequence alpha_r = dim A/(J + m^r) whose stabilized value is
   the length of the component of A/J at the origin (truncating by powers
-  of the maximal ideal kills every component away from O);
+  of the maximal ideal kills every component away from O), read from one
+  standard basis of J + m^R under a local degree order;
 * a Macaulay-matrix route: alpha_r as a corank of an exact rational
   coefficient matrix, used as an oracle to cross-check the first route.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Sequence
 
@@ -30,7 +32,6 @@ from .groebner import (
 )
 from .poly import (
     DEGREVLEX,
-    GRLEX,
     Monomial,
     Polynomial,
     Scalar,
@@ -70,8 +71,10 @@ VERTICAL = Vertical.VERTICAL
 class StabilizationError(ArithmeticError):
     """A truncation or Hilbert-function sequence failed to stabilize.
 
-    For local lengths this means the scheme is not zero-dimensional at the
-    origin (non-reduced curve or non-isolated singularity)."""
+    For local lengths the sequence is still growing at the proven bound
+    r = d^2 + 1 (d the largest generator degree), so the scheme is not
+    zero-dimensional at the origin (non-reduced curve or non-isolated
+    singularity)."""
 
 
 @dataclass(frozen=True)
@@ -133,56 +136,78 @@ def staircase_length(lt: MonomialIdeal):
     return count
 
 
-def _monomial_polys(nvars: int, degree: int) -> list[Polynomial]:
-    return [Polynomial.monomial(nvars, m) for m in monomials_of_degree(nvars, degree)]
+class _LocalDegreeOrder:
+    """Lowest total degree leads; ties are broken by grlex.
 
-
-def _alpha(base: Sequence[Polynomial], r: int) -> int:
-    """dim A/(J + m^r) where J is generated by ``base`` (two variables).
-
-    Generators are pre-truncated below degree r; this changes nothing
-    modulo m^r and keeps every intermediate polynomial small.
+    A local degree order: a well-order only on the monomials of degree
+    < R, so it is used only in Q[x, y]/m^R (``buchberger``'s ``cut``).
     """
-    gens = [t for g in base if not (t := g.truncate_below(r)).is_zero()]
-    gens.extend(_monomial_polys(2, r))
-    gb = buchberger(gens, GRLEX, verify=False)
-    n = staircase_length(leading_term_ideal(gb))
-    if not isinstance(n, int):
-        raise AssertionError(f"J + m^{r} is not zero-dimensional")
-    return n
+
+    @staticmethod
+    def key(m: Monomial):
+        return (-sum(m),) + m
+
+
+_LOCAL = _LocalDegreeOrder()
+
+
+def _standard_counts(lms: Sequence[Monomial], R: int) -> list[int]:
+    """counts[t] = number of monomials x^i y^j of degree t < R that no
+    monomial in ``lms`` divides."""
+    counts = [0] * R
+    for i in range(R):
+        height = min([b for a, b in lms if a <= i], default=R - i)
+        for j in range(min(height, R - i)):
+            counts[i + j] += 1
+    return counts
 
 
 def local_length_at_origin(gens: Sequence[Polynomial]):
     """Length at the origin of the scheme cut out by ``gens`` in the plane.
 
-    Computes alpha_r = dim A/(J + m^r) for r = 1, 2, ... via reduced
-    Groebner bases and stops at the first repeat alpha_r = alpha_{r+1};
-    that value is the dimension of the localization of A/J at O (once two
-    consecutive truncations agree, the chain J + m^r is stationary).
+    Computes alpha_r = dim A/(J + m^r) for r = 1, 2, ... and stops at the
+    first repeat alpha_r = alpha_{r+1}; that value is the dimension of the
+    localization of A/J at O (once two consecutive truncations agree, the
+    chain J + m^r is stationary).
+
+    Every alpha_r with r <= R is read from one standard basis of J + m^R
+    under a local degree order: it is the number of standard monomials of
+    degree < r (the Hilbert-Samuel function), and the first repeat is the
+    first degree with no standard monomial.  R starts at 2d + 2, where d is
+    the largest generator degree, and doubles up to d^2 + 1.
 
     Returns (length, TruncationTrace).  Raises StabilizationError when the
-    sequence is still growing at r = 4*maxdeg + 4, which happens exactly
-    when the scheme fails to be zero-dimensional at the origin.
+    sequence is still growing at r = d^2 + 1, which happens exactly when
+    the scheme fails to be zero-dimensional at the origin: two generic
+    combinations of the generators meet at O with multiplicity <= d^2
+    (Bezout), so a zero-dimensional length is <= d^2 and the sequence
+    stabilizes by r = d^2.
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
         raise ValueError("need at least one nonzero generator")
     if any(g.nvars != 2 for g in polys):
         raise ValueError("local lengths are computed in the plane (2 variables)")
-    base = buchberger(polys, GRLEX, verify=False).generators
-    cap = 4 * max(g.degree() for g in polys) + 4
-    pairs: list[tuple[int, int]] = []
-    prev: int | None = None
-    for r in range(1, cap + 1):
-        a = _alpha(base, r)
-        pairs.append((r, a))
-        if prev is not None and a == prev:
-            return a, TruncationTrace(tuple(pairs), stabilized_at=r - 1)
-        prev = a
-    raise StabilizationError(
-        f"truncation sequence still growing at r = {cap}: "
-        "the scheme is not zero-dimensional at the origin "
-        f"(alphas = {[a for _, a in pairs]})")
+    d = max(g.degree() for g in polys)
+    bound = max(d * d + 1, 2)  # the trace always holds alpha_1 and alpha_2
+    R = min(2 * d + 2, bound)
+    while True:
+        gb = buchberger(polys, _LOCAL, verify=False, cut=R)
+        counts = _standard_counts(gb.leading_monomials(), R)
+        stable = next((r for r in range(1, R) if counts[r] == 0), None)
+        if stable is not None or R == bound:
+            break
+        R = min(2 * R, bound)
+    last = R if stable is None else stable + 1
+    alphas = list(accumulate(counts[:last]))
+    if stable is None:
+        raise StabilizationError(
+            f"truncation sequence still growing at r = {bound} = d^2 + 1 "
+            f"(d = {d}, the largest generator degree); a scheme zero-dimensional "
+            "at the origin stabilizes by r = d^2 (proven bound), so this one is not "
+            f"(alphas = {alphas})")
+    pairs = tuple(zip(range(1, last + 1), alphas))
+    return alphas[-1], TruncationTrace(pairs, stabilized_at=stable)
 
 
 def local_length_oracle(gens: Sequence[Polynomial], r: int) -> int:

@@ -300,10 +300,6 @@ class Polynomial:
             raise ValueError("degree must be non-negative")
         return Polynomial(self.nvars, {m: c for m, c in self._terms.items() if sum(m) == k})
 
-    def truncate_below(self, r: int) -> "Polynomial":
-        """Drop every term of total degree >= r."""
-        return Polynomial(self.nvars, {m: c for m, c in self._terms.items() if sum(m) < r})
-
     def partial_derivative(self, var_index: int) -> "Polynomial":
         if not 0 <= var_index < self.nvars:
             raise ValueError("variable index out of range")

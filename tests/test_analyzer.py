@@ -207,6 +207,25 @@ def test_classify_away_from_origin():
     assert classify_double_point(P("y^2-(x-2)^5"), (2, 0)) == DoubleA(4)
 
 
+@pytest.mark.parametrize("e", [3, 4, 5])
+def test_contact_curves_are_a_2e2_minus_1(e):
+    # two smooth branches with contact e^2 meet in an A_{2e^2-1} point; e = 5
+    # (A_49) needs truncation orders far past 4 * degree
+    import io
+    import json
+    from tjurina.cli import main
+    expr = f"(y-x^{e})*(y-x^{e}-y^{e})"
+    f, n = P(expr), 2 * e * e - 1
+    assert local_tjurina(f, O)[0] == n
+    assert classify_double_point(f, O) == DoubleA(n)
+    report = analyze(f, O)
+    assert (report.tjurina, report.milnor) == (n, n)
+    assert report.classification == Classification("A_n", n)
+    out = io.StringIO()
+    assert main(["classify", "--curve", expr, "--point", "0,0", "--json"], out=out) == 0
+    assert json.loads(out.getvalue())["n"] == n
+
+
 # -- embedding dimension -------------------------------------------------------------
 
 

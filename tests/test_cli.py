@@ -77,6 +77,14 @@ def test_stabilization_error_maps_to_exit_3(capsys):
         assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
+@pytest.mark.parametrize("curve", ["y^2", "x^2*y^2", "(y^2-x^3)^2"])
+def test_nonreduced_curves_exit_3_at_the_proven_bound(curve, capsys):
+    code, out = run_cli("analyze", "--curve", curve, "--point", "0,0")
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: curve not reduced at (0,0)") and "d^2 + 1" in err
+
+
 def test_analyze_missing_curves_file_exit_2():
     code, _ = run_cli("analyze", "--curves-file", "/nonexistent/curves.txt",
                       "--point", "0,0")

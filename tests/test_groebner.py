@@ -153,6 +153,22 @@ def test_buchberger_rejects_all_zero():
         buchberger([P("0"), P("0")])
 
 
+@pytest.mark.parametrize("order, cut, gens, lms", [
+    # lex: y^3 sorts before x*y although it has the higher degree
+    ("lex", None, ["x*y^2+y^4", "y^3", "x*y"], {(1, 1), (0, 3)}),
+    # local degree order in Q[x,y]/m^6: x^2 sorts before its divisor x
+    ("local", 6, ["x^2+y^3", "x"], {(1, 0), (0, 3)}),
+])
+def test_minimal_leading_monomials_form_an_antichain(order, cut, gens, lms):
+    from tjurina.lengths import _LOCAL
+    mono_order = LEX if order == "lex" else _LOCAL
+    gb = buchberger([P(g) for g in gens], mono_order, verify=True, cut=cut)
+    found = gb.leading_monomials()
+    assert gb.reduced is (cut is None)
+    assert set(found) == lms and len(found) == len(lms)
+    assert not any(a != b and monomial_divides(a, b) for a in found for b in found)
+
+
 def test_generators_reduce_to_zero_against_basis():
     gens = [P("x^3*y-2*x+1"), P("y^2-x"), P("x^2*y^2-y")]
     gb = buchberger(gens)

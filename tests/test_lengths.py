@@ -122,6 +122,39 @@ def test_local_length_diverges_on_positive_dimension():
         local_length_at_origin([P("y^2")])
 
 
+def _jacobian(f):
+    return [f, f.partial_derivative(0), f.partial_derivative(1)]
+
+
+@pytest.mark.parametrize("expr", ["y^2", "x^2*y^2", "(y^2-x^3)^2"])
+def test_stabilization_error_names_the_proven_bound(expr):
+    f = P(expr)
+    d = f.degree()
+    with pytest.raises(StabilizationError) as info:
+        local_length_at_origin(_jacobian(f))
+    message = str(info.value)
+    assert f"r = {d * d + 1} = d^2 + 1 (d = {d}," in message
+    assert "(proven bound)" in message
+
+
+@pytest.mark.parametrize("expr, n, doubles", [
+    # d = 6: R starts at 14, the sequence stabilizes at 17, so R doubles
+    ("(y-x^3)*(y-x^3-y^3)", 17, True),
+    # two smooth branches with contact k, an A_{2k-1} point
+    *[(f"(y-2*x^2+x^3)*(y-2*x^2+x^3-3*x^{k}+x^{k + 1})", 2 * k - 1, False)
+      for k in range(2, 8)],
+])
+def test_trace_matches_oracle_with_and_without_doubling(expr, n, doubles):
+    gens = _jacobian(P(expr))
+    d = max(g.degree() for g in gens)
+    val, trace = local_length_at_origin(gens)
+    assert val == n
+    # R starts at 2d + 2; a trace that runs past it needed a larger R
+    assert (trace.pairs[-1][0] > 2 * d + 2) == doubles
+    for r, alpha in trace.pairs:
+        assert local_length_oracle(gens, r) == alpha, (r, alpha)
+
+
 def test_trace_is_monotone_and_ends_on_repeat():
     f = P("x^5-y^5")
     val, trace = local_length_at_origin([f, f.partial_derivative(0), f.partial_derivative(1)])

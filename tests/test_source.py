@@ -15,3 +15,15 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert SOURCES and found == []
+
+
+def test_normal_form_holds_the_only_reduction_loop():
+    # one reduction core: every multivariate division runs through _normal_form
+    found = [f"{path.name}:{func.name}"
+             for path in SOURCES
+             for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func)
+             if isinstance(node, ast.While) and isinstance(node.test, ast.Name)
+             and node.test.id == "work"]
+    assert found == ["groebner.py:_normal_form"]
