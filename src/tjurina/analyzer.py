@@ -24,7 +24,6 @@ from math import comb
 from typing import Sequence
 
 from .binforms import binary_form_resultant, dehomogenize, squarefree_binary_form, upoly_gcd
-from .groebner import buchberger, is_zero_dimensional, leading_term_ideal
 from .lengths import (
     StabilizationError,
     TruncationTrace,
@@ -165,13 +164,20 @@ def k_symmetry_order(gens: Sequence[Polynomial]) -> int | None:
     line also gives k.  (A gcd over Q detects all complex roots, so no
     slope is special over C either; components of the scheme away from
     the origin cannot change any valuation at O.)
+
+    Raises ValueError unless the scheme is zero-dimensional at O, as
+    decided by the proven bound of ``local_length_at_origin``.
     """
+    try:
+        local_length_at_origin(gens)
+    except StabilizationError as e:
+        raise ValueError(f"the scheme is not zero-dimensional at the origin: {e}") from e
+    return _symmetry_order(gens)
+
+
+def _symmetry_order(gens: Sequence[Polynomial]) -> int | None:
+    """The core of ``k_symmetry_order``, for a scheme zero-dimensional at O."""
     polys = [g for g in gens if not g.is_zero()]
-    if not polys:
-        raise ValueError("need at least one nonzero generator")
-    gb = buchberger(polys, verify=False)
-    if not is_zero_dimensional(leading_term_ideal(gb)):
-        raise ValueError("the scheme is not zero-dimensional")
     k = min(g.min_degree() for g in polys)
     level = [dehomogenize(init) for g in polys
              if not (init := g.homogeneous_component(k)).is_zero()]
@@ -265,9 +271,9 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     Both local lengths are attempted even if the first one fails, so a
     non-reduced input produces one diagnostic naming everything that went
     wrong.  The symmetry order is None when the scheme is symmetric for
-    no k, and also when the ambient Jacobian ideal is not zero-dimensional
-    (curve non-reduced away from the point).  A violation of tau <= mu, or
-    of mu = (m-1)^2 at an ordinary point, raises AssertionError.
+    no k; it is decided at the point, so the curve away from the point
+    cannot change it.  A violation of tau <= mu, or of mu = (m-1)^2 at an
+    ordinary point, raises AssertionError.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial does not define a curve")
@@ -298,12 +304,7 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     if m >= 2:
         ordinary = squarefree_binary_form(g.homogeneous_component(m))
 
-    symmetry = None
-    if m >= 2:
-        try:
-            symmetry = k_symmetry_order([g, gx, gy])
-        except ValueError:
-            symmetry = None
+    symmetry = _symmetry_order([g, gx, gy]) if m >= 2 else None
 
     if m <= 1:
         classification = Classification("smooth")

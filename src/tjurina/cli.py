@@ -7,10 +7,11 @@ Subcommands:
 * ``global-tjurina`` degree of the Jacobian scheme of a projective curve
 * ``family``         closed-form vs live verification for x^a+y^a+x^b*y^c
 
-Exit codes: 0 success, 2 malformed input (expressions, points, flags),
-3 analysis failure (non-reduced curve, non-stabilizing Hilbert function),
-4 point not on the curve (classify).  JSON fields are exact: integers as
-numbers, non-integer rationals as "p/q" strings; no floats.
+Exit codes: 0 success, 2 malformed input (expressions, points, flags,
+zero or constant curves), 3 analysis failure (non-reduced curve,
+non-stabilizing Hilbert function), 4 point not on the curve (classify).
+JSON fields are exact: integers as numbers, non-integer rationals as
+"p/q" strings; no floats.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _exact(v):
 
 
 def _report_document(curve_text: str, point, report: SingularityReport,
-                     warnings: list[str], elapsed_ms: int) -> dict:
+                     elapsed_ms: int) -> dict:
     return {
         "version": __version__,
         "curve": curve_text,
@@ -95,7 +96,7 @@ def _report_document(curve_text: str, point, report: SingularityReport,
         "classification": str(report.classification),
         "trace_tjurina": [[r, a] for r, a in report.tjurina_trace.pairs],
         "trace_milnor": [[r, a] for r, a in report.milnor_trace.pairs],
-        "warnings": warnings,
+        "warnings": [],
         "elapsed_ms": elapsed_ms,
     }
 
@@ -142,13 +143,15 @@ def cmd_analyze(args, out) -> int:
     else:
         raise _CliError(EXIT_BAD_INPUT, "one of --curve / --curves-file is required")
     curves = [_parse_curve(t, "affine2") for t in texts]
+    if any(not c.degree() for c in curves):  # degree None (zero) or 0 (nonzero constant)
+        raise _CliError(EXIT_BAD_INPUT, "a constant polynomial does not define a curve")
 
     results = []
     for curve in curves:
         t0 = time.monotonic()
         results.append((analyze(curve, point), int((time.monotonic() - t0) * 1000)))
 
-    docs = [_report_document(t, point, rep, [], ms)
+    docs = [_report_document(t, point, rep, ms)
             for t, (rep, ms) in zip(texts, results)]
     if args.json:
         payload = docs[0] if len(docs) == 1 and not args.curves_file else docs
@@ -185,15 +188,14 @@ def cmd_classify(args, out) -> int:
         curve = _parse_curve(args.curve, "projective3")
         point3 = _parse_point(args.point, 3)
         g = _projective_to_affine_chart(curve, point3)
-        if g.constant_term() != 0:
-            raise _CliError(EXIT_OFF_CURVE, "point is not on the curve")
-        outcome = classify_double_point(g, (Fraction(0), Fraction(0)))
     else:
         curve = _parse_curve(args.curve, "affine2")
-        point = _parse_point(args.point, 2)
-        if curve.evaluate(point) != 0:
-            raise _CliError(EXIT_OFF_CURVE, "point is not on the curve")
-        outcome = classify_double_point(curve, point)
+        g = translate_to_origin(curve, _parse_point(args.point, 2))
+    if g.constant_term() != 0:
+        raise _CliError(EXIT_OFF_CURVE, "point is not on the curve")
+    if g.is_zero():
+        raise _CliError(EXIT_BAD_INPUT, "the zero polynomial does not define a curve")
+    outcome = classify_double_point(g, (0, 0))
 
     if isinstance(outcome, SimplePoint):
         msg = f"simple point, tangent: {render_poly(outcome.tangent)} = 0"

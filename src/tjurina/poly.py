@@ -37,10 +37,6 @@ def _norm_coeff(c: Scalar) -> Scalar:
 # ---------------------------------------------------------------------------
 # monomial helpers (exponent tuples)
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def monomial_mul(m: Monomial, n: Monomial) -> Monomial:
     return tuple(a + b for a, b in zip(m, n))
 

@@ -146,6 +146,24 @@ def test_k_symmetry_catches_irrational_special_slopes():
     assert k_symmetry_order([g1, g2, P("x^4"), P("y^4")]) is None
 
 
+def test_symmetry_order_is_decided_at_the_point():
+    # the factor squared at x = 1 makes the global Jacobian scheme
+    # one-dimensional but leaves the scheme at O unchanged
+    far, near = P("(x^3-y^3)*(x-1)^2"), P("x^3-y^3")
+    r_far, r_near = analyze(far, O), analyze(near, O)
+    assert r_far.symmetry_order == 2
+    assert ((r_far.tjurina, r_far.milnor, r_far.symmetry_order)
+            == (r_near.tjurina, r_near.milnor, r_near.symmetry_order) == (4, 4, 2))
+    assert k_symmetry_order(jacobian_gens(far)) == 2
+
+
+def test_k_symmetry_rejects_schemes_not_zero_dimensional_at_the_origin():
+    with pytest.raises(ValueError, match="at the origin"):
+        k_symmetry_order([P("y^2-x^3")])
+    with pytest.raises(ValueError, match="at the origin"):
+        k_symmetry_order([P("x^2"), P("x*y")])
+
+
 # -- slci -----------------------------------------------------------------------------
 
 

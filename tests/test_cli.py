@@ -85,6 +85,28 @@ def test_nonreduced_curves_exit_3_at_the_proven_bound(curve, capsys):
     assert err.startswith("error: curve not reduced at (0,0)") and "d^2 + 1" in err
 
 
+@pytest.mark.parametrize("command, curve", [
+    ("analyze", "0"), ("analyze", "1"), ("analyze", "x-x"), ("classify", "0")])
+def test_degenerate_curves_exit_2(command, curve, capsys):
+    code, out = run_cli(command, "--curve", curve, "--point", "0,0")
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "curve" in err and "Traceback" not in err
+
+
+def test_analyze_curves_file_with_zero_line_exit_2(tmp_path, capsys):
+    curves = tmp_path / "curves.txt"
+    curves.write_text("x^5-y^5\n0\ny^2-x^3\n", encoding="utf-8")
+    code, out = run_cli("analyze", "--curves-file", str(curves), "--point", "0,0", "--json")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: a constant polynomial does not define a curve\n"
+
+
+def test_classify_constant_curve_is_off_curve():
+    code, _ = run_cli("classify", "--curve", "1", "--point", "0,0")
+    assert code == 4
+
+
 def test_analyze_missing_curves_file_exit_2():
     code, _ = run_cli("analyze", "--curves-file", "/nonexistent/curves.txt",
                       "--point", "0,0")

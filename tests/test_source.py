@@ -27,3 +27,15 @@ def test_normal_form_holds_the_only_reduction_loop():
              if isinstance(node, ast.While) and isinstance(node.test, ast.Name)
              and node.test.id == "work"]
     assert found == ["groebner.py:_normal_form"]
+
+
+def test_analyzer_runs_no_global_basis():
+    # per-point invariants come only from the local standard basis in lengths
+    source = Path(tjurina.__file__).resolve().parent / "analyzer.py"
+    found = [f"{func.name}:{node.lineno}"
+             for func in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+             if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "buchberger"]
+    assert found == []
