@@ -8,6 +8,16 @@ degree first, then smallest lcm); useless pairs are pruned with the
 coprimality criterion and the chain criterion, and S-polynomials of two
 monomials are skipped outright since they vanish identically.
 
+The reduction core is fraction-free.  Inside ``buchberger`` every basis
+element is a primitive integer term table (coprime integer coefficients,
+positive leading coefficient), S-polynomials are built from the term
+tables with integer cofactors, and ``_normal_form`` reduces by scaled
+pseudo-division, so every remainder it returns is an integer multiple of
+the rational one.  Rationals appear only at the boundary: the generators
+of a ``GroebnerBasis`` are made monic when it is built, and ``divide`` and
+``s_polynomial`` clear denominators on the way in and divide them back out
+on the way out.
+
 ``VERIFY_BASES`` turns on a full postcondition check on every emitted
 basis (reducedness invariants plus reduction of every S-polynomial to
 zero).  It is meant for test runs; the check costs another pass over all
@@ -16,9 +26,11 @@ pairs.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import neg
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -104,6 +116,63 @@ class MonomialIdeal:
 
 
 # ---------------------------------------------------------------------------
+# integer reducers
+
+
+def _integer_terms(terms: dict, lm: Monomial | None = None) -> tuple[dict, Fraction]:
+    """(table, u): the primitive integer term table table = u * terms, with a
+    positive coefficient at ``lm`` when given."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    table = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    g = gcd(*table.values()) or 1
+    if lm is not None and table[lm] < 0:
+        g = -g
+    return {m: c // g for m, c in table.items()}, Fraction(den, g)
+
+
+def _integer_reducer(p: Polynomial, order: MonomialOrder) -> tuple[tuple, Fraction]:
+    """((lm, lc, tail), u): the reducer of the primitive integer multiple
+    u * p, with a positive leading coefficient lc."""
+    lm = p.leading_monomial(order)
+    table, u = _integer_terms(p.terms_dict(), lm)
+    return (lm, table[lm], tuple(t for t in table.items() if t[0] != lm)), u
+
+
+def _reducer_of(rem: dict) -> tuple:
+    """The reducer of a primitive remainder, whose first term leads."""
+    items = iter(rem.items())
+    lm, lc = next(items)
+    return lm, lc, tuple(items)
+
+
+def _s_pair(a: tuple, b: tuple) -> dict:
+    """Term table of the S-polynomial of two integer reducers (lm, lc, tail),
+    scaled by lcm(lc_a, lc_b) so that it stays integral: the leading terms
+    cancel, so only the tails are multiplied out."""
+    la, ca, ta = a
+    lb, cb, tb = b
+    top = monomial_lcm(la, lb)
+    g = gcd(ca, cb)
+    fa, fb = cb // g, ca // g
+    qa, qb = monomial_div(top, la), monomial_div(top, lb)
+    table = {monomial_mul(qa, m): fa * c for m, c in ta}
+    for m, c in tb:
+        t = monomial_mul(qb, m)
+        s = table.get(t, 0) - fb * c
+        if s:
+            table[t] = s
+        else:
+            table.pop(t, None)
+    return table
+
+
+def _monic(nvars: int, reducer: tuple) -> Polynomial:
+    """The monic rational polynomial of an integer reducer."""
+    lm, lc, tail = reducer
+    return Polynomial(nvars, [(lm, 1), *((m, Fraction(c, lc)) for m, c in tail)])
+
+
+# ---------------------------------------------------------------------------
 # division
 
 
@@ -121,55 +190,90 @@ def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
     No term of the remainder is divisible by any leading monomial of the
     basis.  Deterministic: each reduction step uses the first divisor in
     the listed order.  Returns (quotients, remainder); the loop itself is
-    ``_normal_form``, the reducer Buchberger uses.
+    ``_normal_form``, the reducer Buchberger uses.  Denominators are
+    cleared on the way in and the accumulated scale is divided out on the
+    way out, so quotients and remainder are the exact rational ones.
     """
     _check_basis(basis)
-    nvars = f.nvars
-    leads = [(b.leading_monomial(order), b.leading_coefficient(order), tuple(b.terms()))
-             for b in basis]
-    quots: list[dict] = [{} for _ in basis]
-    rem = _normal_form(f.terms_dict(), leads, order.key, quots)
-    return [Polynomial(nvars, q) for q in quots], Polynomial(nvars, rem)
+    reducers, units = zip(*(_integer_reducer(b, order) for b in basis))
+    table, uf = _integer_terms(f.terms_dict())
+    quots: list = [{} for _ in basis]
+    rem = _normal_form(table, reducers, order.key, quots)
+    den = quots.pop() * uf
+    return ([Polynomial(f.nvars, {m: u * c / den for m, c in q.items()})
+             for q, u in zip(quots, units)],
+            Polynomial(f.nvars, {m: c / den for m, c in rem.items()}))
 
 
-def _normal_form(terms: dict, leads, key, quots: list[dict] | None = None,
+def _normal_form(terms: dict, leads, key, quots: list | None = None,
                  cut: int | None = None) -> dict:
-    """Remainder of the term table ``terms`` on division by ``leads``, a list
-    of (leading monomial, leading coefficient, term tuple) reducers; each
-    step uses the first reducer that divides.  When ``quots`` is given, the
-    quotient terms of reducer i are accumulated into ``quots[i]``.  When
-    ``cut`` is given, the division runs in Q[x]/m^cut: every term of total
-    degree >= cut is dropped."""
+    """Remainder of the integer term table ``terms`` on division by ``leads``,
+    a list of integer reducers (leading monomial, leading coefficient, tail
+    terms); each step uses the first reducer that divides.
+
+    Fraction-free: before a term c*x^m is cancelled by a reducer with
+    leading coefficient L, the work and remainder tables are multiplied by
+    L/gcd(c, L), and then (c/gcd)*x^q times the reducer is subtracted.  The
+    remainder is therefore an integer multiple of the rational one; it is
+    returned primitive (coprime coefficients, a positive leading
+    coefficient, the leading monomial first) and is empty iff the rational
+    remainder is zero.  When ``quots`` is given, the quotient terms of
+    reducer i are accumulated into ``quots[i]``, the remainder is returned
+    unnormalised and the accumulated scale s is appended to ``quots``, so
+    that s*terms = sum quots[i]*b_i + remainder.  When ``cut`` is given,
+    the division runs in Q[x]/m^cut: every term of total degree >= cut is
+    dropped.  Terms are taken largest first from a heap of negated keys;
+    an entry whose monomial has since cancelled is skipped."""
     if cut is None:
         work = dict(terms)
     else:
         work = {m: c for m, c in terms.items() if sum(m) < cut}
+    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heapify(heap)
     rem: dict = {}
+    scale = 1
     while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for i, (lm, lc, bterms) in enumerate(leads):
+        m = heappop(heap)[1]
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for i, (lm, lc, tail) in enumerate(leads):
             if monomial_divides(lm, m):
-                q = monomial_div(m, lm)
-                qc = c / lc if isinstance(c, Fraction) or isinstance(lc, Fraction) else Fraction(c, lc)
-                if qc.denominator == 1:
-                    qc = qc.numerator
-                if quots is not None:
-                    quots[i][q] = quots[i].get(q, 0) + qc
-                for bm, bc in bterms:
-                    if bm == lm:
-                        continue
-                    t = monomial_mul(q, bm)
-                    if cut is not None and sum(t) >= cut:
-                        continue
-                    s = work.get(t, 0) - qc * bc
-                    if s == 0:
-                        work.pop(t, None)
-                    else:
-                        work[t] = s
                 break
         else:
             rem[m] = c
+            continue
+        g = gcd(c, lc)
+        mult, qc = lc // g, c // g
+        if mult != 1:
+            scale *= mult
+            for table in (work, rem, *(quots or ())):
+                for t in table:
+                    table[t] *= mult
+        q = monomial_div(m, lm)
+        if quots is not None:
+            quots[i][q] = quots[i].get(q, 0) + qc
+        for bm, bc in tail:
+            t = monomial_mul(q, bm)
+            if cut is not None and sum(t) >= cut:
+                continue
+            p = qc * bc
+            s = work.get(t)
+            if s is None:
+                work[t] = -p
+                heappush(heap, (tuple(map(neg, key(t))), t))
+            elif s == p:
+                del work[t]
+            else:
+                work[t] = s - p
+    if quots is not None:
+        quots.append(scale)
+    elif rem:
+        g = gcd(*rem.values())
+        if next(iter(rem.values())) < 0:
+            g = -g
+        if g != 1:
+            rem = {m: c // g for m, c in rem.items()}
     return rem
 
 
@@ -181,14 +285,12 @@ def s_polynomial(g: Polynomial, h: Polynomial, order: MonomialOrder = GRLEX) -> 
     """
     if g.is_zero() or h.is_zero():
         raise ValueError("S-polynomial of the zero polynomial is undefined")
-    lg = g.leading_monomial(order)
-    lh = h.leading_monomial(order)
-    lcm = monomial_lcm(lg, lh)
-    cg = g.leading_coefficient(order)
-    ch = h.leading_coefficient(order)
-    left = Polynomial.monomial(g.nvars, monomial_div(lcm, lg), Fraction(1) / cg) * g
-    right = Polynomial.monomial(h.nvars, monomial_div(lcm, lh), Fraction(1) / ch) * h
-    return left - right
+    if g.nvars != h.nvars:
+        raise ValueError("S-polynomial of polynomials in different rings")
+    a, _ = _integer_reducer(g, order)
+    b, _ = _integer_reducer(h, order)
+    den = lcm(a[1], b[1])
+    return Polynomial(g.nvars, {m: Fraction(c, den) for m, c in _s_pair(a, b).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +310,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     terminates, and a product whose leading term has degree >= cut is zero
     as a whole.
 
+    Basis elements are kept as primitive integer reducers throughout; they
+    become monic rational polynomials only when the result is built.
+
     Raises ValueError if every generator is zero (after the cut).
     """
     if cut is not None:
@@ -220,17 +325,15 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
         raise ValueError("generators live in different rings")
     key = order.key
 
-    G: list[Polynomial] = []
-    lms: list[Monomial] = []
-    leads: list[tuple] = []  # (lm, 1, term tuple) reducer cache for _normal_form
-    seen: set[Polynomial] = set()
+    leads: list[tuple] = []  # (lm, lc, tail): primitive integer basis elements
+    seen: set = set()
     for g in polys:
-        g = g.monic(order)
-        if g not in seen:
-            seen.add(g)
-            G.append(g)
-            lms.append(g.leading_monomial(order))
-            leads.append((lms[-1], 1, tuple(g.terms())))
+        r, _ = _integer_reducer(g, order)
+        sig = (r[0], r[1], frozenset(r[2]))
+        if sig not in seen:
+            seen.add(sig)
+            leads.append(r)
+    lms = [r[0] for r in leads]
 
     heap: list = []
     pending: set[tuple[int, int]] = set()
@@ -238,36 +341,36 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     # lowest lcm degree first, then the smallest lcm in the order: the normal
     # strategy for degree orders, and low degrees first under a local order
     def push_pair(i: int, j: int):
-        lcm = monomial_lcm(lms[i], lms[j])
-        heapq.heappush(heap, (sum(lcm), key(lcm), i, j))
+        top = monomial_lcm(lms[i], lms[j])
+        heappush(heap, (sum(top), key(top), i, j))
         pending.add((i, j))
 
-    for j in range(len(G)):
+    for j in range(len(leads)):
         for i in range(j):
             push_pair(i, j)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, _, i, j = heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
         li, lj = lms[i], lms[j]
-        lcm = monomial_lcm(li, lj)
+        top = monomial_lcm(li, lj)
         # every term of the S-polynomial lies in m^cut
-        if cut is not None and sum(lcm) >= cut:
+        if cut is not None and sum(top) >= cut:
             continue
         # coprime leading monomials: S-polynomial reduces to zero
         if all(a == 0 or b == 0 for a, b in zip(li, lj)):
             continue
         # two monomials: S-polynomial is identically zero
-        if len(G[i]) == 1 and len(G[j]) == 1:
+        if not leads[i][2] and not leads[j][2]:
             continue
         # chain criterion
         skip = False
-        for k in range(len(G)):
+        for k in range(len(leads)):
             if k == i or k == j:
                 continue
-            if monomial_divides(lms[k], lcm):
+            if monomial_divides(lms[k], top):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -275,43 +378,37 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
                     break
         if skip:
             continue
-        s = s_polynomial(G[i], G[j], order)
-        if s.is_zero():
+        s = _s_pair(leads[i], leads[j])
+        if not s:
             continue
-        rem = _normal_form(s.terms_dict(), leads, key, cut=cut)
+        rem = _normal_form(s, leads, key, cut=cut)
         if rem:
-            r = Polynomial(nvars, rem).monic(order)
-            G.append(r)
-            lms.append(r.leading_monomial(order))
-            leads.append((lms[-1], 1, tuple(r.terms())))
-            new = len(G) - 1
+            leads.append(_reducer_of(rem))
+            lms.append(leads[-1][0])
+            new = len(leads) - 1
             for t in range(new):
                 push_pair(t, new)
 
     # minimalize: keep only generators whose leading monomial is not a
     # multiple of another surviving leading monomial.  A divisor never has
     # the larger total degree; under a local order it has the larger key.
-    order_idx = sorted(range(len(G)), key=lambda i: sum(lms[i]))
+    order_idx = sorted(range(len(leads)), key=lambda i: sum(lms[i]))
     keep: list[int] = []
     for i in order_idx:
         if not any(monomial_divides(lms[k], lms[i]) for k in keep):
             keep.append(i)
-    minimal = [G[i] for i in keep]
-    min_lms = [lms[i] for i in keep]
+    minimal = [leads[i] for i in keep]
 
     # inter-reduce tails; leading monomials form an antichain so they survive.
     # Under a cut only the leading monomials are read, so tails stay as they are.
-    reduced: list[Polynomial] = []
-    for i, g in enumerate(minimal):
-        if cut is None and len(minimal) > 1:
-            others = [(min_lms[k], 1, tuple(minimal[k].terms()))
-                      for k in range(len(minimal)) if k != i]
-            rem = _normal_form(g.terms_dict(), others, key)
-            g = Polynomial(nvars, rem).monic(order)
-        reduced.append(g)
+    if cut is None and len(minimal) > 1:
+        minimal = [_reducer_of(_normal_form(dict(((lm, lc), *tail)),
+                                            minimal[:i] + minimal[i + 1:], key))
+                   for i, (lm, lc, tail) in enumerate(minimal)]
 
-    reduced.sort(key=lambda p: key(p.leading_monomial(order)), reverse=True)
-    gb = GroebnerBasis(order=order, generators=tuple(reduced), reduced=cut is None)
+    minimal.sort(key=lambda r: key(r[0]), reverse=True)
+    gb = GroebnerBasis(order=order, generators=tuple(_monic(nvars, r) for r in minimal),
+                       reduced=cut is None)
     if verify or (verify is None and VERIFY_BASES):
         _verify_reduced_basis(gb, cut)
     return gb
@@ -324,7 +421,6 @@ def _verify_reduced_basis(gb: GroebnerBasis, cut: int | None = None):
     order = gb.order
     gens = gb.generators
     lms = gb.leading_monomials()
-    leads = [(lm, 1, tuple(g.terms())) for lm, g in zip(lms, gens)]
     for idx, g in enumerate(gens):
         if g.leading_coefficient(order) != 1:
             raise AssertionError("basis element is not monic")
@@ -335,12 +431,11 @@ def _verify_reduced_basis(gb: GroebnerBasis, cut: int | None = None):
                 raise AssertionError("leading monomials not minimal")
             if gb.reduced and any(monomial_divides(lm, m) for m, _ in g.terms()):
                 raise AssertionError("basis is not inter-reduced")
+    leads = [_integer_reducer(g, order)[0] for g in gens]
     for j in range(len(gens)):
         for i in range(j):
-            s = s_polynomial(gens[i], gens[j], order)
-            if s.is_zero():
-                continue
-            if _normal_form(s.terms_dict(), leads, order.key, cut=cut):
+            s = _s_pair(leads[i], leads[j])
+            if s and _normal_form(s, leads, order.key, cut=cut):
                 raise AssertionError("S-polynomial does not reduce to zero")
 
 

@@ -273,9 +273,34 @@ def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
 # graded Hilbert functions (three variables) and the global Tjurina number
 
 
-def _degree_slice_dim(lt: MonomialIdeal, t: int) -> int:
-    """Number of degree-t standard monomials of a monomial ideal in 3 vars."""
-    return sum(1 for m in monomials_of_degree(3, t) if not lt.contains_monomial(m))
+def _slice_dims(lt: MonomialIdeal, t_max: int) -> list[int]:
+    """dims[t] for t <= t_max: the number of degree-t standard monomials of a
+    monomial ideal in 3 variables.
+
+    Column by column: above (a, b) the standard monomials x0^a x1^b x2^c
+    are those with c < block, the smallest g[2] over generators with
+    g[0] <= a and g[1] <= b (unbounded when there is none).  Each column
+    adds one to the degrees a+b .. a+b+block-1, recorded as a difference
+    table and summed once at the end.
+    """
+    n = t_max + 1
+    own: dict[tuple[int, int], int] = {}
+    for g0, g1, g2 in lt.gens:
+        if g0 + g1 <= t_max:
+            own[g0, g1] = min(own.get((g0, g1), n), g2)
+    steps = [0] * (n + 1)
+    prev = [n] * n  # block over the columns (a - 1, b)
+    for a in range(n):
+        block = n
+        row = []
+        for b in range(n - a):
+            block = min(block, prev[b], own.get((a, b), n))
+            row.append(block)
+            if block:
+                steps[a + b] += 1
+                steps[min(a + b + block, n)] -= 1
+        prev = row
+    return list(accumulate(steps[:n]))
 
 
 def hilbert_function(gens: Sequence[Polynomial], t: int) -> int:
@@ -294,7 +319,7 @@ def hilbert_function(gens: Sequence[Polynomial], t: int) -> int:
     if not polys:
         return comb(t + 2, 2)
     gb = buchberger(polys, DEGREVLEX, verify=False)
-    return _degree_slice_dim(leading_term_ideal(gb), t)
+    return _slice_dims(leading_term_ideal(gb), t)[t]
 
 
 def _projective_dimension_at_most_points(lt: MonomialIdeal) -> bool:
@@ -339,15 +364,14 @@ def global_tjurina(f: Polynomial, with_trace: bool = False):
         return (INFINITE, [], []) if with_trace else INFINITE
     warnings: list[str] = []
     t_max = 3 * (d - 1)
-    values = [_degree_slice_dim(lt, t) for t in range(t_max + 1)]
+    values = _slice_dims(lt, t_max)
     while not (len(values) >= 3 and values[-1] == values[-2] == values[-3]):
         if t_max >= 6 * d:
             raise StabilizationError(
                 f"Hilbert function not stabilized by degree {t_max}: {values}")
-        start = t_max + 1
         t_max += d
         warnings.append(f"Hilbert function window extended to degree {t_max}")
-        values.extend(_degree_slice_dim(lt, t) for t in range(start, t_max + 1))
+        values = _slice_dims(lt, t_max)
     value = values[-1]
     return (value, values, warnings) if with_trace else value
 

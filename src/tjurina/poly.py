@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add, le, neg, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -38,21 +39,21 @@ def _norm_coeff(c: Scalar) -> Scalar:
 # monomial helpers (exponent tuples)
 
 def monomial_mul(m: Monomial, n: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m, n))
+    return tuple(map(add, m, n))
 
 
 def monomial_divides(m: Monomial, n: Monomial) -> bool:
     """True when x^m divides x^n, i.e. componentwise m <= n."""
-    return all(a <= b for a, b in zip(m, n))
+    return all(map(le, m, n))
 
 
 def monomial_div(n: Monomial, m: Monomial) -> Monomial:
     """Exponent vector of x^n / x^m; caller guarantees divisibility."""
-    return tuple(b - a for a, b in zip(m, n))
+    return tuple(map(sub, n, m))
 
 
 def monomial_lcm(m: Monomial, n: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(m, n))
+    return tuple(map(max, m, n))
 
 
 def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
@@ -88,16 +89,17 @@ class MonomialOrder:
                 raise ValueError("precedence must be a permutation of variable indices")
             object.__setattr__(self, "precedence", p)
 
-    def _prec(self, nvars: int) -> tuple[int, ...]:
-        if self.precedence is None:
-            return tuple(range(nvars))
-        if len(self.precedence) != nvars:
-            raise ValueError("precedence length does not match variable count")
-        return self.precedence
-
     def key(self, m: Monomial):
         """Sort key: larger key = larger monomial in this order."""
-        prec = self._prec(len(m))
+        if self.precedence is None:
+            if self.kind == "grlex":
+                return (sum(m), *m)
+            if self.kind == "lex":
+                return tuple(m)
+            return (sum(m), *map(neg, reversed(m)))
+        prec = self.precedence
+        if len(prec) != len(m):
+            raise ValueError("precedence length does not match variable count")
         if self.kind == "lex":
             return tuple(m[i] for i in prec)
         if self.kind == "grlex":

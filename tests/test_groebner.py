@@ -169,6 +169,41 @@ def test_minimal_leading_monomials_form_an_antichain(order, cut, gens, lms):
     assert not any(a != b and monomial_divides(a, b) for a in found for b in found)
 
 
+def _scaled_generator_sets(rng, arities, count):
+    """Seeded rational generator sets with negative, non-monic and
+    large-denominator coefficients, each paired with a copy in which every
+    generator is scaled by a random nonzero rational."""
+    coeffs = [-7, -1, 2, 5, Fraction(-3, 4), Fraction(1, 3 ** 40), Fraction(-2 ** 50, 7)]
+    for _ in range(count):
+        nvars = rng.choice(arities)
+        monos = [m for d in range(1, 4) for m in monomials_of_degree(nvars, d)]
+        gens = [Polynomial(nvars, {m: rng.choice(coeffs) for m in rng.sample(monos, rng.randint(1, 3))})
+                for _ in range(rng.randint(2, 3))]
+        scaled = [g.scale(Fraction(rng.choice((-1, 1)) * rng.randint(1, 3 ** 30),
+                                   rng.randint(1, 5 ** 20))) for g in gens]
+        yield gens, scaled
+
+
+@pytest.mark.parametrize("order", [GRLEX, LEX, DEGREVLEX], ids=["grlex", "lex", "degrevlex"])
+def test_basis_is_invariant_under_scaling_generators(order):
+    rng = random.Random(5150)
+    for gens, scaled in _scaled_generator_sets(rng, (2, 3), 20):
+        gb = buchberger(gens, order)
+        assert buchberger(scaled, order) == gb
+        assert all(g.leading_coefficient(order) == 1 for g in gb.generators)
+
+
+def test_local_basis_is_invariant_under_scaling_generators():
+    from tjurina.lengths import _LOCAL
+    rng = random.Random(5151)
+    for gens, scaled in _scaled_generator_sets(rng, (2,), 25):
+        for cut in (3, 5, 8):
+            if all(g.min_degree() >= cut for g in gens):
+                continue  # the cut kills every generator
+            lms = buchberger(gens, _LOCAL, cut=cut).leading_monomials()
+            assert buchberger(scaled, _LOCAL, cut=cut).leading_monomials() == lms
+
+
 def test_generators_reduce_to_zero_against_basis():
     gens = [P("x^3*y-2*x+1"), P("y^2-x"), P("x^2*y^2-y")]
     gb = buchberger(gens)

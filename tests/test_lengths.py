@@ -211,6 +211,22 @@ def test_hilbert_function_values():
     assert hilbert_function([_p3("x0"), _p3("x1"), _p3("x2")], 1) == 0
 
 
+def test_slice_dims_match_a_per_degree_count():
+    from tjurina.lengths import _slice_dims
+    from tjurina.poly import monomials_of_degree
+    rng = random.Random(3141)
+    ideals = [MonomialIdeal(3, []), MonomialIdeal(3, [(0, 0, 0)])]
+    for _ in range(60):
+        ideals.append(MonomialIdeal(3, [tuple(rng.randint(0, 5) for _ in range(3))
+                                        for _ in range(rng.randint(1, 6))]))
+    for lt in ideals:
+        t_max = rng.randint(0, 12)
+        expected = [sum(1 for m in monomials_of_degree(3, t)
+                        if not any(monomial_divides(g, m) for g in lt.gens))
+                    for t in range(t_max + 1)]
+        assert _slice_dims(lt, t_max) == expected
+
+
 def test_hilbert_function_validates():
     with pytest.raises(ValueError):
         hilbert_function([_p3("x0+x1^2")], 2)

@@ -193,6 +193,17 @@ def test_precedence_permutation():
     assert y_first.key((0, 1)) > y_first.key((1, 0))
 
 
+@pytest.mark.parametrize("kind", ["grlex", "lex", "degrevlex"])
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_natural_precedence_key_matches_identity_precedence(kind, nvars):
+    from tjurina.poly import monomials_of_degree
+    natural = MonomialOrder(kind)
+    identity = MonomialOrder(kind, precedence=tuple(range(nvars)))
+    for d in range(7):
+        for m in monomials_of_degree(nvars, d):
+            assert natural.key(m) == identity.key(m)
+
+
 def test_order_validation():
     with pytest.raises(ValueError):
         MonomialOrder("degree")

@@ -39,3 +39,13 @@ def test_analyzer_runs_no_global_basis():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "buchberger"]
     assert found == []
+
+
+def test_normal_form_uses_no_fractions():
+    # the reduction core is fraction-free: rationals appear only at the boundary
+    source = Path(tjurina.__file__).resolve().parent / "groebner.py"
+    func = next(node for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+                if isinstance(node, ast.FunctionDef) and node.name == "_normal_form")
+    found = [node.lineno for node in ast.walk(func)
+             if getattr(node, "id", getattr(node, "attr", None)) == "Fraction"]
+    assert found == []
