@@ -6,7 +6,8 @@ origin.  The questions answered here are purely about multiplicities of
 those factors, and both are decidable exactly over Q:
 
 * do two forms share a line?  (resultant test)
-* does a form have a repeated line?  (discriminant test)
+* does a form have a repeated line?  (gcd with its derivative, which is
+  nontrivial exactly when the discriminant vanishes)
 
 Forms are dehomogenized by setting x = 1, which turns them into univariate
 polynomials in y; the factor x itself becomes invisible ("a root at
@@ -171,7 +172,9 @@ def squarefree_binary_form(g: Polynomial) -> bool:
     """True iff a binary form of degree m has m distinct linear factors over C.
 
     Factor out x^e first; e >= 2 is an immediate repeated line, and what is
-    left dehomogenizes with no degree drop, so its discriminant decides.
+    left dehomogenizes with no degree drop, so it is squarefree iff it is
+    coprime to its derivative (the discriminant test, without the
+    Sylvester determinant).
     """
     _check_binary_form(g)
     min_x = min(m[0] for m in dict(g.terms()))
@@ -182,4 +185,4 @@ def squarefree_binary_form(g: Polynomial) -> bool:
     u = dehomogenize(g)
     if len(u) - 1 < 1:
         return True
-    return discriminant(u) != 0
+    return len(upoly_gcd(u, upoly_derivative(u))) == 1

@@ -349,10 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to ``main``, not at import, and reused by every
+# later call in the process; each call parses into a fresh namespace.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None, out=None) -> int:
+    global _PARSER
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args, out)
     except _CliError as e:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import GRLEX, MonomialOrder, Polynomial
+from .poly import GRLEX, MonomialOrder, Polynomial, _power_table, _product_table
 
 AMBIENTS = {
     "affine2": ("x", "y"),
@@ -84,6 +84,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 _MAX_NESTING = 200
 
+# The parser computes on plain term tables (monomial -> nonzero int or
+# Fraction) that it owns outright, so sums and products may update them in
+# place; ``parse_poly`` turns the final table into one Polynomial.
+Table = dict
+
+
+def _add_into(acc: Table, t: Table, sign: int) -> None:
+    for m, c in t.items():
+        s = acc.get(m, 0) + c if sign > 0 else acc.get(m, 0) - c
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
+
 
 class _Parser:
     def __init__(self, text: str, varnames: tuple[str, ...]):
@@ -108,14 +122,14 @@ class _Parser:
             raise ExprSyntaxError(off, f"expected {op!r}", op)
         return self.advance()
 
-    def parse(self) -> Polynomial:
+    def parse(self) -> Table:
         p = self.expression()
         kind, val, off = self.peek()
         if kind != _TOK_END:
             raise ExprSyntaxError(off, f"unexpected {val!r} after expression", "end of input or operator")
         return p
 
-    def expression(self) -> Polynomial:
+    def expression(self) -> Table:
         sign = 1
         kind, val, _ = self.peek()
         if kind == _TOK_OP and val in "+-":
@@ -123,27 +137,27 @@ class _Parser:
             sign = -1 if val == "-" else 1
         acc = self.term()
         if sign < 0:
-            acc = -acc
+            for m in acc:
+                acc[m] = -acc[m]
         while True:
             kind, val, _ = self.peek()
             if kind == _TOK_OP and val in "+-":
                 self.advance()
-                t = self.term()
-                acc = acc + t if val == "+" else acc - t
+                _add_into(acc, self.term(), 1 if val == "+" else -1)
             else:
                 return acc
 
-    def term(self) -> Polynomial:
+    def term(self) -> Table:
         acc = self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == _TOK_OP and val == "*":
                 self.advance()
-                acc = acc * self.factor()
+                acc = _product_table(acc, self.factor())
             else:
                 return acc
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> Table:
         base = self.base()
         kind, val, _ = self.peek()
         if kind == _TOK_OP and val == "^":
@@ -153,10 +167,10 @@ class _Parser:
                 raise ExprSyntaxError(off, "exponent must be a non-negative integer literal",
                                       "non-negative integer")
             self.advance()
-            return base ** int(val)
+            return _power_table(base, int(val), self.nvars)
         return base
 
-    def base(self) -> Polynomial:
+    def base(self) -> Table:
         kind, val, off = self.advance()
         if kind == _TOK_INT:
             num = int(val)
@@ -171,15 +185,15 @@ class _Parser:
                 den = int(val3)
                 if den == 0:
                     raise ExprSyntaxError(off3, "fraction has zero denominator", "nonzero integer")
-                return Polynomial.constant(self.nvars, Fraction(num, den))
-            return Polynomial.constant(self.nvars, num)
+                num = Fraction(num, den)
+            return {(0,) * self.nvars: num} if num else {}
         if kind == _TOK_NAME:
             try:
                 idx = self.varnames.index(val)
             except ValueError:
                 known = ", ".join(self.varnames)
                 raise ExprSyntaxError(off, f"unknown variable {val!r}", known) from None
-            return Polynomial.variable(self.nvars, idx)
+            return {tuple(int(i == idx) for i in range(self.nvars)): 1}
         if kind == _TOK_OP and val == "(":
             self.depth += 1
             if self.depth > _MAX_NESTING:
@@ -203,7 +217,11 @@ def parse_poly(text: str, ambient: str = "affine2") -> Polynomial:
         varnames = AMBIENTS[ambient]
     except KeyError:
         raise ValueError(f"unknown ambient {ambient!r}; use one of {sorted(AMBIENTS)}") from None
-    return _Parser(text, varnames).parse()
+    table = _Parser(text, varnames).parse()
+    for m, c in table.items():
+        if type(c) is Fraction and c.denominator == 1:
+            table[m] = c.numerator
+    return Polynomial._from_valid(len(varnames), table)
 
 
 def render_poly(f: Polynomial, order: MonomialOrder = GRLEX) -> str:

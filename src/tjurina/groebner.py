@@ -169,7 +169,11 @@ def _s_pair(a: tuple, b: tuple) -> dict:
 def _monic(nvars: int, reducer: tuple) -> Polynomial:
     """The monic rational polynomial of an integer reducer."""
     lm, lc, tail = reducer
-    return Polynomial(nvars, [(lm, 1), *((m, Fraction(c, lc)) for m, c in tail)])
+    table = {lm: 1}
+    for m, c in tail:
+        c = Fraction(c, lc)
+        table[m] = c.numerator if c.denominator == 1 else c
+    return Polynomial._from_valid(nvars, table)
 
 
 # ---------------------------------------------------------------------------

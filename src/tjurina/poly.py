@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add, le, neg, sub
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -64,6 +64,42 @@ def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
     for first in range(d, -1, -1):
         for rest in monomials_of_degree(nvars - 1, d - first):
             yield (first,) + rest
+
+
+# ---------------------------------------------------------------------------
+# term tables (monomial -> nonzero coefficient), before normalization
+
+
+def _product_table(f: Mapping[Monomial, Scalar], g: Mapping[Monomial, Scalar]) -> dict:
+    """Term table of the product of two term tables; a fresh dict."""
+    if len(f) > len(g):
+        f, g = g, f
+    table: dict[Monomial, Scalar] = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = monomial_mul(m1, m2)
+            s = table.get(m, 0) + c1 * c2
+            if s:
+                table[m] = s
+            else:
+                del table[m]
+    return table
+
+
+def _power_table(base: Mapping[Monomial, Scalar], n: int, nvars: int) -> dict:
+    """Term table of base^n (n >= 0) by repeated squaring; a single term is
+    raised directly.  A fresh dict."""
+    if len(base) == 1:
+        (m, c), = base.items()
+        return {tuple(e * n for e in m): c ** n}
+    result: dict[Monomial, Scalar] = {(0,) * nvars: 1}
+    while n:
+        if n & 1:
+            result = _product_table(result, base)
+        n >>= 1
+        if n:
+            base = _product_table(base, base)
+    return result
 
 
 @dataclass(frozen=True)
@@ -142,6 +178,20 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _from_valid(cls, nvars: int, table: dict[Monomial, Scalar]) -> "Polynomial":
+        """Adopt a table built from valid terms, without re-checking it.
+
+        The caller guarantees exponent tuples of length ``nvars`` with
+        non-negative int entries and nonzero coefficients normalized as by
+        ``_norm_coeff``; the table is stored, not copied.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "_terms", table)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -252,32 +302,14 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(self._terms) > len(o._terms):
-            self, o = o, self
-        table: dict[Monomial, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
-                m = monomial_mul(m1, m2)
-                s = table.get(m, 0) + c1 * c2
-                if s == 0:
-                    table.pop(m, None)
-                else:
-                    table[m] = s
-        return Polynomial(self.nvars, table)
+        return Polynomial(self.nvars, _product_table(self._terms, o._terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return Polynomial(self.nvars, _power_table(self._terms, n, self.nvars))
 
     def scale(self, c: Scalar) -> "Polynomial":
         if c == 0:
@@ -308,8 +340,8 @@ class Polynomial:
                 continue
             mm = list(m)
             mm[var_index] = e - 1
-            table[tuple(mm)] = c * e
-        return Polynomial(self.nvars, table)
+            table[tuple(mm)] = _norm_coeff(c * e)
+        return Polynomial._from_valid(self.nvars, table)
 
     def evaluate(self, point: tuple[Scalar, ...]) -> Scalar:
         if len(point) != self.nvars:
@@ -382,28 +414,48 @@ def homogeneous_component(f: Polynomial, k: int) -> Polynomial:
 def translate_to_origin(f: Polynomial, point: tuple[Scalar, Scalar]) -> Polynomial:
     """Return g(x, y) = f(x + p, y + q), so that g(0,0) = f(p, q).
 
-    Only affine (2-variable) polynomials are translated; the expansion is
-    done with exact binomial coefficients.
+    Only affine (2-variable) polynomials are translated, and only to exact
+    points: a float coordinate raises TypeError.  With p = a/b, q = u/v and
+    D the common denominator of the coefficients, the Taylor shift of
+    D * b^dx * v^dy * f (dx, dy the degrees in x and y) runs on integers;
+    each output coefficient becomes one rational at the end.
     """
     if f.nvars != 2:
         raise ValueError("translation is defined for affine 2-variable polynomials")
-    p, q = point
-    if p == 0 and q == 0:
+    for c in point:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"point coordinates must be exact (int or Fraction), "
+                            f"not {type(c).__name__}")
+    p, q = (Fraction(c) for c in point)
+    if (p == 0 and q == 0) or f.is_zero():
         return f
-    table: dict[Monomial, Scalar] = {}
-    for (i, j), c in f.terms():
-        for k in range(i + 1):
-            ck = c * comb(i, k) * (p ** (i - k) if i != k else 1)
-            if ck == 0:
-                continue
-            for l in range(j + 1):
-                ckl = ck * comb(j, l) * (q ** (j - l) if j != l else 1)
-                if ckl == 0:
-                    continue
+    a, b, u, v = p.numerator, p.denominator, q.numerator, q.denominator
+    dx = max(i for i, _ in f._terms)
+    dy = max(j for _, j in f._terms)
+    den = lcm(*(c.denominator for c in f._terms.values() if isinstance(c, Fraction)))
+
+    def rows(num: int, dnm: int, top: int) -> list[list[tuple[int, int]]]:
+        # rows[i]: the nonzero (k, C(i,k) num^(i-k) dnm^(top-i+k)), i.e. the
+        # expansion of dnm^top * (t + num/dnm)^i
+        npow = [num ** e for e in range(top + 1)]
+        dpow = [dnm ** e for e in range(top + 1)]
+        return [[(k, comb(i, k) * npow[i - k] * dpow[top - i + k])
+                 for k in range(i + 1) if npow[i - k]]
+                for i in range(top + 1)]
+
+    xrows, yrows = rows(a, b, dx), rows(u, v, dy)
+    acc: dict[Monomial, int] = {}
+    for (i, j), c in f._terms.items():
+        cint = c * den if isinstance(c, int) else c.numerator * (den // c.denominator)
+        yrow = yrows[j]
+        for k, xk in xrows[i]:
+            ck = cint * xk
+            for l, yl in yrow:
                 m = (k, l)
-                s = table.get(m, 0) + ckl
-                if s == 0:
-                    table.pop(m, None)
-                else:
-                    table[m] = s
-    return Polynomial(2, table)
+                acc[m] = acc.get(m, 0) + ck * yl
+    scale = den * b ** dx * v ** dy
+    table: dict[Monomial, Scalar] = {}
+    for m, n in acc.items():
+        if n:
+            table[m] = _norm_coeff(Fraction(n, scale))
+    return Polynomial._from_valid(2, table)

@@ -93,3 +93,51 @@ def test_squarefree_agrees_with_gcd_of_derivative():
             continue
         expected = binary_form_resultant(gx, gy) != 0 if (not gx.is_zero() and not gy.is_zero()) else False
         assert squarefree_binary_form(g) == expected, g
+
+
+def _random_factor_form(rng):
+    """A product of linear and quadratic factors, with the axis factors x,
+    x^2 and y^k and repeated non-axis factors drawn often."""
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("x", "x2", "yk", "line", "quad"))
+        if kind == "x":
+            factors.append(P("x"))
+        elif kind == "x2":
+            factors.append(P("x^2"))
+        elif kind == "yk":
+            factors.append(P(f"y^{rng.randint(1, 3)}"))
+        elif kind == "line":
+            a, b = rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-3, -2, -1, 1, 2, 3))
+            factors.append(Polynomial(2, {(1, 0): a, (0, 1): b}) ** rng.randint(1, 3))
+        else:
+            c, d = rng.choice((-2, -1, 1, 2)), rng.randint(1, 4)
+            quad = Polynomial(2, {(2, 0): 1, (1, 1): c, (0, 2): d})
+            factors.append(quad ** rng.randint(1, 2))
+    g = factors[0]
+    for f in factors[1:]:
+        g = g * f
+    return g
+
+
+def _squarefree_by_discriminant(g):
+    """The discriminant route: factor out x^e, then disc(g(1, y)) != 0."""
+    min_x = min(m[0] for m, _ in g.terms())
+    if min_x >= 2:
+        return False
+    if min_x == 1:
+        g = Polynomial(2, {(i - 1, j): c for (i, j), c in g.terms()})
+    u = dehomogenize(g)
+    return len(u) - 1 < 1 or discriminant(u) != 0
+
+
+def test_squarefree_gcd_route_matches_discriminant_route():
+    rng = random.Random(60606)
+    forms = [_random_factor_form(rng) for _ in range(150)]
+    forms += [_random_form(rng, rng.randint(1, 7)) for _ in range(150)]
+    seen = set()
+    for g in forms:
+        expected = _squarefree_by_discriminant(g)
+        seen.add(expected)
+        assert squarefree_binary_form(g) == expected, g
+    assert seen == {True, False}

@@ -252,3 +252,69 @@ def test_family_scan_range():
     code, out = run_cli("family", "--scan", "--a-max", "4")
     assert code == 0
     assert "a = 2" in out and "a = 4" in out
+
+
+# -- one parser per process -------------------------------------------------------
+
+
+@pytest.fixture
+def counted_parser_builds(monkeypatch):
+    """Start from an unbuilt parser and count the builds."""
+    from tjurina import cli
+
+    builds = []
+    original = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    return builds
+
+
+SEQUENCE = [
+    ("global-tjurina", "--curve", "x0*x1*x2*(x0+x1+x2)", "--json"),
+    ("global-tjurina", "--curve", "x0*x1*x2*(x0+x1+x2)"),
+    ("global-tjurina", "--curve", "x0*x1*x2*(x0+x1+x2)", "--trace"),
+    ("global-tjurina", "--curve", "x0*x1*x2*(x0+x1+x2)"),
+    ("analyze", "--curve", "y^2-x^5", "--point", "0,0", "--trace"),
+    ("analyze", "--curve", "y^2-x^5", "--point", "0,0"),
+    ("classify", "--curve", "x0^2*x2-x1^3", "--point", "0,0,1", "--projective", "--json"),
+    ("classify", "--curve", "y^2-x^3", "--point", "0,0"),
+    ("family", "--a", "5", "--b", "2", "--c", "2", "--verify-gb"),
+    ("family", "--a", "5", "--b", "2", "--c", "2"),
+]
+
+
+def test_main_builds_its_parser_once(counted_parser_builds):
+    for argv in SEQUENCE * 3:
+        run_cli(*argv)
+    assert counted_parser_builds == [1]
+
+
+def test_flags_do_not_leak_between_calls(counted_parser_builds, monkeypatch):
+    from tjurina import cli
+
+    lone = []
+    for argv in SEQUENCE:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        lone.append(run_cli(*argv))
+    assert len(counted_parser_builds) == len(SEQUENCE)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert [run_cli(*argv) for argv in SEQUENCE] == lone
+    assert len(counted_parser_builds) == len(SEQUENCE) + 1
+    # the flags make a difference, so a leak would show
+    assert len({out for _code, out in lone[:4]}) == 3
+
+
+def test_rejected_arguments_leave_the_parser_working(counted_parser_builds, capsys):
+    expected = run_cli(*SEQUENCE[0])
+    for bad in (["analyze", "--bogus"], ["classify", "--curve", "x"], ["nonsense"], []):
+        with pytest.raises(SystemExit) as info:
+            run_cli(*bad)
+        assert info.value.code == 2
+        assert run_cli(*SEQUENCE[0]) == expected
+    assert "usage: tjurina" in capsys.readouterr().err
+    assert counted_parser_builds == [1]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tjurina import (
+    AMBIENTS,
     DEGREVLEX,
     GRLEX,
     LEX,
@@ -145,3 +146,62 @@ def test_fuzz_ten_thousand_byte_strings():
             parse_poly(s)
         except ExprSyntaxError as e:
             assert 0 <= e.offset <= len(s)
+
+
+def _random_expression(rng, names, depth):
+    """(text, value): a random expression over ``names`` and the Polynomial it
+    denotes, built with the Polynomial operators.  Covers parentheses, ``^`` on
+    sums and on literals, unary minus, ``p/q`` literals and spacing."""
+    nvars = len(names)
+    sp = lambda: rng.choice(("", "", " ", "\t"))  # noqa: E731
+    kind = rng.choice(("int", "frac", "var", "var")) if depth == 0 else rng.choice(
+        ("var", "sum", "sum", "product", "product", "power", "neg"))
+    if kind == "int":
+        n = rng.choice((0, 1, 2, 3, 7, 12, 10**20))
+        return str(n), Polynomial.constant(nvars, n)
+    if kind == "frac":
+        p, q = rng.randint(0, 30), rng.randint(1, 9)
+        if rng.random() < 0.3:
+            e = rng.randint(0, 3)
+            return f"{p}/{q}^{e}", Polynomial.constant(nvars, Fraction(p, q) ** e)
+        return f"{p}/{q}", Polynomial.constant(nvars, Fraction(p, q))
+    if kind == "var":
+        i = rng.randrange(nvars)
+        v = Polynomial.variable(nvars, i)
+        if rng.random() < 0.4:
+            e = rng.randint(0, 5)
+            return f"{names[i]}{sp()}^{sp()}{e}", v ** e
+        return names[i], v
+    if kind == "neg":
+        text, value = _random_expression(rng, names, depth - 1)
+        return f"(-{sp()}({text}))", -value
+    if kind == "power":
+        text, value = _random_expression(rng, names, depth - 1)
+        e = rng.choice((0, 1, 2, 2, 3))
+        return f"({text})^{e}", value ** e
+    parts = [_random_expression(rng, names, depth - 1) for _ in range(rng.randint(2, 4))]
+    if kind == "product":
+        value = Polynomial.constant(nvars, 1)
+        for _, v in parts:
+            value = value * v
+        return f"{sp()}*{sp()}".join(f"({t})" for t, _ in parts), value
+    signs = [rng.choice("+-") for _ in parts]
+    text = "-" if signs[0] == "-" else rng.choice(("", "+"))
+    value = Polynomial.zero(nvars)
+    for n, ((t, v), s) in enumerate(zip(parts, signs)):
+        if n:
+            text += f"{sp()}{s}{sp()}"
+        text += f"({t})"
+        value = value + v if s == "+" else value - v
+    return text, value
+
+
+def test_parse_matches_polynomial_arithmetic_on_random_trees():
+    rng = random.Random(1618)
+    for i in range(400):
+        ambient = ("affine2", "projective3")[i % 2]
+        text, value = _random_expression(rng, AMBIENTS[ambient], rng.randint(0, 4))
+        parsed = parse_poly(text, ambient)
+        assert parsed == value, text
+        # integral rationals are stored as int, as the validating constructor does
+        assert all(type(c) is int or c.denominator != 1 for _, c in parsed.terms()), text

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tjurina import (
     Polynomial,
     parse_poly,
     partial_derivative,
+    render_poly,
     translate_to_origin,
 )
 
@@ -247,3 +249,87 @@ def test_hash_is_structural(f):
 def test_evaluate_is_exact():
     f = P("1/3*x^2+y")
     assert f.evaluate((Fraction(1, 2), Fraction(-1, 12))) == 0
+
+
+# -- exact translation and the trusted constructor -------------------------------
+
+
+def _assert_stored_validly(f):
+    """The table is what the validating constructor would store: exponent
+    tuples of the right length, nonzero coefficients, integral ones as int."""
+    for m, c in f.terms():
+        assert type(m) is tuple and len(m) == f.nvars
+        assert all(type(e) is int and e >= 0 for e in m)
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+    assert f == Polynomial(f.nvars, list(f.terms()))
+
+
+def _random_rational_poly(rng, max_deg, nterms, nvars=2):
+    terms = []
+    for _ in range(nterms):
+        mono = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        while sum(mono) > max_deg:
+            mono = tuple(e // 2 for e in mono)
+        terms.append((mono, Fraction(rng.randint(-40, 40), rng.randint(1, 12))))
+    return Polynomial(nvars, terms)
+
+
+def _naive_translate(f, p, q):
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    total = Polynomial.zero(2)
+    for (i, j), c in f.terms():
+        total = total + ((x + p) ** i * (y + q) ** j).scale(c)
+    return total
+
+
+def test_translate_matches_naive_expansion_at_large_rational_points():
+    rng = random.Random(4242)
+    for _ in range(40):
+        f = _random_rational_poly(rng, rng.randint(0, 12), rng.randint(0, 9))
+        p = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 7))
+        q = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 7))
+        if rng.random() < 0.2:
+            p = 0
+        g = translate_to_origin(f, (p, q))
+        assert g == _naive_translate(f, p, q)
+        assert g.constant_term() == f.evaluate((p, q))
+        assert translate_to_origin(g, (-p, -q)) == f
+        _assert_stored_validly(g)
+
+
+def test_translate_rejects_float_points():
+    f = P("y^2-x^3")
+    for point in ((0.5, 0), (0, 0.25)):
+        with pytest.raises(TypeError):
+            translate_to_origin(f, point)
+
+
+def test_trusted_constructor_sites_store_valid_tables():
+    from tjurina.groebner import _integer_reducer, _monic
+
+    rng = random.Random(777)
+    for _ in range(60):
+        nvars = rng.choice((2, 3))
+        f = _random_rational_poly(rng, 8, rng.randint(1, 8), nvars)
+        for v in range(nvars):
+            d = f.partial_derivative(v)
+            _assert_stored_validly(d)
+            expected = Polynomial(nvars, [((*m[:v], m[v] - 1, *m[v + 1:]), c * m[v])
+                                          for m, c in f.terms() if m[v]])
+            assert d == expected
+        if nvars == 2:
+            _assert_stored_validly(translate_to_origin(
+                f, (Fraction(rng.randint(-9, 9), rng.randint(1, 5)), rng.randint(-3, 3))))
+        ambient = "affine2" if nvars == 2 else "projective3"
+        parsed = parse_poly(render_poly(f), ambient)
+        _assert_stored_validly(parsed)
+        assert parsed == f
+        if not f.is_zero():
+            for order in (GRLEX, LEX, DEGREVLEX):
+                reducer, _ = _integer_reducer(f, order)
+                lm, lc, tail = reducer
+                g = _monic(nvars, reducer)
+                _assert_stored_validly(g)
+                assert g == Polynomial(nvars, [(lm, 1), *((m, Fraction(c, lc)) for m, c in tail)])
+                assert g == f.monic(order)
