@@ -28,9 +28,9 @@ from .lengths import (
     StabilizationError,
     TruncationTrace,
     VERTICAL,
+    _length_mod_m2,
     line_restriction_length,
     local_length_at_origin,
-    local_length_oracle,
 )
 from .poly import Polynomial, translate_to_origin
 
@@ -216,10 +216,9 @@ def is_slci(f: Polynomial, point: Point) -> bool:
 def embedding_dimension(gens: Sequence[Polynomial]) -> int:
     """Local embedding dimension at O of a zero-dimensional scheme:
     0 for the reduced point (or empty scheme), 1 for a curvilinear tangent
-    space, 2 for a fat one.  Computed as alpha_2 - 1 via the Macaulay
-    oracle."""
-    alpha2 = local_length_oracle(gens, 2)
-    return max(0, alpha2 - 1)
+    space, 2 for a fat one.  Computed as alpha_2 - 1, with alpha_2 read
+    from a local standard basis of J + m^2."""
+    return max(0, _length_mod_m2(gens) - 1)
 
 
 # -- the double-point algorithm -------------------------------------------------

@@ -17,6 +17,7 @@ infinity") and is bookkept separately by the degree drop.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .poly import Polynomial, Scalar
 
@@ -40,34 +41,45 @@ def upoly_derivative(u: UPoly) -> UPoly:
     return upoly_trim([i * c for i, c in enumerate(u)][1:])
 
 
-def upoly_divmod(u: UPoly, v: UPoly) -> tuple[UPoly, UPoly]:
-    if not v:
-        raise ZeroDivisionError("polynomial division by zero")
+def _primitive(u: UPoly) -> UPoly:
+    """The primitive integer multiple of a rational coefficient list (its
+    denominators cleared once, its content divided out), trimmed."""
+    den = lcm(*(c.denominator for c in u))
+    table = [c.numerator * (den // c.denominator) for c in u]
+    g = gcd(*table) or 1
+    return upoly_trim([c // g for c in table])
+
+
+def _pseudo_remainder(u: UPoly, v: UPoly) -> UPoly:
+    """The remainder of u on division by v, times a nonzero integer, for
+    integer u and v != 0: each step scales the running remainder by
+    lc(v)/gcd(lc(r), lc(v)) before its leading term cancels, so every
+    coefficient stays integral."""
     r = list(u)
-    q = [0] * max(0, len(u) - len(v) + 1)
-    dv = len(v) - 1
-    lv = Fraction(v[-1])
-    while len(r) - 1 >= dv and upoly_trim(r):
-        dr = len(r) - 1
-        if dr < dv:
-            break
-        f = r[-1] / lv
-        q[dr - dv] = f
-        for i, c in enumerate(v):
-            r[dr - dv + i] -= f * c
+    lv, dv = v[-1], len(v) - 1
+    while len(r) > dv:
+        c = r[-1]
+        g = gcd(c, lv)
+        mult, qc = lv // g, c // g
+        shift = len(r) - 1 - dv
+        if mult != 1:
+            r = [mult * a for a in r]
+        for i, b in enumerate(v):
+            r[shift + i] -= qc * b
         upoly_trim(r)
-    return upoly_trim(q), r
+    return r
 
 
 def upoly_gcd(u: UPoly, v: UPoly) -> UPoly:
-    """Monic gcd over Q via the Euclidean algorithm."""
-    a, b = list(u), list(v)
+    """Monic gcd over Q.
+
+    Denominators are cleared once; the Euclidean algorithm then runs on
+    primitive integer pseudo-remainders, which have the same gcd over Q up
+    to a unit, and the result is made monic at the end."""
+    a, b = _primitive(u), _primitive(v)
     while b:
-        a, b = b, upoly_divmod(a, b)[1]
-    if a:
-        lead = Fraction(a[-1])
-        a = [c / lead for c in a]
-    return upoly_trim(a)
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return [Fraction(c, a[-1]) for c in a]
 
 
 def sylvester_resultant(u: UPoly, v: UPoly) -> Scalar:

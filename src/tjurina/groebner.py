@@ -3,9 +3,12 @@
 The engine returns the unique *reduced* basis: monic generators,
 pairwise inter-reduced, sorted by decreasing leading monomial.  With a
 degree cut it returns a minimal standard basis in Q[x]/m^cut instead (see
-``buchberger``).  Pair selection follows the normal strategy (lowest lcm
-degree first, then smallest lcm); useless pairs are pruned with the
-coprimality criterion and the chain criterion, and S-polynomials of two
+``buchberger``): only leading monomials are read there, so a remainder is
+reduced at its leading term only and keeps its tail unreduced, and in two
+variables the cut is lowered to the degree where the staircase of the
+leading monomials closes.  Pair selection follows the normal strategy
+(lowest lcm degree first, then smallest lcm); useless pairs are pruned with
+the coprimality criterion and the chain criterion, and S-polynomials of two
 monomials are skipped outright since they vanish identically.
 
 The reduction core is fraction-free.  Inside ``buchberger`` every basis
@@ -113,6 +116,33 @@ class MonomialIdeal:
             s = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e)
             return s or "1"
         return "MonomialIdeal(" + ", ".join(fmt(m) for m in self.sorted_gens()) + ")"
+
+
+def _staircase(lms: Iterable[Monomial]) -> list[tuple]:
+    """The staircase of the monomial ideal generated by ``lms`` in two
+    variables, as runs of columns (start, stop, height): for start <= i < stop
+    the standard monomials x^i y^j are those with j < height.  A height of
+    None is unbounded (no generator has a <= i yet); the last run has stop
+    None.  One walk over the minimal generators, sorted by a."""
+    corners: list[Monomial] = []
+    for a, b in sorted(lms):
+        if not corners or b < corners[-1][1]:
+            corners.append((a, b))
+    stops = [a for a, _ in corners[1:]] + [None]
+    runs = [(a, stop, b) for (a, b), stop in zip(corners, stops)]
+    if not corners or corners[0][0] > 0:
+        runs.insert(0, (0, corners[0][0] if corners else None, None))
+    return runs
+
+
+def _closing_degree(lms: Iterable[Monomial]) -> int | None:
+    """The least r such that every monomial of degree r in two variables is
+    a multiple of one in ``lms`` (one more than the largest degree of a
+    standard monomial), or None when there is no such r."""
+    runs = _staircase(lms)
+    if runs[0][2] is None or runs[-1][2]:
+        return None
+    return max((stop + height - 1 for _, stop, height in runs[:-1]), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +256,13 @@ def _normal_form(terms: dict, leads, key, quots: list | None = None,
     unnormalised and the accumulated scale s is appended to ``quots``, so
     that s*terms = sum quots[i]*b_i + remainder.  When ``cut`` is given,
     the division runs in Q[x]/m^cut: every term of total degree >= cut is
-    dropped.  Terms are taken largest first from a heap of negated keys;
-    an entry whose monomial has since cancelled is skipped."""
+    dropped, and only the leading term is reduced.  Reduction stops at the
+    first term no reducer divides; it is returned first, followed by the
+    remaining work terms as an unreduced tail (made primitive as above).
+    Its leading monomial, and whether it is zero, are those of the fully
+    reduced remainder, and they are all a caller under a cut reads.  Terms
+    are taken largest first from a heap of negated keys; an entry whose
+    monomial has since cancelled is skipped."""
     if cut is None:
         work = dict(terms)
     else:
@@ -245,6 +280,9 @@ def _normal_form(terms: dict, leads, key, quots: list | None = None,
             if monomial_divides(lm, m):
                 break
         else:
+            if cut is not None:
+                rem = {m: c, **work}
+                break
             rem[m] = c
             continue
         g = gcd(c, lc)
@@ -308,11 +346,21 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     With ``cut`` the result is a minimal standard basis of the image of the
     ideal in Q[x]/m^cut, monic but with tails left unreduced (``reduced``
     is False): every term of total degree >= cut is dropped, and the
-    monomials of m^cut never become generators.  This is meant for an
-    order in which the lowest total degree leads (a local degree order);
+    monomials of m^cut never become generators.  The cut is valid only for
+    an order in which the lowest total degree leads (a local degree order);
     there the monomials of degree < cut are well-ordered, so the reduction
     terminates, and a product whose leading term has degree >= cut is zero
-    as a whole.
+    as a whole.  Only leading monomials are read under a cut, so every
+    remainder is reduced at its leading term only (see ``_normal_form``).
+
+    In two variables the cut is also lowered as the basis grows: once the
+    leading monomials hold every monomial of some degree r < cut, the cut
+    becomes r, and pairs whose lcm has degree >= r are skipped from then
+    on.  Every basis element has all its terms in degrees >= its leading
+    degree, and reduction only adds terms of higher degree, so m^r lies in
+    the ideal plus m^cut: both cuts give the same ideal and the same
+    minimal leading monomials.  A ``verify`` check runs under the cut as
+    given.
 
     Basis elements are kept as primitive integer reducers throughout; they
     become monic rational polynomials only when the result is built.
@@ -320,7 +368,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     Raises ValueError if every generator is zero (after the cut).
     """
     if cut is not None:
-        gens = [Polynomial(g.nvars, {m: c for m, c in g.terms() if sum(m) < cut}) for g in gens]
+        gens = [Polynomial._from_valid(g.nvars, {m: c for m, c in g.terms() if sum(m) < cut})
+                for g in gens]
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
         raise ValueError("need at least one nonzero generator")
@@ -339,6 +388,15 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
             leads.append(r)
     lms = [r[0] for r in leads]
 
+    # the cut in force, lowered where the staircase of lms closes
+    lowerable = cut is not None and nvars == 2
+
+    def lowered(limit: int) -> int:
+        closing = _closing_degree(lms)
+        return limit if closing is None else min(limit, closing)
+
+    limit = lowered(cut) if lowerable else cut
+
     heap: list = []
     pending: set[tuple[int, int]] = set()
 
@@ -346,8 +404,10 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     # strategy for degree orders, and low degrees first under a local order
     def push_pair(i: int, j: int):
         top = monomial_lcm(lms[i], lms[j])
-        heappush(heap, (sum(top), key(top), i, j))
-        pending.add((i, j))
+        degree = sum(top)
+        if limit is None or degree < limit:  # otherwise the S-polynomial lies in m^cut
+            heappush(heap, (degree, key(top), i, j))
+            pending.add((i, j))
 
     for j in range(len(leads)):
         for i in range(j):
@@ -360,8 +420,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
         pending.discard((i, j))
         li, lj = lms[i], lms[j]
         top = monomial_lcm(li, lj)
-        # every term of the S-polynomial lies in m^cut
-        if cut is not None and sum(top) >= cut:
+        # pushed before the cut was lowered: the S-polynomial lies in m^cut
+        if limit is not None and sum(top) >= limit:
             continue
         # coprime leading monomials: S-polynomial reduces to zero
         if all(a == 0 or b == 0 for a, b in zip(li, lj)):
@@ -385,10 +445,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
         s = _s_pair(leads[i], leads[j])
         if not s:
             continue
-        rem = _normal_form(s, leads, key, cut=cut)
+        rem = _normal_form(s, leads, key, cut=limit)
         if rem:
             leads.append(_reducer_of(rem))
             lms.append(leads[-1][0])
+            if lowerable:
+                limit = lowered(limit)
             new = len(leads) - 1
             for t in range(new):
                 push_pair(t, new)

@@ -26,6 +26,8 @@ from typing import Sequence
 
 from .groebner import (
     MonomialIdeal,
+    _closing_degree,
+    _staircase,
     buchberger,
     is_zero_dimensional,
     leading_term_ideal,
@@ -109,17 +111,8 @@ def staircase_length(lt: MonomialIdeal):
     if zero in lt.gens:
         return 0
     if lt.nvars == 2:
-        # column-by-column: standard monomials x^i y^j are those with
-        # j < min{ b : (a,b) generator, a <= i }
-        gens = sorted(lt.gens)
-        count = 0
-        i = 0
-        while True:
-            blocked = min((b for a, b in gens if a <= i), default=None)
-            if blocked is None or blocked == 0:
-                return count
-            count += blocked
-            i += 1
+        # every run but the last (height 0) is a finite block of columns
+        return sum((stop - start) * height for start, stop, height in _staircase(lt.gens)[:-1])
     # generic fallback: enumerate inside the box cut out by pure powers
     bounds = []
     for v in range(lt.nvars):
@@ -153,13 +146,18 @@ _LOCAL = _LocalDegreeOrder()
 
 def _standard_counts(lms: Sequence[Monomial], R: int) -> list[int]:
     """counts[t] = number of monomials x^i y^j of degree t < R that no
-    monomial in ``lms`` divides."""
-    counts = [0] * R
-    for i in range(R):
-        height = min([b for a, b in lms if a <= i], default=R - i)
-        for j in range(min(height, R - i)):
-            counts[i + j] += 1
-    return counts
+    monomial in ``lms`` divides.
+
+    Column i adds one to the degrees i .. i+h-1, h its staircase height
+    capped at R - i; recorded as a difference table and summed once."""
+    steps = [0] * (R + 1)
+    for start, stop, height in _staircase(lms):
+        for i in range(start, R if stop is None else min(stop, R)):
+            h = R - i if height is None else min(height, R - i)
+            if h:
+                steps[i] += 1
+                steps[i + h] -= 1
+    return list(accumulate(steps[:R]))
 
 
 def local_length_at_origin(gens: Sequence[Polynomial]):
@@ -170,11 +168,13 @@ def local_length_at_origin(gens: Sequence[Polynomial]):
     localization of A/J at O (once two consecutive truncations agree, the
     chain J + m^r is stationary).
 
-    Every alpha_r with r <= R is read from one standard basis of J + m^R
-    under a local degree order: it is the number of standard monomials of
-    degree < r (the Hilbert-Samuel function), and the first repeat is the
-    first degree with no standard monomial.  R starts at 2d + 2, where d is
-    the largest generator degree, and doubles up to d^2 + 1.
+    Every alpha_r is read from one standard basis of J + m^R under a local
+    degree order, R = d^2 + 1 with d the largest generator degree: it is
+    the number of standard monomials of degree < r (the Hilbert-Samuel
+    function), and the first repeat is the first degree with no standard
+    monomial.  ``buchberger`` lowers R to that degree as soon as the
+    staircase closes there, and the standard monomials are counted only
+    up to it (one degree more, to confirm the repeat).
 
     Returns (length, TruncationTrace).  Raises StabilizationError when the
     sequence is still growing at r = d^2 + 1, which happens exactly when
@@ -190,14 +190,11 @@ def local_length_at_origin(gens: Sequence[Polynomial]):
         raise ValueError("local lengths are computed in the plane (2 variables)")
     d = max(g.degree() for g in polys)
     bound = max(d * d + 1, 2)  # the trace always holds alpha_1 and alpha_2
-    R = min(2 * d + 2, bound)
-    while True:
-        gb = buchberger(polys, _LOCAL, verify=False, cut=R)
-        counts = _standard_counts(gb.leading_monomials(), R)
-        stable = next((r for r in range(1, R) if counts[r] == 0), None)
-        if stable is not None or R == bound:
-            break
-        R = min(2 * R, bound)
+    lms = buchberger(polys, _LOCAL, verify=False, cut=bound).leading_monomials()
+    closing = _closing_degree(lms)
+    R = bound if closing is None else min(max(closing, 1) + 1, bound)
+    counts = _standard_counts(lms, R)
+    stable = next((r for r in range(1, R) if counts[r] == 0), None)
     last = R if stable is None else stable + 1
     alphas = list(accumulate(counts[:last]))
     if stable is None:
@@ -208,6 +205,19 @@ def local_length_at_origin(gens: Sequence[Polynomial]):
             f"(alphas = {alphas})")
     pairs = tuple(zip(range(1, last + 1), alphas))
     return alphas[-1], TruncationTrace(pairs, stabilized_at=stable)
+
+
+def _length_mod_m2(gens: Sequence[Polynomial]) -> int:
+    """alpha_2 = dim A/(J + m^2): the standard monomials of degree < 2 of a
+    local standard basis of J + m^2 (3 when no generator reaches below m^2)."""
+    polys = [g for g in gens if not g.is_zero()]
+    if any(g.nvars != 2 for g in polys):
+        raise ValueError("local lengths are computed in the plane (2 variables)")
+    polys = [g for g in polys if g.min_degree() < 2]
+    if not polys:
+        return 3
+    lms = buchberger(polys, _LOCAL, verify=False, cut=2).leading_monomials()
+    return sum(_standard_counts(lms, 2))
 
 
 def local_length_oracle(gens: Sequence[Polynomial], r: int) -> int:

@@ -200,6 +200,31 @@ def test_criterion_08_oracle_equivalence():
             f"100 ideals, every alpha_r agreed, {time.monotonic() - t0:.0f}s")
 
 
+def test_criterion_08_oracle_equivalence_below_2d_plus_2():
+    # low-order parts close the staircase early under terms of degree 6..9,
+    # so every trace ends by r = d, well below 2d + 2
+    rng = random.Random(271828)
+    t0 = time.monotonic()
+    for _ in range(50):
+        p, q = rng.randint(2, 3), rng.randint(2, 3)
+        gens = []
+        for low in ((p, 0), (0, q)):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                i = rng.randint(0, 9)
+                terms[(i, rng.randint(max(0, 6 - i), 9 - i))] = rng.choice((-5, -2, 1, 4))
+            terms[low] = rng.choice((-2, -1, 1, 3))
+            gens.append(Polynomial(2, terms))
+        d = max(g.degree() for g in gens)
+        val, trace = local_length_at_origin(gens)
+        assert trace.pairs[-1][0] <= d, (gens, trace)
+        for r, alpha in trace.pairs:
+            assert local_length_oracle(gens, r) == alpha, (gens, r)
+        assert local_length_oracle(gens, trace.pairs[-1][0] + 2) == val
+    _report(8, "truncation vs Macaulay oracle, stable below 2d + 2",
+            f"50 ideals, every alpha_r agreed, {time.monotonic() - t0:.0f}s")
+
+
 def test_criterion_09_non_nodal_lower_bound():
     fixtures = [
         "y^2-x^3",                    # cusp

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tjurina import binary_form_resultant, discriminant, parse_poly, squarefree_binary_form
-from tjurina.binforms import dehomogenize, sylvester_resultant, upoly_gcd
+from tjurina.binforms import dehomogenize, sylvester_resultant, upoly_derivative, upoly_gcd
 from tjurina.poly import Polynomial, monomials_of_degree
 
 P = parse_poly
@@ -141,3 +141,63 @@ def test_squarefree_gcd_route_matches_discriminant_route():
         seen.add(expected)
         assert squarefree_binary_form(g) == expected, g
     assert seen == {True, False}
+
+
+def _fraction_euclid_gcd(u, v):
+    """Reference: the monic gcd over Q by Euclid on Fraction coefficients."""
+    def rem(a, b):
+        r = [Fraction(c) for c in a]
+        while len(r) >= len(b):
+            f = r[-1] / b[-1]
+            for i, c in enumerate(b):
+                r[len(r) - len(b) + i] -= f * c
+            while r and r[-1] == 0:
+                r.pop()
+        return r
+
+    a = [Fraction(c) for c in u]
+    b = [Fraction(c) for c in v]
+    while b:
+        a, b = b, rem(a, b)
+    return [c / a[-1] for c in a]
+
+
+def _random_upoly(rng, degree, rational):
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12) if rational else 1)
+              for _ in range(degree)]
+    return coeffs + [Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), rng.randint(1, 12) if rational else 1)]
+
+
+def _upoly_mul(u, v):
+    w = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            w[i + j] += a * b
+    return w
+
+
+def test_upoly_gcd_matches_fraction_euclid():
+    rng = random.Random(41414)
+    cases = []
+    for _ in range(300):
+        rational = rng.random() < 0.5
+        common = _random_upoly(rng, rng.randint(0, 3), rational)
+        if rng.random() < 0.3:  # a repeated factor
+            common = _upoly_mul(common, common)
+        u = _upoly_mul(common, _random_upoly(rng, rng.randint(0, 4), rational))
+        v = _upoly_mul(common, _random_upoly(rng, rng.randint(0, 4), rational))
+        cases.append((u, v))
+        # coprime pairs: x - a against x - b; constants against anything
+        a, b = rng.sample(range(-6, 7), 2)
+        cases.append(([-a, 1], [Fraction(-b, 3), Fraction(1, 3)]))
+        cases.append(([Fraction(rng.randint(1, 9), 7)], u))
+        cases.append((u, upoly_derivative(u)))
+    cases += [([], []), ([], [2, 4]), ([Fraction(1, 2), 0, 3], [])]
+    constant = 0
+    for u, v in cases:
+        expected = _fraction_euclid_gcd(u, v) if (u or v) else []
+        got = upoly_gcd(u, v)
+        assert got == expected, (u, v)
+        assert all(type(c) is Fraction for c in got)
+        constant += len(got) == 1
+    assert 0 < constant < len(cases)

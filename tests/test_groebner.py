@@ -293,3 +293,53 @@ def test_is_zero_dimensional():
     assert not is_zero_dimensional(MonomialIdeal(2, [(1, 0)]))
     assert not is_zero_dimensional(MonomialIdeal(2, []))
     assert is_zero_dimensional(MonomialIdeal(2, [(0, 0)]))  # unit ideal
+
+
+def _plane_ideals(rng, count, factor_through_origin):
+    """Seeded plane ideals: pure powers x^p, y^q plus sparse extras, and in
+    half of them every generator times a common linear factor, which passes
+    through the origin or not as asked."""
+    for index in range(count):
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        a = rng.randint(-2, 2)
+        b = rng.choice([b for b in range(-2, 3) if a * b != 1])  # independent pair
+        x_p, y_q = Polynomial.monomial(2, (p, 0)), Polynomial.monomial(2, (0, q))
+        gens = [x_p + y_q.scale(a), y_q + x_p.scale(b)]
+        for _ in range(rng.randint(0, 2)):
+            extra = Polynomial(2, {(rng.randint(0, 4), rng.randint(0, 4)): rng.randint(-3, 3)
+                                   for _ in range(rng.randint(1, 4))})
+            if not extra.is_zero() and extra.min_degree() > 0:
+                gens.append(extra)
+        if index % 2:
+            factor = Polynomial(2, {(0, 0): 0 if factor_through_origin else rng.choice((-1, 1, 2)),
+                                    (1, 0): rng.randint(-2, 2), (0, 1): rng.randint(1, 2)})
+            gens = [g * factor for g in gens]
+        yield gens
+
+
+def test_local_leading_monomials_do_not_depend_on_the_cut():
+    # above the stable degree the cut changes nothing: lowering it where the
+    # staircase closes, and reducing only leading terms, give one answer
+    from tjurina.lengths import _LOCAL, local_length_at_origin
+    rng = random.Random(7007)
+    for gens in _plane_ideals(rng, 30, factor_through_origin=False):
+        _, trace = local_length_at_origin(gens)
+        d = max(g.degree() for g in gens)
+        lms = buchberger(gens, _LOCAL, verify=True, cut=d * d + 1).leading_monomials()
+        for R in range(trace.stabilized_at + 1, d * d + 1):
+            assert buchberger(gens, _LOCAL, verify=True, cut=R).leading_monomials() == lms, (gens, R)
+
+
+@pytest.mark.parametrize("through_origin", [True, False])
+def test_local_counts_under_a_cut_match_the_oracle(through_origin):
+    # every count below the cut is the oracle's, also where a factor through
+    # the origin makes the ideal not zero-dimensional there, so that the
+    # staircase never closes
+    from tjurina.lengths import _LOCAL, _standard_counts, local_length_oracle
+    rng = random.Random(7008)
+    for gens in _plane_ideals(rng, 30, factor_through_origin=through_origin):
+        for R in range(1, 9):
+            if all(g.min_degree() >= R for g in gens):
+                continue  # the cut kills every generator
+            lms = buchberger(gens, _LOCAL, verify=True, cut=R).leading_monomials()
+            assert sum(_standard_counts(lms, R)) == local_length_oracle(gens, R), (gens, R)

@@ -9,6 +9,7 @@ from tjurina import (
     Polynomial,
     StabilizationError,
     VERTICAL,
+    analyze,
     buchberger,
     global_tjurina,
     hilbert_function,
@@ -19,7 +20,9 @@ from tjurina import (
     parse_poly,
     staircase_length,
 )
-from tjurina.poly import monomial_divides
+from tjurina.groebner import _closing_degree
+from tjurina.lengths import _length_mod_m2, _standard_counts
+from tjurina.poly import monomial_divides, monomials_of_degree
 
 P = parse_poly
 
@@ -137,6 +140,31 @@ def test_stabilization_error_names_the_proven_bound(expr):
     assert "(proven bound)" in message
 
 
+def _growing(bound, d, alphas):
+    return (f"truncation sequence still growing at r = {bound} = d^2 + 1 (d = {d}, the largest "
+            "generator degree); a scheme zero-dimensional at the origin stabilizes by r = d^2 "
+            f"(proven bound), so this one is not (alphas = {alphas})")
+
+
+@pytest.mark.parametrize("expr, tjurina, milnor", [
+    ("(x^2-y^3)^2",
+     _growing(37, 6, [1, 3, 6, 9, *range(11, 76, 2)]),
+     _growing(26, 5, [1, 3, 6, 9, *range(11, 54, 2)])),
+    ("(y^2-x^3)^2*(x+y)",
+     _growing(50, 7, [1, 3, 6, 10, 13, 16, *range(18, 105, 2)]),
+     _growing(37, 6, [1, 3, 6, 10, 13, 16, *range(18, 79, 2)])),
+    ("(x^2+y^5)^2*(x-y)^2",
+     _growing(145, 12, [1, 3, 6, 10, 15, 19, 23, 27, 31, *range(34, 440, 3)]),
+     _growing(122, 11, [1, 3, 6, 10, 15, 19, 23, 27, 31, *range(34, 371, 3)])),
+])
+def test_stabilization_messages_of_non_reduced_curves(expr, tjurina, milnor):
+    # the whole sequence up to d^2 + 1 is part of the message, so this pins
+    # every count of the run at the proven bound
+    with pytest.raises(StabilizationError) as info:
+        analyze(P(expr), (0, 0))
+    assert str(info.value) == f"curve not reduced at (0,0): tjurina: {tjurina}; milnor: {milnor}"
+
+
 @pytest.mark.parametrize("expr, n, doubles", [
     # d = 6: R starts at 14, the sequence stabilizes at 17, so R doubles
     ("(y-x^3)*(y-x^3-y^3)", 17, True),
@@ -195,6 +223,38 @@ def test_oracle_matches_trace_on_random_origin_primary_ideals():
         assert staircase_length(leading_term_ideal(gb)) == val
         # stabilization is genuine: two steps past the trace it has not moved
         assert local_length_oracle(gens, trace.pairs[-1][0] + 2) == val
+
+
+def test_standard_counts_and_closing_degree_match_enumeration():
+    rng = random.Random(8181)
+    for _ in range(300):
+        lms = [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.5:  # pure powers, so that the staircase can close
+            lms += [(rng.randint(0, 9), 0), (0, rng.randint(0, 9))]
+        by_degree = [sum(1 for m in monomials_of_degree(2, t)
+                         if not any(monomial_divides(g, m) for g in lms)) for t in range(20)]
+        R = rng.randint(1, 20)
+        assert _standard_counts(lms, R) == by_degree[:R], (lms, R)
+        # the least degree with no standard monomial, when one is below 20
+        closing = _closing_degree(lms)
+        if 0 in by_degree:
+            assert closing == by_degree.index(0), lms
+        else:
+            assert closing is None or closing >= 20, lms
+
+
+def test_length_mod_m2_matches_the_oracle():
+    # alpha_2 for the embedding dimension, on ideals zero-dimensional at the
+    # origin or not (a common factor through O, or a single generator)
+    rng = random.Random(2222)
+    monos = [m for t in range(4) for m in monomials_of_degree(2, t)]
+    for _ in range(200):
+        gens = [Polynomial(2, {m: rng.randint(-3, 3) for m in rng.sample(monos, rng.randint(1, 4))})
+                for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            factor = Polynomial(2, {(1, 0): rng.randint(-2, 2), (0, 1): rng.randint(1, 2)})
+            gens = [g * factor for g in gens]
+        assert _length_mod_m2(gens) == local_length_oracle(gens, 2), gens
 
 
 # -- Hilbert functions ---------------------------------------------------------------

@@ -49,3 +49,15 @@ def test_normal_form_uses_no_fractions():
     found = [node.lineno for node in ast.walk(func)
              if getattr(node, "id", getattr(node, "attr", None)) == "Fraction"]
     assert found == []
+
+
+def test_local_length_runs_one_standard_basis():
+    # one truncated run per length: the cut is lowered inside buchberger
+    source = Path(tjurina.__file__).resolve().parent / "lengths.py"
+    func = next(node for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+                if isinstance(node, ast.FunctionDef) and node.name == "local_length_at_origin")
+    calls = [node.lineno for node in ast.walk(func)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "buchberger"]
+    loops = [node.lineno for node in ast.walk(func) if isinstance(node, (ast.For, ast.While))]
+    assert len(calls) == 1 and loops == []
