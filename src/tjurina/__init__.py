@@ -42,6 +42,7 @@ from .family import (
 from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
+    MonomialRangeError,
     buchberger,
     divide,
     is_zero_dimensional,
@@ -76,8 +77,9 @@ __all__ = [
     "AMBIENTS", "Classification", "DEGREVLEX", "DoubleA", "ExprSyntaxError",
     "FamilyCase", "FamilyParams", "FamilyVerification", "GRLEX",
     "GroebnerBasis", "INFINITE", "Infinite", "LEX", "MonomialIdeal",
-    "MonomialOrder", "MultiplicityAtLeastThree", "Polynomial", "SimplePoint",
-    "SingularityReport", "StabilizationError", "TruncationTrace", "VERTICAL",
+    "MonomialOrder", "MonomialRangeError", "MultiplicityAtLeastThree",
+    "Polynomial", "SimplePoint", "SingularityReport", "StabilizationError",
+    "TruncationTrace", "VERTICAL",
     "admissible_params", "analyze", "binary_form_resultant", "buchberger",
     "classify_double_point", "discriminant", "divide", "embedding_dimension",
     "family_case", "global_tjurina", "hilbert_function",

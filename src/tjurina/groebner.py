@@ -21,6 +21,26 @@ of a ``GroebnerBasis`` are made monic when it is built, and ``divide`` and
 ``s_polynomial`` clear denominators on the way in and divide them back out
 on the way out.
 
+Inside the core every monomial is a packed word (``_Words``): one int whose
+high fields hold the order key, which is linear in the exponents for every
+order used here, and whose low fields hold the exponents.  The word of a
+product is the sum of the words, words compare as the monomials do, a term
+table is a dict from word to integer coefficient, and the worklist is a
+heap of negated words.  A word ``w`` divides ``v`` iff ``(v - w) & over``
+is zero.  The fields are 32 bits wide; an exponent that would leave its
+field raises ``MonomialRangeError`` where the word is made, never a wrong
+order.  ``_normal_form`` remembers, per reducer list, the first reducer
+that divides each word it has seen (or that none of the first n does); a
+list only grows by appending, so a remembered divisor stays the first and
+a miss rescans only the reducers appended since.  The final inter-reduction
+reduces every tail against one shared list of all minimal elements with
+one shared memo: no term smaller than ``lm_i`` is divisible by ``lm_i`` in
+a monomial order, so element ``i`` never reduces its own tail, every first
+divisor is the one the list without ``i`` would give, and the reduced
+basis is the same unique one.  Tuples and ``Polynomial``s appear only at
+the boundary: ``_integer_reducer`` and ``_monic`` speak exponent tuples,
+and ``_Words`` packs and unpacks.
+
 ``VERIFY_BASES`` turns on a full postcondition check on every emitted
 basis (reducedness invariants plus reduction of every S-polynomial to
 zero).  It is meant for test runs; the check costs another pass over all
@@ -31,21 +51,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import neg
+from operator import add, itemgetter, mul
+from struct import Struct
 from typing import Iterable, Sequence
 
-from .poly import (
-    GRLEX,
-    Monomial,
-    MonomialOrder,
-    Polynomial,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from .poly import GRLEX, Monomial, MonomialOrder, Polynomial, monomial_divides
 
 VERIFY_BASES = False
 
@@ -146,6 +159,107 @@ def _closing_degree(lms: Iterable[Monomial]) -> int | None:
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+
+_FIELD = 32  # bits per field of a packed word
+
+
+class MonomialRangeError(OverflowError):
+    """A monomial has an exponent outside the fields of its packed word."""
+
+
+class _Words:
+    """Packed words of the monomials in ``nvars`` variables under one order.
+
+    ``order.key`` must be linear in the exponents, key(m) = W m for an
+    integer matrix W read off the unit vectors (checked on their pairwise
+    sums).  The word of m has one ``_FIELD``-bit field per row of W (the
+    high fields, most significant first) and one per exponent (the low
+    fields), so word(m) + word(n) = word(m * n), and words compare like
+    keys: every field value lies strictly between -2^31 and 2^31 while each
+    exponent is below 2^bits, and then the lower fields together never
+    outweigh half a unit of a higher one.
+
+    The exponents are ``w & mask``, split into fields.  Each exponent field
+    has room above 2^bits: a product of two in-range monomials never carries
+    into the next field, and it is out of range iff ``w & over`` is nonzero.
+    For in-range words a and b, a divides b iff ``(b - a) & over`` is zero:
+    a negative field difference borrows and sets the bits above 2^bits.
+    """
+
+    __slots__ = ("nvars", "bits", "mask", "over", "local", "_units", "_fields", "_top")
+
+    def __init__(self, order, nvars: int):
+        units = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
+        cols = [tuple(order.key(e)) for e in units]
+        if any(order.key((0,) * nvars)) or any(
+                tuple(order.key(tuple(map(add, units[i], units[j]))))
+                != tuple(map(add, cols[i], cols[j]))
+                for i in range(nvars) for j in range(i, nvars)):
+            raise ValueError("monomial order key is not linear in the exponents")
+        rows = list(zip(*cols))
+        widest = max(max(sum(map(abs, row)) for row in rows), 1)
+        bits = min(_FIELD - 1, (((1 << _FIELD - 1) - 1) // widest + 1).bit_length() - 1)
+        self.nvars = nvars
+        self.bits = bits
+        self.mask = (1 << _FIELD * nvars) - 1
+        self.over = sum(((1 << _FIELD) - (1 << bits)) << _FIELD * v for v in range(nvars))
+        # a local degree order: minus a multiple of the total degree leads
+        self.local = rows[0][0] < 0 and len(set(rows[0])) == 1
+        self._fields = Struct(f">{nvars}I")  # the exponent fields, as 32-bit words
+        top = _FIELD * (nvars + len(rows))
+        self._units = [(1 << _FIELD * (nvars - 1 - v))
+                       + sum(w << top - _FIELD * (j + 1) for j, w in enumerate(col))
+                       for v, col in enumerate(cols)]
+        self._top = (rows[0][0], top - _FIELD)
+
+    def pack(self, m: Monomial) -> int:
+        if max(m) >> self.bits:
+            raise MonomialRangeError(f"exponent {max(m)} outside the packed field range "
+                                     f"0..{(1 << self.bits) - 1}")
+        return sum(map(mul, m, self._units))
+
+    def exponents(self, w: int) -> Monomial:
+        return self._fields.unpack((w & self.mask).to_bytes(_FIELD // 8 * self.nvars, "big"))
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (b - a) & self.over
+
+    def lcm(self, a: int, b: int) -> int:
+        return sum(map(mul, map(max, self.exponents(a), self.exponents(b)), self._units))
+
+    def range_error(self) -> MonomialRangeError:
+        """The error for a product w that has left the field range (w & over)."""
+        return MonomialRangeError(f"a product has an exponent outside the packed field "
+                                  f"range 0..{(1 << self.bits) - 1}")
+
+    def floor(self, cut: int) -> int:
+        """The threshold of a degree cut under a local degree order: w <
+        floor(cut) iff the monomial of w has degree >= cut.  That holds for
+        every in-range word, and for a product of two in-range words that
+        has left the range too, since its degree is at least 2^bits, so at
+        least 2*cut: cut is at most 2^(bits-1)."""
+        if cut > 1 << self.bits - 1:
+            raise MonomialRangeError(f"cut {cut} outside the packed field range: products "
+                                     f"below it need exponents up to {2 * cut - 2}")
+        weight, shift = self._top
+        return (weight * cut << shift) + (1 << shift - 1)
+
+    def pack_reducer(self, reducer: tuple) -> tuple:
+        lm, lc, tail = reducer
+        return self.pack(lm), lc, tuple((self.pack(m), c) for m, c in tail)
+
+    def unpack_reducer(self, reducer: tuple) -> tuple:
+        lm, lc, tail = reducer
+        return self.exponents(lm), lc, tuple((self.exponents(m), c) for m, c in tail)
+
+
+@lru_cache(maxsize=64)
+def _words(order, nvars: int) -> _Words:
+    return _Words(order, nvars)
+
+
+# ---------------------------------------------------------------------------
 # integer reducers
 
 
@@ -175,24 +289,26 @@ def _reducer_of(rem: dict) -> tuple:
     return lm, lc, tuple(items)
 
 
-def _s_pair(a: tuple, b: tuple) -> dict:
-    """Term table of the S-polynomial of two integer reducers (lm, lc, tail),
-    scaled by lcm(lc_a, lc_b) so that it stays integral: the leading terms
-    cancel, so only the tails are multiplied out."""
+def _s_pair(a: tuple, b: tuple, top: int, words: _Words) -> dict:
+    """Term table of the S-polynomial of two packed integer reducers
+    (lm, lc, tail) whose leading words have the lcm ``top``, scaled by
+    lcm(lc_a, lc_b) so that it stays integral: the leading terms cancel, so
+    only the tails are multiplied out."""
     la, ca, ta = a
     lb, cb, tb = b
-    top = monomial_lcm(la, lb)
     g = gcd(ca, cb)
     fa, fb = cb // g, ca // g
-    qa, qb = monomial_div(top, la), monomial_div(top, lb)
-    table = {monomial_mul(qa, m): fa * c for m, c in ta}
+    qa, qb = top - la, top - lb
+    table = {qa + m: fa * c for m, c in ta}
     for m, c in tb:
-        t = monomial_mul(qb, m)
+        t = qb + m
         s = table.get(t, 0) - fb * c
         if s:
             table[t] = s
         else:
             table.pop(t, None)
+    if any(t & words.over for t in table):
+        raise words.range_error()
     return table
 
 
@@ -229,62 +345,86 @@ def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
     way out, so quotients and remainder are the exact rational ones.
     """
     _check_basis(basis)
+    words = _words(order, f.nvars)
     reducers, units = zip(*(_integer_reducer(b, order) for b in basis))
     table, uf = _integer_terms(f.terms_dict())
     quots: list = [{} for _ in basis]
-    rem = _normal_form(table, reducers, order.key, quots)
+    rem = _normal_form({words.pack(m): c for m, c in table.items()},
+                       [words.pack_reducer(r) for r in reducers], words, quots)
     den = quots.pop() * uf
-    return ([Polynomial(f.nvars, {m: u * c / den for m, c in q.items()})
+    unpack = words.exponents
+    return ([Polynomial(f.nvars, {unpack(m): u * c / den for m, c in q.items()})
              for q, u in zip(quots, units)],
-            Polynomial(f.nvars, {m: c / den for m, c in rem.items()}))
+            Polynomial(f.nvars, {unpack(m): c / den for m, c in rem.items()}))
 
 
-def _normal_form(terms: dict, leads, key, quots: list | None = None,
-                 cut: int | None = None) -> dict:
-    """Remainder of the integer term table ``terms`` on division by ``leads``,
-    a list of integer reducers (leading monomial, leading coefficient, tail
-    terms); each step uses the first reducer that divides.
+def _normal_form(terms: dict, leads, words: _Words, quots: list | None = None,
+                 cut: int | None = None, memo: dict | None = None,
+                 head: tuple | None = None) -> dict:
+    """Remainder of the packed integer term table ``terms`` on division by
+    ``leads``, a list of packed integer reducers (leading word, leading
+    coefficient, tail terms); each step uses the first reducer that divides.
 
     Fraction-free: before a term c*x^m is cancelled by a reducer with
     leading coefficient L, the work and remainder tables are multiplied by
     L/gcd(c, L), and then (c/gcd)*x^q times the reducer is subtracted.  The
     remainder is therefore an integer multiple of the rational one; it is
     returned primitive (coprime coefficients, a positive leading
-    coefficient, the leading monomial first) and is empty iff the rational
+    coefficient, the leading word first) and is empty iff the rational
     remainder is zero.  When ``quots`` is given, the quotient terms of
     reducer i are accumulated into ``quots[i]``, the remainder is returned
     unnormalised and the accumulated scale s is appended to ``quots``, so
     that s*terms = sum quots[i]*b_i + remainder.  When ``cut`` is given,
-    the division runs in Q[x]/m^cut: every term of total degree >= cut is
-    dropped, and only the leading term is reduced.  Reduction stops at the
-    first term no reducer divides; it is returned first, followed by the
+    the division runs in Q[x]/m^cut under a local degree order: every term
+    of total degree >= cut (a word below ``words.floor(cut)``) is dropped,
+    and only the leading term is reduced.  Reduction stops at the first
+    term no reducer divides; it is returned first, followed by the
     remaining work terms as an unreduced tail (made primitive as above).
     Its leading monomial, and whether it is zero, are those of the fully
-    reduced remainder, and they are all a caller under a cut reads.  Terms
-    are taken largest first from a heap of negated keys; an entry whose
-    monomial has since cancelled is skipped."""
+    reduced remainder, and they are all a caller under a cut reads.  When
+    ``head`` is given, that term (word, coefficient) starts the remainder
+    unreduced; it must lie above every term of ``terms``.
+
+    Terms are taken largest first from a heap of negated words; an entry
+    whose word has since cancelled is skipped.  ``memo`` maps a word to the
+    index of its first divisor in ``leads``, or to ~n when none of the
+    first n reducers divides it; ``leads`` only ever grows by appending, so
+    a caller that keeps one memo per reducer list rescans only the new
+    reducers.  Every new product is checked against the field range."""
+    over = words.over
     if cut is None:
+        floor = None
         work = dict(terms)
     else:
-        work = {m: c for m, c in terms.items() if sum(m) < cut}
-    heap = [(tuple(map(neg, key(m))), m) for m in work]
+        floor = words.floor(cut)
+        work = {m: c for m, c in terms.items() if m >= floor}
+    if memo is None:
+        memo = {}
+    n = len(leads)
+    heap = [-m for m in work]
     heapify(heap)
-    rem: dict = {}
+    rem: dict = dict([head]) if head else {}
     scale = 1
     while work:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m, 0)
         if not c:
             continue
-        for i, (lm, lc, tail) in enumerate(leads):
-            if monomial_divides(lm, m):
-                break
-        else:
-            if cut is not None:
+        i = memo.get(m, -1)
+        if i < 0:
+            for i in range(~i, n):
+                if not (m - leads[i][0]) & over:
+                    break
+            else:
+                i = ~n
+            memo[m] = i
+        if i < 0:
+            if floor is not None:
                 rem = {m: c, **work}
                 break
             rem[m] = c
             continue
+        lm, lc, tail = leads[i]
         g = gcd(c, lc)
         mult, qc = lc // g, c // g
         if mult != 1:
@@ -292,18 +432,20 @@ def _normal_form(terms: dict, leads, key, quots: list | None = None,
             for table in (work, rem, *(quots or ())):
                 for t in table:
                     table[t] *= mult
-        q = monomial_div(m, lm)
+        q = m - lm
         if quots is not None:
             quots[i][q] = quots[i].get(q, 0) + qc
         for bm, bc in tail:
-            t = monomial_mul(q, bm)
-            if cut is not None and sum(t) >= cut:
+            t = q + bm
+            if floor is not None and t < floor:
                 continue
             p = qc * bc
             s = work.get(t)
             if s is None:
+                if t & over:
+                    raise words.range_error()
                 work[t] = -p
-                heappush(heap, (tuple(map(neg, key(t))), t))
+                heappush(heap, -t)
             elif s == p:
                 del work[t]
             else:
@@ -329,10 +471,12 @@ def s_polynomial(g: Polynomial, h: Polynomial, order: MonomialOrder = GRLEX) -> 
         raise ValueError("S-polynomial of the zero polynomial is undefined")
     if g.nvars != h.nvars:
         raise ValueError("S-polynomial of polynomials in different rings")
-    a, _ = _integer_reducer(g, order)
-    b, _ = _integer_reducer(h, order)
+    words = _words(order, g.nvars)
+    a = words.pack_reducer(_integer_reducer(g, order)[0])
+    b = words.pack_reducer(_integer_reducer(h, order)[0])
     den = lcm(a[1], b[1])
-    return Polynomial(g.nvars, {m: Fraction(c, den) for m, c in _s_pair(a, b).items()})
+    s = _s_pair(a, b, words.lcm(a[0], b[0]), words)
+    return Polynomial(g.nvars, {words.exponents(m): Fraction(c, den) for m, c in s.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +491,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     ideal in Q[x]/m^cut, monic but with tails left unreduced (``reduced``
     is False): every term of total degree >= cut is dropped, and the
     monomials of m^cut never become generators.  The cut is valid only for
-    an order in which the lowest total degree leads (a local degree order);
-    there the monomials of degree < cut are well-ordered, so the reduction
-    terminates, and a product whose leading term has degree >= cut is zero
-    as a whole.  Only leading monomials are read under a cut, so every
-    remainder is reduced at its leading term only (see ``_normal_form``).
+    an order in which the lowest total degree leads (a local degree order),
+    and any other order raises ValueError; there the monomials of degree
+    < cut are well-ordered, so the reduction terminates, and a product
+    whose leading term has degree >= cut is zero as a whole.  Only leading
+    monomials are read under a cut, so every remainder is reduced at its
+    leading term only (see ``_normal_form``).
 
     In two variables the cut is also lowered as the basis grows: once the
     leading monomials hold every monomial of some degree r < cut, the cut
@@ -362,10 +507,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     minimal leading monomials.  A ``verify`` check runs under the cut as
     given.
 
-    Basis elements are kept as primitive integer reducers throughout; they
+    Basis elements are kept as primitive integer reducers on packed words
+    throughout, with one first-divisor memo for the growing list; they
     become monic rational polynomials only when the result is built.
 
-    Raises ValueError if every generator is zero (after the cut).
+    Raises ValueError if every generator is zero (after the cut), and
+    MonomialRangeError if an exponent leaves the packed field range.
     """
     if cut is not None:
         gens = [Polynomial._from_valid(g.nvars, {m: c for m, c in g.terms() if sum(m) < cut})
@@ -376,23 +523,30 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     nvars = polys[0].nvars
     if any(g.nvars != nvars for g in polys):
         raise ValueError("generators live in different rings")
-    key = order.key
+    words = _words(order, nvars)
+    if cut is not None and not words.local:
+        raise ValueError("a degree cut needs a local degree order, "
+                         "in which the lowest total degree leads")
+    over = words.over
 
-    leads: list[tuple] = []  # (lm, lc, tail): primitive integer basis elements
+    leads: list[tuple] = []  # (lm, lc, tail): packed primitive integer basis elements
+    exps: list[Monomial] = []  # their leading exponents, for the staircase and pair degrees
     seen: set = set()
     for g in polys:
         r, _ = _integer_reducer(g, order)
-        sig = (r[0], r[1], frozenset(r[2]))
+        w = words.pack_reducer(r)
+        sig = (w[0], w[1], frozenset(w[2]))
         if sig not in seen:
             seen.add(sig)
-            leads.append(r)
+            leads.append(w)
+            exps.append(r[0])
     lms = [r[0] for r in leads]
 
     # the cut in force, lowered where the staircase of lms closes
     lowerable = cut is not None and nvars == 2
 
     def lowered(limit: int) -> int:
-        closing = _closing_degree(lms)
+        closing = _closing_degree(exps)
         return limit if closing is None else min(limit, closing)
 
     limit = lowered(cut) if lowerable else cut
@@ -403,52 +557,48 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     # lowest lcm degree first, then the smallest lcm in the order: the normal
     # strategy for degree orders, and low degrees first under a local order
     def push_pair(i: int, j: int):
-        top = monomial_lcm(lms[i], lms[j])
+        top = tuple(map(max, exps[i], exps[j]))
         degree = sum(top)
         if limit is None or degree < limit:  # otherwise the S-polynomial lies in m^cut
-            heappush(heap, (degree, key(top), i, j))
+            heappush(heap, (degree, words.pack(top), i, j))
             pending.add((i, j))
 
     for j in range(len(leads)):
         for i in range(j):
             push_pair(i, j)
 
+    memo: dict = {}
     while heap:
-        _, _, i, j = heappop(heap)
+        degree, top, i, j = heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        li, lj = lms[i], lms[j]
-        top = monomial_lcm(li, lj)
         # pushed before the cut was lowered: the S-polynomial lies in m^cut
-        if limit is not None and sum(top) >= limit:
+        if limit is not None and degree >= limit:
             continue
         # coprime leading monomials: S-polynomial reduces to zero
-        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
+        if top == lms[i] + lms[j]:
             continue
         # two monomials: S-polynomial is identically zero
         if not leads[i][2] and not leads[j][2]:
             continue
         # chain criterion
         skip = False
-        for k in range(len(leads)):
-            if k == i or k == j:
-                continue
-            if monomial_divides(lms[k], top):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
+        for k, w in enumerate(lms):
+            if k != i and k != j and not (top - w) & over:
+                if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
                     skip = True
                     break
         if skip:
             continue
-        s = _s_pair(leads[i], leads[j])
+        s = _s_pair(leads[i], leads[j], top, words)
         if not s:
             continue
-        rem = _normal_form(s, leads, key, cut=limit)
+        rem = _normal_form(s, leads, words, cut=limit, memo=memo)
         if rem:
             leads.append(_reducer_of(rem))
             lms.append(leads[-1][0])
+            exps.append(words.exponents(lms[-1]))
             if lowerable:
                 limit = lowered(limit)
             new = len(leads) - 1
@@ -458,22 +608,27 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     # minimalize: keep only generators whose leading monomial is not a
     # multiple of another surviving leading monomial.  A divisor never has
     # the larger total degree; under a local order it has the larger key.
-    order_idx = sorted(range(len(leads)), key=lambda i: sum(lms[i]))
+    order_idx = sorted(range(len(leads)), key=lambda i: sum(exps[i]))
     keep: list[int] = []
     for i in order_idx:
-        if not any(monomial_divides(lms[k], lms[i]) for k in keep):
+        if not any(words.divides(lms[k], lms[i]) for k in keep):
             keep.append(i)
     minimal = [leads[i] for i in keep]
 
-    # inter-reduce tails; leading monomials form an antichain so they survive.
-    # Under a cut only the leading monomials are read, so tails stay as they are.
+    # inter-reduce tails against the whole minimal list, with one memo: no
+    # term below lm_i is a multiple of lm_i, so element i never reduces its
+    # own tail and every first divisor is the one the other elements give.
+    # Leading monomials form an antichain, so they survive.  Under a cut
+    # only the leading monomials are read, so tails stay as they are.
     if cut is None and len(minimal) > 1:
-        minimal = [_reducer_of(_normal_form(dict(((lm, lc), *tail)),
-                                            minimal[:i] + minimal[i + 1:], key))
-                   for i, (lm, lc, tail) in enumerate(minimal)]
+        memo = {}
+        minimal = [_reducer_of(_normal_form(dict(tail), minimal, words, memo=memo,
+                                            head=(lm, lc)))
+                   for lm, lc, tail in minimal]
 
-    minimal.sort(key=lambda r: key(r[0]), reverse=True)
-    gb = GroebnerBasis(order=order, generators=tuple(_monic(nvars, r) for r in minimal),
+    minimal.sort(key=itemgetter(0), reverse=True)
+    gb = GroebnerBasis(order=order,
+                       generators=tuple(_monic(nvars, words.unpack_reducer(r)) for r in minimal),
                        reduced=cut is None)
     if verify or (verify is None and VERIFY_BASES):
         _verify_reduced_basis(gb, cut)
@@ -485,23 +640,23 @@ def _verify_reduced_basis(gb: GroebnerBasis, cut: int | None = None):
     inter-reduced generators, and Buchberger's criterion (in Q[x]/m^cut when
     ``cut`` is given)."""
     order = gb.order
-    gens = gb.generators
-    lms = gb.leading_monomials()
-    for idx, g in enumerate(gens):
-        if g.leading_coefficient(order) != 1:
+    words = _words(order, gb.nvars)
+    leads = [words.pack_reducer(_integer_reducer(g, order)[0]) for g in gb.generators]
+    for idx, (lm_i, _, tail) in enumerate(leads):
+        if gb.generators[idx].leading_coefficient(order) != 1:
             raise AssertionError("basis element is not monic")
-        for jdx, lm in enumerate(lms):
+        for jdx, (lm, _, _) in enumerate(leads):
             if jdx == idx:
                 continue
-            if monomial_divides(lm, lms[idx]):
+            if words.divides(lm, lm_i):
                 raise AssertionError("leading monomials not minimal")
-            if gb.reduced and any(monomial_divides(lm, m) for m, _ in g.terms()):
+            if gb.reduced and any(words.divides(lm, m) for m, _ in tail):
                 raise AssertionError("basis is not inter-reduced")
-    leads = [_integer_reducer(g, order)[0] for g in gens]
-    for j in range(len(gens)):
+    memo: dict = {}
+    for j in range(len(leads)):
         for i in range(j):
-            s = _s_pair(leads[i], leads[j])
-            if s and _normal_form(s, leads, order.key, cut=cut):
+            s = _s_pair(leads[i], leads[j], words.lcm(leads[i][0], leads[j][0]), words)
+            if s and _normal_form(s, leads, words, cut=cut, memo=memo):
                 raise AssertionError("S-polynomial does not reduce to zero")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import add, le, neg, sub
+from operator import add, le, neg
 from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -45,15 +45,6 @@ def monomial_mul(m: Monomial, n: Monomial) -> Monomial:
 def monomial_divides(m: Monomial, n: Monomial) -> bool:
     """True when x^m divides x^n, i.e. componentwise m <= n."""
     return all(map(le, m, n))
-
-
-def monomial_div(n: Monomial, m: Monomial) -> Monomial:
-    """Exponent vector of x^n / x^m; caller guarantees divisibility."""
-    return tuple(map(sub, n, m))
-
-
-def monomial_lcm(m: Monomial, n: Monomial) -> Monomial:
-    return tuple(map(max, m, n))
 
 
 def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:

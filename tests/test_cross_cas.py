@@ -6,12 +6,14 @@ must yield byte-identical reduced Groebner bases from both engines.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from tjurina import DEGREVLEX, GRLEX, LEX, Polynomial, buchberger
+from tjurina import DEGREVLEX, GRLEX, LEX, MonomialOrder, Polynomial, buchberger
+from tjurina.exprio import render_poly
 from tjurina.poly import monomials_of_degree
 
 
@@ -64,3 +66,55 @@ def test_reduced_bases_match_independent_cas(nvars, my_order, sp_order, max_deg,
                                 *syms, order=sp_order, domain=sympy.QQ)
         assert set(mine.generators) == {_from_sympy(p, nvars) for p in theirs.polys}
         agreed += 1
+
+
+def _line_arrangement(rng, d):
+    """The product of d distinct lines a*x0 + b*x1 + c*x2 with small
+    integer coefficients."""
+    lines = set()
+    while len(lines) < d:
+        line = tuple(rng.randint(-3, 3) for _ in range(3))
+        if any(line):
+            g = gcd(*line) * (1 if next(c for c in line if c) > 0 else -1)
+            lines.add(tuple(c // g for c in line))
+    f = Polynomial(3, {(0, 0, 0): 1})
+    for a, b, c in sorted(lines):
+        f = f * Polynomial(3, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
+    return f
+
+
+def _jacobian(f):
+    return [p for p in (f.partial_derivative(v) for v in range(3)) if not p.is_zero()]
+
+
+@pytest.mark.parametrize("precedence, d, seed", [
+    (None, 4, 504),
+    (None, 5, 505),
+    (None, 6, 506),
+    ((2, 0, 1), 5, 515),
+])
+def test_jacobian_bases_of_line_arrangements_match_independent_cas(precedence, d, seed):
+    # the global Tjurina number's traffic: reduced degrevlex bases of the
+    # Jacobian ideals of line arrangements, generator by generator
+    order = MonomialOrder("degrevlex", precedence)
+    perm = precedence or (0, 1, 2)
+    syms = sympy.symbols("x0 x1 x2")
+    gens_order = [syms[v] for v in perm]  # sympy's first generator is the most significant
+    rng = random.Random(seed)
+    for _ in range(5):
+        parts = _jacobian(_line_arrangement(rng, d))
+        mine = buchberger(parts, order, verify=False)
+        theirs = sympy.groebner([_to_sympy(p, syms) for p in parts],
+                                *gens_order, order="grevlex", domain=sympy.QQ)
+        unpermuted = []
+        for p in theirs.polys:
+            terms = {}
+            for mono, coeff in p.terms():
+                exps = [0, 0, 0]
+                for v, e in zip(perm, mono):
+                    exps[v] = e
+                q = sympy.Rational(coeff)
+                terms[tuple(exps)] = Fraction(int(q.p), int(q.q))
+            unpermuted.append(Polynomial(3, terms))
+        assert [render_poly(g, order) for g in mine.generators] == \
+            [render_poly(g, order) for g in unpermuted]

@@ -8,6 +8,7 @@ from tjurina import (
     GRLEX,
     LEX,
     MonomialIdeal,
+    MonomialOrder,
     Polynomial,
     buchberger,
     divide,
@@ -343,3 +344,93 @@ def test_local_counts_under_a_cut_match_the_oracle(through_origin):
                 continue  # the cut kills every generator
             lms = buchberger(gens, _LOCAL, verify=True, cut=R).leading_monomials()
             assert sum(_standard_counts(lms, R)) == local_length_oracle(gens, R), (gens, R)
+
+
+def test_a_cut_needs_a_local_degree_order():
+    # x*(x + y^3) keeps x^2 below degree 4, so a cut under a global order
+    # would lead with y^3 and count 9 standard monomials where the oracle
+    # counts 4
+    from tjurina.lengths import local_length_oracle
+    assert local_length_oracle([P("x+y^3")], 4) == 4
+    for order in (GRLEX, LEX, DEGREVLEX, MonomialOrder("grlex", (1, 0))):
+        with pytest.raises(ValueError, match="local degree order"):
+            buchberger([P("x+y^3")], order, cut=4)
+
+
+def _packing_orders():
+    from tjurina.lengths import _LOCAL
+    for nvars in (2, 3):
+        for kind in ("grlex", "lex", "degrevlex"):
+            yield pytest.param(MonomialOrder(kind), nvars, id=f"{kind}-{nvars}")
+            prec = (1, 0) if nvars == 2 else (2, 0, 1)
+            yield pytest.param(MonomialOrder(kind, prec), nvars,
+                               id=f"{kind}-precedence-{''.join(map(str, prec))}")
+        yield pytest.param(_LOCAL, nvars, id=f"local-{nvars}")
+
+
+@pytest.mark.parametrize("order, nvars", _packing_orders())
+def test_packed_words_agree_with_exponent_tuples(order, nvars, request):
+    from tjurina.groebner import _words
+    words = _words(order, nvars)
+    rng = random.Random(request.node.callspec.id)
+    half = 1 << words.bits - 1  # a product of two exponents below half stays in range
+    monos = [tuple(rng.randint(0, 6) for _ in range(nvars)) for _ in range(150)]
+    monos += [tuple(rng.choice((0, 1, half - 1, rng.randrange(half))) for _ in range(nvars))
+              for _ in range(50)]
+    for m in monos:
+        assert words.exponents(words.pack(m)) == m
+    for m, n in zip(monos, monos[1:] + monos[:1]):
+        w, v = words.pack(m), words.pack(n)
+        assert w + v == words.pack(monomial_mul(m, n))
+        assert (w < v) == (order.key(m) < order.key(n)) and (w == v) == (m == n)
+        assert words.divides(w, v) == monomial_divides(m, n)
+        assert words.divides(w, w + v) and words.divides(v, w + v)
+
+
+def test_packing_rejects_an_order_key_that_is_not_linear():
+    class MaxFirst:  # a monomial order, but max(m) is not linear in m
+        @staticmethod
+        def key(m):
+            return (max(m), *m)
+
+    with pytest.raises(ValueError, match="not linear"):
+        buchberger([P("x^2+y"), P("x*y")], MaxFirst())
+
+
+def test_packed_words_reject_exponents_outside_the_fields():
+    from tjurina.groebner import MonomialRangeError, _words
+    from tjurina.lengths import _LOCAL
+    words = _words(LEX, 2)
+    top = (1 << words.bits) - 1
+    assert words.exponents(words.pack((top, 0))) == (top, 0)
+    with pytest.raises(MonomialRangeError):
+        words.pack((top + 1, 0))
+    with pytest.raises(MonomialRangeError):
+        buchberger([Polynomial(2, {(0, top + 1): 1, (1, 0): 1})], GRLEX)
+    # a product made during the reduction leaves the field range
+    with pytest.raises(MonomialRangeError):
+        divide(Polynomial(2, {(1, top // 2 + 1): 1}),
+               [Polynomial(2, {(1, 0): 1, (0, top // 2 + 1): -1})], LEX)
+    with pytest.raises(MonomialRangeError):
+        buchberger([Polynomial(2, {(1, 0): 1, (0, top // 2 + 1): -1}),
+                    Polynomial(2, {(2, 1): 1})], LEX)
+    with pytest.raises(MonomialRangeError):
+        _words(_LOCAL, 2).floor(1 << 40)
+
+
+def test_first_divisor_memo_rescans_appended_reducers():
+    # a word none of the first n reducers divides is looked up again in the
+    # reducers appended after them; a hit is kept
+    from tjurina.groebner import _integer_reducer, _normal_form, _words
+    words = _words(GRLEX, 2)
+
+    def reducer(text):
+        return words.pack_reducer(_integer_reducer(P(text), GRLEX)[0])
+
+    x2y = words.pack((2, 1))
+    leads, memo = [reducer("y^2-x")], {}
+    assert _normal_form({x2y: 3}, leads, words, memo=memo) == {x2y: 1}
+    assert memo[x2y] == ~1
+    leads.append(reducer("x*y-1"))
+    assert _normal_form({x2y: 3}, leads, words, memo=memo) == {words.pack((1, 0)): 1}
+    assert memo[x2y] == 1 and memo[words.pack((1, 0))] == ~2

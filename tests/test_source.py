@@ -61,3 +61,16 @@ def test_local_length_runs_one_standard_basis():
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "buchberger"]
     loops = [node.lineno for node in ast.walk(func) if isinstance(node, (ast.For, ast.While))]
     assert len(calls) == 1 and loops == []
+
+
+def test_normal_form_reduces_packed_words_only():
+    # the hot loop adds, subtracts and compares packed integer words; no
+    # exponent-tuple helper or order key may drift back into it
+    source = Path(tjurina.__file__).resolve().parent / "groebner.py"
+    func = next(node for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+                if isinstance(node, ast.FunctionDef) and node.name == "_normal_form")
+    banned = {"monomial_mul", "monomial_divides", "key"}
+    found = [f"{node.lineno}:{getattr(node, 'id', getattr(node, 'attr', None))}"
+             for node in ast.walk(func)
+             if getattr(node, "id", getattr(node, "attr", None)) in banned]
+    assert found == []
