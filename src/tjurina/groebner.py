@@ -6,10 +6,13 @@ degree cut it returns a minimal standard basis in Q[x]/m^cut instead (see
 ``buchberger``): only leading monomials are read there, so a remainder is
 reduced at its leading term only and keeps its tail unreduced, and in two
 variables the cut is lowered to the degree where the staircase of the
-leading monomials closes.  Pair selection follows the normal strategy
-(lowest lcm degree first, then smallest lcm); useless pairs are pruned with
-the coprimality criterion and the chain criterion, and S-polynomials of two
-monomials are skipped outright since they vanish identically.
+leading monomials closes.  Either way a ``GroebnerBasis`` is returned as
+soon as the basis is minimal: its leading monomials are stored, and its
+generators are built on first read.  Pair selection follows the normal
+strategy (lowest lcm degree first, then smallest lcm); useless pairs are
+pruned with the coprimality criterion and the chain criterion, and
+S-polynomials of two monomials are skipped outright since they vanish
+identically.
 
 The reduction core is fraction-free.  Inside ``buchberger`` every basis
 element is a primitive integer term table (coprime integer coefficients,
@@ -17,9 +20,9 @@ positive leading coefficient), S-polynomials are built from the term
 tables with integer cofactors, and ``_normal_form`` reduces by scaled
 pseudo-division, so every remainder it returns is an integer multiple of
 the rational one.  Rationals appear only at the boundary: the generators
-of a ``GroebnerBasis`` are made monic when it is built, and ``divide`` and
-``s_polynomial`` clear denominators on the way in and divide them back out
-on the way out.
+of a ``GroebnerBasis`` are made monic when they are built on first read,
+and ``divide`` and ``s_polynomial`` clear denominators on the way in and
+divide them back out on the way out.
 
 Inside the core every monomial is a packed word (``_Words``): one int whose
 high fields hold the order key, which is linear in the exponents for every
@@ -32,10 +35,11 @@ field raises ``MonomialRangeError`` where the word is made, never a wrong
 order.  ``_normal_form`` remembers, per reducer list, the first reducer
 that divides each word it has seen (or that none of the first n does); a
 list only grows by appending, so a remembered divisor stays the first and
-a miss rescans only the reducers appended since.  The final inter-reduction
-reduces every tail against one shared list of all minimal elements with
-one shared memo: no term smaller than ``lm_i`` is divisible by ``lm_i`` in
-a monomial order, so element ``i`` never reduces its own tail, every first
+a miss rescans only the reducers appended since.  The inter-reduction,
+run when the generators of a reduced basis are first read, reduces every
+tail against one shared list of all minimal elements with one shared
+memo: no term smaller than ``lm_i`` is divisible by ``lm_i`` in a
+monomial order, so element ``i`` never reduces its own tail, every first
 divisor is the one the list without ``i`` would give, and the reduced
 basis is the same unique one.  Tuples and ``Polynomial``s appear only at
 the boundary: ``_integer_reducer`` and ``_monic`` speak exponent tuples,
@@ -49,12 +53,11 @@ pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, itemgetter, mul
+from operator import add, mul
 from struct import Struct
 from typing import Iterable, Sequence
 
@@ -63,26 +66,61 @@ from .poly import GRLEX, Monomial, MonomialOrder, Polynomial, monomial_divides
 VERIFY_BASES = False
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    """An ordered generator set together with its monomial order."""
+    """A minimal basis together with its monomial order, kept as the packed
+    primitive integer reducers ``buchberger`` ends with, sorted by
+    decreasing leading monomial.
 
-    order: MonomialOrder
-    generators: tuple[Polynomial, ...]
-    reduced: bool
+    ``leading_monomials`` reads their stored leading exponents.  The
+    generators are built on first read, once: a reduced basis has its tails
+    inter-reduced and every element is made monic.  Equality and hash are
+    those of (order, generators, reduced)."""
 
-    @property
-    def nvars(self) -> int:
-        return self.generators[0].nvars
+    def __init__(self, order: MonomialOrder, reduced: bool, words: _Words,
+                 leads: Sequence[tuple], exps: Sequence[Monomial]):
+        self.order = order
+        self.reduced = reduced
+        self.nvars = words.nvars
+        self._words = words
+        self._leads = tuple(leads)
+        self._exps = tuple(exps)
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial(self.order) for g in self.generators)
+        return self._exps
+
+    @cached_property
+    def generators(self) -> tuple[Polynomial, ...]:
+        # inter-reduce tails against the whole minimal list, with one memo:
+        # no term below lm_i is a multiple of lm_i, so element i never
+        # reduces its own tail and every first divisor is the one the other
+        # elements give.  Leading monomials form an antichain, so they
+        # survive.  Under a cut tails stay as they are.
+        leads, words = self._leads, self._words
+        if self.reduced and len(leads) > 1:
+            memo: dict = {}
+            leads = [_reducer_of(_normal_form(dict(tail), leads, words, memo=memo,
+                                              head=(lm, lc)))
+                     for lm, lc, tail in leads]
+        return tuple(_monic(self.nvars, words.unpack_reducer(r)) for r in leads)
+
+    def __eq__(self, other):
+        if not isinstance(other, GroebnerBasis):
+            return NotImplemented
+        return (self.order, self.generators, self.reduced) == \
+            (other.order, other.generators, other.reduced)
+
+    def __hash__(self):
+        return hash((self.order, self.generators, self.reduced))
+
+    def __repr__(self):
+        return (f"GroebnerBasis(order={self.order!r}, generators={self.generators!r}, "
+                f"reduced={self.reduced!r})")
 
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self._leads)
 
 
 class MonomialIdeal:
@@ -508,8 +546,11 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     given.
 
     Basis elements are kept as primitive integer reducers on packed words
-    throughout, with one first-divisor memo for the growing list; they
-    become monic rational polynomials only when the result is built.
+    throughout, with one first-divisor memo for the growing list.  The
+    result is returned as soon as the basis is minimal: its leading
+    monomials are the stored ones, and its generators are built on first
+    read (inter-reduced for a reduced basis, then made monic), so a caller
+    that reads only leading monomials pays for neither.
 
     Raises ValueError if every generator is zero (after the cut), and
     MonomialRangeError if an exponent leaves the packed field range.
@@ -613,23 +654,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     for i in order_idx:
         if not any(words.divides(lms[k], lms[i]) for k in keep):
             keep.append(i)
-    minimal = [leads[i] for i in keep]
-
-    # inter-reduce tails against the whole minimal list, with one memo: no
-    # term below lm_i is a multiple of lm_i, so element i never reduces its
-    # own tail and every first divisor is the one the other elements give.
-    # Leading monomials form an antichain, so they survive.  Under a cut
-    # only the leading monomials are read, so tails stay as they are.
-    if cut is None and len(minimal) > 1:
-        memo = {}
-        minimal = [_reducer_of(_normal_form(dict(tail), minimal, words, memo=memo,
-                                            head=(lm, lc)))
-                   for lm, lc, tail in minimal]
-
-    minimal.sort(key=itemgetter(0), reverse=True)
-    gb = GroebnerBasis(order=order,
-                       generators=tuple(_monic(nvars, words.unpack_reducer(r)) for r in minimal),
-                       reduced=cut is None)
+    keep.sort(key=lms.__getitem__, reverse=True)
+    gb = GroebnerBasis(order, cut is None, words, [leads[i] for i in keep],
+                       [exps[i] for i in keep])
     if verify or (verify is None and VERIFY_BASES):
         _verify_reduced_basis(gb, cut)
     return gb

@@ -434,3 +434,71 @@ def test_first_divisor_memo_rescans_appended_reducers():
     leads.append(reducer("x*y-1"))
     assert _normal_form({x2y: 3}, leads, words, memo=memo) == {words.pack((1, 0)): 1}
     assert memo[x2y] == 1 and memo[words.pack((1, 0))] == ~2
+
+
+@pytest.mark.parametrize("order, nvars", _packing_orders())
+def test_leading_monomials_are_read_before_the_generators_are_built(order, nvars, request):
+    # the stored leading monomials are those of the generators built later,
+    # in the same order, and building them changes no length
+    from tjurina.lengths import _LOCAL
+    rng = random.Random(request.node.callspec.id)
+    for gens, _ in _scaled_generator_sets(rng, (nvars,), 12):
+        for cut in ((3, 5, 8) if order is _LOCAL else (None,)):
+            if cut is not None and all(g.min_degree() >= cut for g in gens):
+                continue  # the cut kills every generator
+            gb = buchberger(gens, order, verify=False, cut=cut)
+            lms, size = gb.leading_monomials(), len(gb)
+            assert "generators" not in vars(gb)
+            assert lms == tuple(g.leading_monomial(order) for g in gb.generators)
+            assert len(gb) == size == len(gb.generators)
+
+
+def _count_calls(monkeypatch):
+    """Wrap ``_monic`` and ``_normal_form`` in groebner with counters; an
+    inter-reduction is a ``_normal_form`` call with a ``head``."""
+    from tjurina import groebner
+    counts = {"monic": 0, "interreduce": 0}
+    monic, normal_form = groebner._monic, groebner._normal_form
+
+    def counted_monic(*args, **kwargs):
+        counts["monic"] += 1
+        return monic(*args, **kwargs)
+
+    def counted_normal_form(*args, **kwargs):
+        counts["interreduce"] += kwargs.get("head") is not None
+        return normal_form(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_monic", counted_monic)
+    monkeypatch.setattr(groebner, "_normal_form", counted_normal_form)
+    return counts
+
+
+def test_leading_monomial_readers_build_no_generators(monkeypatch):
+    # the lengths and the Hilbert read-out need only leading monomials
+    from tjurina import global_tjurina, hilbert_function, local_length_at_origin
+    from tjurina.analyzer import embedding_dimension
+    from tjurina.family import FamilyParams, verify_params
+    counts = _count_calls(monkeypatch)
+    F = parse_poly("x0*x1*x2*(x0-x1)*(x0-x2)*(x1-x2)", "projective3")
+    parts = [F.partial_derivative(v) for v in range(3)]
+    f = P("x^5+y^5+x^3*y^3")
+    gens = [f, f.partial_derivative(0), f.partial_derivative(1)]
+    assert global_tjurina(F) == 19
+    assert hilbert_function(parts, 6) == 19
+    assert local_length_at_origin(gens)[0] == 15  # tjurina_formula of (5, 3, 3)
+    assert embedding_dimension(gens) == 2
+    assert verify_params(FamilyParams(4, 5, 1), check_gb=True).lt_match
+    assert counts == {"monic": 0, "interreduce": 0}
+
+
+@pytest.mark.parametrize("cut", [None, 6])
+def test_generators_are_built_once(monkeypatch, cut):
+    from tjurina.lengths import _LOCAL
+    counts = _count_calls(monkeypatch)
+    f = P("x^5+y^5+x^3*y^3")
+    gb = buchberger([f, f.partial_derivative(0), f.partial_derivative(1)],
+                    GRLEX if cut is None else _LOCAL, verify=False, cut=cut)
+    assert counts["monic"] == 0
+    assert gb.generators is gb.generators
+    assert counts["monic"] == len(gb) > 1
+    assert counts["interreduce"] == (len(gb) if cut is None else 0)

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -356,6 +358,73 @@ def test_global_matches_sum_of_locals_on_four_node_curve():
         assert tau == 1
         locals_sum += tau
     assert global_tjurina(F) == locals_sum == 4
+
+
+def _primitive(v):
+    g = math.gcd(*v)
+    v = tuple(c // g for c in v)
+    return v if next(c for c in v if c) > 0 else tuple(-c for c in v)
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _arrangement_with_a_triple_point(rng, d):
+    """d distinct lines (coefficient vectors), three of them through one
+    point; the other lines are drawn at random and may meet in more."""
+    while True:
+        point = tuple(rng.randint(-3, 3) for _ in range(3))
+        if any(point):
+            break
+    lines = set()
+    while len(lines) < d:
+        line = tuple(rng.randint(-3, 3) for _ in range(3))
+        if len(lines) < 3:
+            line = _cross(point, line)  # a line through the point
+        if any(line):
+            lines.add(_primitive(line))
+    return sorted(lines)
+
+
+def _sum_of_local_tjurina(F, points):
+    """The local Tjurina numbers of F at the given projective points, each
+    taken in the affine chart of a coordinate that does not vanish there."""
+    from tjurina import local_tjurina
+    total = 0
+    for point in points:
+        k = next(k for k in range(3) if point[k])
+        i, j = (v for v in range(3) if v != k)
+        f = Polynomial(2, {(m[i], m[j]): c for m, c in F.terms()})
+        tau, _ = local_tjurina(f, (Fraction(point[i], point[k]), Fraction(point[j], point[k])))
+        total += tau
+    return total
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_global_matches_sum_of_locals_on_line_arrangements(d):
+    # the singular points of a line arrangement are where two lines meet
+    rng = random.Random(f"arrangement:{d}")
+    for _ in range(3):
+        lines = _arrangement_with_a_triple_point(rng, d)
+        F = _p3("1")
+        for line in lines:
+            F = F * Polynomial(3, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), line)))
+        points = {_primitive(_cross(u, v)) for u, v in itertools.combinations(lines, 2)}
+        assert len(points) < d * (d - 1) // 2  # the triple point
+        assert global_tjurina(F) == _sum_of_local_tjurina(F, points), lines
+
+
+@pytest.mark.parametrize("curve, points, tau", [
+    ("x1^2*x2-x0^3", [(0, 0, 1)], 2),  # cuspidal cubic
+    ("(x0*x2-x1^2)*x0", [(0, 0, 1)], 3),  # conic and a tangent line: A_3
+    ("(x0*x2-x1^2)*x1", [(1, 0, 0), (0, 0, 1)], 2),  # conic and a secant line
+    ("(x0*x1-x2^2)*(x0*x1+x2^2)", [(1, 0, 0), (0, 1, 0)], 6),  # two tangent conics
+    ("(x0*x2-x1^2)*x0*x1", [(0, 0, 1), (1, 0, 0)], 7),  # D_6 and a node
+])
+def test_global_matches_sum_of_locals_at_rational_singular_points(curve, points, tau):
+    F = _p3(curve)
+    assert global_tjurina(F) == _sum_of_local_tjurina(F, points) == tau
 
 
 # -- line restrictions -------------------------------------------------------------
