@@ -267,11 +267,13 @@ def nodes_only_check(d: int, g: int, tau: int) -> bool:
 def analyze(f: Polynomial, point: Point) -> SingularityReport:
     """Complete singularity report for a curve at a rational point.
 
-    Both local lengths are attempted even if the first one fails, so a
-    non-reduced input produces one diagnostic naming everything that went
-    wrong.  The symmetry order is None when the scheme is symmetric for
-    no k; it is decided at the point, so the curve away from the point
-    cannot change it.  A violation of tau <= mu, or of mu = (m-1)^2 at an
+    The Milnor number mu is computed first; the Tjurina number tau then
+    continues mu's local standard basis with f alone, since (f_x, f_y)
+    lies inside (f, f_x, f_y).  When mu fails, tau is computed from
+    scratch, so a non-reduced input produces one diagnostic naming
+    everything that went wrong (tau's failure first).  The symmetry order
+    is None when the scheme is symmetric for no k; it is decided at the
+    point, so the curve away from the point cannot change it.  A violation of tau <= mu, or of mu = (m-1)^2 at an
     ordinary point, raises AssertionError.
     """
     if f.is_zero():
@@ -288,13 +290,16 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     tau = mu = None
     tau_trace = mu_trace = None
     try:
-        tau, tau_trace = local_length_at_origin([g, gx, gy])
-    except StabilizationError as e:
-        errors.append(f"tjurina: {e}")
-    try:
         mu, mu_trace = local_length_at_origin([gx, gy])
     except StabilizationError as e:
         errors.append(f"milnor: {e}")
+    try:
+        if mu_trace is None:
+            tau, tau_trace = local_length_at_origin([g, gx, gy])
+        else:  # (f_x, f_y) lies inside (f, f_x, f_y): continue mu's basis with f
+            tau, tau_trace = local_length_at_origin([g], base=mu_trace.basis)
+    except StabilizationError as e:
+        errors.insert(0, f"tjurina: {e}")
     if errors:
         raise StabilizationError(
             f"curve not reduced at {_fmt_point(point)}: " + "; ".join(errors))

@@ -6,11 +6,12 @@ degree cut it returns a minimal standard basis in Q[x]/m^cut instead (see
 ``buchberger``): only leading monomials are read there, so a remainder is
 reduced at its leading term only and keeps its tail unreduced, and in two
 variables the cut is lowered to the degree where the staircase of the
-leading monomials closes.  Either way a ``GroebnerBasis`` is returned as
-soon as the basis is minimal: its leading monomials are stored, and its
-generators are built on first read.  Pair selection follows the normal
-strategy (lowest lcm degree first, then smallest lcm); useless pairs are
-pruned with the coprimality criterion and the chain criterion, and
+leading monomials closes; a later run can continue such a basis with more
+generators under the cut it ended with.  Either way a ``GroebnerBasis`` is
+returned as soon as the basis is minimal: its leading monomials are stored,
+and its generators are built on first read.  Pair selection follows the
+normal strategy (lowest lcm degree first, then smallest lcm); useless pairs
+are pruned with the coprimality criterion and the chain criterion, and
 S-polynomials of two monomials are skipped outright since they vanish
 identically.
 
@@ -73,13 +74,16 @@ class GroebnerBasis:
 
     ``leading_monomials`` reads their stored leading exponents.  The
     generators are built on first read, once: a reduced basis has its tails
-    inter-reduced and every element is made monic.  Equality and hash are
-    those of (order, generators, reduced)."""
+    inter-reduced and every element is made monic.  ``cut`` is the degree
+    cut the run ended with, after lowering (None without a cut); a later
+    run can continue the basis under it (``buchberger``'s ``base``).
+    Equality and hash are those of (order, generators, reduced)."""
 
     def __init__(self, order: MonomialOrder, reduced: bool, words: _Words,
-                 leads: Sequence[tuple], exps: Sequence[Monomial]):
+                 leads: Sequence[tuple], exps: Sequence[Monomial], cut: int | None):
         self.order = order
         self.reduced = reduced
+        self.cut = cut
         self.nvars = words.nvars
         self._words = words
         self._leads = tuple(leads)
@@ -522,7 +526,8 @@ def s_polynomial(g: Polynomial, h: Polynomial, order: MonomialOrder = GRLEX) -> 
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
-               verify: bool | None = None, cut: int | None = None) -> GroebnerBasis:
+               verify: bool | None = None, cut: int | None = None,
+               base: GroebnerBasis | None = None) -> GroebnerBasis:
     """Unique reduced Groebner basis of the ideal generated by ``gens``.
 
     With ``cut`` the result is a minimal standard basis of the image of the
@@ -542,8 +547,21 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     on.  Every basis element has all its terms in degrees >= its leading
     degree, and reduction only adds terms of higher degree, so m^r lies in
     the ideal plus m^cut: both cuts give the same ideal and the same
-    minimal leading monomials.  A ``verify`` check runs under the cut as
+    minimal leading monomials.  The staircase can close only once the
+    leading monomials hold a pure power of each variable, so it is not
+    looked at before.  The result records the cut it ended with
+    (``GroebnerBasis.cut``).  A ``verify`` check runs under the cut as
     given.
+
+    With ``base``, a basis an earlier run returned under a cut in the same
+    order, the run continues that one: the result is a minimal standard
+    basis of the ideal of ``base`` plus ``gens`` under the cut ``base``
+    ended with (or ``cut``, if smaller).  The base elements are taken as
+    they are, still packed; only the pairs that involve a new element are
+    pushed, and the pairs among base elements count as treated for the
+    chain criterion.  When every new generator truncates to zero, ``base``
+    itself is returned.  A base under another order, or one without a cut,
+    raises ValueError.
 
     Basis elements are kept as primitive integer reducers on packed words
     throughout, with one first-divisor memo for the growing list.  The
@@ -552,16 +570,24 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     read (inter-reduced for a reduced basis, then made monic), so a caller
     that reads only leading monomials pays for neither.
 
-    Raises ValueError if every generator is zero (after the cut), and
-    MonomialRangeError if an exponent leaves the packed field range.
+    Raises ValueError if every generator is zero (after the cut) and there
+    is no base, and MonomialRangeError if an exponent leaves the packed
+    field range.
     """
+    if base is not None:
+        if base.order != order or base.cut is None:
+            raise ValueError("only a basis computed under a cut, in the same order, "
+                             "can be continued")
+        cut = base.cut if cut is None else min(cut, base.cut)
     if cut is not None:
         gens = [Polynomial._from_valid(g.nvars, {m: c for m, c in g.terms() if sum(m) < cut})
                 for g in gens]
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
+        if base is not None:
+            return base
         raise ValueError("need at least one nonzero generator")
-    nvars = polys[0].nvars
+    nvars = polys[0].nvars if base is None else base.nvars
     if any(g.nvars != nvars for g in polys):
         raise ValueError("generators live in different rings")
     words = _words(order, nvars)
@@ -570,8 +596,11 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
                          "in which the lowest total degree leads")
     over = words.over
 
-    leads: list[tuple] = []  # (lm, lc, tail): packed primitive integer basis elements
-    exps: list[Monomial] = []  # their leading exponents, for the staircase and pair degrees
+    # (lm, lc, tail): packed primitive integer basis elements, and their
+    # leading exponents, for the staircase and pair degrees
+    leads: list[tuple] = [] if base is None else list(base._leads)
+    exps: list[Monomial] = [] if base is None else list(base._exps)
+    old = len(leads)
     seen: set = set()
     for g in polys:
         r, _ = _integer_reducer(g, order)
@@ -583,14 +612,16 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
             exps.append(r[0])
     lms = [r[0] for r in leads]
 
-    # the cut in force, lowered where the staircase of lms closes
+    # the cut in force, lowered where the staircase of lms closes; it closes
+    # only once both axes hold a leading monomial (a pure power of x and of y)
     lowerable = cut is not None and nvars == 2
+    axes: set[int] = set()
 
-    def lowered(limit: int) -> int:
-        closing = _closing_degree(exps)
-        return limit if closing is None else min(limit, closing)
+    def lowered(limit: int, new: Iterable[Monomial]) -> int:
+        axes.update(v for m in new for v in (0, 1) if not m[1 - v])
+        return limit if len(axes) < 2 else min(limit, _closing_degree(exps))
 
-    limit = lowered(cut) if lowerable else cut
+    limit = lowered(cut, exps) if lowerable else cut
 
     heap: list = []
     pending: set[tuple[int, int]] = set()
@@ -604,7 +635,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
             heappush(heap, (degree, words.pack(top), i, j))
             pending.add((i, j))
 
-    for j in range(len(leads)):
+    # pairs among base elements were treated by the run that built the base
+    for j in range(old, len(leads)):
         for i in range(j):
             push_pair(i, j)
 
@@ -641,7 +673,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
             lms.append(leads[-1][0])
             exps.append(words.exponents(lms[-1]))
             if lowerable:
-                limit = lowered(limit)
+                limit = lowered(limit, exps[-1:])
             new = len(leads) - 1
             for t in range(new):
                 push_pair(t, new)
@@ -656,7 +688,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
             keep.append(i)
     keep.sort(key=lms.__getitem__, reverse=True)
     gb = GroebnerBasis(order, cut is None, words, [leads[i] for i in keep],
-                       [exps[i] for i in keep])
+                       [exps[i] for i in keep], limit)
     if verify or (verify is None and VERIFY_BASES):
         _verify_reduced_basis(gb, cut)
     return gb

@@ -17,7 +17,7 @@ of the Hilbert function of the Jacobian quotient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -25,6 +25,7 @@ from math import comb
 from typing import Sequence
 
 from .groebner import (
+    GroebnerBasis,
     MonomialIdeal,
     _closing_degree,
     _staircase,
@@ -84,11 +85,15 @@ class TruncationTrace:
     """The computed pairs (r, alpha_r), ending at the first repeat.
 
     ``stabilized_at`` is the first r with alpha_r = alpha_{r+1}; the trace
-    includes the confirming pair (r+1, alpha_{r+1}).
+    includes the confirming pair (r+1, alpha_{r+1}).  ``basis`` is the local
+    standard basis the pairs were read from, which a length of a larger
+    ideal can continue (``local_length_at_origin``'s ``base``); it takes no
+    part in equality.
     """
 
     pairs: tuple[tuple[int, int], ...]
     stabilized_at: int
+    basis: GroebnerBasis | None = field(default=None, compare=False, repr=False)
 
     @property
     def value(self) -> int:
@@ -160,7 +165,7 @@ def _standard_counts(lms: Sequence[Monomial], R: int) -> list[int]:
     return list(accumulate(steps[:R]))
 
 
-def local_length_at_origin(gens: Sequence[Polynomial]):
+def local_length_at_origin(gens: Sequence[Polynomial], base: GroebnerBasis | None = None):
     """Length at the origin of the scheme cut out by ``gens`` in the plane.
 
     Computes alpha_r = dim A/(J + m^r) for r = 1, 2, ... and stops at the
@@ -176,6 +181,15 @@ def local_length_at_origin(gens: Sequence[Polynomial]):
     staircase closes there, and the standard monomials are counted only
     up to it (one degree more, to confirm the repeat).
 
+    With ``base``, the basis of an earlier length (``TruncationTrace.basis``),
+    the run continues that basis instead of starting over, and the length
+    is that of base's ideal plus ``gens``.  The sum contains base's ideal,
+    so its staircase lies inside base's in every degree and closes no
+    later: the cut at which base's staircase closed bounds this read-out
+    too.  d is the largest degree in ``gens``, which must be at least that
+    of base's generators (as f is among f, f_x, f_y): base's staircase
+    then closed below d^2 + 1, and so does the sum's.
+
     Returns (length, TruncationTrace).  Raises StabilizationError when the
     sequence is still growing at r = d^2 + 1, which happens exactly when
     the scheme fails to be zero-dimensional at the origin: two generic
@@ -190,7 +204,8 @@ def local_length_at_origin(gens: Sequence[Polynomial]):
         raise ValueError("local lengths are computed in the plane (2 variables)")
     d = max(g.degree() for g in polys)
     bound = max(d * d + 1, 2)  # the trace always holds alpha_1 and alpha_2
-    lms = buchberger(polys, _LOCAL, verify=False, cut=bound).leading_monomials()
+    gb = buchberger(polys, _LOCAL, verify=False, cut=bound, base=base)
+    lms = gb.leading_monomials()
     closing = _closing_degree(lms)
     R = bound if closing is None else min(max(closing, 1) + 1, bound)
     counts = _standard_counts(lms, R)
@@ -204,7 +219,7 @@ def local_length_at_origin(gens: Sequence[Polynomial]):
             "at the origin stabilizes by r = d^2 (proven bound), so this one is not "
             f"(alphas = {alphas})")
     pairs = tuple(zip(range(1, last + 1), alphas))
-    return alphas[-1], TruncationTrace(pairs, stabilized_at=stable)
+    return alphas[-1], TruncationTrace(pairs, stabilized_at=stable, basis=gb)
 
 
 def _length_mod_m2(gens: Sequence[Polynomial]) -> int:

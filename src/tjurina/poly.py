@@ -319,7 +319,8 @@ class Polynomial:
         """Sum of the terms of total degree exactly k (zero if none)."""
         if k < 0:
             raise ValueError("degree must be non-negative")
-        return Polynomial(self.nvars, {m: c for m, c in self._terms.items() if sum(m) == k})
+        return Polynomial._from_valid(self.nvars,
+                                      {m: c for m, c in self._terms.items() if sum(m) == k})
 
     def partial_derivative(self, var_index: int) -> "Polynomial":
         if not 0 <= var_index < self.nvars:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -358,6 +359,93 @@ def test_analytic_invariance_smoke():
         assert base == moved == n
 
 
+# -- tau continues mu's local basis: fixtures captured before the change --------
+
+_MILNOR_FAILS = (
+    "curve not reduced at (0,0): milnor: truncation sequence still growing at r = 2 = "
+    "d^2 + 1 (d = 1, the largest generator degree); a scheme zero-dimensional at the "
+    "origin stabilizes by r = d^2 (proven bound), so this one is not (alphas = [1, 2])")
+
+
+def test_analyze_reports_a_milnor_failure_alone():
+    # (f_x, f_y) = (2x) is not zero-dimensional at O, but tau (= 0) is, from scratch
+    with pytest.raises(StabilizationError) as info:
+        analyze(P("x^2+1"), O)
+    assert str(info.value) == _MILNOR_FAILS
+
+
+def test_analyze_off_curve_where_mu_is_one():
+    r = analyze(P("x^2+y^2+1"), O)
+    assert (r.tjurina, r.milnor) == (0, 1)
+    assert r.tjurina_trace.pairs == ((1, 0), (2, 0))
+    assert r.milnor_trace.pairs == ((1, 1), (2, 1))
+    assert r.tjurina_trace.stabilized_at == r.milnor_trace.stabilized_at == 1
+
+
+def test_analyze_smooth_point_continues_the_unit_ideal():
+    # f_y = 1: mu's basis is the unit ideal and its cut is lowered to 0, so f
+    # truncates to zero and tau reads mu's basis as it is
+    r = analyze(P("y-x^2"), O)
+    assert (r.tjurina, r.milnor) == (0, 0)
+    assert r.tjurina_trace.pairs == r.milnor_trace.pairs == ((1, 0), (2, 0))
+    basis = r.milnor_trace.basis
+    assert basis.cut == 0 and basis.leading_monomials() == ((0, 0),)
+    assert r.tjurina_trace.basis is basis
+
+
+@pytest.mark.parametrize("expr, tau, mu, tau_pairs, mu_pairs", [
+    # quasi-homogeneous: f lies in (f_x, f_y)
+    ("x^3+y^4", 6, 6, ((1, 1), (2, 3), (3, 5), (4, 6), (5, 6)), None),
+    ("x^2*y+y^4", 5, 5, ((1, 1), (2, 3), (3, 4), (4, 5), (5, 5)), None),
+    ("x^3+y^7+x*y^5", 11, 12,
+     ((1, 1), (2, 3), (3, 5), (4, 7), (5, 9), (6, 10), (7, 11), (8, 11)),
+     ((1, 1), (2, 3), (3, 5), (4, 7), (5, 9), (6, 10), (7, 11), (8, 12), (9, 12))),
+])
+def test_analyze_tau_and_mu_fixtures(expr, tau, mu, tau_pairs, mu_pairs):
+    r = analyze(P(expr), O)
+    assert (r.multiplicity, r.tjurina, r.milnor) == (3, tau, mu)
+    assert r.tjurina_trace.pairs == tau_pairs
+    assert r.milnor_trace.pairs == (mu_pairs or tau_pairs)
+    assert r.tjurina_trace.stabilized_at == len(tau_pairs) - 1
+    assert (r.symmetry_order, r.ordinary, str(r.classification)) == \
+        (None, False, "non-ordinary multiple point (m = 3)")
+
+
+def test_analyze_nonreduced_curve_at_a_rational_point():
+    # (x-1)^2 ((y-2/3)^2 + (x-1)) doubles the line x = 1: both lengths fail
+    with pytest.raises(StabilizationError) as info:
+        analyze(P("(y-2/3)^2*(x-1)^2+(x-1)^3"), (1, Fraction(2, 3)))
+    assert str(info.value) == (
+        "curve not reduced at (1,2/3): tjurina: truncation sequence still growing at "
+        "r = 17 = d^2 + 1 (d = 4, the largest generator degree); a scheme "
+        "zero-dimensional at the origin stabilizes by r = d^2 (proven bound), so this "
+        "one is not (alphas = [1, 3, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, "
+        "20]); milnor: truncation sequence still growing at r = 10 = d^2 + 1 (d = 3, the "
+        "largest generator degree); a scheme zero-dimensional at the origin stabilizes "
+        "by r = d^2 (proven bound), so this one is not (alphas = [1, 3, 5, 7, 8, 9, 10, "
+        "11, 12, 13])")
+
+
+def test_analyze_packs_each_partial_once(monkeypatch):
+    # one local standard basis per analyze: f_x and f_y enter mu's run, and
+    # tau continues it with f alone
+    from tjurina import groebner, translate_to_origin
+    packed = []
+    integer_reducer = groebner._integer_reducer
+
+    def counted(p, order):
+        packed.append(p)
+        return integer_reducer(p, order)
+
+    monkeypatch.setattr(groebner, "_integer_reducer", counted)
+    f = P("x^5+y^5+x^3*y^3")
+    r = analyze(f, O)
+    assert (r.tjurina, r.milnor) == (15, 16)
+    g = translate_to_origin(f, O)
+    assert [packed.count(h) for h in (g, g.partial_derivative(0), g.partial_derivative(1))] \
+        == [1, 1, 1]
+
+
 _TAU_ABOVE_MU = """
 import tjurina.analyzer as A
 from tjurina import parse_poly
@@ -366,7 +454,7 @@ from tjurina.lengths import TruncationTrace
 if __debug__:
     raise SystemExit("not running under -O")
 trace = TruncationTrace(((1, 1), (2, 1)), stabilized_at=1)
-A.local_length_at_origin = lambda gens: (5 if len(gens) == 3 else 4, trace)
+A.local_length_at_origin = lambda gens, base=None: (4 if len(gens) == 2 else 5, trace)
 try:
     A.analyze(parse_poly("y^2-x^3"), (0, 0))
 except AssertionError as e:

@@ -357,6 +357,59 @@ def test_a_cut_needs_a_local_degree_order():
             buchberger([P("x+y^3")], order, cut=4)
 
 
+
+def test_a_continued_run_needs_a_local_base_in_the_same_order():
+    from tjurina.lengths import _LOCAL
+    gens = [P("x^2+y^3"), P("x*y")]
+    with pytest.raises(ValueError, match="under a cut"):
+        buchberger([P("y^4")], GRLEX, base=buchberger(gens, GRLEX))
+    with pytest.raises(ValueError, match="same order"):
+        buchberger([P("y^4")], GRLEX, base=buchberger(gens, _LOCAL, cut=8))
+    base = buchberger(gens, _LOCAL, cut=8)
+    assert base.cut == 4  # (x^2, x*y, y^4) closes in degree 4
+    # every new generator truncates to zero under the base's cut
+    assert buchberger([P("y^4+x^5"), P("0")], _LOCAL, base=base) is base
+    assert buchberger([P("y^3")], _LOCAL, base=base).leading_monomials() == ((2, 0), (1, 1), (0, 3))
+
+
+def test_a_continued_run_pairs_only_the_new_elements(monkeypatch):
+    # the base's own pairs were treated by the run that built it
+    from tjurina import groebner
+    from tjurina.lengths import _LOCAL
+    gens = [P("x^3+x*y^3"), P("x^2*y+y^5")]
+    base = buchberger(gens, _LOCAL, cut=30)
+    pairs = []
+    s_pair = groebner._s_pair
+
+    def counted(a, b, top, words):
+        pairs.append((a, b))
+        return s_pair(a, b, top, words)
+
+    monkeypatch.setattr(groebner, "_s_pair", counted)
+    gb = buchberger([P("x^2+y^3")], _LOCAL, verify=False, base=base)
+    old = set(base._leads)
+    assert pairs and all(a not in old or b not in old for a, b in pairs)
+    fresh = buchberger(gens + [P("x^2+y^3")], _LOCAL, cut=30)
+    assert gb.leading_monomials() == fresh.leading_monomials() == ((2, 0), (0, 4))
+
+
+def test_the_staircase_is_read_only_once_both_axes_hold_a_leading_monomial(monkeypatch):
+    from tjurina import groebner
+    from tjurina.lengths import _LOCAL
+    calls = []
+    closing_degree = groebner._closing_degree
+
+    def counted(lms):
+        calls.append(tuple(lms))
+        return closing_degree(lms)
+
+    monkeypatch.setattr(groebner, "_closing_degree", counted)
+    # (x*y + y^4, y^3): no pure power of x ever leads, so the staircase never closes
+    buchberger([P("x*y+y^4"), P("y^3")], _LOCAL, verify=False, cut=10)
+    assert calls == []
+    assert buchberger([P("x^2"), P("y^3")], _LOCAL, verify=False, cut=10).cut == 4
+    assert calls == [((2, 0), (0, 3))]
+
 def _packing_orders():
     from tjurina.lengths import _LOCAL
     for nvars in (2, 3):

@@ -21,9 +21,10 @@ from tjurina import (
     local_length_oracle,
     parse_poly,
     staircase_length,
+    translate_to_origin,
 )
 from tjurina.groebner import _closing_degree
-from tjurina.lengths import _length_mod_m2, _standard_counts
+from tjurina.lengths import _LOCAL, _length_mod_m2, _standard_counts
 from tjurina.poly import monomial_divides, monomials_of_degree
 
 P = parse_poly
@@ -257,6 +258,62 @@ def test_length_mod_m2_matches_the_oracle():
             factor = Polynomial(2, {(1, 0): rng.randint(-2, 2), (0, 1): rng.randint(1, 2)})
             gens = [g * factor for g in gens]
         assert _length_mod_m2(gens) == local_length_oracle(gens, 2), gens
+
+
+
+def _random_curves(rng, count):
+    """Seeded plane curves, each with three rational points: one where the
+    curve has a point of multiplicity 1 to 4 by construction, the origin and
+    one more.  Every third curve is non-reduced, a square times a curve."""
+    def local(low, high, terms):
+        table = {}
+        for _ in range(terms):
+            t = rng.randint(low, high)
+            i = rng.randint(0, t)
+            table[i, t - i] = rng.choice((-3, -2, -1, 1, 2, 5))
+        return Polynomial(2, table)
+
+    for index in range(count):
+        point = (Fraction(rng.randint(-2, 2), rng.randint(1, 3)), Fraction(rng.randint(-1, 2)))
+        h = local(rng.choice((1, 2, 2, 3, 3, 4)), 6, rng.randint(2, 5))
+        if index % 3 == 2:
+            h = local(1, 2, 2) ** 2 * local(0, 3, 2)
+        if h.is_zero() or h.degree() == 0:
+            continue
+        f = translate_to_origin(h, (-point[0], -point[1]))
+        yield f, [point, (0, 0), (rng.randint(-1, 1), Fraction(1, 2))]
+
+
+def test_tau_continued_from_mu_matches_tau_from_scratch():
+    # (f_x, f_y) lies inside (f, f_x, f_y): continuing mu's basis with f gives
+    # tau's value and trace, and the leading monomials of a fresh run
+    rng = random.Random(20261018)
+    continued = 0
+    for f, points in _random_curves(rng, 150):
+        for point in points:
+            g = translate_to_origin(f, point)
+            gx, gy = g.partial_derivative(0), g.partial_derivative(1)
+            try:
+                _, mu_trace = local_length_at_origin([gx, gy])
+            except StabilizationError:
+                continue
+            fresh = local_length_at_origin([g, gx, gy])
+            tau, trace = local_length_at_origin([g], base=mu_trace.basis)
+            assert (tau, trace.pairs, trace.stabilized_at) == \
+                (fresh[0], fresh[1].pairs, fresh[1].stabilized_at), (f, point)
+            base, c = mu_trace.basis, mu_trace.basis.cut
+            continued += c > 0
+            gb = buchberger([g], _LOCAL, verify=True, base=base)
+            if g.min_degree() >= c:
+                assert gb is base  # f truncates to zero under the cut
+            every = [h for h in (gx, gy, g) if not h.is_zero() and h.min_degree() < c]
+            if every:
+                below = buchberger(every, _LOCAL, verify=True, cut=c).leading_monomials()
+                assert tuple(m for m in gb.leading_monomials() if sum(m) < c) == below
+            # the sum closes by degree c, so one degree more shows its whole staircase
+            above = buchberger([gx, gy, g], _LOCAL, verify=True, cut=c + 1)
+            assert gb.leading_monomials() == above.leading_monomials(), (f, point)
+    assert continued >= 50  # continued past the unit ideal (55 at this seed)
 
 
 # -- Hilbert functions ---------------------------------------------------------------
