@@ -32,11 +32,6 @@ def upoly_trim(u: UPoly) -> UPoly:
     return u
 
 
-def upoly_degree(u: UPoly) -> int:
-    """Degree, with the convention deg 0 = -1 (internal use only)."""
-    return len(u) - 1
-
-
 def upoly_derivative(u: UPoly) -> UPoly:
     return upoly_trim([i * c for i, c in enumerate(u)][1:])
 

@@ -14,11 +14,23 @@ Variables are fixed by the ambient: ``x, y`` for ``affine2`` and
 rational literals are written ``p/q``.  ASCII whitespace between tokens
 is ignored.  Every failure raises :class:`ExprSyntaxError` carrying the
 byte offset of the offending token.
+
+A text is scanned once, by ``findall`` of one compiled regular expression
+that splits it into integer literals, names and one-character tokens and
+skips the whitespace between them.  A one-character token that is no
+operator is the illegal character reported first.  Token offsets are
+recomputed from the same pattern only when an error is reported.  A term
+folds its number, ``p/q``, variable and ``^k`` factors straight into one
+coefficient and one exponent vector; only a parenthesised factor is
+expanded into a term table, powered and multiplied in.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import islice
+from operator import add
 
 from .poly import GRLEX, MonomialOrder, Polynomial, _power_table, _product_table
 
@@ -44,55 +56,24 @@ class ExprSyntaxError(ValueError):
         super().__init__(f"{message} at offset {offset}{hint}")
 
 
-_TOK_INT = "int"
-_TOK_NAME = "name"
-_TOK_OP = "op"
-_TOK_END = "end"
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append((_TOK_INT, text[i:j], i))
-            i = j
-            continue
-        if ("a" <= ch <= "z") or ("A" <= ch <= "Z"):
-            j = i
-            while j < n and (("a" <= text[j] <= "z") or ("A" <= text[j] <= "Z")
-                             or ("0" <= text[j] <= "9") or text[j] == "_"):
-                j += 1
-            toks.append((_TOK_NAME, text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^/()":
-            toks.append((_TOK_OP, ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(i, f"unexpected character {ch!r}", "digit, variable or operator")
-    toks.append((_TOK_END, "", n))
-    return toks
-
+# One token: an integer literal, a name, or any other single character but
+# whitespace, which is an operator or else illegal.  The whitespace between
+# tokens is what ``findall`` skips.
+_TOKENS = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|[^ \t\r\n]")
+# The characters a one-character token may be.
+_ONE_CHAR = frozenset("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz+-*^/()")
 
 _MAX_NESTING = 200
 
 # The parser computes on plain term tables (monomial -> nonzero int or
-# Fraction) that it owns outright, so sums and products may update them in
-# place; ``parse_poly`` turns the final table into one Polynomial.
+# Fraction) that it owns outright, so sums may update them in place;
+# ``parse_poly`` turns the final table into one Polynomial.
 Table = dict
 
 
-def _add_into(acc: Table, t: Table, sign: int) -> None:
+def _add_into(acc: Table, t: Table) -> None:
     for m, c in t.items():
-        s = acc.get(m, 0) + c if sign > 0 else acc.get(m, 0) - c
+        s = acc.get(m, 0) + c
         if s:
             acc[m] = s
         else:
@@ -100,111 +81,133 @@ def _add_into(acc: Table, t: Table, sign: int) -> None:
 
 
 class _Parser:
+    """Recursive descent over the token texts; the end of input is the
+    empty token."""
+
     def __init__(self, text: str, varnames: tuple[str, ...]):
         self.text = text
         self.varnames = varnames
-        self.nvars = len(varnames)
-        self.toks = _tokenize(text)
+        self.index = {name: i for i, name in enumerate(varnames)}
+        self.toks = toks = _TOKENS.findall(text)
+        illegal = {t for t in set(toks) if len(t) == 1 and t not in _ONE_CHAR}
+        if illegal:
+            pos = next(i for i, t in enumerate(toks) if t in illegal)
+            raise self.error(pos, f"unexpected character {toks[pos]!r}",
+                             "digit, variable or operator")
+        toks.append("")
         self.pos = 0
         self.depth = 0
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def advance(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect_op(self, op: str):
-        kind, val, off = self.peek()
-        if kind != _TOK_OP or val != op:
-            raise ExprSyntaxError(off, f"expected {op!r}", op)
-        return self.advance()
+    def error(self, pos: int, message: str, expected: str) -> ExprSyntaxError:
+        """The error at token ``pos``, whose offset is found by rescanning;
+        the end of input is at len(text)."""
+        match = next(islice(_TOKENS.finditer(self.text), pos, None), None)
+        offset = len(self.text) if match is None else match.start()
+        return ExprSyntaxError(offset, message, expected)
 
     def parse(self) -> Table:
-        p = self.expression()
-        kind, val, off = self.peek()
-        if kind != _TOK_END:
-            raise ExprSyntaxError(off, f"unexpected {val!r} after expression", "end of input or operator")
-        return p
+        acc = self.expression()
+        tok = self.toks[self.pos]
+        if tok:
+            raise self.error(self.pos, f"unexpected {tok!r} after expression",
+                             "end of input or operator")
+        return acc
 
     def expression(self) -> Table:
+        toks = self.toks
+        acc: Table = {}
         sign = 1
-        kind, val, _ = self.peek()
-        if kind == _TOK_OP and val in "+-":
-            self.advance()
-            sign = -1 if val == "-" else 1
-        acc = self.term()
-        if sign < 0:
-            for m in acc:
-                acc[m] = -acc[m]
+        tok = toks[self.pos]
+        if tok == "+" or tok == "-":
+            self.pos += 1
+            sign = -1 if tok == "-" else 1
         while True:
-            kind, val, _ = self.peek()
-            if kind == _TOK_OP and val in "+-":
-                self.advance()
-                _add_into(acc, self.term(), 1 if val == "+" else -1)
-            else:
+            self.term(acc, sign)
+            tok = toks[self.pos]
+            if tok != "+" and tok != "-":
                 return acc
+            self.pos += 1
+            sign = -1 if tok == "-" else 1
 
-    def term(self) -> Table:
-        acc = self.factor()
+    def term(self, acc: Table, sign: int) -> None:
+        """Add sign times the next term into ``acc``.
+
+        Number and variable factors fold into num/den and one exponent
+        vector; parenthesised factors are expanded and multiplied together,
+        and that monomial scales their product at the end."""
+        toks, index = self.toks, self.index
+        pos = self.pos
+        num, den = sign, 1
+        expo = [0] * len(self.varnames)
+        product = None
         while True:
-            kind, val, _ = self.peek()
-            if kind == _TOK_OP and val == "*":
-                self.advance()
-                acc = _product_table(acc, self.factor())
+            tok = toks[pos]
+            var = index.get(tok)
+            table = None
+            if var is None:
+                if "0" <= tok < ":":  # a token that starts with a digit is an integer
+                    n, d = int(tok), 1
+                    if toks[pos + 1] == "/":
+                        pos += 2
+                        if not "0" <= toks[pos] < ":":
+                            raise self.error(pos, "fraction denominator must be an integer literal",
+                                             "positive integer")
+                        d = int(toks[pos])
+                        if d == 0:
+                            raise self.error(pos, "fraction has zero denominator", "nonzero integer")
+                elif tok == "(":
+                    self.depth += 1
+                    if self.depth > _MAX_NESTING:
+                        raise self.error(pos, f"parentheses nested deeper than {_MAX_NESTING}",
+                                         "flatter expression")
+                    self.pos = pos + 1
+                    table = self.expression()
+                    pos = self.pos
+                    if toks[pos] != ")":
+                        raise self.error(pos, "expected ')'", ")")
+                    self.depth -= 1
+                elif tok[:1].isalpha():
+                    raise self.error(pos, f"unknown variable {tok!r}", ", ".join(self.varnames))
+                else:
+                    what = repr(tok) if tok else "end of input"
+                    raise self.error(pos, f"unexpected {what}", "number, variable or '('")
+            pos += 1
+            k = 1
+            if toks[pos] == "^":
+                pos += 1
+                if not "0" <= toks[pos] < ":":
+                    raise self.error(pos, "exponent must be a non-negative integer literal",
+                                     "non-negative integer")
+                k = int(toks[pos])
+                pos += 1
+            if var is not None:
+                expo[var] += k
+            elif table is None:
+                num *= n if k == 1 else n ** k
+                den *= d if k == 1 else d ** k
             else:
-                return acc
-
-    def factor(self) -> Table:
-        base = self.base()
-        kind, val, _ = self.peek()
-        if kind == _TOK_OP and val == "^":
-            self.advance()
-            kind, val, off = self.peek()
-            if kind != _TOK_INT:
-                raise ExprSyntaxError(off, "exponent must be a non-negative integer literal",
-                                      "non-negative integer")
-            self.advance()
-            return _power_table(base, int(val), self.nvars)
-        return base
-
-    def base(self) -> Table:
-        kind, val, off = self.advance()
-        if kind == _TOK_INT:
-            num = int(val)
-            kind2, val2, _ = self.peek()
-            if kind2 == _TOK_OP and val2 == "/":
-                self.advance()
-                kind3, val3, off3 = self.peek()
-                if kind3 != _TOK_INT:
-                    raise ExprSyntaxError(off3, "fraction denominator must be an integer literal",
-                                          "positive integer")
-                self.advance()
-                den = int(val3)
-                if den == 0:
-                    raise ExprSyntaxError(off3, "fraction has zero denominator", "nonzero integer")
-                num = Fraction(num, den)
-            return {(0,) * self.nvars: num} if num else {}
-        if kind == _TOK_NAME:
-            try:
-                idx = self.varnames.index(val)
-            except ValueError:
-                known = ", ".join(self.varnames)
-                raise ExprSyntaxError(off, f"unknown variable {val!r}", known) from None
-            return {tuple(int(i == idx) for i in range(self.nvars)): 1}
-        if kind == _TOK_OP and val == "(":
-            self.depth += 1
-            if self.depth > _MAX_NESTING:
-                raise ExprSyntaxError(off, f"parentheses nested deeper than {_MAX_NESTING}",
-                                      "flatter expression")
-            p = self.expression()
-            self.expect_op(")")
-            self.depth -= 1
-            return p
-        what = repr(val) if val else "end of input"
-        raise ExprSyntaxError(off, f"unexpected {what}", "number, variable or '('")
+                if k != 1:
+                    table = _power_table(table, k, len(expo))
+                product = table if product is None else _product_table(product, table)
+            if toks[pos] != "*":
+                break
+            pos += 1
+        self.pos = pos
+        if not num:
+            return
+        c = num if den == 1 else Fraction(num, den)
+        m = tuple(expo)
+        if product is None:
+            if m not in acc:
+                acc[m] = c
+            elif acc[m] + c:
+                acc[m] += c
+            else:
+                del acc[m]
+        elif c == 1 and not any(m):
+            _add_into(acc, product)
+        else:
+            _add_into(acc, {tuple(map(add, mm, m)): c * v for mm, v in product.items()})
 
 
 def parse_poly(text: str, ambient: str = "affine2") -> Polynomial:

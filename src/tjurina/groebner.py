@@ -145,9 +145,6 @@ class MonomialIdeal:
                 minimal.append(m)
         self.gens = frozenset(minimal)
 
-    def contains_monomial(self, m: Monomial) -> bool:
-        return any(monomial_divides(g, m) for g in self.gens)
-
     def sorted_gens(self) -> list[Monomial]:
         return sorted(self.gens, key=GRLEX.key, reverse=True)
 

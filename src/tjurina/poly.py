@@ -403,14 +403,41 @@ def homogeneous_component(f: Polynomial, k: int) -> Polynomial:
     return f.homogeneous_component(k)
 
 
+def _taylor_shift(c: list[int], a: int, b: int, top: int) -> list[int]:
+    """b^top * P(t + a/b) for P(t) = sum c[k] t^k of degree at most ``top``,
+    as integer coefficients of t^0..t^(len(c)-1).
+
+    Horner's rule in (b*t + a): starting from the leading coefficient, each
+    step multiplies by (b*t + a) and adds c[k] * b^(top-k), so the result is
+    sum c[k] * b^(top-k) * (b*t + a)^k.  A shift of degree n takes
+    n(n+1)/2 multiply-adds.
+    """
+    n = len(c) - 1
+    while n and not c[n]:
+        n -= 1
+    bk = b ** (top - n)
+    r = [c[n] * bk]
+    for k in range(n - 1, -1, -1):
+        # r <- r * (b*t + a) + c[k] * b^(top-k), in place from the top down
+        bk *= b
+        r.append(b * r[-1])
+        for j in range(len(r) - 2, 0, -1):
+            r[j] = a * r[j] + b * r[j - 1]
+        r[0] = a * r[0] + c[k] * bk
+    return r + [0] * (len(c) - 1 - n)
+
+
 def translate_to_origin(f: Polynomial, point: tuple[Scalar, Scalar]) -> Polynomial:
     """Return g(x, y) = f(x + p, y + q), so that g(0,0) = f(p, q).
 
     Only affine (2-variable) polynomials are translated, and only to exact
     points: a float coordinate raises TypeError.  With p = a/b, q = u/v and
-    D the common denominator of the coefficients, the Taylor shift of
-    D * b^dx * v^dy * f (dx, dy the degrees in x and y) runs on integers;
-    each output coefficient becomes one rational at the end.
+    D the common denominator of the coefficients, the integer polynomial
+    D * b^dx * v^dy * g (dx, dy the degrees of f in x and y) is built by an
+    integer Horner Taylor shift per variable: x along each row of equal
+    y-degree, in (b*x + a), then y along each column of equal x-degree, in
+    (v*y + u).  Each output coefficient becomes one rational at the end.  A
+    dense polynomial of degree D costs O(D^3) multiply-adds.
     """
     if f.nvars != 2:
         raise ValueError("translation is defined for affine 2-variable polynomials")
@@ -425,29 +452,17 @@ def translate_to_origin(f: Polynomial, point: tuple[Scalar, Scalar]) -> Polynomi
     dx = max(i for i, _ in f._terms)
     dy = max(j for _, j in f._terms)
     den = lcm(*(c.denominator for c in f._terms.values() if isinstance(c, Fraction)))
-
-    def rows(num: int, dnm: int, top: int) -> list[list[tuple[int, int]]]:
-        # rows[i]: the nonzero (k, C(i,k) num^(i-k) dnm^(top-i+k)), i.e. the
-        # expansion of dnm^top * (t + num/dnm)^i
-        npow = [num ** e for e in range(top + 1)]
-        dpow = [dnm ** e for e in range(top + 1)]
-        return [[(k, comb(i, k) * npow[i - k] * dpow[top - i + k])
-                 for k in range(i + 1) if npow[i - k]]
-                for i in range(top + 1)]
-
-    xrows, yrows = rows(a, b, dx), rows(u, v, dy)
-    acc: dict[Monomial, int] = {}
+    rows = [[0] * (dx + 1) for _ in range(dy + 1)]
     for (i, j), c in f._terms.items():
-        cint = c * den if isinstance(c, int) else c.numerator * (den // c.denominator)
-        yrow = yrows[j]
-        for k, xk in xrows[i]:
-            ck = cint * xk
-            for l, yl in yrow:
-                m = (k, l)
-                acc[m] = acc.get(m, 0) + ck * yl
+        rows[j][i] = c * den if isinstance(c, int) else c.numerator * (den // c.denominator)
+    if a:
+        rows = [_taylor_shift(row, a, b, dx) if any(row) else row for row in rows]
     scale = den * b ** dx * v ** dy
     table: dict[Monomial, Scalar] = {}
-    for m, n in acc.items():
-        if n:
-            table[m] = _norm_coeff(Fraction(n, scale))
+    for i, col in enumerate(zip(*rows)):
+        if u and any(col):
+            col = _taylor_shift(col, u, v, dy)
+        for j, n in enumerate(col):
+            if n:
+                table[(i, j)] = _norm_coeff(Fraction(n, scale))
     return Polynomial._from_valid(2, table)

@@ -205,3 +205,75 @@ def test_parse_matches_polynomial_arithmetic_on_random_trees():
         assert parsed == value, text
         # integral rationals are stored as int, as the validating constructor does
         assert all(type(c) is int or c.denominator != 1 for _, c in parsed.terms()), text
+
+
+# Every ``ExprSyntaxError`` the parser raises, keyed by its raise site; each
+# (offset, message, expected) triple is part of the CLI's error contract.
+_NEST = "(" * 201 + "x" + ")" * 201
+ERROR_TABLE = [
+    ("illegal character", "x+y#2", "affine2", (3, "unexpected character '#'", "digit, variable or operator")),
+    ("illegal character", "y²", "affine2", (1, "unexpected character '²'", "digit, variable or operator")),
+    ("illegal character", "x\x0b+y", "affine2", (1, "unexpected character '\\x0b'", "digit, variable or operator")),
+    ("illegal character", "_x", "affine2", (0, "unexpected character '_'", "digit, variable or operator")),
+    ("illegal character", "x^2_", "affine2", (3, "unexpected character '_'", "digit, variable or operator")),
+    ("illegal character", "x^-2#", "affine2", (4, "unexpected character '#'", "digit, variable or operator")),
+    ("exponent", "x^", "affine2", (2, "exponent must be a non-negative integer literal", "non-negative integer")),
+    ("exponent", "x^-2", "affine2", (2, "exponent must be a non-negative integer literal", "non-negative integer")),
+    ("exponent", "(x+y)^y", "affine2", (6, "exponent must be a non-negative integer literal", "non-negative integer")),
+    ("denominator", "3/x", "affine2", (2, "fraction denominator must be an integer literal", "positive integer")),
+    ("denominator", "1/ -2", "affine2", (3, "fraction denominator must be an integer literal", "positive integer")),
+    ("zero denominator", "1/0+x", "affine2", (2, "fraction has zero denominator", "nonzero integer")),
+    ("unknown variable", "x+z", "affine2", (2, "unknown variable 'z'", "x, y")),
+    ("unknown variable", "x0+x", "projective3", (3, "unknown variable 'x'", "x0, x1, x2")),
+    ("unknown variable", "x_1*y", "affine2", (0, "unknown variable 'x_1'", "x, y")),
+    ("missing )", "(x+y", "affine2", (4, "expected ')'", ")")),
+    ("missing )", "(x*(y-1)", "affine2", (8, "expected ')'", ")")),
+    ("nesting", _NEST, "affine2", (200, "parentheses nested deeper than 200", "flatter expression")),
+    ("trailing input", "x y", "affine2", (2, "unexpected 'y' after expression", "end of input or operator")),
+    ("trailing input", "2x", "affine2", (1, "unexpected 'x' after expression", "end of input or operator")),
+    ("trailing input", "x^2^3", "affine2", (3, "unexpected '^' after expression", "end of input or operator")),
+    ("trailing input", "1/2/3", "affine2", (3, "unexpected '/' after expression", "end of input or operator")),
+    ("no operand", "", "affine2", (0, "unexpected end of input", "number, variable or '('")),
+    ("no operand", "  \t", "affine2", (3, "unexpected end of input", "number, variable or '('")),
+    ("no operand", "x+  ", "affine2", (4, "unexpected end of input", "number, variable or '('")),
+    ("no operand", "x+*y", "affine2", (2, "unexpected '*'", "number, variable or '('")),
+    ("no operand", ")", "affine2", (0, "unexpected ')'", "number, variable or '('")),
+]
+
+
+@pytest.mark.parametrize("site, text, ambient, triple", ERROR_TABLE,
+                         ids=[f"{row[0]}:{row[1][:12]!r}" for row in ERROR_TABLE])
+def test_syntax_error_contract(site, text, ambient, triple):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_poly(text, ambient)
+    assert (exc.value.offset, exc.value.message, exc.value.expected) == triple
+
+
+def test_error_table_has_a_row_for_every_raise_site():
+    import inspect
+    import re
+
+    from tjurina import exprio
+
+    sites = re.findall(r"raise (?:self\.error|ExprSyntaxError)\(", inspect.getsource(exprio))
+    assert len(sites) == len({row[0] for row in ERROR_TABLE}) == 9
+
+
+def test_monomial_terms_are_folded_without_table_products(monkeypatch):
+    from tjurina import exprio, translate_to_origin
+
+    calls = []
+    for name in ("_product_table", "_power_table"):
+        real = getattr(exprio, name)
+        monkeypatch.setattr(exprio, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    f = parse_poly("y^2-x^61")
+    text = render_poly(translate_to_origin(f, (Fraction(-3, 2), Fraction(1, 2))))
+    assert "(" not in text and len(text) > 1000
+    shifted = parse_poly(text)
+    assert translate_to_origin(shifted, (Fraction(3, 2), Fraction(-1, 2))) == f
+    assert parse_poly("-3/4*x^2*2*y*x^0*5/3^2") == Polynomial(2, {(2, 1): Fraction(-25, 6)})
+    assert calls == []
+    # the counter does see the products of parenthesised factors
+    assert parse_poly("2*(x+1)^2*y*(y-1)") == parse_poly("2*x^2*y^2+4*x*y^2+2*y^2-2*x^2*y-4*x*y-2*y")
+    assert calls == ["_power_table", "_product_table"]

@@ -298,6 +298,43 @@ def test_translate_matches_naive_expansion_at_large_rational_points():
         _assert_stored_validly(g)
 
 
+def _dense_rational_poly(rng, degree):
+    return Polynomial(2, {(i, d - i): Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                          for d in range(degree + 1) for i in range(d + 1)})
+
+
+_SHIFT_POINTS = [(0, Fraction(-7, 3)), (Fraction(5, 2), 0), (Fraction(-3, 4), Fraction(2, 5)), (3, -2)]
+
+
+@pytest.mark.parametrize("point", _SHIFT_POINTS)
+def test_translate_matches_naive_expansion_on_degree_60_rows(point):
+    rng = random.Random(60)
+    x_row = Polynomial(2, {(i, 0): Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for i in range(61)})
+    y_row = Polynomial(2, {(0, j): rng.randint(-9, 9) for j in range(61)})
+    for f in (x_row, y_row, P("y^2-x^61")):
+        g = translate_to_origin(f, point)
+        assert g == _naive_translate(f, *point)
+        assert translate_to_origin(g, (-point[0], -point[1])) == f
+        _assert_stored_validly(g)
+
+
+@pytest.mark.parametrize("point", _SHIFT_POINTS)
+def test_translate_matches_naive_expansion_on_dense_degree_10(point):
+    rng = random.Random(10)
+    for _ in range(3):
+        f = _dense_rational_poly(rng, 10)
+        assert len(f) > 60
+        g = translate_to_origin(f, point)
+        assert g == _naive_translate(f, *point)
+        _assert_stored_validly(g)
+
+
+def test_translate_zero_polynomial():
+    zero = Polynomial.zero(2)
+    for point in _SHIFT_POINTS:
+        assert translate_to_origin(zero, point).is_zero()
+
+
 def test_translate_rejects_float_points():
     f = P("y^2-x^3")
     for point in ((0.5, 0), (0, 0.25)):
