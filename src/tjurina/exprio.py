@@ -73,7 +73,11 @@ Table = dict
 
 def _add_into(acc: Table, t: Table) -> None:
     for m, c in t.items():
-        s = acc.get(m, 0) + c
+        s = acc.get(m)
+        if s is None:  # a new monomial: no 0 + c, which is slow for a Fraction
+            acc[m] = c
+            continue
+        s += c
         if s:
             acc[m] = s
         else:
@@ -198,16 +202,10 @@ class _Parser:
         c = num if den == 1 else Fraction(num, den)
         m = tuple(expo)
         if product is None:
-            if m not in acc:
-                acc[m] = c
-            elif acc[m] + c:
-                acc[m] += c
-            else:
-                del acc[m]
-        elif c == 1 and not any(m):
-            _add_into(acc, product)
-        else:
-            _add_into(acc, {tuple(map(add, mm, m)): c * v for mm, v in product.items()})
+            product = {m: c}
+        elif c != 1 or any(m):
+            product = {tuple(map(add, mm, m)): c * v for mm, v in product.items()}
+        _add_into(acc, product)
 
 
 def parse_poly(text: str, ambient: str = "affine2") -> Polynomial:

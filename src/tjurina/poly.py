@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from operator import add, le, neg
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Monomial = tuple[int, ...]
@@ -403,15 +403,10 @@ def homogeneous_component(f: Polynomial, k: int) -> Polynomial:
     return f.homogeneous_component(k)
 
 
-def _taylor_shift(c: list[int], a: int, b: int, top: int) -> list[int]:
-    """b^top * P(t + a/b) for P(t) = sum c[k] t^k of degree at most ``top``,
-    as integer coefficients of t^0..t^(len(c)-1).
-
-    Horner's rule in (b*t + a): starting from the leading coefficient, each
-    step multiplies by (b*t + a) and adds c[k] * b^(top-k), so the result is
-    sum c[k] * b^(top-k) * (b*t + a)^k.  A shift of degree n takes
-    n(n+1)/2 multiply-adds.
-    """
+def _taylor_shift(c: Sequence[int], a: int, b: int, top: int) -> list[int]:
+    """The coefficients of b^top * P(t + a/b) = sum c[k] b^(top-k) (b*t + a)^k,
+    P(t) = sum c[k] t^k of degree <= top, by Horner's rule in (b*t + a):
+    n(n+1)/2 multiply-adds for degree n.  The result has len(c) entries."""
     n = len(c) - 1
     while n and not c[n]:
         n -= 1
