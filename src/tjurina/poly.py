@@ -450,7 +450,7 @@ def translate_to_origin(f: Polynomial, point: tuple[Scalar, Scalar]) -> Polynomi
     rows = [[0] * (dx + 1) for _ in range(dy + 1)]
     for (i, j), c in f._terms.items():
         rows[j][i] = c * den if isinstance(c, int) else c.numerator * (den // c.denominator)
-    if a:
+    if a:  # a = 0 means b = 1: the rows need neither a shift nor a scale
         rows = [_taylor_shift(row, a, b, dx) if any(row) else row for row in rows]
     scale = den * b ** dx * v ** dy
     table: dict[Monomial, Scalar] = {}
