@@ -9,8 +9,11 @@ near singular points) has only nodes iff tau = C(d-1, 2) - g.
 """
 
 from tjurina import (
+    DEGREVLEX,
+    buchberger,
     global_tjurina,
     hilbert_function,
+    leading_term_ideal,
     local_tjurina,
     nodes_only_check,
     parse_poly,
@@ -29,8 +32,13 @@ for d in range(2, 7):
 print()
 nodal = p3("x1^2*x0-x2^2*(x2+x0)")
 print("nodal cubic x1^2 x0 = x2^2 (x2 + x0):")
-value, hf, warnings = global_tjurina(nodal, with_trace=True)
+value, hf = global_tjurina(nodal, with_trace=True)
+# L = deg lcm of the minimal generators of LT(J); past L - 2 the Hilbert
+# function is constant, so global_tjurina reads it at max(3(d-1), L - 2)
+lt = leading_term_ideal(buchberger([nodal.partial_derivative(i) for i in range(3)], DEGREVLEX))
+L = sum(max(m[v] for m in lt.gens) for v in range(3))
 print(f"  hilbert function of the Jacobian quotient: {hf}")
+print(f"  constant from degree L - 2 = {L - 2} on; read at degree {len(hf) - 1}")
 print(f"  global tau = {value}")
 # rational cubic: degree 3, genus 0, so nodes-only iff tau = C(2,2) - 0 = 1
 print(f"  nodes-only criterion (d=3, g=0): {nodes_only_check(3, 0, value)}")

@@ -8,8 +8,9 @@ Subcommands:
 * ``family``         closed-form vs live verification for x^a+y^a+x^b*y^c
 
 Exit codes: 0 success, 2 malformed input (expressions, points, flags,
-zero or constant curves), 3 analysis failure (non-reduced curve,
-non-stabilizing Hilbert function), 4 point not on the curve (classify).
+zero or constant curves), 3 analysis failure (curve not reduced at the
+point), 4 point not on the curve (classify).  The ``warnings`` field of
+``analyze --json`` and ``global-tjurina --json`` is always [].
 JSON fields are exact: integers as numbers, non-integer rationals as
 "p/q" strings; no floats.
 """
@@ -218,11 +219,11 @@ def cmd_global_tjurina(args, out) -> int:
     curve = _parse_curve(args.curve, "projective3")
     if not curve.is_homogeneous() or curve.is_zero() or curve.degree() < 2:
         raise _CliError(EXIT_BAD_INPUT, "need a nonzero homogeneous curve of degree >= 2")
-    value, hf_values, warnings = global_tjurina(curve, with_trace=True)
+    value, hf_values = global_tjurina(curve, with_trace=True)
     if args.json:
         doc = {"version": __version__, "curve": args.curve,
                "global_tjurina": None if value is INFINITE else value,
-               "warnings": warnings}
+               "warnings": []}
         if args.trace:
             doc["hilbert_function"] = hf_values
         print(json.dumps(doc, indent=2), file=out)
@@ -230,8 +231,6 @@ def cmd_global_tjurina(args, out) -> int:
         print("Infinite (curve is not reduced)" if value is INFINITE else value, file=out)
         if args.trace:
             print(f"hilbert function: {hf_values}", file=out)
-        for w in warnings:
-            print(f"warning: {w}", file=out)
     return EXIT_OK
 
 
@@ -278,7 +277,8 @@ def cmd_family(args, out) -> int:
     if args.a is None or args.b is None or args.c is None:
         raise _CliError(EXIT_BAD_INPUT, "single-tuple mode needs --a, --b and --c")
     p = _family_params(args)
-    v = verify_params(p, check_gb=args.verify_gb)
+    basis = predicted_gb(p)
+    v = verify_params(p, check_gb=args.verify_gb, predicted=basis)
     if args.json:
         doc = {
             "version": __version__,
@@ -286,7 +286,7 @@ def cmd_family(args, out) -> int:
             "case": v.case.value,
             "tjurina_formula": v.formula_tau,
             "tjurina_live": v.live_tau,
-            "predicted_gb": [render_poly(g) for g in predicted_gb(p)],
+            "predicted_gb": [render_poly(g) for g in basis],
             "gb_match": v.gb_match,
             "lt_match": v.lt_match,
         }
@@ -294,7 +294,7 @@ def cmd_family(args, out) -> int:
     else:
         print(f"case: {v.case.value}", file=out)
         print("predicted groebner basis: "
-              + ", ".join(render_poly(g) for g in predicted_gb(p)), file=out)
+              + ", ".join(render_poly(g) for g in basis), file=out)
         print(f"tjurina (formula): {v.formula_tau}", file=out)
         print(f"tjurina (live): {v.live_tau}", file=out)
         if args.verify_gb:

@@ -109,6 +109,15 @@ class _Parser:
         offset = len(self.text) if match is None else match.start()
         return ExprSyntaxError(offset, message, expected)
 
+    def integer(self, pos: int) -> int:
+        """The integer literal at token ``pos``; one longer than ``int``
+        converts (4,300 digits by default) is a syntax error there."""
+        try:
+            return int(self.toks[pos])
+        except ValueError:
+            raise self.error(pos, f"integer literal of {len(self.toks[pos])} digits is too long",
+                             "fewer digits") from None
+
     def parse(self) -> Table:
         acc = self.expression()
         tok = self.toks[self.pos]
@@ -150,13 +159,13 @@ class _Parser:
             table = None
             if var is None:
                 if "0" <= tok < ":":  # a token that starts with a digit is an integer
-                    n, d = int(tok), 1
+                    n, d = self.integer(pos), 1
                     if toks[pos + 1] == "/":
                         pos += 2
                         if not "0" <= toks[pos] < ":":
                             raise self.error(pos, "fraction denominator must be an integer literal",
                                              "positive integer")
-                        d = int(toks[pos])
+                        d = self.integer(pos)
                         if d == 0:
                             raise self.error(pos, "fraction has zero denominator", "nonzero integer")
                 elif tok == "(":
@@ -182,7 +191,7 @@ class _Parser:
                 if not "0" <= toks[pos] < ":":
                     raise self.error(pos, "exponent must be a non-negative integer literal",
                                      "non-negative integer")
-                k = int(toks[pos])
+                k = self.integer(pos)
                 pos += 1
             if var is not None:
                 expo[var] += k

@@ -225,10 +225,12 @@ class FamilyVerification:
                 and self.lt_match is not False)
 
 
-def verify_params(p: FamilyParams, check_gb: bool = False) -> FamilyVerification:
+def verify_params(p: FamilyParams, check_gb: bool = False,
+                  predicted: tuple[Polynomial, ...] | None = None) -> FamilyVerification:
     """Run the live pipeline on one family member and compare with the
     closed forms: Tjurina number always, Groebner basis and leading-term
-    ideal when ``check_gb`` is set (the GB prediction applies to b < a)."""
+    ideal when ``check_gb`` is set (the GB prediction applies to b < a).
+    ``predicted`` is predicted_gb(p), if the caller has built it."""
     f = p.curve()
     gens = [f, f.partial_derivative(0), f.partial_derivative(1)]
     live_tau, trace = local_length_at_origin(gens)
@@ -236,8 +238,11 @@ def verify_params(p: FamilyParams, check_gb: bool = False) -> FamilyVerification
     if check_gb:
         gb = buchberger(gens, GRLEX, verify=False)
         if p.b < p.a:
-            gb_match = set(gb.generators) == set(predicted_gb(p))
-            lt_match = leading_term_ideal(gb) == predicted_lt_gens(p)
+            if predicted is None:
+                predicted = predicted_gb(p)
+            gb_match = set(gb.generators) == set(predicted)
+            lt_match = leading_term_ideal(gb) == MonomialIdeal(
+                2, (g.leading_monomial(GRLEX) for g in predicted))
         else:
             # closed form for b >= a: the basis is {x^{a-1}, y^{a-1}} only
             # after localizing at O; globally it may differ, so compare the

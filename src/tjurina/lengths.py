@@ -72,12 +72,11 @@ VERTICAL = Vertical.VERTICAL
 
 
 class StabilizationError(ArithmeticError):
-    """A truncation or Hilbert-function sequence failed to stabilize.
+    """The truncation sequence of a local length failed to stabilize.
 
-    For local lengths the sequence is still growing at the proven bound
-    r = d^2 + 1 (d the largest generator degree), so the scheme is not
-    zero-dimensional at the origin (non-reduced curve or non-isolated
-    singularity)."""
+    It is still growing at the proven bound r = d^2 + 1 (d the largest
+    generator degree), so the scheme is not zero-dimensional at the origin
+    (non-reduced curve or non-isolated singularity)."""
 
 
 @dataclass(frozen=True)
@@ -368,11 +367,14 @@ def global_tjurina(f: Polynomial, with_trace: bool = False):
 
     This is the eventually constant value of the Hilbert function of
     R/(d0 f, d1 f, d2 f) (the non-saturated Jacobian ideal has the same
-    large-degree behaviour as its saturation).  Returns 0 for a smooth
-    curve and INFINITE when the Jacobian scheme is not zero-dimensional,
-    which for a hypersurface means the curve is non-reduced.
+    large-degree behaviour as its saturation), reached by degree L - 2, L
+    the degree of the lcm of the minimal generators of LT(J).  Returns 0
+    for a smooth curve and INFINITE when the Jacobian scheme is not
+    zero-dimensional, which for a hypersurface means the curve is
+    non-reduced.
 
-    With ``with_trace=True`` returns (value, hf_values, warnings).
+    With ``with_trace=True`` returns (value, hf_values): the Hilbert
+    function in degrees 0 .. max(3(d-1), L-2), or [] with INFINITE.
     """
     if f.nvars != 3 or f.is_zero():
         raise ValueError("expected a nonzero polynomial in x0, x1, x2")
@@ -381,24 +383,17 @@ def global_tjurina(f: Polynomial, with_trace: bool = False):
     d = f.degree()
     if d < 2:
         raise ValueError("the curve must have degree >= 2")
-    parts = [f.partial_derivative(i) for i in range(3)]
-    parts = [p for p in parts if not p.is_zero()]
+    parts = [f.partial_derivative(i) for i in range(3)]  # not all zero (Euler)
     gb = buchberger(parts, DEGREVLEX, verify=False)
     lt = leading_term_ideal(gb)
     if not _projective_dimension_at_most_points(lt):
-        return (INFINITE, [], []) if with_trace else INFINITE
-    warnings: list[str] = []
-    t_max = 3 * (d - 1)
-    values = _slice_dims(lt, t_max)
-    while not (len(values) >= 3 and values[-1] == values[-2] == values[-3]):
-        if t_max >= 6 * d:
-            raise StabilizationError(
-                f"Hilbert function not stabilized by degree {t_max}: {values}")
-        t_max += d
-        warnings.append(f"Hilbert function window extended to degree {t_max}")
-        values = _slice_dims(lt, t_max)
-    value = values[-1]
-    return (value, values, warnings) if with_trace else value
+        return (INFINITE, []) if with_trace else INFINITE
+    # L bounds the degree of the Hilbert-series numerator (Taylor resolution);
+    # for a scheme of points it is (1-t)^2 times a polynomial of degree
+    # <= L - 2, past which the Hilbert function is constant
+    L = sum(max(m[v] for m in lt.gens) for v in range(3))
+    values = _slice_dims(lt, max(3 * (d - 1), L - 2))
+    return (values[-1], values) if with_trace else values[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,17 @@ def test_analyze_parse_error_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("curve, offset", [
+    ("x^2-y^3+" + "7" * 5000 + "*x^4", 8), ("x^2-y^3+x^" + "7" * 5000, 10)])
+def test_analyze_overlong_literal_exit_2(curve, offset, capsys):
+    # int() refuses literals over 4,300 digits; that is malformed input, not a crash
+    code, out = run_cli("analyze", "--curve", curve, "--point", "0,0")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: cannot parse curve: integer literal of 5000 digits is too long "
+        f"at offset {offset} (expected fewer digits)\n")
+
+
 def test_analyze_nonreduced_exit_3():
     code, _ = run_cli("analyze", "--curve", "y^2", "--point", "0,0")
     assert code == 3
@@ -195,6 +206,24 @@ def test_global_tjurina_nodal_cubic_with_trace():
     assert "hilbert function" in out
 
 
+def test_global_tjurina_trace_runs_to_the_proven_window():
+    # d = 4, and L = 13 is the degree of the lcm of LT(J)'s minimal generators:
+    # the trace runs over degrees 0 .. max(3(d-1), L-2) = 11
+    from tjurina import DEGREVLEX, buchberger, leading_term_ideal, parse_poly
+
+    curve = "x1*x2^3-3*x0^4+2*x0^2*x2^2-2*x1^2*x2^2"
+    f = parse_poly(curve, "projective3")
+    lt = leading_term_ideal(buchberger([f.partial_derivative(i) for i in range(3)], DEGREVLEX))
+    L = sum(max(m[v] for m in lt.gens) for v in range(3))
+    assert L - 2 > 3 * (4 - 1)
+    code, out = run_cli("global-tjurina", "--curve", curve, "--json", "--trace")
+    doc = json.loads(out)
+    assert code == 0 and doc["global_tjurina"] == 3 and doc["warnings"] == []
+    assert len(doc["hilbert_function"]) == L - 1 == 12
+    code, out = run_cli("global-tjurina", "--curve", curve, "--trace")
+    assert code == 0 and out == f"3\nhilbert function: {doc['hilbert_function']}\n"
+
+
 def test_global_tjurina_rejects_nonhomogeneous():
     code, _ = run_cli("global-tjurina", "--curve", "x1^2-x2")
     assert code == 2
@@ -217,6 +246,23 @@ def test_family_tau3():
     assert code == 0
     assert "tjurina (formula): 4" in out
     assert "tjurina (live): 4" in out
+
+
+def test_family_builds_the_predicted_basis_once_per_request(monkeypatch):
+    from tjurina import cli, family
+
+    calls = []
+    real = family.predicted_gb
+    counting = lambda p: calls.append(p) or real(p)  # noqa: E731
+    monkeypatch.setattr(family, "predicted_gb", counting)
+    monkeypatch.setattr(cli, "predicted_gb", counting)
+    for a, b, c in [(9, 7, 3), (10, 6, 5), (5, 4, 4), (4, 5, 1)]:
+        calls.clear()
+        code, out = run_cli("family", "--a", str(a), "--b", str(b), "--c", str(c),
+                            "--verify-gb", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["gb_match"] is not False and doc["lt_match"] is True
+        assert len(calls) == 1
 
 
 def test_family_invalid_params_exit_2():

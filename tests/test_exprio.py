@@ -210,6 +210,7 @@ def test_parse_matches_polynomial_arithmetic_on_random_trees():
 # Every ``ExprSyntaxError`` the parser raises, keyed by its raise site; each
 # (offset, message, expected) triple is part of the CLI's error contract.
 _NEST = "(" * 201 + "x" + ")" * 201
+_LONG = "7" * 5000  # past int()'s default limit of 4,300 digits
 ERROR_TABLE = [
     ("illegal character", "x+y#2", "affine2", (3, "unexpected character '#'", "digit, variable or operator")),
     ("illegal character", "y²", "affine2", (1, "unexpected character '²'", "digit, variable or operator")),
@@ -238,6 +239,12 @@ ERROR_TABLE = [
     ("no operand", "x+  ", "affine2", (4, "unexpected end of input", "number, variable or '('")),
     ("no operand", "x+*y", "affine2", (2, "unexpected '*'", "number, variable or '('")),
     ("no operand", ")", "affine2", (0, "unexpected ')'", "number, variable or '('")),
+    ("long literal", "x^2-y^3+" + _LONG + "*x^4", "affine2",
+     (8, "integer literal of 5000 digits is too long", "fewer digits")),
+    ("long literal", "x^2-y^3+x^" + _LONG, "affine2",
+     (10, "integer literal of 5000 digits is too long", "fewer digits")),
+    ("long literal", "x0*1/" + _LONG, "projective3",
+     (5, "integer literal of 5000 digits is too long", "fewer digits")),
 ]
 
 
@@ -256,7 +263,7 @@ def test_error_table_has_a_row_for_every_raise_site():
     from tjurina import exprio
 
     sites = re.findall(r"raise (?:self\.error|ExprSyntaxError)\(", inspect.getsource(exprio))
-    assert len(sites) == len({row[0] for row in ERROR_TABLE}) == 9
+    assert len(sites) == len({row[0] for row in ERROR_TABLE}) == 10
 
 
 def test_monomial_terms_are_folded_without_table_products(monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tjurina import (
+    DEGREVLEX,
     INFINITE,
     MonomialIdeal,
     Polynomial,
@@ -383,6 +384,38 @@ def test_global_tjurina_smooth_conic():
 
 def test_global_tjurina_infinite_for_nonreduced():
     assert global_tjurina(_p3("x0^2*x1^2")) is INFINITE
+
+
+def _random_ternary_form(rng, d):
+    """A sparse form of degree d: two to six terms, coefficients in -3..3."""
+    monomials = list(monomials_of_degree(3, d))
+    return Polynomial(3, {m: rng.choice((-3, -2, -1, 1, 2, 3))
+                          for m in rng.sample(monomials, rng.randint(2, 6))})
+
+
+def test_global_tjurina_reads_a_proven_window():
+    # with L the degree of the lcm of LT(J)'s minimal generators, the Hilbert
+    # function is constant from degree L - 2 on, through 6d and beyond
+    rng = random.Random("proven window")
+    finite = beyond = 0
+    for _ in range(60):
+        d = rng.randint(3, 7)
+        f = _random_ternary_form(rng, d)
+        parts = [f.partial_derivative(i) for i in range(3)]
+        value, hf = global_tjurina(f, with_trace=True)
+        if value is INFINITE:
+            # a non-reduced curve: the Jacobian scheme is a curve, and HF grows
+            assert hf == []
+            assert hilbert_function(parts, 6 * d + 1) > hilbert_function(parts, 6 * d), f
+            continue
+        lt = leading_term_ideal(buchberger(parts, DEGREVLEX))
+        L = sum(max(m[v] for m in lt.gens) for v in range(3))
+        assert len(hf) == max(3 * (d - 1), L - 2) + 1, f
+        assert set(hf[L - 2:]) == {value}, f
+        assert hilbert_function(parts, 6 * d) == value, f
+        finite += 1
+        beyond += L - 2 > 3 * (d - 1)
+    assert finite >= 40 and beyond >= 10
 
 
 def test_global_tjurina_validates():

@@ -63,6 +63,24 @@ def test_local_length_runs_one_standard_basis():
     assert len(calls) == 1 and loops == []
 
 
+def test_global_tjurina_reads_one_window():
+    # the Hilbert function is read once, at a proven degree: global_tjurina
+    # has no widening loop and no warnings, and only local lengths raise
+    # StabilizationError
+    source = Path(tjurina.__file__).resolve().parent / "lengths.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    func = funcs["global_tjurina"]
+    loops = [node.lineno for node in ast.walk(func) if isinstance(node, (ast.For, ast.While))]
+    names = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+    local = funcs["local_length_at_origin"]
+    raises = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None
+              and any(getattr(n, "id", None) == "StabilizationError" for n in ast.walk(node.exc))]
+    assert loops == [] and "warnings" not in names and raises
+    assert all(local.lineno <= line <= local.end_lineno for line in raises)
+
+
 def test_normal_form_reduces_packed_words_only():
     # the hot loop adds, subtracts and compares packed integer words; no
     # exponent-tuple helper or order key may drift back into it
