@@ -9,10 +9,9 @@ Q[x,y].
   number mu = length at O of (f_x, f_y), both via truncation traces;
 * symmetry order of a zero-dimensional scheme (the common length of its
   intersection with every line through O, when that is constant), decided
-  symbolically by one gcd over Q[t], never by sampling slopes;
-* the double-point classifier: a double point is A_n exactly when its
-  Jacobian scheme is curvilinear of length n, so the stabilized
-  truncation value plus the embedding dimension certify the type;
+  symbolically by one gcd of binary forms over Q, never by sampling slopes;
+* the double-point classifier: a double point is A_n with n = tau, the
+  stabilized truncation value of (f, f_x, f_y);
 * the nodes-only criterion tau = C(d-1, 2) - g for irreducible curves of
   degree d and geometric genus g without infinitely near singular points.
 """
@@ -23,15 +22,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .binforms import binary_form_resultant, dehomogenize, squarefree_binary_form, upoly_gcd
-from .lengths import (
-    StabilizationError,
-    TruncationTrace,
-    VERTICAL,
-    _length_mod_m2,
-    line_restriction_length,
-    local_length_at_origin,
-)
+from .binforms import common_factor_degree, squarefree_binary_form
+from .lengths import StabilizationError, TruncationTrace, _length_mod_m2, local_length_at_origin
 from .poly import Polynomial, translate_to_origin
 
 Point = tuple
@@ -156,14 +148,14 @@ def k_symmetry_order(gens: Sequence[Polynomial]) -> int | None:
     """The k such that the scheme at O meets *every* line through O in
     length exactly k, or None if no such k exists.
 
-    Writing g(x, tx) = sum_j c_j(t) x^j, the valuation along the slope-t
-    line is the least j with c_j(t) != 0, which is at least
-    k = min ord(g_i) always and exactly k unless t is a common root of
-    the level-k coefficient polynomials.  So the answer is k iff the gcd
-    over Q[t] of those coefficients is a nonzero constant and the vertical
-    line also gives k.  (A gcd over Q detects all complex roots, so no
-    slope is special over C either; components of the scheme away from
-    the origin cannot change any valuation at O.)
+    The valuation of a generator along a line through O is at least its
+    order, so the scheme meets every line in length at least
+    k = min ord(g_i), and exactly k unless the line divides every level-k
+    form (the degree-k components of the generators).  So the answer is k
+    iff those binary forms share no linear factor, decided by one gcd over
+    Q that counts the vertical line too.  (A gcd over Q detects all complex
+    roots, so no line is special over C either; components of the scheme
+    away from the origin cannot change any valuation at O.)
 
     Raises ValueError unless the scheme is zero-dimensional at O, as
     decided by the proven bound of ``local_length_at_origin``.
@@ -179,16 +171,8 @@ def _symmetry_order(gens: Sequence[Polynomial]) -> int | None:
     """The core of ``k_symmetry_order``, for a scheme zero-dimensional at O."""
     polys = [g for g in gens if not g.is_zero()]
     k = min(g.min_degree() for g in polys)
-    level = [dehomogenize(init) for g in polys
-             if not (init := g.homogeneous_component(k)).is_zero()]
-    acc: list = []
-    for c in level:
-        acc = upoly_gcd(acc, c) if acc else list(c)
-    if len(acc) != 1:  # nonconstant gcd: some complex slope exceeds k
-        return None
-    if line_restriction_length(polys, VERTICAL) != k:
-        return None
-    return k
+    level = [init for g in polys if not (init := g.homogeneous_component(k)).is_zero()]
+    return k if common_factor_degree(level) == 0 else None
 
 
 def is_slci(f: Polynomial, point: Point) -> bool:
@@ -208,9 +192,8 @@ def is_slci(f: Polynomial, point: Point) -> bool:
         return False
     if gx.min_degree() != m - 1 or gy.min_degree() != m - 1:
         return False
-    init_x = gx.homogeneous_component(m - 1)
-    init_y = gy.homogeneous_component(m - 1)
-    return binary_form_resultant(init_x, init_y) != 0
+    return common_factor_degree([gx.homogeneous_component(m - 1),
+                                 gy.homogeneous_component(m - 1)]) == 0
 
 
 def embedding_dimension(gens: Sequence[Polynomial]) -> int:
@@ -271,10 +254,12 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     continues mu's local standard basis with f alone, since (f_x, f_y)
     lies inside (f, f_x, f_y).  When mu fails, tau is computed from
     scratch, so a non-reduced input produces one diagnostic naming
-    everything that went wrong (tau's failure first).  The symmetry order
-    is None when the scheme is symmetric for no k; it is decided at the
-    point, so the curve away from the point cannot change it.  A violation of tau <= mu, or of mu = (m-1)^2 at an
-    ordinary point, raises AssertionError.
+    everything that went wrong (tau's failure first).  At m >= 2 the
+    level-(m-1) forms of (f, f_x, f_y) are the partials of the initial
+    form, so one gcd decides ordinariness and the symmetry order (m - 1
+    when ordinary, else None), both at the point alone.  A violation of
+    tau <= mu, or of mu = (m-1)^2 at an ordinary point, raises
+    AssertionError.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial does not define a curve")
@@ -304,11 +289,10 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
         raise StabilizationError(
             f"curve not reduced at {_fmt_point(point)}: " + "; ".join(errors))
 
-    ordinary = None
+    ordinary = symmetry = None
     if m >= 2:
         ordinary = squarefree_binary_form(g.homogeneous_component(m))
-
-    symmetry = _symmetry_order([g, gx, gy]) if m >= 2 else None
+        symmetry = m - 1 if ordinary else None
 
     if m <= 1:
         classification = Classification("smooth")

@@ -1,23 +1,22 @@
-"""Binary forms: common-factor tests via resultants and discriminants.
+"""Binary forms: shared and repeated linear factors, decided by one gcd.
 
 A binary form is a nonzero homogeneous polynomial in two variables; over
 the complex numbers it splits into linear factors, i.e. lines through the
-origin.  The questions answered here are purely about multiplicities of
-those factors, and both are decidable exactly over Q:
+origin.  Whether forms share a line, and whether a form repeats one (its
+partials share it), is decided exactly over Q by ``common_factor_degree``:
+one gcd of the forms dehomogenized at x = 1, which hides the factor x,
+plus the least x-exponent, which counts it.
 
-* do two forms share a line?  (resultant test)
-* does a form have a repeated line?  (gcd with its derivative, which is
-  nontrivial exactly when the discriminant vanishes)
-
-Forms are dehomogenized by setting x = 1, which turns them into univariate
-polynomials in y; the factor x itself becomes invisible ("a root at
-infinity") and is bookkept separately by the degree drop.
+The Sylvester resultant, the discriminant and ``binary_form_resultant``
+decide the same questions by determinants.  No production path calls
+them; they are kept as independent references for the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Sequence
 
 from .poly import Polynomial, Scalar
 
@@ -175,21 +174,28 @@ def binary_form_resultant(g: Polynomial, h: Polynomial) -> Scalar:
     return sylvester_resultant(gu, hu)
 
 
+def common_factor_degree(forms: Sequence[Polynomial]) -> int:
+    """Degree of the gcd over Q of nonzero binary forms: the number of
+    linear factors over C, with multiplicity, that all of them share.  The
+    factor x counts as the least x-exponent (the degree drop of g(1, y));
+    every other shared line is a common root of the g(1, y)."""
+    us = [dehomogenize(g) for g in forms]
+    e = min(g.degree() - (len(u) - 1) for g, u in zip(forms, us))
+    acc = us[0]
+    for u in us[1:]:
+        if len(acc) == 1:
+            break
+        acc = upoly_gcd(acc, u)
+    return e + len(acc) - 1
+
+
 def squarefree_binary_form(g: Polynomial) -> bool:
     """True iff a binary form of degree m has m distinct linear factors over C.
 
-    Factor out x^e first; e >= 2 is an immediate repeated line, and what is
-    left dehomogenizes with no degree drop, so it is squarefree iff it is
-    coprime to its derivative (the discriminant test, without the
-    Sylvester determinant).
+    A line is repeated in g exactly when it divides both partials (Euler:
+    m*g = x*g_x + y*g_y), so g is squarefree iff its nonzero partials share
+    no factor.
     """
     _check_binary_form(g)
-    min_x = min(m[0] for m in dict(g.terms()))
-    if min_x >= 2:
-        return False
-    if min_x == 1:
-        g = Polynomial(2, {(i - 1, j): c for (i, j), c in g.terms()})
-    u = dehomogenize(g)
-    if len(u) - 1 < 1:
-        return True
-    return len(upoly_gcd(u, upoly_derivative(u))) == 1
+    parts = [p for p in (g.partial_derivative(0), g.partial_derivative(1)) if not p.is_zero()]
+    return not parts or common_factor_degree(parts) == 0

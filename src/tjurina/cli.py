@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 malformed input (expressions, points, flags,
 zero or constant curves), 3 analysis failure (curve not reduced at the
-point), 4 point not on the curve (classify).  The ``warnings`` field of
-``analyze --json`` and ``global-tjurina --json`` is always [].
+point, or an exponent outside the engine's packed range), 4 point not on
+the curve (classify).  The ``warnings`` field of ``analyze --json`` and
+``global-tjurina --json`` is always [].
 JSON fields are exact: integers as numbers, non-integer rationals as
 "p/q" strings; no floats.
 """
@@ -37,9 +38,9 @@ from .family import (
     admissible_params,
     min_tjurina,
     predicted_gb,
-    tjurina_formula,
     verify_params,
 )
+from .groebner import MonomialRangeError
 from .lengths import INFINITE, StabilizationError, global_tjurina
 from .poly import Polynomial, translate_to_origin
 
@@ -243,6 +244,8 @@ def _family_params(args) -> FamilyParams:
 
 def cmd_family(args, out) -> int:
     if args.scan:
+        if args.json:
+            raise _CliError(EXIT_BAD_INPUT, "--scan prints text only; --json is not supported")
         if args.a is not None:
             a_values = [args.a]
         elif args.a_max is not None:
@@ -310,14 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, trace=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--trace", action="store_true", help="include traces")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect (batches run in order)")
+        if trace:
+            p.add_argument("--trace", action="store_true", help="include traces")
 
     p = sub.add_parser("analyze", help="full report at a point")
-    common(p)
+    common(p, trace=True)
     p.add_argument("--curve", help="affine curve in x, y")
     p.add_argument("--curves-file", help="file with one curve expression per line")
     p.add_argument("--point", required=True, help="rational point, e.g. 0,0 or 1/2,-3")
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("global-tjurina", help="degree of the projective Jacobian scheme")
-    common(p)
+    common(p, trace=True)
     p.add_argument("--curve", required=True, help="homogeneous curve in x0, x1, x2")
     p.set_defaults(func=cmd_global_tjurina)
 
@@ -365,7 +367,7 @@ def main(argv=None, out=None) -> int:
     except _CliError as e:
         print(f"error: {e.message}", file=sys.stderr)
         return e.code
-    except StabilizationError as e:
+    except (StabilizationError, MonomialRangeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ANALYSIS
 

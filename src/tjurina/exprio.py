@@ -28,6 +28,7 @@ expanded into a term table, powered and multiplied in.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from operator import add
@@ -236,8 +237,9 @@ def parse_poly(text: str, ambient: str = "affine2") -> Polynomial:
 
 def render_poly(f: Polynomial, order: MonomialOrder = GRLEX) -> str:
     """Canonical string form: terms in strictly decreasing monomial order,
-    unit coefficients elided next to variables.  The output always parses
-    back to ``f`` under the matching ambient."""
+    unit coefficients elided next to variables, numbers at any length.  The
+    output parses back to ``f`` under the matching ambient, unless it holds
+    a literal over 4,300 digits, which the parser rejects."""
     if f.is_zero():
         return "0"
     if f.nvars == 2:
@@ -253,12 +255,15 @@ def render_poly(f: Polynomial, order: MonomialOrder = GRLEX) -> str:
         neg = c < 0
         mag = -c if neg else c
         pows = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono) if e)
+        num = str(Decimal(mag.numerator))  # Decimal, unlike str(int), has no digit limit
+        if mag.denominator != 1:
+            num += f"/{Decimal(mag.denominator)}"
         if not pows:
-            body = str(mag)
+            body = num
         elif mag == 1:
             body = pows
         else:
-            body = f"{mag}*{pows}"
+            body = f"{num}*{pows}"
         if not out:
             out.append("-" + body if neg else body)
         else:

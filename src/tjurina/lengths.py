@@ -27,7 +27,6 @@ from typing import Sequence
 from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
-    _closing_degree,
     _staircase,
     buchberger,
     is_zero_dimensional,
@@ -178,7 +177,7 @@ def local_length_at_origin(gens: Sequence[Polynomial], base: GroebnerBasis | Non
     function), and the first repeat is the first degree with no standard
     monomial.  ``buchberger`` lowers R to that degree as soon as the
     staircase closes there, and the standard monomials are counted only
-    up to it (one degree more, to confirm the repeat).
+    up to its ``cut`` (one degree more, to confirm the repeat).
 
     With ``base``, the basis of an earlier length (``TruncationTrace.basis``),
     the run continues that basis instead of starting over, and the length
@@ -205,8 +204,7 @@ def local_length_at_origin(gens: Sequence[Polynomial], base: GroebnerBasis | Non
     bound = max(d * d + 1, 2)  # the trace always holds alpha_1 and alpha_2
     gb = buchberger(polys, _LOCAL, verify=False, cut=bound, base=base)
     lms = gb.leading_monomials()
-    closing = _closing_degree(lms)
-    R = bound if closing is None else min(max(closing, 1) + 1, bound)
+    R = min(max(gb.cut, 1) + 1, bound)
     counts = _standard_counts(lms, R)
     stable = next((r for r in range(1, R) if counts[r] == 0), None)
     last = R if stable is None else stable + 1

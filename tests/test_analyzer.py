@@ -25,7 +25,9 @@ from tjurina import (
     nodes_only_check,
     parse_poly,
 )
-from tjurina.poly import Polynomial, monomials_of_degree
+from tjurina.binforms import binary_form_resultant
+from tjurina.lengths import INFINITE, VERTICAL, line_restriction_length
+from tjurina.poly import Polynomial, monomials_of_degree, translate_to_origin
 
 P = parse_poly
 O = (0, 0)
@@ -158,6 +160,57 @@ def test_symmetry_order_is_decided_at_the_point():
     assert k_symmetry_order(jacobian_gens(far)) == 2
 
 
+def _random_form(rng, degree):
+    while True:
+        terms = {m: c for m in monomials_of_degree(2, degree) if (c := rng.randint(-3, 3))}
+        if terms:
+            return Polynomial(2, terms)
+
+
+def _line_form(line):
+    """The linear form vanishing on a line through O: x for VERTICAL,
+    q*y - p*x for the slope p/q."""
+    if line is VERTICAL:
+        return P("x")
+    t = Fraction(line)
+    return Polynomial(2, {(0, 1): t.denominator, (1, 0): -t.numerator})
+
+
+def test_symmetry_order_matches_line_restrictions():
+    # a line the level-k forms all vanish on meets the scheme in length > k,
+    # and with no such line every line meets it in length exactly k
+    from tjurina.analyzer import _symmetry_order
+
+    rng = random.Random(1313)
+    slopes = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
+    outcomes = set()
+    for i in range(300):
+        k = rng.randint(1, 4)
+        planted = (None, VERTICAL, rng.choice(slopes))[i % 3]
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            order = k + (rng.random() < 0.3)
+            if planted is not None and order == k:
+                init = _line_form(planted) * _random_form(rng, k - 1)
+            else:
+                init = _random_form(rng, order)
+            gens.append(init + _random_form(rng, order + rng.randint(1, 2)))
+        if min(g.min_degree() for g in gens) != k:
+            continue
+        got = _symmetry_order(gens)
+        outcomes.add(got)
+        if planted is not None:
+            longer = line_restriction_length(gens, planted)
+            assert longer is INFINITE or longer > k, (gens, planted)
+            assert got is None, gens
+        elif got == k:
+            for line in [VERTICAL] + slopes:
+                assert line_restriction_length(gens, line) == k, (gens, line)
+        else:
+            assert got is None
+    assert outcomes >= {None, 1, 2, 3, 4}
+
+
 def test_k_symmetry_rejects_schemes_not_zero_dimensional_at_the_origin():
     with pytest.raises(ValueError, match="at the origin"):
         k_symmetry_order([P("y^2-x^3")])
@@ -174,6 +227,29 @@ def test_is_slci_examples():
     assert is_slci(P("x^5-y^5+x^6"), O)
     with pytest.raises(ValueError):
         is_slci(P("y-x"), O)
+
+
+def test_is_slci_matches_the_resultant_of_the_initial_partials():
+    # slci iff both partials have order m - 1 and their initial forms have a
+    # nonzero resultant; planted repeated lines make the partials share one
+    rng = random.Random(2718)
+    seen = set()
+    for i in range(200):
+        m = rng.randint(2, 5)
+        init = _random_form(rng, m)
+        if i % 2:
+            line = _random_form(rng, 1)
+            init = line * line * _random_form(rng, m - 2)
+        g = init + _random_form(rng, m + 1) + _random_form(rng, m + rng.randint(2, 3))
+        point = (Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+        f = translate_to_origin(g, (-point[0], -point[1]))  # g moved to the point
+        gx, gy = (init.partial_derivative(v) for v in (0, 1))
+        expected = (not gx.is_zero() and not gy.is_zero()
+                    and gx.degree() == gy.degree() == m - 1
+                    and binary_form_resultant(gx, gy) != 0)
+        seen.add(expected)
+        assert is_slci(f, point) == expected, (g, point)
+    assert seen == {True, False}
 
 
 def test_is_slci_true_at_ordinary_points():

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from tjurina import binary_form_resultant, discriminant, parse_poly, squarefree_binary_form
-from tjurina.binforms import dehomogenize, sylvester_resultant, upoly_derivative, upoly_gcd
+from tjurina.binforms import (
+    common_factor_degree,
+    dehomogenize,
+    sylvester_resultant,
+    upoly_derivative,
+    upoly_gcd,
+)
 from tjurina.poly import Polynomial, monomials_of_degree
 
 P = parse_poly
@@ -63,23 +69,29 @@ def _random_form(rng, degree):
             return Polynomial(2, terms)
 
 
-def _shares_factor_by_gcd(g, h):
-    """Independent decision via Euclidean gcd plus factor-x bookkeeping."""
-    gu, hu = dehomogenize(g), dehomogenize(h)
-    x_in_g = g.degree() - (len(gu) - 1)
-    x_in_h = h.degree() - (len(hu) - 1)
-    if x_in_g > 0 and x_in_h > 0:
-        return True
-    return len(upoly_gcd(gu, hu)) - 1 >= 1
-
-
 def test_resultant_agrees_with_gcd_on_random_forms():
     rng = random.Random(20240917)
-    for _ in range(50):
+    seen = set()
+    for i in range(50):
         g = _random_form(rng, rng.randint(1, 6))
         h = _random_form(rng, rng.randint(1, 6))
+        if i % 2:  # plant a shared factor: x itself, or a random one
+            common = P("x") if i % 4 == 1 else _random_form(rng, rng.randint(1, 2))
+            g, h = g * common, h * common
         vanishes = binary_form_resultant(g, h) == 0
-        assert vanishes == _shares_factor_by_gcd(g, h), (g, h)
+        seen.add(vanishes)
+        assert vanishes == (common_factor_degree([g, h]) > 0), (g, h)
+    assert seen == {True, False}
+
+
+def test_common_factor_degree_counts_shared_lines():
+    assert common_factor_degree([P("x^2*y"), P("x^3*(x+y)")]) == 2
+    assert common_factor_degree([P("(x-y)^2*(x+y)"), P("(x-y)*(x+y)^2"), P("x-y")]) == 1
+    assert common_factor_degree([P("x*y"), P("y^2-2*x^2")]) == 0
+    assert common_factor_degree([P("y^2-2*x^2"), P("(y^2-2*x^2)*x")]) == 2
+    assert common_factor_degree([P("x^3-y^3")]) == 3
+    with pytest.raises(ValueError):
+        common_factor_degree([P("x"), P("0")])
 
 
 def test_squarefree_agrees_with_gcd_of_derivative():

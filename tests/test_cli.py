@@ -96,6 +96,21 @@ def test_nonreduced_curves_exit_3_at_the_proven_bound(curve, capsys):
     assert err.startswith("error: curve not reduced at (0,0)") and "d^2 + 1" in err
 
 
+def test_exponent_outside_the_packed_range_exits_3(capsys):
+    code, out = run_cli("analyze", "--curve=y^2-x^99999999999", "--point=0,0")
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == (
+        "error: exponent 99999999998 outside the packed field range 0..1073741823\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_tangent_with_a_long_coefficient_is_printed(command):
+    # a 5,001-digit coefficient is past str(int)'s limit, not past the printer's
+    code, out = run_cli(command, "--curve=10^5000*x+y^2", "--point=0,0")
+    assert code == 0
+    assert out.endswith(f"tangent: 1{'0' * 5000}*x = 0\n")
+
+
 @pytest.mark.parametrize("command, curve", [
     ("analyze", "0"), ("analyze", "1"), ("analyze", "x-x"), ("classify", "0")])
 def test_degenerate_curves_exit_2(command, curve, capsys):
@@ -134,7 +149,7 @@ def test_analyze_curves_file_in_order(tmp_path):
         "x*y*(x-y)*(x+y)^2+x^6+y^6\n",
         encoding="utf-8")
     code, out = run_cli("analyze", "--curves-file", str(curves),
-                        "--point", "0,0", "--json", "--threads", "3")
+                        "--point", "0,0", "--json")
     assert code == 0
     docs = json.loads(out)
     assert [d["curve"] for d in docs] == [
@@ -281,10 +296,24 @@ def test_family_scan_single_a_deterministic():
     assert "0 mismatches" in out1
 
 
-def test_family_scan_threaded_output_is_identical():
-    _, serial = run_cli("family", "--scan", "--a", "7")
-    _, threaded = run_cli("family", "--scan", "--a", "7", "--threads", "4")
-    assert serial == threaded
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--curve", "y^2-x^3", "--point", "0,0", "--threads", "2"),
+    ("classify", "--curve", "y^2-x^3", "--point", "0,0", "--threads", "2"),
+    ("global-tjurina", "--curve", "x0^3+x1^3+x2^3", "--threads", "2"),
+    ("family", "--a", "5", "--b", "2", "--c", "2", "--threads", "2"),
+    ("classify", "--curve", "y^2-x^3", "--point", "0,0", "--trace"),
+    ("family", "--a", "5", "--b", "2", "--c", "2", "--trace"),
+    ("family", "--scan", "--a", "3", "--json"),
+], ids=["analyze-threads", "classify-threads", "global-threads", "family-threads",
+        "classify-trace", "family-trace", "family-scan-json"])
+def test_flags_nothing_reads_are_rejected(argv, capsys):
+    # options that would change no output are usage errors, not silent no-ops
+    try:
+        code, out = run_cli(*argv)
+    except SystemExit as e:
+        code, out = e.code, ""
+    assert code == 2 and out == ""
+    assert "error: " in capsys.readouterr().err
 
 
 def test_family_scan_a9_reports_min_55():

@@ -93,6 +93,13 @@ def test_render_examples():
     assert render_poly(parse_poly("y^2-x^3")) == "-x^3+y^2"
     assert render_poly(parse_poly("x-1")) == "x-1"
     assert render_poly(parse_poly("-3/4*x*y^2+2")) == "-3/4*x*y^2+2"
+    # past the 4,300 digits str(int) allows; such a literal does not parse back
+    big = 10 ** 5000
+    f = Polynomial(2, {(1, 0): Fraction(-big, 3), (0, 1): Fraction(7, big + 1), (0, 0): big})
+    ones = "1" + "0" * 4999
+    assert render_poly(f) == f"-{ones}0/3*x+7/{ones}1*y+{ones}0"
+    with pytest.raises(ExprSyntaxError):
+        parse_poly(render_poly(f))
 
 
 def test_render_strictly_decreasing_under_any_order():

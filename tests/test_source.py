@@ -92,3 +92,16 @@ def test_normal_form_reduces_packed_words_only():
              for node in ast.walk(func)
              if getattr(node, "id", getattr(node, "attr", None)) in banned]
     assert found == []
+
+
+def test_analyzer_decides_line_questions_by_one_gcd():
+    # shared tangent lines come from binforms.common_factor_degree alone: no
+    # resultant, no hand-rolled gcd loop and no vertical-line restriction
+    source = Path(tjurina.__file__).resolve().parent / "analyzer.py"
+    banned = {"binary_form_resultant", "dehomogenize", "upoly_gcd", "VERTICAL",
+              "line_restriction_length"}
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    names += [getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)]
+    assert banned.isdisjoint(names)
