@@ -42,9 +42,26 @@ tail against one shared list of all minimal elements with one shared
 memo: no term smaller than ``lm_i`` is divisible by ``lm_i`` in a
 monomial order, so element ``i`` never reduces its own tail, every first
 divisor is the one the list without ``i`` would give, and the reduced
-basis is the same unique one.  Tuples and ``Polynomial``s appear only at
-the boundary: ``_integer_reducer`` and ``_monic`` speak exponent tuples,
-and ``_Words`` packs and unpacks.
+basis is the same unique one.
+
+A global run (no cut) keeps its basis close to inter-reduced as it goes.
+When the degree of the popped pair changes, the elements produced at the
+finished degree become stale, all but the last, which was reduced against
+all the others.  A stale element's tail is reduced once, by
+``_normal_form`` with the element's own head, on its next use: as the
+reducer ``_normal_form`` picks, or as one side of an S-pair.  No earlier
+element divides a term of that tail, so nothing is done unless a later
+leading word does.  The refreshed element is a nonzero multiple of the old
+one minus a combination of the others, so the ideal and every leading
+word stay the same: the first-divisor memo stays valid, pair selection and
+the criteria, which read only leading words, see no change, and the
+reduced basis at the end is the same unique one.  Refreshed tails bring
+smaller multipliers into the reductions that use them, which is where a
+large global run spends its time.  Under a cut nothing is refreshed.
+
+Tuples and ``Polynomial``s appear only at the boundary: ``_integer_reducer``
+packs a polynomial into a reducer, ``_monic`` and ``divide`` speak exponent
+tuples, and ``_Words`` packs and unpacks.
 
 ``VERIFY_BASES`` turns on a full postcondition check on every emitted
 basis (reducedness invariants plus reduction of every S-polynomial to
@@ -284,10 +301,6 @@ class _Words:
         weight, shift = self._top
         return (weight * cut << shift) + (1 << shift - 1)
 
-    def pack_reducer(self, reducer: tuple) -> tuple:
-        lm, lc, tail = reducer
-        return self.pack(lm), lc, tuple((self.pack(m), c) for m, c in tail)
-
     def unpack_reducer(self, reducer: tuple) -> tuple:
         lm, lc, tail = reducer
         return self.exponents(lm), lc, tuple((self.exponents(m), c) for m, c in tail)
@@ -302,7 +315,7 @@ def _words(order, nvars: int) -> _Words:
 # integer reducers
 
 
-def _integer_terms(terms: dict, lm: Monomial | None = None) -> tuple[dict, Fraction]:
+def _integer_terms(terms: dict, lm: int | None = None) -> tuple[dict, Fraction]:
     """(table, u): the primitive integer term table table = u * terms, with a
     positive coefficient at ``lm`` when given."""
     den = lcm(*(c.denominator for c in terms.values()))
@@ -313,12 +326,15 @@ def _integer_terms(terms: dict, lm: Monomial | None = None) -> tuple[dict, Fract
     return {m: c // g for m, c in table.items()}, Fraction(den, g)
 
 
-def _integer_reducer(p: Polynomial, order: MonomialOrder) -> tuple[tuple, Fraction]:
-    """((lm, lc, tail), u): the reducer of the primitive integer multiple
-    u * p, with a positive leading coefficient lc."""
-    lm = p.leading_monomial(order)
-    table, u = _integer_terms(p.terms_dict(), lm)
-    return (lm, table[lm], tuple(t for t in table.items() if t[0] != lm)), u
+def _integer_reducer(p: Polynomial, words: _Words) -> tuple[tuple, Fraction]:
+    """((lm, lc, tail), u): the packed reducer of the primitive integer
+    multiple u * p, with a positive leading coefficient lc and its tail
+    sorted by decreasing word."""
+    terms = {words.pack(m): c for m, c in p.terms()}
+    lm = max(terms)
+    table, u = _integer_terms(terms, lm)
+    lc = table.pop(lm)
+    return (lm, lc, tuple(sorted(table.items(), reverse=True))), u
 
 
 def _reducer_of(rem: dict) -> tuple:
@@ -385,11 +401,10 @@ def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
     """
     _check_basis(basis)
     words = _words(order, f.nvars)
-    reducers, units = zip(*(_integer_reducer(b, order) for b in basis))
-    table, uf = _integer_terms(f.terms_dict())
+    reducers, units = zip(*(_integer_reducer(b, words) for b in basis))
+    table, uf = _integer_terms({words.pack(m): c for m, c in f.terms()})
     quots: list = [{} for _ in basis]
-    rem = _normal_form({words.pack(m): c for m, c in table.items()},
-                       [words.pack_reducer(r) for r in reducers], words, quots)
+    rem = _normal_form(table, reducers, words, quots)
     den = quots.pop() * uf
     unpack = words.exponents
     return ([Polynomial(f.nvars, {unpack(m): u * c / den for m, c in q.items()})
@@ -399,7 +414,7 @@ def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
 
 def _normal_form(terms: dict, leads, words: _Words, quots: list | None = None,
                  cut: int | None = None, memo: dict | None = None,
-                 head: tuple | None = None) -> dict:
+                 head: tuple | None = None, stale: set | None = None) -> dict:
     """Remainder of the packed integer term table ``terms`` on division by
     ``leads``, a list of packed integer reducers (leading word, leading
     coefficient, tail terms); each step uses the first reducer that divides.
@@ -422,7 +437,8 @@ def _normal_form(terms: dict, leads, words: _Words, quots: list | None = None,
     Its leading monomial, and whether it is zero, are those of the fully
     reduced remainder, and they are all a caller under a cut reads.  When
     ``head`` is given, that term (word, coefficient) starts the remainder
-    unreduced; it must lie above every term of ``terms``.
+    unreduced; it must lie above every term of ``terms``.  When ``stale``
+    is given, a reducer in it is refreshed (``_refresh``) before it is used.
 
     Terms are taken largest first from a heap of negated words; an entry
     whose word has since cancelled is skipped.  ``memo`` maps a word to the
@@ -463,6 +479,8 @@ def _normal_form(terms: dict, leads, words: _Words, quots: list | None = None,
                 break
             rem[m] = c
             continue
+        if stale and i in stale:
+            _refresh(i, leads, words, memo, stale)
         lm, lc, tail = leads[i]
         g = gcd(c, lc)
         mult, qc = lc // g, c // g
@@ -500,6 +518,20 @@ def _normal_form(terms: dict, leads, words: _Words, quots: list | None = None,
     return rem
 
 
+def _refresh(k: int, leads: list, words: _Words, memo: dict, stale: set):
+    """Reduce the tail of the stale element k of ``leads`` once, in place,
+    keeping its head.  No earlier element divides a term of that tail (k
+    is a remainder on division by them), so nothing is done unless a later
+    one does.  A stale reducer the reduction picks is refreshed first, so
+    refreshes nest at most as deep as there are stale elements."""
+    stale.discard(k)
+    lm, lc, tail = leads[k]
+    over, later = words.over, [r[0] for r in leads[k + 1:]]
+    if any(not (t - w) & over for t, _ in tail for w in later):
+        leads[k] = _reducer_of(_normal_form(dict(tail), leads, words, memo=memo,
+                                            head=(lm, lc), stale=stale))
+
+
 def s_polynomial(g: Polynomial, h: Polynomial, order: MonomialOrder = GRLEX) -> Polynomial:
     """The standard S-polynomial (lcm/LT(g)) g - (lcm/LT(h)) h.
 
@@ -511,8 +543,8 @@ def s_polynomial(g: Polynomial, h: Polynomial, order: MonomialOrder = GRLEX) -> 
     if g.nvars != h.nvars:
         raise ValueError("S-polynomial of polynomials in different rings")
     words = _words(order, g.nvars)
-    a = words.pack_reducer(_integer_reducer(g, order)[0])
-    b = words.pack_reducer(_integer_reducer(h, order)[0])
+    a = _integer_reducer(g, words)[0]
+    b = _integer_reducer(h, words)[0]
     den = lcm(a[1], b[1])
     s = _s_pair(a, b, words.lcm(a[0], b[0]), words)
     return Polynomial(g.nvars, {words.exponents(m): Fraction(c, den) for m, c in s.items()})
@@ -561,11 +593,16 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     raises ValueError.
 
     Basis elements are kept as primitive integer reducers on packed words
-    throughout, with one first-divisor memo for the growing list.  The
-    result is returned as soon as the basis is minimal: its leading
-    monomials are the stored ones, and its generators are built on first
-    read (inter-reduced for a reduced basis, then made monic), so a caller
-    that reads only leading monomials pays for neither.
+    throughout, with one first-divisor memo for the growing list.  Without
+    a cut, the elements a finished pair degree produced (all but the last)
+    are stale, and a stale tail is reduced once against the list, on the
+    element's next use as a reducer or in an S-pair.  That keeps the ideal
+    and every leading word, hence every pair, criterion and output, as
+    they are, and shrinks the multipliers of later reductions (see the
+    module docstring).  The result is returned as soon as the basis is
+    minimal: its leading monomials are the stored ones, and its generators
+    are built on first read (inter-reduced for a reduced basis, then made
+    monic), so a caller that reads only leading monomials pays for neither.
 
     Raises ValueError if every generator is zero (after the cut) and there
     is no base, and MonomialRangeError if an exponent leaves the packed
@@ -600,13 +637,11 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     old = len(leads)
     seen: set = set()
     for g in polys:
-        r, _ = _integer_reducer(g, order)
-        w = words.pack_reducer(r)
-        sig = (w[0], w[1], frozenset(w[2]))
-        if sig not in seen:
-            seen.add(sig)
+        w, _ = _integer_reducer(g, words)
+        if w not in seen:
+            seen.add(w)
             leads.append(w)
-            exps.append(r[0])
+            exps.append(words.exponents(w[0]))
     lms = [r[0] for r in leads]
 
     # the cut in force, lowered where the staircase of lms closes; it closes
@@ -638,8 +673,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
             push_pair(i, j)
 
     memo: dict = {}
+    stale: set[int] = set()  # filled in global runs only
+    level, born = 0, len(leads)
     while heap:
         degree, top, i, j = heappop(heap)
+        if cut is None and degree != level:
+            stale.update(range(born, len(leads) - 1))
+            level, born = degree, len(leads)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
@@ -661,10 +701,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
                     break
         if skip:
             continue
+        for k in (i, j):
+            if stale and k in stale:
+                _refresh(k, leads, words, memo, stale)
         s = _s_pair(leads[i], leads[j], top, words)
         if not s:
             continue
-        rem = _normal_form(s, leads, words, cut=limit, memo=memo)
+        rem = _normal_form(s, leads, words, cut=limit, memo=memo, stale=stale)
         if rem:
             leads.append(_reducer_of(rem))
             lms.append(leads[-1][0])
@@ -697,7 +740,7 @@ def _verify_reduced_basis(gb: GroebnerBasis, cut: int | None = None):
     ``cut`` is given)."""
     order = gb.order
     words = _words(order, gb.nvars)
-    leads = [words.pack_reducer(_integer_reducer(g, order)[0]) for g in gb.generators]
+    leads = [_integer_reducer(g, words)[0] for g in gb.generators]
     for idx, (lm_i, _, tail) in enumerate(leads):
         if gb.generators[idx].leading_coefficient(order) != 1:
             raise AssertionError("basis element is not monic")

@@ -303,7 +303,9 @@ def _slice_dims(lt: MonomialIdeal, t_max: int) -> list[int]:
     are those with c < block, the smallest g[2] over generators with
     g[0] <= a and g[1] <= b (unbounded when there is none).  Each column
     adds one to the degrees a+b .. a+b+block-1, recorded as a difference
-    table and summed once at the end.
+    table and summed once at the end.  Blocks only shrink as a or b grows,
+    so a row stops at its first empty column, and the next row stops there
+    too.
     """
     n = t_max + 1
     own: dict[tuple[int, int], int] = {}
@@ -311,16 +313,17 @@ def _slice_dims(lt: MonomialIdeal, t_max: int) -> list[int]:
         if g0 + g1 <= t_max:
             own[g0, g1] = min(own.get((g0, g1), n), g2)
     steps = [0] * (n + 1)
-    prev = [n] * n  # block over the columns (a - 1, b)
+    prev = [n] * n  # block over the columns (a - 1, b), up to the first empty one
     for a in range(n):
         block = n
         row = []
-        for b in range(n - a):
+        for b in range(min(n - a, len(prev))):
             block = min(block, prev[b], own.get((a, b), n))
+            if not block:
+                break
             row.append(block)
-            if block:
-                steps[a + b] += 1
-                steps[min(a + b + block, n)] -= 1
+            steps[a + b] += 1
+            steps[min(a + b + block, n)] -= 1
         prev = row
     return list(accumulate(steps[:n]))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import add, le, neg
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -406,11 +406,22 @@ def homogeneous_component(f: Polynomial, k: int) -> Polynomial:
 def _taylor_shift(c: Sequence[int], a: int, b: int, top: int) -> list[int]:
     """The coefficients of b^top * P(t + a/b) = sum c[k] b^(top-k) (b*t + a)^k,
     P(t) = sum c[k] t^k of degree <= top, by Horner's rule in (b*t + a):
-    n(n+1)/2 multiply-adds for degree n.  The result has len(c) entries."""
+    n(n+1)/2 multiply-adds for degree n.  A single term c[n] t^n is one
+    binomial row, c[n] b^(top-n) C(n, j) b^j a^(n-j) at t^j: n + 1 entries
+    built from running powers.  The result has len(c) entries."""
     n = len(c) - 1
     while n and not c[n]:
         n -= 1
     bk = b ** (top - n)
+    if not any(c[:n]):
+        powers = [1]  # a^0 .. a^n
+        for _ in range(n):
+            powers.append(powers[-1] * a)
+        r, lead = [], c[n] * bk
+        for j in range(n + 1):
+            r.append(comb(n, j) * lead * powers[n - j])
+            lead *= b
+        return r + [0] * (len(c) - 1 - n)
     r = [c[n] * bk]
     for k in range(n - 1, -1, -1):
         # r <- r * (b*t + a) + c[k] * b^(top-k), in place from the top down

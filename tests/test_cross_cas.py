@@ -87,6 +87,30 @@ def _jacobian(f):
     return [p for p in (f.partial_derivative(v) for v in range(3)) if not p.is_zero()]
 
 
+def _assert_same_degrevlex_basis(parts, precedence):
+    """Our reduced degrevlex basis of ``parts`` equals sympy's, generator by
+    generator, with sympy's generators listed in the order's precedence."""
+    order = MonomialOrder("degrevlex", precedence)
+    perm = precedence or (0, 1, 2)
+    syms = sympy.symbols("x0 x1 x2")
+    gens_order = [syms[v] for v in perm]  # sympy's first generator is the most significant
+    mine = buchberger(parts, order, verify=False)
+    theirs = sympy.groebner([_to_sympy(p, syms) for p in parts],
+                            *gens_order, order="grevlex", domain=sympy.QQ)
+    unpermuted = []
+    for p in theirs.polys:
+        terms = {}
+        for mono, coeff in p.terms():
+            exps = [0, 0, 0]
+            for v, e in zip(perm, mono):
+                exps[v] = e
+            q = sympy.Rational(coeff)
+            terms[tuple(exps)] = Fraction(int(q.p), int(q.q))
+        unpermuted.append(Polynomial(3, terms))
+    assert [render_poly(g, order) for g in mine.generators] == \
+        [render_poly(g, order) for g in unpermuted]
+
+
 @pytest.mark.parametrize("precedence, d, seed", [
     (None, 4, 504),
     (None, 5, 505),
@@ -96,25 +120,13 @@ def _jacobian(f):
 def test_jacobian_bases_of_line_arrangements_match_independent_cas(precedence, d, seed):
     # the global Tjurina number's traffic: reduced degrevlex bases of the
     # Jacobian ideals of line arrangements, generator by generator
-    order = MonomialOrder("degrevlex", precedence)
-    perm = precedence or (0, 1, 2)
-    syms = sympy.symbols("x0 x1 x2")
-    gens_order = [syms[v] for v in perm]  # sympy's first generator is the most significant
     rng = random.Random(seed)
     for _ in range(5):
-        parts = _jacobian(_line_arrangement(rng, d))
-        mine = buchberger(parts, order, verify=False)
-        theirs = sympy.groebner([_to_sympy(p, syms) for p in parts],
-                                *gens_order, order="grevlex", domain=sympy.QQ)
-        unpermuted = []
-        for p in theirs.polys:
-            terms = {}
-            for mono, coeff in p.terms():
-                exps = [0, 0, 0]
-                for v, e in zip(perm, mono):
-                    exps[v] = e
-                q = sympy.Rational(coeff)
-                terms[tuple(exps)] = Fraction(int(q.p), int(q.q))
-            unpermuted.append(Polynomial(3, terms))
-        assert [render_poly(g, order) for g in mine.generators] == \
-            [render_poly(g, order) for g in unpermuted]
+        _assert_same_degrevlex_basis(_jacobian(_line_arrangement(rng, d)), precedence)
+
+
+@pytest.mark.parametrize("d, seed", [(7, 707), (8, 808)])
+def test_jacobian_basis_of_a_large_line_arrangement_matches_independent_cas(d, seed):
+    # one arrangement each at d = 7 and 8, where many stale tails are
+    # refreshed during the run; sympy takes about a second or two on each
+    _assert_same_degrevlex_basis(_jacobian(_line_arrangement(random.Random(seed), d)), None)

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -478,7 +480,7 @@ def test_first_divisor_memo_rescans_appended_reducers():
     words = _words(GRLEX, 2)
 
     def reducer(text):
-        return words.pack_reducer(_integer_reducer(P(text), GRLEX)[0])
+        return _integer_reducer(P(text), words)[0]
 
     x2y = words.pack((2, 1))
     leads, memo = [reducer("y^2-x")], {}
@@ -507,22 +509,38 @@ def test_leading_monomials_are_read_before_the_generators_are_built(order, nvars
 
 
 def _count_calls(monkeypatch):
-    """Wrap ``_monic`` and ``_normal_form`` in groebner with counters; an
-    inter-reduction is a ``_normal_form`` call with a ``head``."""
+    """Wrap ``_monic``, ``_normal_form`` and ``GroebnerBasis.generators`` in
+    groebner with counters.  A ``_normal_form`` call with a ``head`` is an
+    inter-reduction while the generators are being built, and a refresh of
+    a stale tail inside ``buchberger`` otherwise."""
+    from functools import cached_property
     from tjurina import groebner
-    counts = {"monic": 0, "interreduce": 0}
+    counts = {"monic": 0, "interreduce": 0, "refresh": 0}
+    building = []
     monic, normal_form = groebner._monic, groebner._normal_form
+    generators = groebner.GroebnerBasis.__dict__["generators"].func
 
     def counted_monic(*args, **kwargs):
         counts["monic"] += 1
         return monic(*args, **kwargs)
 
     def counted_normal_form(*args, **kwargs):
-        counts["interreduce"] += kwargs.get("head") is not None
+        if kwargs.get("head") is not None:
+            counts["interreduce" if building else "refresh"] += 1
         return normal_form(*args, **kwargs)
 
+    def counted_generators(self):
+        building.append(self)
+        try:
+            return generators(self)
+        finally:
+            building.pop()
+
+    prop = cached_property(counted_generators)
+    prop.__set_name__(groebner.GroebnerBasis, "generators")
     monkeypatch.setattr(groebner, "_monic", counted_monic)
     monkeypatch.setattr(groebner, "_normal_form", counted_normal_form)
+    monkeypatch.setattr(groebner.GroebnerBasis, "generators", prop)
     return counts
 
 
@@ -541,7 +559,7 @@ def test_leading_monomial_readers_build_no_generators(monkeypatch):
     assert local_length_at_origin(gens)[0] == 15  # tjurina_formula of (5, 3, 3)
     assert embedding_dimension(gens) == 2
     assert verify_params(FamilyParams(4, 5, 1), check_gb=True).lt_match
-    assert counts == {"monic": 0, "interreduce": 0}
+    assert counts["monic"] == counts["interreduce"] == 0
 
 
 @pytest.mark.parametrize("cut", [None, 6])
@@ -555,3 +573,49 @@ def test_generators_are_built_once(monkeypatch, cut):
     assert gb.generators is gb.generators
     assert counts["monic"] == len(gb) > 1
     assert counts["interreduce"] == (len(gb) if cut is None else 0)
+
+
+# -- stale tails refreshed during global runs ----------------------------------
+
+# Reduced global bases of seeded ideals under grlex, lex and degrevlex, with and
+# without a variable precedence, in 2 and 3 variables, homogeneous and not, and
+# of the Jacobian ideals of two line arrangements.  Recorded once from the
+# engine before it refreshed stale tails during a run: the reduced basis is
+# unique, so the refresh must reproduce it term for term.
+GLOBAL_BASES = json.loads((Path(__file__).parent / "global_bases.json").read_text(encoding="utf-8"))
+
+
+def _fixture_order(case):
+    return MonomialOrder(case["order"], case["precedence"] and tuple(case["precedence"]))
+
+
+def _fixture_polys(case, key):
+    return [Polynomial(case["nvars"], {tuple(m): Fraction(c) for m, c in terms})
+            for terms in case[key]]
+
+
+@pytest.mark.parametrize("case", GLOBAL_BASES, ids=[case["id"] for case in GLOBAL_BASES])
+def test_global_bases_match_recorded_fixtures(case):
+    # VERIFY_BASES is on in tests, so each basis also passes Buchberger's criterion
+    gb = buchberger(_fixture_polys(case, "gens"), _fixture_order(case))
+    assert [list(m) for m in gb.leading_monomials()] == case["leading"]
+    assert list(gb.generators) == _fixture_polys(case, "basis")
+
+
+def test_global_runs_refresh_stale_tails_and_runs_under_a_cut_do_not(monkeypatch):
+    from tjurina import local_length_at_origin
+    from tjurina.lengths import _LOCAL
+    counts = _count_calls(monkeypatch)
+    for case in GLOBAL_BASES:
+        buchberger(_fixture_polys(case, "gens"), _fixture_order(case), verify=False)
+    assert counts["refresh"] > len(GLOBAL_BASES) // 2 and counts["interreduce"] == 0
+    counts["refresh"] = 0
+    for case in GLOBAL_BASES:
+        gens = _fixture_polys(case, "gens")
+        for cut in (5, 9) if case["nvars"] == 2 else ():
+            if any(g.min_degree() < cut for g in gens):
+                gb = buchberger(gens, _LOCAL, verify=False, cut=cut)
+                assert gb.generators and not gb.reduced
+    f = P("x^5+y^5+x^3*y^3")
+    assert local_length_at_origin([f, f.partial_derivative(0), f.partial_derivative(1)])[0] == 15
+    assert counts["refresh"] == counts["interreduce"] == 0

@@ -329,6 +329,23 @@ def test_translate_matches_naive_expansion_on_dense_degree_10(point):
         _assert_stored_validly(g)
 
 
+@pytest.mark.parametrize("point", _SHIFT_POINTS)
+def test_translate_matches_naive_expansion_on_sparse_high_degree_monomials(point):
+    # rows and columns with one nonzero coefficient take the binomial-row
+    # path of the Taylor shift; rows with two or more take Horner's rule
+    rng = random.Random(61)
+    sparse = [Polynomial(2, {(rng.randint(0, 45), rng.randint(0, 45)):
+                             Fraction(rng.choice((-7, -2, 1, 3, 11)), rng.randint(1, 5))
+                             for _ in range(rng.randint(1, 4))})
+              for _ in range(4)]
+    for f in (P("x^60*y^60"), P("x^47"), P("-3*y^52"), P("x^37*y^2-5/3*x^3*y^41"),
+              P("2*x^40*y^40+x^40*y^3+x^2*y^40"), *sparse):
+        g = translate_to_origin(f, point)
+        assert g == _naive_translate(f, *point)
+        assert translate_to_origin(g, (-point[0], -point[1])) == f
+        _assert_stored_validly(g)
+
+
 def test_translate_zero_polynomial():
     zero = Polynomial.zero(2)
     for point in _SHIFT_POINTS:
@@ -343,7 +360,7 @@ def test_translate_rejects_float_points():
 
 
 def test_trusted_constructor_sites_store_valid_tables():
-    from tjurina.groebner import _integer_reducer, _monic
+    from tjurina.groebner import _integer_reducer, _monic, _words
 
     rng = random.Random(777)
     for _ in range(60):
@@ -364,7 +381,8 @@ def test_trusted_constructor_sites_store_valid_tables():
         assert parsed == f
         if not f.is_zero():
             for order in (GRLEX, LEX, DEGREVLEX):
-                reducer, _ = _integer_reducer(f, order)
+                words = _words(order, nvars)
+                reducer = words.unpack_reducer(_integer_reducer(f, words)[0])
                 lm, lc, tail = reducer
                 g = _monic(nvars, reducer)
                 _assert_stored_validly(g)
