@@ -619,3 +619,54 @@ def test_global_runs_refresh_stale_tails_and_runs_under_a_cut_do_not(monkeypatch
     f = P("x^5+y^5+x^3*y^3")
     assert local_length_at_origin([f, f.partial_derivative(0), f.partial_derivative(1)])[0] == 15
     assert counts["refresh"] == counts["interreduce"] == 0
+
+
+# -- local bases under a cut, pinned before the pair update changed -------------
+
+# Seeded plane ideals under the local degree order with a cut, both fresh and
+# continued through ``base``, and the mu and tau traces of seeded curves (tau
+# continuing mu's basis), recorded once from the engine whose pair update
+# scanned for the chain criterion at every pop.  Only leading monomials, the
+# final cut and the traces are read under a cut, so those are pinned.
+LOCAL_BASES = json.loads((Path(__file__).parent / "local_bases.json").read_text(encoding="utf-8"))
+
+
+def _plane_polys(tables):
+    return [Polynomial(2, {tuple(m): Fraction(c) for m, c in terms}) for terms in tables]
+
+
+def _local_run(gens, cut, base=None):
+    from tjurina.lengths import _LOCAL
+    gb = buchberger(_plane_polys(gens), _LOCAL, cut=cut, base=base)
+    return gb, ([list(m) for m in gb.leading_monomials()], gb.cut)
+
+
+def _recorded_trace(gens, base=None):
+    from tjurina.lengths import StabilizationError, local_length_at_origin
+    try:
+        _, trace = local_length_at_origin(gens, base=base)
+    except StabilizationError:
+        return "StabilizationError", None
+    return [list(p) for p in trace.pairs], trace.basis
+
+
+@pytest.mark.parametrize("case", LOCAL_BASES, ids=[case["id"] for case in LOCAL_BASES])
+def test_local_bases_match_recorded_fixtures(case):
+    # VERIFY_BASES is on in tests, so each basis also passes Buchberger's criterion
+    if case["kind"] == "fresh":
+        _, out = _local_run(case["gens"], case["cut"])
+        assert out == (case["leading"], case["final_cut"])
+    elif case["kind"] == "continued":
+        base, out = _local_run(case["base_gens"], case["base_cut"])
+        assert out == (case["base_leading"], case["base_final_cut"])
+        gb, out = _local_run(case["gens"], case["cut"], base=base)
+        assert out == (case["leading"], case["final_cut"])
+        assert (gb is base) == case["returned_base"]
+    else:
+        (f,) = _plane_polys([case["curve"]])
+        parts = [g for g in (f.partial_derivative(0), f.partial_derivative(1)) if not g.is_zero()]
+        mu, basis = _recorded_trace(parts)
+        assert mu == case["mu_trace"]
+        tau, _ = _recorded_trace([f], base=basis) if basis is not None else \
+            _recorded_trace([f] + parts)
+        assert tau == case["tau_trace"]
