@@ -10,10 +10,16 @@ leading monomials closes; a later run can continue such a basis with more
 generators under the cut it ended with.  Either way a ``GroebnerBasis`` is
 returned as soon as the basis is minimal: its leading monomials are stored,
 and its generators are built on first read.  Pair selection follows the
-normal strategy (lowest lcm degree first, then smallest lcm); useless pairs
-are pruned with the coprimality criterion and the chain criterion, and
-S-polynomials of two monomials are skipped outright since they vanish
-identically.
+normal strategy (lowest lcm degree first, then smallest lcm).  Useless
+pairs are pruned by the Gebauer-Moeller update (Gebauer and Moeller 1988,
+"On an installation of Buchberger's algorithm"), run once as each element
+enters, input generator or remainder.  Of its new pairs it keeps those
+whose lcm no other new pair's lcm divides, and a coprime pair prunes the
+pairs its lcm divides and is then dropped itself.  It drops the queued
+pairs whose lcm the new leading word divides strictly on both sides.  It
+retires the elements whose leading word the new one divides: they stay
+reducers but form no new pairs.  S-polynomials of two monomials are
+skipped outright since they vanish identically.
 
 The reduction core is fraction-free.  Inside ``buchberger`` every basis
 element is a primitive integer term table (coprime integer coefficients,
@@ -161,6 +167,15 @@ class MonomialIdeal:
             if not any(monomial_divides(g, m) for g in minimal):
                 minimal.append(m)
         self.gens = frozenset(minimal)
+
+    @classmethod
+    def _from_minimal(cls, nvars: int, monomials: Iterable[Monomial]) -> MonomialIdeal:
+        """Adopt an antichain of exponent tuples of length ``nvars``, such as
+        the leading monomials of a minimal basis, without re-minimalizing."""
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.gens = frozenset(monomials)
+        return self
 
     def sorted_gens(self) -> list[Monomial]:
         return sorted(self.gens, key=GRLEX.key, reverse=True)
@@ -326,15 +341,25 @@ def _integer_terms(terms: dict, lm: int | None = None) -> tuple[dict, Fraction]:
     return {m: c // g for m, c in table.items()}, Fraction(den, g)
 
 
-def _integer_reducer(p: Polynomial, words: _Words) -> tuple[tuple, Fraction]:
-    """((lm, lc, tail), u): the packed reducer of the primitive integer
-    multiple u * p, with a positive leading coefficient lc and its tail
-    sorted by decreasing word."""
-    terms = {words.pack(m): c for m, c in p.terms()}
-    lm = max(terms)
-    table, u = _integer_terms(terms, lm)
-    lc = table.pop(lm)
-    return (lm, lc, tuple(sorted(table.items(), reverse=True))), u
+def _integer_reducer(p: Polynomial, words: _Words) -> tuple:
+    """(lm, lc, tail): the packed reducer of the primitive integer multiple
+    of p with a positive leading coefficient lc, its tail sorted by
+    decreasing word.  The multiple is lc / p's leading coefficient."""
+    if max(map(max, p._terms)) >> words.bits:
+        for m in p._terms:
+            words.pack(m)  # raises the range error of the first bad term
+    units = words._units
+    terms = sorted(((sum(map(mul, m, units)), c) for m, c in p.terms()), reverse=True)
+    den = lcm(*(c.denominator for _, c in terms))
+    if den != 1:
+        terms = [(m, c.numerator * (den // c.denominator)) for m, c in terms]
+    g = gcd(*(c for _, c in terms))
+    if terms[0][1] < 0:
+        g = -g
+    if g != 1:
+        terms = [(m, c // g) for m, c in terms]
+    lm, lc = terms[0]
+    return lm, lc, tuple(terms[1:])
 
 
 def _reducer_of(rem: dict) -> tuple:
@@ -401,7 +426,8 @@ def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
     """
     _check_basis(basis)
     words = _words(order, f.nvars)
-    reducers, units = zip(*(_integer_reducer(b, words) for b in basis))
+    reducers = [_integer_reducer(b, words) for b in basis]
+    units = [Fraction(r[1]) / b.leading_coefficient(order) for r, b in zip(reducers, basis)]
     table, uf = _integer_terms({words.pack(m): c for m, c in f.terms()})
     quots: list = [{} for _ in basis]
     rem = _normal_form(table, reducers, words, quots)
@@ -543,8 +569,8 @@ def s_polynomial(g: Polynomial, h: Polynomial, order: MonomialOrder = GRLEX) -> 
     if g.nvars != h.nvars:
         raise ValueError("S-polynomial of polynomials in different rings")
     words = _words(order, g.nvars)
-    a = _integer_reducer(g, words)[0]
-    b = _integer_reducer(h, words)[0]
+    a = _integer_reducer(g, words)
+    b = _integer_reducer(h, words)
     den = lcm(a[1], b[1])
     s = _s_pair(a, b, words.lcm(a[0], b[0]), words)
     return Polynomial(g.nvars, {words.exponents(m): Fraction(c, den) for m, c in s.items()})
@@ -586,11 +612,17 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     order, the run continues that one: the result is a minimal standard
     basis of the ideal of ``base`` plus ``gens`` under the cut ``base``
     ended with (or ``cut``, if smaller).  The base elements are taken as
-    they are, still packed; only the pairs that involve a new element are
-    pushed, and the pairs among base elements count as treated for the
-    chain criterion.  When every new generator truncates to zero, ``base``
-    itself is returned.  A base under another order, or one without a cut,
-    raises ValueError.
+    they are, still packed, and start active with no queued pairs: the
+    pairs among them were treated by the run that built the base, and only
+    the new elements form pairs.  When every new generator truncates to
+    zero, ``base`` itself is returned.  A base under another order, or one
+    without a cut, raises ValueError.
+
+    Pairs are queued by the Gebauer-Moeller update as each element enters
+    (see the module docstring), new pairs only below the cut in force.  An
+    input generator whose leading word an active element already has pairs
+    with that element alone and retires at once.  A retired element stays a
+    reducer, and the minimal basis is read from the active elements.
 
     Basis elements are kept as primitive integer reducers on packed words
     throughout, with one first-divisor memo for the growing list.  Without
@@ -628,7 +660,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     if cut is not None and not words.local:
         raise ValueError("a degree cut needs a local degree order, "
                          "in which the lowest total degree leads")
-    over = words.over
+    over, units = words.over, words._units
 
     # (lm, lc, tail): packed primitive integer basis elements, and their
     # leading exponents, for the staircase and pair degrees
@@ -637,12 +669,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     old = len(leads)
     seen: set = set()
     for g in polys:
-        w, _ = _integer_reducer(g, words)
+        w = _integer_reducer(g, words)
         if w not in seen:
             seen.add(w)
             leads.append(w)
             exps.append(words.exponents(w[0]))
     lms = [r[0] for r in leads]
+    entered = len(leads)
 
     # the cut in force, lowered where the staircase of lms closes; it closes
     # only once both axes hold a leading monomial (a pure power of x and of y)
@@ -655,22 +688,56 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
 
     limit = lowered(cut, exps) if lowerable else cut
 
+    # the queued pairs (degree, lcm word, i, j), lowest lcm degree first, then
+    # the smallest lcm in the order: the normal strategy for degree orders,
+    # and low degrees first under a local order.  Only active elements form
+    # new pairs; the base is minimal and its own pairs were treated by the
+    # run that built it.
     heap: list = []
-    pending: set[tuple[int, int]] = set()
+    active: list[int] = list(range(old))
 
-    # lowest lcm degree first, then the smallest lcm in the order: the normal
-    # strategy for degree orders, and low degrees first under a local order
-    def push_pair(i: int, j: int):
-        top = tuple(map(max, exps[i], exps[j]))
-        degree = sum(top)
-        if limit is None or degree < limit:  # otherwise the S-polynomial lies in m^cut
-            heappush(heap, (degree, words.pack(top), i, j))
-            pending.add((i, j))
+    def update(h: int):
+        """The Gebauer-Moeller update for the entering element h."""
+        wh, eh = lms[h], exps[h]
+        # an input generator with the leading word of an active element g
+        # pairs with g alone and retires at once: each other pair of h has
+        # the lcm of a pair of g, and reduces by the chain through g
+        g = next((g for g in active if lms[g] == wh), None) if h < entered else None
+        if g is not None:
+            if wh and (limit is None or sum(eh) < limit):  # 1 and 1 are coprime
+                heappush(heap, (sum(eh), wh, g, h))
+            return
+        # B_k: a queued pair whose lcm wh divides, strictly on both sides,
+        # reduces by the chain through h
+        if any(not (e[1] - wh) & over for e in heap):
+            heap[:] = [e for e in heap if (e[1] - wh) & over
+                       or e[0] == sum(map(max, exps[e[2]], eh))
+                       or e[0] == sum(map(max, exps[e[3]], eh))]
+            heapify(heap)
+        # the new pairs below the cut (above it the S-polynomial lies in
+        # m^cut), lowest lcm first and a coprime pair before the others with
+        # its lcm: a pair whose lcm an earlier one's divides is dropped, and
+        # a coprime pair, whose S-polynomial reduces to zero, is not queued
+        pairs = []
+        for g in active:
+            top = tuple(map(max, exps[g], eh))
+            degree = sum(top)
+            if limit is None or degree < limit:
+                w = sum(map(mul, top, units))  # in range, as both factors are
+                pairs.append((degree, w, w != lms[g] + wh, g))
+        pairs.sort()
+        tops: list[int] = []
+        for degree, w, joint, g in pairs:
+            if all((w - t) & over for t in tops):
+                tops.append(w)
+                if joint:
+                    heappush(heap, (degree, w, g, h))
+        # retire the active elements whose leading word wh divides: they stay
+        # reducers but form no new pairs
+        active[:] = [g for g in active if (lms[g] - wh) & over] + [h]
 
-    # pairs among base elements were treated by the run that built the base
-    for j in range(old, len(leads)):
-        for i in range(j):
-            push_pair(i, j)
+    for h in range(old, entered):
+        update(h)
 
     memo: dict = {}
     stale: set[int] = set()  # filled in global runs only
@@ -680,26 +747,11 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
         if cut is None and degree != level:
             stale.update(range(born, len(leads) - 1))
             level, born = degree, len(leads)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
         # pushed before the cut was lowered: the S-polynomial lies in m^cut
         if limit is not None and degree >= limit:
             continue
-        # coprime leading monomials: S-polynomial reduces to zero
-        if top == lms[i] + lms[j]:
-            continue
         # two monomials: S-polynomial is identically zero
         if not leads[i][2] and not leads[j][2]:
-            continue
-        # chain criterion
-        skip = False
-        for k, w in enumerate(lms):
-            if k != i and k != j and not (top - w) & over:
-                if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
-                    skip = True
-                    break
-        if skip:
             continue
         for k in (i, j):
             if stale and k in stale:
@@ -714,17 +766,14 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
             exps.append(words.exponents(lms[-1]))
             if lowerable:
                 limit = lowered(limit, exps[-1:])
-            new = len(leads) - 1
-            for t in range(new):
-                push_pair(t, new)
+            update(len(leads) - 1)
 
-    # minimalize: keep only generators whose leading monomial is not a
-    # multiple of another surviving leading monomial.  A divisor never has
-    # the larger total degree; under a local order it has the larger key.
-    order_idx = sorted(range(len(leads)), key=lambda i: sum(exps[i]))
+    # minimalize: no later element's leading word divides an active one's,
+    # and no earlier one divides a remainder's, so only an input generator
+    # can be a multiple of an earlier active element
     keep: list[int] = []
-    for i in order_idx:
-        if not any(words.divides(lms[k], lms[i]) for k in keep):
+    for i in active:
+        if i >= entered or not any(not (lms[i] - lms[k]) & over for k in keep):
             keep.append(i)
     keep.sort(key=lms.__getitem__, reverse=True)
     gb = GroebnerBasis(order, cut is None, words, [leads[i] for i in keep],
@@ -740,7 +789,7 @@ def _verify_reduced_basis(gb: GroebnerBasis, cut: int | None = None):
     ``cut`` is given)."""
     order = gb.order
     words = _words(order, gb.nvars)
-    leads = [_integer_reducer(g, words)[0] for g in gb.generators]
+    leads = [_integer_reducer(g, words) for g in gb.generators]
     for idx, (lm_i, _, tail) in enumerate(leads):
         if gb.generators[idx].leading_coefficient(order) != 1:
             raise AssertionError("basis element is not monic")
@@ -763,7 +812,7 @@ def leading_term_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     """Minimal generators of (LT(J)): the leading monomials of a reduced basis."""
     if not gb.reduced:
         raise ValueError("leading term ideal requires a reduced basis")
-    return MonomialIdeal(gb.nvars, gb.leading_monomials())
+    return MonomialIdeal._from_minimal(gb.nvars, gb.leading_monomials())
 
 
 def is_zero_dimensional(lt: MonomialIdeal) -> bool:

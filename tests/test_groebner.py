@@ -480,7 +480,7 @@ def test_first_divisor_memo_rescans_appended_reducers():
     words = _words(GRLEX, 2)
 
     def reducer(text):
-        return _integer_reducer(P(text), words)[0]
+        return _integer_reducer(P(text), words)
 
     x2y = words.pack((2, 1))
     leads, memo = [reducer("y^2-x")], {}
@@ -670,3 +670,91 @@ def test_local_bases_match_recorded_fixtures(case):
         tau, _ = _recorded_trace([f], base=basis) if basis is not None else \
             _recorded_trace([f] + parts)
         assert tau == case["tau_trace"]
+
+
+# -- the Gebauer-Moeller pair update --------------------------------------------
+
+
+def _record_entries_and_pairs(monkeypatch):
+    """Wrap ``_integer_reducer``, ``_normal_form`` and ``_s_pair`` in groebner:
+    the leading words of the elements in the order they enter a run (input
+    generators, then nonzero remainders), and the leading-word pairs of
+    every S-polynomial formed."""
+    from tjurina import groebner
+    entries, pairs = [], []
+    integer_reducer, normal_form, s_pair = \
+        groebner._integer_reducer, groebner._normal_form, groebner._s_pair
+
+    def counted_integer_reducer(p, words):
+        reducer = integer_reducer(p, words)
+        entries.append(reducer[0])
+        return reducer
+
+    def counted_normal_form(*args, **kwargs):
+        rem = normal_form(*args, **kwargs)
+        if rem and kwargs.get("head") is None:
+            entries.append(next(iter(rem)))
+        return rem
+
+    def counted_s_pair(a, b, top, words):
+        pairs.append((a[0], b[0]))
+        return s_pair(a, b, top, words)
+
+    monkeypatch.setattr(groebner, "_integer_reducer", counted_integer_reducer)
+    monkeypatch.setattr(groebner, "_normal_form", counted_normal_form)
+    monkeypatch.setattr(groebner, "_s_pair", counted_s_pair)
+    return entries, pairs
+
+
+def test_retired_elements_form_no_new_pairs(monkeypatch):
+    # family (2, 2, 1) under grlex: f_x's leading word x*y divides f's x^2*y,
+    # and the remainder x divides x*y, so neither f nor f_x pairs with a later
+    # element; the chain-criterion engine formed 6 S-pairs here
+    from tjurina.groebner import _words
+    entries, pairs = _record_entries_and_pairs(monkeypatch)
+    f = P("x^2+y^2+x^2*y")
+    gb = buchberger([f, f.partial_derivative(0), f.partial_derivative(1)], GRLEX, verify=False)
+    assert gb.leading_monomials() == ((1, 0), (0, 1))
+    assert 0 < len(pairs) < 6
+    over = _words(GRLEX, 2).over
+    for a, b in pairs:
+        g, h = sorted((entries.index(a), entries.index(b)))
+        # no element that entered between g and h divides g's leading word
+        assert all((entries[g] - w) & over for w in entries[g + 1:h]), (g, h)
+
+
+def test_a_queued_pair_made_redundant_by_a_new_leading_word_is_never_reduced(monkeypatch):
+    # the pair (x^3*y, x*y^3) is queued when the second generator enters; the
+    # third one's leading word x^2*y^2 divides its lcm x^3*y^3, and the lcms
+    # with either side, x^3*y^2 and x^2*y^3, are proper divisors of it
+    from tjurina.groebner import _words
+    entries, pairs = _record_entries_and_pairs(monkeypatch)
+    gb = buchberger([P("x^3*y+y^3"), P("x*y^3+x^3"), P("x^2*y^2+x^2+y^2")], GRLEX)
+    assert gb.leading_monomials() == ((1, 2), (0, 3), (2, 0))
+    words = _words(GRLEX, 2)
+    first, second = words.pack((3, 1)), words.pack((1, 3))
+    assert entries[:3] == [first, second, words.pack((2, 2))]
+    assert pairs and {first, second} not in [set(p) for p in pairs]
+
+
+def test_leading_term_ideal_adopts_the_minimal_leading_monomials():
+    # the trusted constructor gives the ideal the public one builds
+    for case in GLOBAL_BASES:
+        gb = buchberger(_fixture_polys(case, "gens"), _fixture_order(case), verify=False)
+        lt = leading_term_ideal(gb)
+        public = MonomialIdeal(gb.nvars, gb.leading_monomials())
+        assert lt == public and hash(lt) == hash(public) and lt.nvars == public.nvars
+        assert lt.gens == frozenset(gb.leading_monomials())
+
+
+def test_an_input_that_repeats_a_leading_word_pairs_with_the_first_alone(monkeypatch):
+    # x + y^3 and x + y^4 repeat the leading word of x + y^2 under the local
+    # order: each pairs with it alone and retires at once, so the basis under
+    # a cut keeps the first one as it is
+    from tjurina.lengths import _LOCAL
+    entries, pairs = _record_entries_and_pairs(monkeypatch)
+    gb = buchberger([P("x+y^2"), P("y^5+x*y"), P("x+y^3"), P("x+y^4")], _LOCAL, verify=False, cut=8)
+    assert gb.leading_monomials() == ((1, 0), (0, 2))
+    assert gb.generators[0] == P("x+y^2")
+    first = entries[0]
+    assert [set(p) for p in pairs] == [{first, entries[2]}, {first, entries[3]}]

@@ -382,7 +382,7 @@ def test_trusted_constructor_sites_store_valid_tables():
         if not f.is_zero():
             for order in (GRLEX, LEX, DEGREVLEX):
                 words = _words(order, nvars)
-                reducer = words.unpack_reducer(_integer_reducer(f, words)[0])
+                reducer = words.unpack_reducer(_integer_reducer(f, words))
                 lm, lc, tail = reducer
                 g = _monic(nvars, reducer)
                 _assert_stored_validly(g)
