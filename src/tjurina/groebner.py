@@ -345,15 +345,16 @@ def _integer_reducer(p: Polynomial, words: _Words) -> tuple:
     """(lm, lc, tail): the packed reducer of the primitive integer multiple
     of p with a positive leading coefficient lc, its tail sorted by
     decreasing word.  The multiple is lc / p's leading coefficient."""
-    if max(map(max, p._terms)) >> words.bits:
-        for m in p._terms:
+    ms, cs = zip(*p.terms())
+    if max(map(max, ms)) >> words.bits:
+        for m in ms:
             words.pack(m)  # raises the range error of the first bad term
-    units = words._units
-    terms = sorted(((sum(map(mul, m, units)), c) for m, c in p.terms()), reverse=True)
-    den = lcm(*(c.denominator for _, c in terms))
+    den = lcm(*(c.denominator for c in cs))
     if den != 1:
-        terms = [(m, c.numerator * (den // c.denominator)) for m, c in terms]
-    g = gcd(*(c for _, c in terms))
+        cs = [c.numerator * (den // c.denominator) for c in cs]
+    units = words._units
+    terms = sorted(zip([sum(map(mul, m, units)) for m in ms], cs), reverse=True)
+    g = gcd(*cs)
     if terms[0][1] < 0:
         g = -g
     if g != 1:
