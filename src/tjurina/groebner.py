@@ -330,14 +330,11 @@ def _words(order, nvars: int) -> _Words:
 # integer reducers
 
 
-def _integer_terms(terms: dict, lm: int | None = None) -> tuple[dict, Fraction]:
-    """(table, u): the primitive integer term table table = u * terms, with a
-    positive coefficient at ``lm`` when given."""
+def _integer_terms(terms: dict) -> tuple[dict, Fraction]:
+    """(table, u): the primitive integer term table table = u * terms, u > 0."""
     den = lcm(*(c.denominator for c in terms.values()))
     table = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
     g = gcd(*table.values()) or 1
-    if lm is not None and table[lm] < 0:
-        g = -g
     return {m: c // g for m, c in table.items()}, Fraction(den, g)
 
 
