@@ -252,7 +252,7 @@ def cmd_family(args, out) -> int:
             a_values = list(range(2, args.a_max + 1))
         else:
             raise _CliError(EXIT_BAD_INPUT, "--scan needs --a or --a-max")
-        if any(a < 2 for a in a_values):
+        if not a_values or a_values[0] < 2:  # an --a-max below 2 leaves nothing to check
             raise _CliError(EXIT_BAD_INPUT, "need a >= 2")
         mismatches = 0
         checked = 0
@@ -354,14 +354,36 @@ def build_parser() -> argparse.ArgumentParser:
 # Built on the first call to ``main``, not at import, and reused by every
 # later call in the process; each call parses into a fresh namespace.
 _PARSER: argparse.ArgumentParser | None = None
+# The subcommand parsers of ``_PARSER``, by name.
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)`` in one pass over the words, not two.
+
+    An argv that opens with a subcommand goes straight to that subcommand's
+    parser.  The top-level parser takes every other argv, and also one whose
+    direct parse leaves words over or that holds a word opening with ``--=``
+    (or ``-=`` on some Python versions), which it rejects as ambiguous among
+    its own options; so its errors and exit codes stay its own.
+    """
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is not None and not any(w.startswith(("--=", "-=")) for w in argv):
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None, out=None) -> int:
-    global _PARSER
+    global _PARSER, _COMMANDS
     out = out or sys.stdout
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+        (commands,) = [a for a in _PARSER._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        _COMMANDS = commands.choices
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args, out)
     except _CliError as e:

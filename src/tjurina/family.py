@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Iterator
 
 from .groebner import MonomialIdeal, buchberger, leading_term_ideal
 from .lengths import TruncationTrace, local_length_at_origin, staircase_length
-from .poly import GRLEX, Polynomial
+from .poly import GRLEX, Polynomial, _norm_coeff
 
 
 class FamilyCase(Enum):
@@ -54,6 +55,8 @@ class FamilyParams:
     c: int
 
     def __post_init__(self):
+        if not all(isinstance(v, int) for v in (self.a, self.b, self.c)):
+            raise ValueError("need integer a, b, c")
         if self.a < 2:
             raise ValueError("need a >= 2")
         if self.b < 0 or self.c < 0:
@@ -67,7 +70,8 @@ class FamilyParams:
 
     def curve(self) -> Polynomial:
         """The defining polynomial x^a + y^a + x^b y^c."""
-        return Polynomial(2, {(self.a, 0): 1, (0, self.a): 1, (self.b, self.c): 1})
+        # valid by construction: b + c > a keeps (b, c) off (a, 0) and (0, a)
+        return Polynomial._from_valid(2, {(self.a, 0): 1, (0, self.a): 1, (self.b, self.c): 1})
 
 
 def family_case(p: FamilyParams) -> FamilyCase:
@@ -108,19 +112,22 @@ def family_case(p: FamilyParams) -> FamilyCase:
     return case
 
 
-def _shapes(p: FamilyParams) -> dict[int, Polynomial]:
+def _shape(p: FamilyParams, i: int) -> Polynomial:
+    """The shape F_i of a basis with b < a, made monic under grlex.
+
+    The tables are valid by construction: b < a and b + c > a force
+    a > b >= c >= 2, so no exponent is negative and f_y keeps both terms.
+    The leading terms of f_x and f_y have degree b + c - 1 >= a, above the
+    pure powers of degree a - 1, so dividing by b and by c makes them monic.
+    """
     a, b, c = p.a, p.b, p.c
-    shapes = {
-        1: Polynomial(2, {(b - 1, c): b, (a - 1, 0): a}),      # f_x
-        2: Polynomial(2, {(b, c - 1): c, (0, a - 1): a}),      # f_y
-        3: Polynomial.monomial(2, (a, 0)),
-        4: Polynomial.monomial(2, (0, a)),
-        6: Polynomial.monomial(2, (a - 1, a - c - 1)),
-        7: Polynomial.monomial(2, (a - b, a - 1)),
-    }
-    if b <= a - 1:
-        shapes[5] = Polynomial.monomial(2, (a - b - 1, a - 1))
-    return shapes
+    if i == 1:
+        table = {(b - 1, c): 1, (a - 1, 0): _norm_coeff(Fraction(a, b))}
+    elif i == 2:
+        table = {(b, c - 1): 1, (0, a - 1): _norm_coeff(Fraction(a, c))}
+    else:  # F3..F7, as listed in the module docstring
+        table = {((a, 0), (0, a), (a - b - 1, a - 1), (a - 1, a - c - 1), (a - b, a - 1))[i - 3]: 1}
+    return Polynomial._from_valid(2, table)
 
 
 _CELL_GENERATORS = {
@@ -145,10 +152,10 @@ def predicted_gb(p: FamilyParams) -> tuple[Polynomial, ...]:
     leading monomial.  For b >= a the basis is {x^{a-1}, y^{a-1}}."""
     a = p.a
     if p.b >= a:
-        gens = [Polynomial.monomial(2, (a - 1, 0)), Polynomial.monomial(2, (0, a - 1))]
+        gens = [Polynomial._from_valid(2, {(a - 1, 0): 1}),
+                Polynomial._from_valid(2, {(0, a - 1): 1})]
     else:
-        shapes = _shapes(p)
-        gens = [shapes[i].monic(GRLEX) for i in _CELL_GENERATORS[family_case(p)]]
+        gens = [_shape(p, i) for i in _CELL_GENERATORS[family_case(p)]]
     gens.sort(key=lambda g: GRLEX.key(g.leading_monomial(GRLEX)), reverse=True)
     return tuple(gens)
 

@@ -1,5 +1,10 @@
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -329,6 +334,14 @@ def test_family_scan_range():
     assert "a = 2" in out and "a = 4" in out
 
 
+@pytest.mark.parametrize("bound", [("--a-max", "1"), ("--a-max", "0"), ("--a", "1")])
+def test_family_scan_below_a_2_is_a_usage_error(bound, capsys):
+    # an --a-max below 2 leaves nothing to check: a usage error, not an empty scan
+    code, out = run_cli("family", "--scan", *bound)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: need a >= 2\n"
+
+
 # -- one parser per process -------------------------------------------------------
 
 
@@ -393,3 +406,79 @@ def test_rejected_arguments_leave_the_parser_working(counted_parser_builds, caps
         assert run_cli(*SEQUENCE[0]) == expected
     assert "usage: tjurina" in capsys.readouterr().err
     assert counted_parser_builds == [1]
+
+
+# -- one parse per request ---------------------------------------------------------
+
+
+PARSE_CASES = [row["argv"] for row in json.loads(
+    (Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))] + [
+    [], ["-h"], ["--version"], ["nonsense"],
+    ["ana", "--curve", "x", "--point", "0,0"],
+    ["--json", "analyze", "--curve", "x", "--point", "0,0"],
+    ["analyze", "--bogus"],
+    ["analyze", "--curve", "x", "--point", "0,0", "extra"],
+    ["classify", "--curve", "x", "--point", "0,0", "--version"],
+    ["analyze", "-h"],
+    ["family", "--a", "x"],
+    ["analyze", "--curve", "-x^2+y^3", "--point", "0,0"],
+    # the top-level parser finds these ambiguous before any subcommand runs
+    ["analyze", "--=x", "--point", "0,0"],
+    ["analyze", "-=x", "--point", "0,0"],
+]
+
+
+class _Parsed(Exception):
+    """Stops ``main`` once it has parsed, carrying the namespace."""
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        result = ("namespace", parse(list(argv)))
+    except _Parsed as e:
+        result = ("namespace", e.args[0])
+    except SystemExit as e:
+        result = ("exit", e.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES,
+                         ids=[f"{i:02d}-{' '.join(a)[:30]}" for i, a in enumerate(PARSE_CASES)])
+def test_main_parses_like_the_top_level_parser(argv, monkeypatch, capsys):
+    # main hands a request that opens with a subcommand straight to that
+    # subcommand's parser; namespace, output and exit code must be those of
+    # the top-level parser's own two-stage parse
+    from tjurina import cli
+
+    real = cli._parse_args
+
+    def stop(words):
+        raise _Parsed(real(words))
+
+    monkeypatch.setattr(cli, "_parse_args", stop)
+    expected = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(main, argv, capsys) == expected
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["tjurina", "classify", "--curve=y^2-x^3", "--point=0,0"])
+    assert main() == 0
+    assert capsys.readouterr().out == "A_2\n"
+
+
+def test_python_m_tjurina_runs_the_cli():
+    import tjurina
+
+    src = str(Path(tjurina.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    argv = ["analyze", "--curve=x^3-y^3+x^4", "--point=0,0", "--json"]
+    proc = subprocess.run([sys.executable, "-m", "tjurina", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert (doc["multiplicity"], doc["ordinary"], doc["tjurina"], doc["milnor"]) == (3, True, 4, 4)
+    code, out = run_cli(*argv)
+    elapsed = re.compile(r'"elapsed_ms": \d+')
+    assert code == 0 and elapsed.sub("", proc.stdout) == elapsed.sub("", out)

@@ -4,6 +4,7 @@ from tjurina import (
     FamilyCase,
     FamilyParams,
     MonomialIdeal,
+    Polynomial,
     admissible_params,
     buchberger,
     divide,
@@ -28,6 +29,25 @@ def test_params_validate_and_normalize():
         FamilyParams(9, 4, 5)  # b + c = a
     with pytest.raises(ValueError):
         FamilyParams(1, 2, 2)
+    with pytest.raises(ValueError):
+        FamilyParams(5, 3.0, 3)  # curve() builds its table unchecked, so exponents are ints
+
+
+def test_closed_form_tables_keep_the_from_valid_contract():
+    # curve() and predicted_gb() skip the validating constructor; each table
+    # must be what Polynomial(...) builds from it: same terms, normalized
+    # coefficient types, same hash
+    tuples = 0
+    for a in range(2, 13):
+        for p in admissible_params(a):
+            tuples += 1
+            basis = predicted_gb(p)
+            assert all(g.leading_coefficient() == 1 for g in basis)
+            for g in (p.curve(), *basis):
+                ref = Polynomial(2, g.terms_dict())
+                assert g == ref and hash(g) == hash(ref)
+                assert {m: type(c) for m, c in g.terms()} == {m: type(c) for m, c in ref.terms()}
+    assert tuples == 411
 
 
 def test_family_case_examples():
