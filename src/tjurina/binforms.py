@@ -2,10 +2,14 @@
 
 A binary form is a nonzero homogeneous polynomial in two variables; over
 the complex numbers it splits into linear factors, i.e. lines through the
-origin.  Whether forms share a line, and whether a form repeats one (its
-partials share it), is decided exactly over Q by ``common_factor_degree``:
-one gcd of the forms dehomogenized at x = 1, which hides the factor x,
-plus the least x-exponent, which counts it.
+origin.  Whether forms share a line is decided exactly over Q by
+``common_factor_degree``: one gcd of the forms dehomogenized at x = 1,
+which hides the factor x, plus the least x-exponent, which counts it.
+Whether a form repeats a line (``squarefree_binary_form``) is whether x^2
+divides it or g(1, y) shares a root with its derivative.  Both run one
+integer kernel: each form is read once into a primitive integer
+coefficient list (denominators cleared once), and a primitive
+pseudo-remainder sequence gives the degree of the gcd.
 
 The Sylvester resultant, the discriminant and ``binary_form_resultant``
 decide the same questions by determinants.  No production path calls
@@ -39,9 +43,13 @@ def _primitive(u: UPoly) -> UPoly:
     """The primitive integer multiple of a rational coefficient list (its
     denominators cleared once, its content divided out), trimmed."""
     den = lcm(*(c.denominator for c in u))
-    table = [c.numerator * (den // c.denominator) for c in u]
-    g = gcd(*table) or 1
-    return upoly_trim([c // g for c in table])
+    return _content_free(upoly_trim([c.numerator * (den // c.denominator) for c in u]))
+
+
+def _content_free(r: UPoly) -> UPoly:
+    """An integer coefficient list divided by its content."""
+    g = gcd(*r)
+    return [c // g for c in r] if g > 1 else r
 
 
 def _pseudo_remainder(u: UPoly, v: UPoly) -> UPoly:
@@ -52,16 +60,35 @@ def _pseudo_remainder(u: UPoly, v: UPoly) -> UPoly:
     r = list(u)
     lv, dv = v[-1], len(v) - 1
     while len(r) > dv:
-        c = r[-1]
+        c = r.pop()
         g = gcd(c, lv)
         mult, qc = lv // g, c // g
-        shift = len(r) - 1 - dv
+        shift = len(r) - dv
         if mult != 1:
             r = [mult * a for a in r]
-        for i, b in enumerate(v):
-            r[shift + i] -= qc * b
+        for i in range(dv):
+            r[shift + i] -= qc * v[i]
         upoly_trim(r)
     return r
+
+
+def _integer_gcd(a: UPoly, b: UPoly) -> UPoly:
+    """A gcd over Q of integer coefficient lists, up to a unit: the
+    Euclidean algorithm on primitive pseudo-remainders."""
+    while b:
+        a, b = b, _content_free(_pseudo_remainder(a, b))
+    return a
+
+
+def _gcd_degree(us: Sequence[UPoly]) -> int:
+    """Degree of the gcd over Q of nonzero integer coefficient lists; stops
+    as soon as the running gcd is a constant."""
+    acc = us[0]
+    for u in us[1:]:
+        if len(acc) == 1:
+            break
+        acc = _integer_gcd(acc, u)
+    return len(acc) - 1
 
 
 def upoly_gcd(u: UPoly, v: UPoly) -> UPoly:
@@ -70,9 +97,7 @@ def upoly_gcd(u: UPoly, v: UPoly) -> UPoly:
     Denominators are cleared once; the Euclidean algorithm then runs on
     primitive integer pseudo-remainders, which have the same gcd over Q up
     to a unit, and the result is made monic at the end."""
-    a, b = _primitive(u), _primitive(v)
-    while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
+    a = _integer_gcd(_primitive(u), _primitive(v))
     return [Fraction(c, a[-1]) for c in a]
 
 
@@ -135,25 +160,28 @@ def discriminant(u: UPoly) -> Scalar:
 # binary forms
 
 
-def _check_binary_form(g: Polynomial) -> int:
+def _dehomogenize(g: Polynomial) -> tuple[int, UPoly]:
+    """Check that g is a binary form and read it once: its degree m and
+    g(1, y), trimmed.  The degree drop m - deg(g(1, y)) is the
+    multiplicity of the factor x."""
     if g.nvars != 2:
         raise ValueError("binary forms live in 2 variables")
     if g.is_zero():
         raise ValueError("binary form must be nonzero")
-    if not g.is_homogeneous():
-        raise ValueError("binary form must be homogeneous")
-    return g.degree()
+    m = g.degree()
+    coeffs: UPoly = [0] * (m + 1)
+    for (i, j), c in g.terms():
+        if i + j != m:
+            raise ValueError("binary form must be homogeneous")
+        coeffs[j] = c
+    return m, upoly_trim(coeffs)
 
 
 def dehomogenize(g: Polynomial) -> UPoly:
     """g(1, y) as a univariate coefficient list, indexed by the y-exponent.
 
     The degree drop m - deg(g(1,y)) is the multiplicity of the factor x."""
-    m = _check_binary_form(g)
-    coeffs: UPoly = [0] * (m + 1)
-    for (i, j), c in g.terms():
-        coeffs[j] = c
-    return upoly_trim(coeffs)
+    return _dehomogenize(g)[1]
 
 
 def binary_form_resultant(g: Polynomial, h: Polynomial) -> Scalar:
@@ -163,10 +191,8 @@ def binary_form_resultant(g: Polynomial, h: Polynomial) -> Scalar:
     factor x shows up as a degree drop, and a shared x factor forces the
     result to 0 directly.
     """
-    mg = _check_binary_form(g)
-    mh = _check_binary_form(h)
-    gu = dehomogenize(g)
-    hu = dehomogenize(h)
+    mg, gu = _dehomogenize(g)
+    mh, hu = _dehomogenize(h)
     x_in_g = mg - (len(gu) - 1)
     x_in_h = mh - (len(hu) - 1)
     if x_in_g > 0 and x_in_h > 0:
@@ -179,23 +205,22 @@ def common_factor_degree(forms: Sequence[Polynomial]) -> int:
     linear factors over C, with multiplicity, that all of them share.  The
     factor x counts as the least x-exponent (the degree drop of g(1, y));
     every other shared line is a common root of the g(1, y)."""
-    us = [dehomogenize(g) for g in forms]
-    e = min(g.degree() - (len(u) - 1) for g, u in zip(forms, us))
-    acc = us[0]
-    for u in us[1:]:
-        if len(acc) == 1:
-            break
-        acc = upoly_gcd(acc, u)
-    return e + len(acc) - 1
+    if not forms:
+        raise ValueError("common_factor_degree: no binary form given")
+    read = [_dehomogenize(g) for g in forms]
+    e = min(m - (len(u) - 1) for m, u in read)
+    return e + _gcd_degree([_primitive(u) for _m, u in read])
 
 
 def squarefree_binary_form(g: Polynomial) -> bool:
     """True iff a binary form of degree m has m distinct linear factors over C.
 
-    A line is repeated in g exactly when it divides both partials (Euler:
-    m*g = x*g_x + y*g_y), so g is squarefree iff its nonzero partials share
-    no factor.
+    Write g = x^e * h with x not dividing h, and u = g(1, y) = h(1, y), of
+    degree m - e.  The lines of h are the roots of u, so g is squarefree
+    iff e <= 1 and u shares no root with its derivative.
     """
-    _check_binary_form(g)
-    parts = [p for p in (g.partial_derivative(0), g.partial_derivative(1)) if not p.is_zero()]
-    return not parts or common_factor_degree(parts) == 0
+    m, u = _dehomogenize(g)
+    if m - (len(u) - 1) > 1:
+        return False
+    u = _primitive(u)
+    return len(u) <= 2 or _gcd_degree([u, upoly_derivative(u)]) == 0

@@ -13,16 +13,19 @@ point, or an exponent outside the engine's packed range), 4 point not on
 the curve (classify).  The ``warnings`` field of ``analyze --json`` and
 ``global-tjurina --json`` is always [].
 JSON fields are exact: integers as numbers, non-integer rationals as
-"p/q" strings; no floats.
+"p/q" strings; no floats.  Every ``--json`` document is written by
+``_json_text``, which gives the bytes of ``json.dumps(doc, indent=2)``
+without the json module's pure-Python indenting encoder, and refuses a
+float with TypeError.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .analyzer import (
@@ -82,6 +85,54 @@ def _exact(v):
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else str(v)
     return v
+
+
+# How ``json.dumps`` writes a value of each scalar type (exact types only).
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for documents of values
+    whose type is exactly str, int, bool or None, held in lists, tuples and
+    dicts with str keys.  Any other value, a float for instance, raises
+    TypeError."""
+    parts: list[str] = []
+    _encode(doc, "\n", parts)
+    return "".join(parts)
+
+
+def _encode(o, newline: str, parts: list[str]) -> None:
+    scalar = _JSON_SCALARS.get(type(o))
+    if scalar is not None:
+        parts.append(scalar(o))
+        return
+    if isinstance(o, dict):
+        items, bracket, close = o.items(), "{", "}"
+    elif isinstance(o, (list, tuple)):
+        items, bracket, close = o, "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not o:
+        parts.append(bracket + close)
+        return
+    inner = newline + "  "
+    sep = bracket + inner
+    for item in items:
+        if bracket == "{":
+            key, item = item
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts += (sep, encode_basestring_ascii(key), ": ")
+        else:
+            parts.append(sep)
+        _encode(item, inner, parts)
+        sep = "," + inner
+    parts.append(newline + close)
 
 
 def _report_document(curve_text: str, point, report: SingularityReport,
@@ -157,7 +208,7 @@ def cmd_analyze(args, out) -> int:
             for t, (rep, ms) in zip(texts, results)]
     if args.json:
         payload = docs[0] if len(docs) == 1 and not args.curves_file else docs
-        print(json.dumps(payload, indent=2), file=out)
+        print(_json_text(payload), file=out)
     else:
         for doc, curve, (rep, _ms) in zip(docs, curves, results):
             _print_human_report(doc, rep, curve, out, with_trace=args.trace)
@@ -209,8 +260,8 @@ def cmd_classify(args, out) -> int:
         msg = f"multiplicity >= 3 (m = {outcome.multiplicity})"
         data = {"kind": "multiplicity_at_least_3", "multiplicity": outcome.multiplicity}
     if args.json:
-        print(json.dumps({"version": __version__, "curve": args.curve,
-                          "point": args.point, **data}, indent=2), file=out)
+        print(_json_text({"version": __version__, "curve": args.curve,
+                           "point": args.point, **data}), file=out)
     else:
         print(msg, file=out)
     return EXIT_OK
@@ -227,7 +278,7 @@ def cmd_global_tjurina(args, out) -> int:
                "warnings": []}
         if args.trace:
             doc["hilbert_function"] = hf_values
-        print(json.dumps(doc, indent=2), file=out)
+        print(_json_text(doc), file=out)
     else:
         print("Infinite (curve is not reduced)" if value is INFINITE else value, file=out)
         if args.trace:
@@ -293,7 +344,7 @@ def cmd_family(args, out) -> int:
             "gb_match": v.gb_match,
             "lt_match": v.lt_match,
         }
-        print(json.dumps(doc, indent=2), file=out)
+        print(_json_text(doc), file=out)
     else:
         print(f"case: {v.case.value}", file=out)
         print("predicted groebner basis: "

@@ -100,7 +100,10 @@ class GroebnerBasis:
     inter-reduced and every element is made monic.  ``cut`` is the degree
     cut the run ended with, after lowering (None without a cut); a later
     run can continue the basis under it (``buchberger``'s ``base``).
-    Equality and hash are those of (order, generators, reduced)."""
+    Equality and hash are those of (order, generators, reduced).  Under a
+    cut they compare the stored unreduced generators, whose tails depend on
+    which S-pairs the run formed, so they say nothing about the ideal;
+    compare ``(order, cut, leading_monomials())`` for that."""
 
     def __init__(self, order: MonomialOrder, reduced: bool, words: _Words,
                  leads: Sequence[tuple], exps: Sequence[Monomial], cut: int | None):

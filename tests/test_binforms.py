@@ -58,11 +58,13 @@ def test_sylvester_matches_known_values():
     assert sylvester_resultant([1], [7, 0, 0, 1]) == 1
 
 
-def _random_form(rng, degree):
+def _random_form(rng, degree, max_den=1):
     while True:
         terms = {}
         for (i, j) in monomials_of_degree(2, degree):
             c = rng.randint(-4, 4)
+            if max_den > 1:
+                c = Fraction(c, rng.randint(1, max_den))
             if c:
                 terms[(i, j)] = c
         if terms:
@@ -92,6 +94,8 @@ def test_common_factor_degree_counts_shared_lines():
     assert common_factor_degree([P("x^3-y^3")]) == 3
     with pytest.raises(ValueError):
         common_factor_degree([P("x"), P("0")])
+    with pytest.raises(ValueError, match="no binary form"):
+        common_factor_degree([])
 
 
 def test_squarefree_agrees_with_gcd_of_derivative():
@@ -147,6 +151,17 @@ def test_squarefree_gcd_route_matches_discriminant_route():
     rng = random.Random(60606)
     forms = [_random_factor_form(rng) for _ in range(150)]
     forms += [_random_form(rng, rng.randint(1, 7)) for _ in range(150)]
+    # rational coefficients (denominators up to 12), degrees up to 12
+    forms += [_random_factor_form(rng).scale(Fraction(rng.randint(1, 9), rng.randint(1, 12)))
+              for _ in range(50)]
+    forms += [_random_form(rng, rng.randint(1, 12), max_den=12) for _ in range(50)]
+    # divisible by x^2 or y^2
+    forms += [_random_form(rng, rng.randint(0, 6), max_den=12) * P(rng.choice(("x^2", "y^2")))
+              for _ in range(40)]
+    # pure powers c*x^m and c*y^m, whose other partial is zero
+    forms += [Polynomial(2, {(m, 0) if axis == "x" else (0, m):
+                             Fraction(rng.choice((-5, -1, 1, 3)), rng.randint(1, 12))})
+              for axis in "xy" for m in range(1, 13)]
     seen = set()
     for g in forms:
         expected = _squarefree_by_discriminant(g)

@@ -7,8 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from tjurina.cli import main
+from tjurina.cli import _json_text, main
 
 
 def run_cli(*argv):
@@ -482,3 +483,26 @@ def test_python_m_tjurina_runs_the_cli():
     code, out = run_cli(*argv)
     elapsed = re.compile(r'"elapsed_ms": \d+')
     assert code == 0 and elapsed.sub("", proc.stdout) == elapsed.sub("", out)
+
+
+# -- json output -----------------------------------------------------------------------
+
+
+_json_strings = st.text() | st.text(alphabet='"\\/\x00\x08\t\n\x1f\x7f a\u00e9\u2028\U0001f600')
+_json_ints = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+_json_documents = st.recursive(
+    st.none() | st.booleans() | _json_ints | _json_strings,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(_json_strings, children, max_size=4)),
+    max_leaves=20)
+
+
+@given(_json_documents)
+def test_json_writer_matches_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_rejects_floats():
+    with pytest.raises(TypeError):
+        _json_text({"tjurina": [1, 0.5]})
