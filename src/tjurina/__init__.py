@@ -8,87 +8,57 @@ closed-form predictions for the three-term family x^a + y^a + x^b y^c.
 
 __version__ = "0.1.0"
 
-from .analyzer import (
-    Classification,
-    DoubleA,
-    MultiplicityAtLeastThree,
-    SimplePoint,
-    SingularityReport,
-    analyze,
-    classify_double_point,
-    embedding_dimension,
-    is_ordinary,
-    is_slci,
-    k_symmetry_order,
-    local_milnor,
-    local_tjurina,
-    multiplicity_at,
-    nodes_only_check,
-)
-from .binforms import binary_form_resultant, discriminant, squarefree_binary_form
-from .exprio import AMBIENTS, ExprSyntaxError, parse_poly, render_poly
-from .family import (
-    FamilyCase,
-    FamilyParams,
-    FamilyVerification,
-    admissible_params,
-    family_case,
-    min_tjurina,
-    predicted_gb,
-    predicted_lt_gens,
-    tjurina_formula,
-    verify_params,
-)
-from .groebner import (
-    GroebnerBasis,
-    MonomialIdeal,
-    MonomialRangeError,
-    buchberger,
-    divide,
-    is_zero_dimensional,
-    leading_term_ideal,
-    s_polynomial,
-)
-from .lengths import (
-    INFINITE,
-    Infinite,
-    StabilizationError,
-    TruncationTrace,
-    VERTICAL,
-    global_tjurina,
-    hilbert_function,
-    line_restriction_length,
-    local_length_at_origin,
-    local_length_oracle,
-    staircase_length,
-)
-from .poly import (
-    DEGREVLEX,
-    GRLEX,
-    LEX,
-    MonomialOrder,
-    Polynomial,
-    homogeneous_component,
-    partial_derivative,
-    translate_to_origin,
-)
+# Each public name and the submodule that defines it.  A name is imported on
+# its first access (PEP 562) and read from its submodule on every access, so
+# ``import tjurina`` loads no submodule and the engine a caller never uses is
+# never loaded.
+_EXPORTS = {
+    # analyzer
+    "Classification": "analyzer", "DoubleA": "analyzer",
+    "MultiplicityAtLeastThree": "analyzer", "SimplePoint": "analyzer",
+    "SingularityReport": "analyzer", "analyze": "analyzer",
+    "classify_double_point": "analyzer", "embedding_dimension": "analyzer",
+    "is_ordinary": "analyzer", "is_slci": "analyzer", "k_symmetry_order": "analyzer",
+    "local_milnor": "analyzer", "local_tjurina": "analyzer",
+    "multiplicity_at": "analyzer", "nodes_only_check": "analyzer",
+    # binforms
+    "binary_form_resultant": "binforms", "discriminant": "binforms",
+    "squarefree_binary_form": "binforms",
+    # exprio
+    "AMBIENTS": "exprio", "ExprSyntaxError": "exprio", "parse_poly": "exprio",
+    "render_poly": "exprio",
+    # family
+    "FamilyCase": "family", "FamilyParams": "family", "FamilyVerification": "family",
+    "admissible_params": "family", "family_case": "family", "min_tjurina": "family",
+    "predicted_gb": "family", "predicted_lt_gens": "family", "tjurina_formula": "family",
+    "verify_params": "family",
+    # groebner
+    "GroebnerBasis": "groebner", "MonomialIdeal": "groebner",
+    "MonomialRangeError": "groebner", "buchberger": "groebner", "divide": "groebner",
+    "is_zero_dimensional": "groebner", "leading_term_ideal": "groebner",
+    "s_polynomial": "groebner",
+    # lengths
+    "INFINITE": "lengths", "Infinite": "lengths", "StabilizationError": "lengths",
+    "TruncationTrace": "lengths", "VERTICAL": "lengths", "global_tjurina": "lengths",
+    "hilbert_function": "lengths", "line_restriction_length": "lengths",
+    "local_length_at_origin": "lengths", "local_length_oracle": "lengths",
+    "staircase_length": "lengths",
+    # poly
+    "DEGREVLEX": "poly", "GRLEX": "poly", "LEX": "poly", "MonomialOrder": "poly",
+    "Polynomial": "poly", "homogeneous_component": "poly", "partial_derivative": "poly",
+    "translate_to_origin": "poly",
+}
+__all__ = sorted(_EXPORTS)
 
-__all__ = [
-    "AMBIENTS", "Classification", "DEGREVLEX", "DoubleA", "ExprSyntaxError",
-    "FamilyCase", "FamilyParams", "FamilyVerification", "GRLEX",
-    "GroebnerBasis", "INFINITE", "Infinite", "LEX", "MonomialIdeal",
-    "MonomialOrder", "MonomialRangeError", "MultiplicityAtLeastThree",
-    "Polynomial", "SimplePoint", "SingularityReport", "StabilizationError",
-    "TruncationTrace", "VERTICAL",
-    "admissible_params", "analyze", "binary_form_resultant", "buchberger",
-    "classify_double_point", "discriminant", "divide", "embedding_dimension",
-    "family_case", "global_tjurina", "hilbert_function",
-    "homogeneous_component", "is_ordinary", "is_slci", "is_zero_dimensional",
-    "k_symmetry_order", "leading_term_ideal", "line_restriction_length",
-    "local_length_at_origin", "local_length_oracle", "local_milnor",
-    "local_tjurina", "min_tjurina", "multiplicity_at", "nodes_only_check",
-    "parse_poly", "partial_derivative", "predicted_gb", "predicted_lt_gens",
-    "render_poly", "s_polynomial", "squarefree_binary_form",
-    "staircase_length", "tjurina_formula", "translate_to_origin",
-    "verify_params",
-]
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

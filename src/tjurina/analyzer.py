@@ -18,10 +18,10 @@ Q[x,y].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
+from ._record import Record
 from .binforms import common_factor_degree, squarefree_binary_form
 from .lengths import StabilizationError, TruncationTrace, _length_mod_m2, local_length_at_origin
 from .poly import Polynomial, translate_to_origin
@@ -31,13 +31,14 @@ Point = tuple
 # -- classification values ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Singularity type tag: smooth, A_n (n = tau for double points),
     ordinary or non-ordinary multiple point of the given multiplicity."""
 
-    kind: str  # "smooth" | "A_n" | "ordinary" | "non_ordinary"
-    index: int | None = None
+    __slots__ = ("kind", "index")  # kind: "smooth" | "A_n" | "ordinary" | "non_ordinary"
+
+    def __init__(self, kind: str, index: int | None = None):
+        self._set(kind, index)
 
     def __str__(self):
         if self.kind == "smooth":
@@ -49,40 +50,44 @@ class Classification:
         return f"non-ordinary multiple point (m = {self.index})"
 
 
-@dataclass(frozen=True)
-class SimplePoint:
+class SimplePoint(Record):
     """Algorithm outcome: a smooth point, with its tangent line (the
     vanishing of the linear part at the point)."""
 
-    tangent: Polynomial
+    __slots__ = ("tangent",)
+
+    def __init__(self, tangent: Polynomial):
+        self._set(tangent)
 
 
-@dataclass(frozen=True)
-class DoubleA:
+class DoubleA(Record):
     """Algorithm outcome: a double point of type A_n."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self._set(n)
 
 
-@dataclass(frozen=True)
-class MultiplicityAtLeastThree:
+class MultiplicityAtLeastThree(Record):
     """Algorithm outcome: multiplicity >= 3, outside the double-point case."""
 
-    multiplicity: int
+    __slots__ = ("multiplicity",)
+
+    def __init__(self, multiplicity: int):
+        self._set(multiplicity)
 
 
-@dataclass(frozen=True)
-class SingularityReport:
-    point: Point
-    multiplicity: int
-    is_on_curve: bool
-    ordinary: bool | None
-    tjurina: int
-    milnor: int
-    symmetry_order: int | None
-    classification: Classification
-    tjurina_trace: TruncationTrace
-    milnor_trace: TruncationTrace
+class SingularityReport(Record):
+    __slots__ = ("point", "multiplicity", "is_on_curve", "ordinary", "tjurina", "milnor",
+                 "symmetry_order", "classification", "tjurina_trace", "milnor_trace")
+
+    def __init__(self, point: Point, multiplicity: int, is_on_curve: bool,
+                 ordinary: bool | None, tjurina: int, milnor: int,
+                 symmetry_order: int | None, classification: Classification,
+                 tjurina_trace: TruncationTrace, milnor_trace: TruncationTrace):
+        self._set(point, multiplicity, is_on_curve, ordinary, tjurina, milnor,
+                  symmetry_order, classification, tjurina_trace, milnor_trace)
 
 
 # -- basic local data ---------------------------------------------------------

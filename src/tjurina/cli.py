@@ -25,32 +25,41 @@ import argparse
 import sys
 import time
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
+
+try:  # json's own C string escaper, without loading the json package and its regexes
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .analyzer import (
-    DoubleA,
-    SimplePoint,
-    SingularityReport,
-    analyze,
-    classify_double_point,
-)
 from .exprio import ExprSyntaxError, parse_poly, render_poly
-from .family import (
-    FamilyParams,
-    admissible_params,
-    min_tjurina,
-    predicted_gb,
-    verify_params,
-)
 from .groebner import MonomialRangeError
-from .lengths import INFINITE, StabilizationError, global_tjurina
+from .lengths import INFINITE, StabilizationError
 from .poly import Polynomial, translate_to_origin
+
+if TYPE_CHECKING:
+    from .analyzer import SingularityReport
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_ANALYSIS = 3
 EXIT_OFF_CURVE = 4
+
+# Each subcommand imports the engine it runs when it runs, so a process loads
+# only its own subcommand's modules.  The engine names this module bound at
+# import before stay readable as its attributes.
+_ENGINE_NAMES = frozenset({
+    "DoubleA", "SimplePoint", "SingularityReport", "analyze", "classify_double_point",
+    "FamilyParams", "admissible_params", "min_tjurina", "predicted_gb", "verify_params",
+    "global_tjurina",
+})
+
+
+def __getattr__(name):
+    if name in _ENGINE_NAMES:
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _CliError(Exception):
@@ -183,6 +192,8 @@ def _print_human_report(doc: dict, report: SingularityReport, curve: Polynomial,
 
 
 def cmd_analyze(args, out) -> int:
+    from .analyzer import analyze
+
     point = _parse_point(args.point, 2)
     if args.curves_file:
         try:
@@ -191,6 +202,8 @@ def cmd_analyze(args, out) -> int:
         except OSError as e:
             raise _CliError(EXIT_BAD_INPUT, f"cannot read {args.curves_file}: {e}") from e
         texts = [ln for ln in lines if ln and not ln.startswith("#")]
+        if not texts:
+            raise _CliError(EXIT_BAD_INPUT, f"no curve in {args.curves_file}")
     elif args.curve:
         texts = [args.curve]
     else:
@@ -237,6 +250,8 @@ def _projective_to_affine_chart(F: Polynomial, point) -> Polynomial:
 
 
 def cmd_classify(args, out) -> int:
+    from .analyzer import DoubleA, SimplePoint, classify_double_point
+
     if args.projective:
         curve = _parse_curve(args.curve, "projective3")
         point3 = _parse_point(args.point, 3)
@@ -268,6 +283,8 @@ def cmd_classify(args, out) -> int:
 
 
 def cmd_global_tjurina(args, out) -> int:
+    from .lengths import global_tjurina
+
     curve = _parse_curve(args.curve, "projective3")
     if not curve.is_homogeneous() or curve.is_zero() or curve.degree() < 2:
         raise _CliError(EXIT_BAD_INPUT, "need a nonzero homogeneous curve of degree >= 2")
@@ -286,14 +303,9 @@ def cmd_global_tjurina(args, out) -> int:
     return EXIT_OK
 
 
-def _family_params(args) -> FamilyParams:
-    try:
-        return FamilyParams(args.a, args.b, args.c)
-    except ValueError as e:
-        raise _CliError(EXIT_BAD_INPUT, str(e)) from e
-
-
 def cmd_family(args, out) -> int:
+    from .family import FamilyParams, admissible_params, min_tjurina, predicted_gb, verify_params
+
     if args.scan:
         if args.json:
             raise _CliError(EXIT_BAD_INPUT, "--scan prints text only; --json is not supported")
@@ -330,7 +342,10 @@ def cmd_family(args, out) -> int:
 
     if args.a is None or args.b is None or args.c is None:
         raise _CliError(EXIT_BAD_INPUT, "single-tuple mode needs --a, --b and --c")
-    p = _family_params(args)
+    try:
+        p = FamilyParams(args.a, args.b, args.c)
+    except ValueError as e:
+        raise _CliError(EXIT_BAD_INPUT, str(e)) from e
     basis = predicted_gb(p)
     v = verify_params(p, check_gb=args.verify_gb, predicted=basis)
     if args.json:

@@ -20,11 +20,11 @@ parameters are normalized to b >= c on entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
+from ._record import Record
 from .groebner import MonomialIdeal, buchberger, leading_term_ideal
 from .lengths import TruncationTrace, local_length_at_origin, staircase_length
 from .poly import GRLEX, Polynomial, _norm_coeff
@@ -46,27 +46,23 @@ class FamilyCase(Enum):
     C6 = "C6"
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Record):
     """Parameters (a, b, c) with a >= 2 and b + c > a, normalized to b >= c."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        if not all(isinstance(v, int) for v in (self.a, self.b, self.c)):
+    def __init__(self, a: int, b: int, c: int):
+        if not all(isinstance(v, int) for v in (a, b, c)):
             raise ValueError("need integer a, b, c")
-        if self.a < 2:
+        if a < 2:
             raise ValueError("need a >= 2")
-        if self.b < 0 or self.c < 0:
+        if b < 0 or c < 0:
             raise ValueError("need b, c >= 0")
-        if self.b + self.c <= self.a:
-            raise ValueError(f"need b + c > a, got ({self.a}, {self.b}, {self.c})")
-        if self.b < self.c:
-            b, c = self.c, self.b
-            object.__setattr__(self, "b", b)
-            object.__setattr__(self, "c", c)
+        if b + c <= a:
+            raise ValueError(f"need b + c > a, got ({a}, {b}, {c})")
+        if b < c:
+            b, c = c, b
+        self._set(a, b, c)
 
     def curve(self) -> Polynomial:
         """The defining polynomial x^a + y^a + x^b y^c."""
@@ -215,15 +211,13 @@ def admissible_params(a: int, b_max: int | None = None) -> Iterator[FamilyParams
                 yield FamilyParams(a, b, c)
 
 
-@dataclass(frozen=True)
-class FamilyVerification:
-    params: FamilyParams
-    case: FamilyCase
-    formula_tau: int
-    live_tau: int
-    trace: TruncationTrace
-    gb_match: bool | None
-    lt_match: bool | None
+class FamilyVerification(Record):
+    __slots__ = ("params", "case", "formula_tau", "live_tau", "trace", "gb_match", "lt_match")
+
+    def __init__(self, params: FamilyParams, case: FamilyCase, formula_tau: int,
+                 live_tau: int, trace: TruncationTrace, gb_match: bool | None,
+                 lt_match: bool | None):
+        self._set(params, case, formula_tau, live_tau, trace, gb_match, lt_match)
 
     @property
     def ok(self) -> bool:

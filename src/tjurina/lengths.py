@@ -17,13 +17,13 @@ of the Hilbert function of the Jacobian quotient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
 from typing import Sequence
 
+from ._record import Record
 from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
@@ -78,8 +78,7 @@ class StabilizationError(ArithmeticError):
     (non-reduced curve or non-isolated singularity)."""
 
 
-@dataclass(frozen=True)
-class TruncationTrace:
+class TruncationTrace(Record):
     """The computed pairs (r, alpha_r), ending at the first repeat.
 
     ``stabilized_at`` is the first r with alpha_r = alpha_{r+1}; the trace
@@ -89,9 +88,12 @@ class TruncationTrace:
     part in equality.
     """
 
-    pairs: tuple[tuple[int, int], ...]
-    stabilized_at: int
-    basis: GroebnerBasis | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("pairs", "stabilized_at", "basis")
+    _hidden = ("basis",)
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...], stabilized_at: int,
+                 basis: GroebnerBasis | None = None):
+        self._set(pairs, stabilized_at, basis)
 
     @property
     def value(self) -> int:

@@ -13,11 +13,12 @@ the two consistently, so structural equality and hashing just work).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import add, le, neg
 from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+from ._record import Record
 
 Scalar = Union[int, Fraction]
 Monomial = tuple[int, ...]
@@ -93,8 +94,7 @@ def _power_table(base: Mapping[Monomial, Scalar], n: int, nvars: int) -> dict:
     return result
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(Record):
     """A monomial order: grlex, lex or degrevlex plus a variable precedence.
 
     ``precedence`` lists variable indices from most to least significant;
@@ -104,17 +104,16 @@ class MonomialOrder:
     significant variable.
     """
 
-    kind: str = "grlex"
-    precedence: tuple[int, ...] | None = None
+    __slots__ = ("kind", "precedence")
 
-    def __post_init__(self):
-        if self.kind not in _ORDER_KINDS:
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.precedence is not None:
-            p = tuple(self.precedence)
-            if sorted(p) != list(range(len(p))):
+    def __init__(self, kind: str = "grlex", precedence: Sequence[int] | None = None):
+        if kind not in _ORDER_KINDS:
+            raise ValueError(f"unknown order kind {kind!r}")
+        if precedence is not None:
+            precedence = tuple(precedence)
+            if sorted(precedence) != list(range(len(precedence))):
                 raise ValueError("precedence must be a permutation of variable indices")
-            object.__setattr__(self, "precedence", p)
+        self._set(kind, precedence)
 
     def key(self, m: Monomial):
         """Sort key: larger key = larger monomial in this order."""

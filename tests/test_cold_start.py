@@ -1,0 +1,114 @@
+"""A fresh process imports only what its subcommand runs, and the package
+resolves its public names on first access."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tjurina
+
+SRC = str(Path(tjurina.__file__).resolve().parent.parent)
+
+# the warm-up request of each benchmark workload, one per subcommand
+REQUESTS = {
+    "analyze": ["analyze", "--curve=x^3-y^3+x^4", "--point=0,0", "--json"],
+    "classify": ["classify", "--curve=y^2-x^3+x^4", "--point=0,0", "--json"],
+    "family": ["family", "--a", "3", "--b", "6", "--c", "1", "--verify-gb", "--json"],
+    "global-tjurina": ["global-tjurina", "--curve=x0*x1*(x0+x1)*(x0-x1+x2)", "--json"],
+}
+
+# Runs in a fresh `python -I -S`: no site, no environment, only the package
+# sources added to the standard library's path.  Prints the package's
+# submodules after a bare import, the request's exit code, then every loaded
+# module.
+_PROBE = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+import tjurina
+print(",".join(sorted(n for n in sys.modules if n.startswith("tjurina."))))
+from tjurina import cli
+print(cli.main(sys.argv[2:], out=io.StringIO()))
+print(",".join(sorted(sys.modules)))
+"""
+
+NEVER = {"dataclasses", "inspect"}
+NOT_LOADED = {
+    "analyze": {"tjurina.family"},
+    "classify": {"tjurina.family"},
+    "global-tjurina": {"tjurina.family", "tjurina.analyzer", "tjurina.binforms"},
+    "family": set(),
+}
+
+
+def _cold_start(argv):
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _PROBE, SRC, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    bare, code, loaded = proc.stdout.splitlines()
+    return bare, int(code), set(loaded.split(","))
+
+
+@pytest.mark.parametrize("command", sorted(REQUESTS))
+def test_a_subcommand_loads_only_its_engine(command):
+    bare, code, loaded = _cold_start(REQUESTS[command])
+    assert bare == ""  # import tjurina loads no submodule
+    assert code == 0
+    assert "tjurina.cli" in loaded and "tjurina.lengths" in loaded
+    assert not loaded & NEVER
+    assert not loaded & NOT_LOADED[command]
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from tjurina import *", namespace)
+    assert set(tjurina.__all__) <= set(namespace)
+    assert len(tjurina.__all__) == len(set(tjurina.__all__)) == len(tjurina._EXPORTS)
+
+
+def test_each_public_name_is_the_defining_submodules_object():
+    import importlib
+
+    for name, module in tjurina._EXPORTS.items():
+        owner = importlib.import_module(f"tjurina.{module}")
+        value = getattr(tjurina, name)
+        assert value is getattr(owner, name), name
+        if isinstance(value, type) or callable(value):
+            assert value.__module__ == owner.__name__, name
+
+
+def test_reading_names_leaves_the_package_namespace_alone():
+    for name in tjurina.__all__:
+        getattr(tjurina, name)
+    before = dict(vars(tjurina))
+    for name in tjurina.__all__:
+        getattr(tjurina, name)
+    assert vars(tjurina) == before
+    assert not set(tjurina.__all__) & set(vars(tjurina))
+
+
+def test_dir_lists_the_public_names():
+    names = dir(tjurina)
+    assert "__all__" in names and set(tjurina.__all__) <= set(names)
+    assert names == sorted(names)
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tjurina.no_such_name  # noqa: B018
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from tjurina import no_such_name", {})
+    assert not hasattr(tjurina, "cli_main")
+
+
+def test_cli_keeps_the_engine_names_it_bound_before():
+    from tjurina import cli, family
+
+    # through the module's __getattr__: a monkeypatch undone elsewhere may
+    # have left a plain binding in the namespace
+    assert cli.__getattr__("predicted_gb") is family.predicted_gb
+    assert cli.__getattr__("analyze") is tjurina.analyze
+    assert cli.__getattr__("global_tjurina") is tjurina.global_tjurina
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name  # noqa: B018
