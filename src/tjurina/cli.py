@@ -7,11 +7,12 @@ Subcommands:
 * ``global-tjurina`` degree of the Jacobian scheme of a projective curve
 * ``family``         closed-form vs live verification for x^a+y^a+x^b*y^c
 
-Exit codes: 0 success, 2 malformed input (expressions, points, flags,
-zero or constant curves), 3 analysis failure (curve not reduced at the
-point, or an exponent outside the engine's packed range), 4 point not on
-the curve (classify).  The ``warnings`` field of ``analyze --json`` and
-``global-tjurina --json`` is always [].
+Exit codes: 0 success, 1 a ``family`` mismatch, or stdout closed before
+the output is written (``| head -1``; nothing on stderr), 2 malformed input
+(expressions, points, flags, zero or constant curves), 3 analysis failure
+(curve not reduced at the point, or an exponent outside the engine's packed
+range), 4 point not on the curve (classify).  The ``warnings`` field of
+``analyze --json`` and ``global-tjurina --json`` is always [].
 JSON fields are exact: integers as numbers, non-integer rationals as
 "p/q" strings; no floats.  Every ``--json`` document is written by
 ``_json_text``, which gives the bytes of ``json.dumps(doc, indent=2)``
@@ -22,6 +23,7 @@ float with TypeError.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -451,7 +453,14 @@ def main(argv=None, out=None) -> int:
         _COMMANDS = commands.choices
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head -1``): Python's SIGPIPE
+        # recipe, so that the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _CliError as e:
         print(f"error: {e.message}", file=sys.stderr)
         return e.code

@@ -15,14 +15,10 @@ rational literals are written ``p/q``.  ASCII whitespace between tokens
 is ignored.  Every failure raises :class:`ExprSyntaxError` carrying the
 byte offset of the offending token.
 
-A text is scanned once, by ``findall`` of one compiled regular expression
-that splits it into integer literals, names and one-character tokens and
-skips the whitespace between them.  A one-character token that is no
-operator is the illegal character reported first.  Token offsets are
-recomputed from the same pattern only when an error is reported.  A term
-folds its number, ``p/q``, variable and ``^k`` factors straight into one
-coefficient and one exponent vector; only a parenthesised factor is
-expanded into a term table, powered and multiplied in.
+A text is scanned once, by ``findall`` of one regular expression; token
+offsets are recomputed only when an error is reported.  A term folds its
+number, ``p/q``, variable and ``^k`` factors into one coefficient and one
+exponent vector; only a parenthesised factor becomes a term table.
 """
 
 from __future__ import annotations

@@ -241,8 +241,13 @@ def verify_params(p: FamilyParams, check_gb: bool = False,
         if p.b < p.a:
             if predicted is None:
                 predicted = predicted_gb(p)
-            gb_match = set(gb.generators) == set(predicted)
-            lt_match = leading_term_ideal(gb) == MonomialIdeal(
+            # set equality by == alone; both lists are sorted by decreasing
+            # leading monomial, so a match is found on the first comparison
+            live = gb.generators
+            gb_match = live == predicted or (all(g in predicted for g in live)
+                                             and all(g in live for g in predicted))
+            # equal bases have the same minimal leading monomials
+            lt_match = gb_match or leading_term_ideal(gb) == MonomialIdeal(
                 2, (g.leading_monomial(GRLEX) for g in predicted))
         else:
             # closed form for b >= a: the basis is {x^{a-1}, y^{a-1}} only

@@ -1,78 +1,50 @@
 """Buchberger's algorithm and reduced Groebner bases over Q.
 
-The engine returns the unique *reduced* basis: monic generators,
-pairwise inter-reduced, sorted by decreasing leading monomial.  With a
-degree cut it returns a minimal standard basis in Q[x]/m^cut instead (see
-``buchberger``): only leading monomials are read there, so a remainder is
-reduced at its leading term only and keeps its tail unreduced, and in two
-variables the cut is lowered to the degree where the staircase of the
-leading monomials closes; a later run can continue such a basis with more
-generators under the cut it ended with.  Either way a ``GroebnerBasis`` is
-returned as soon as the basis is minimal: its leading monomials are stored,
-and its generators are built on first read.  Pair selection follows the
-normal strategy (lowest lcm degree first, then smallest lcm).  Useless
-pairs are pruned by the Gebauer-Moeller update (Gebauer and Moeller 1988,
-"On an installation of Buchberger's algorithm"), run once as each element
-enters, input generator or remainder.  Of its new pairs it keeps those
+``buchberger`` returns the unique reduced basis (monic, inter-reduced,
+sorted by decreasing leading monomial), or under a degree cut a minimal
+standard basis in Q[x]/m^cut with unreduced tails, as a ``GroebnerBasis``
+whose generators are built on first read.  Pairs follow the normal strategy
+(lowest lcm degree, then smallest lcm) and are pruned by the Gebauer-Moeller
+update (Gebauer and Moeller 1988, "On an installation of Buchberger's
+algorithm"), run as each element enters.  Of its new pairs it keeps those
 whose lcm no other new pair's lcm divides, and a coprime pair prunes the
 pairs its lcm divides and is then dropped itself.  It drops the queued
-pairs whose lcm the new leading word divides strictly on both sides.  It
+pairs whose lcm the new leading word divides strictly on both sides, and it
 retires the elements whose leading word the new one divides: they stay
-reducers but form no new pairs.  S-polynomials of two monomials are
-skipped outright since they vanish identically.
+reducers but form no new pairs.  S-polynomials of two monomials vanish and
+are skipped.
 
-The reduction core is fraction-free.  Inside ``buchberger`` every basis
-element is a primitive integer term table (coprime integer coefficients,
-positive leading coefficient), S-polynomials are built from the term
-tables with integer cofactors, and ``_normal_form`` reduces by scaled
-pseudo-division, so every remainder it returns is an integer multiple of
-the rational one.  Rationals appear only at the boundary: the generators
-of a ``GroebnerBasis`` are made monic when they are built on first read,
-and ``divide`` and ``s_polynomial`` clear denominators on the way in and
-divide them back out on the way out.
+The reduction core is fraction-free: basis elements are primitive integer
+term tables with a positive leading coefficient, S-polynomials are built
+with integer cofactors, and ``_normal_form`` reduces by scaled
+pseudo-division, so a remainder is an integer multiple of the rational one.
+Rationals appear only at the boundary: ``_integer_reducer``, ``_monic``,
+``divide`` and ``s_polynomial``.
 
-Inside the core every monomial is a packed word (``_Words``): one int whose
-high fields hold the order key, which is linear in the exponents for every
-order used here, and whose low fields hold the exponents.  The word of a
-product is the sum of the words, words compare as the monomials do, a term
-table is a dict from word to integer coefficient, and the worklist is a
-heap of negated words.  A word ``w`` divides ``v`` iff ``(v - w) & over``
-is zero.  The fields are 32 bits wide; an exponent that would leave its
-field raises ``MonomialRangeError`` where the word is made, never a wrong
-order.  ``_normal_form`` remembers, per reducer list, the first reducer
-that divides each word it has seen (or that none of the first n does); a
-list only grows by appending, so a remembered divisor stays the first and
-a miss rescans only the reducers appended since.  The inter-reduction,
-run when the generators of a reduced basis are first read, reduces every
-tail against one shared list of all minimal elements with one shared
-memo: no term smaller than ``lm_i`` is divisible by ``lm_i`` in a
-monomial order, so element ``i`` never reduces its own tail, every first
-divisor is the one the list without ``i`` would give, and the reduced
-basis is the same unique one.
+Inside the core a monomial is a packed word (``_Words``): one int whose
+high fields hold the order key, linear in the exponents for every order
+used here, and whose low fields hold the exponents.  Words add as monomials
+multiply and compare as they do, ``w`` divides ``v`` iff ``(v - w) & over``
+is zero, and an exponent that leaves its 32-bit field raises
+``MonomialRangeError``, never a wrong order.  ``_normal_form`` remembers,
+per reducer list, the first reducer that divides each word; a list only
+grows by appending, so a remembered divisor stays the first.  The
+inter-reduction on first read reduces every tail against the whole minimal
+list with one memo: no term below ``lm_i`` is a multiple of ``lm_i``, so
+every first divisor is the one the list without ``i`` gives.
 
-A global run (no cut) keeps its basis close to inter-reduced as it goes.
-When the degree of the popped pair changes, the elements produced at the
-finished degree become stale, all but the last, which was reduced against
-all the others.  A stale element's tail is reduced once, by
-``_normal_form`` with the element's own head, on its next use: as the
-reducer ``_normal_form`` picks, or as one side of an S-pair.  No earlier
-element divides a term of that tail, so nothing is done unless a later
-leading word does.  The refreshed element is a nonzero multiple of the old
-one minus a combination of the others, so the ideal and every leading
-word stay the same: the first-divisor memo stays valid, pair selection and
-the criteria, which read only leading words, see no change, and the
-reduced basis at the end is the same unique one.  Refreshed tails bring
-smaller multipliers into the reductions that use them, which is where a
-large global run spends its time.  Under a cut nothing is refreshed.
+A global run (no cut) keeps its basis close to inter-reduced.  When the
+degree of the popped pair changes, the elements the finished degree produced
+become stale, all but the last; a stale tail is reduced once (``_refresh``)
+on the element's next use, as a reducer or in an S-pair.  The refreshed
+element is a nonzero multiple of the old one minus a combination of the
+others, so the ideal and every leading word stay the same: the memo, the
+pair selection and the criteria see no change, and the reduced basis is the
+same unique one, reached with smaller multipliers.  Under a cut nothing is
+refreshed.
 
-Tuples and ``Polynomial``s appear only at the boundary: ``_integer_reducer``
-packs a polynomial into a reducer, ``_monic`` and ``divide`` speak exponent
-tuples, and ``_Words`` packs and unpacks.
-
-``VERIFY_BASES`` turns on a full postcondition check on every emitted
-basis (reducedness invariants plus reduction of every S-polynomial to
-zero).  It is meant for test runs; the check costs another pass over all
-pairs.
+``VERIFY_BASES`` turns on a full postcondition check of every emitted basis
+(reducedness, and every S-polynomial reducing to zero), for test runs.
 """
 
 from __future__ import annotations
@@ -225,11 +197,17 @@ def _staircase(lms: Iterable[Monomial]) -> list[tuple]:
 def _closing_degree(lms: Iterable[Monomial]) -> int | None:
     """The least r such that every monomial of degree r in two variables is
     a multiple of one in ``lms`` (one more than the largest degree of a
-    standard monomial), or None when there is no such r."""
-    runs = _staircase(lms)
-    if runs[0][2] is None or runs[-1][2]:
-        return None
-    return max((stop + height - 1 for _, stop, height in runs[:-1]), default=0)
+    standard monomial), or None when there is no such r: the largest
+    stop + height - 1 over the runs of ``_staircase``, walked corner by corner."""
+    closing, height = 0, None
+    for a, b in sorted(lms):
+        if height is None:
+            if a:
+                return None  # column 0 is unbounded
+            height = b
+        elif b < height:
+            closing, height = max(closing, a + height - 1), b
+    return closing if height == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +239,7 @@ class _Words:
     a negative field difference borrows and sets the bits above 2^bits.
     """
 
-    __slots__ = ("nvars", "bits", "mask", "over", "local", "_units", "_fields", "_top")
+    __slots__ = ("order", "nvars", "bits", "mask", "over", "local", "word", "_fields", "_top")
 
     def __init__(self, order, nvars: int):
         units = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
@@ -274,6 +252,7 @@ class _Words:
         rows = list(zip(*cols))
         widest = max(max(sum(map(abs, row)) for row in rows), 1)
         bits = min(_FIELD - 1, (((1 << _FIELD - 1) - 1) // widest + 1).bit_length() - 1)
+        self.order = order
         self.nvars = nvars
         self.bits = bits
         self.mask = (1 << _FIELD * nvars) - 1
@@ -282,16 +261,22 @@ class _Words:
         self.local = rows[0][0] < 0 and len(set(rows[0])) == 1
         self._fields = Struct(f">{nvars}I")  # the exponent fields, as 32-bit words
         top = _FIELD * (nvars + len(rows))
-        self._units = [(1 << _FIELD * (nvars - 1 - v))
-                       + sum(w << top - _FIELD * (j + 1) for j, w in enumerate(col))
-                       for v, col in enumerate(cols)]
+        units = [(1 << _FIELD * (nvars - 1 - v))
+                 + sum(w << top - _FIELD * (j + 1) for j, w in enumerate(col))
+                 for v, col in enumerate(cols)]
+        # the word of an exponent tuple, unchecked; spelt out in the plane
+        self.word = ((lambda m, u=units[0], v=units[1]: m[0] * u + m[1] * v) if nvars == 2
+                     else (lambda m: sum(map(mul, m, units))))
         self._top = (rows[0][0], top - _FIELD)
+
+    def __reduce__(self):  # the Struct does not pickle; the cache rebuilds it
+        return _words, (self.order, self.nvars)
 
     def pack(self, m: Monomial) -> int:
         if max(m) >> self.bits:
             raise MonomialRangeError(f"exponent {max(m)} outside the packed field range "
                                      f"0..{(1 << self.bits) - 1}")
-        return sum(map(mul, m, self._units))
+        return self.word(m)
 
     def exponents(self, w: int) -> Monomial:
         return self._fields.unpack((w & self.mask).to_bytes(_FIELD // 8 * self.nvars, "big"))
@@ -300,7 +285,7 @@ class _Words:
         return not (b - a) & self.over
 
     def lcm(self, a: int, b: int) -> int:
-        return sum(map(mul, map(max, self.exponents(a), self.exponents(b)), self._units))
+        return self.word(tuple(map(max, self.exponents(a), self.exponents(b))))
 
     def range_error(self) -> MonomialRangeError:
         """The error for a product w that has left the field range (w & over)."""
@@ -345,15 +330,15 @@ def _integer_reducer(p: Polynomial, words: _Words) -> tuple:
     """(lm, lc, tail): the packed reducer of the primitive integer multiple
     of p with a positive leading coefficient lc, its tail sorted by
     decreasing word.  The multiple is lc / p's leading coefficient."""
-    ms, cs = zip(*p.terms())
-    if max(map(max, ms)) >> words.bits:
-        for m in ms:
+    table = p._terms
+    if max(map(max, table)) >> words.bits:
+        for m in table:
             words.pack(m)  # raises the range error of the first bad term
-    den = lcm(*(c.denominator for c in cs))
-    if den != 1:
+    cs = table.values()
+    if Fraction in map(type, cs):  # an all-int polynomial needs no common denominator
+        den = lcm(*(c.denominator for c in cs))
         cs = [c.numerator * (den // c.denominator) for c in cs]
-    units = words._units
-    terms = sorted(zip([sum(map(mul, m, units)) for m in ms], cs), reverse=True)
+    terms = sorted(zip(map(words.word, table), cs), reverse=True)
     g = gcd(*cs)
     if terms[0][1] < 0:
         g = -g
@@ -388,7 +373,7 @@ def _s_pair(a: tuple, b: tuple, top: int, words: _Words) -> dict:
             table[t] = s
         else:
             table.pop(t, None)
-    if any(t & words.over for t in table):
+    if any(map(words.over.__and__, table)):
         raise words.range_error()
     return table
 
@@ -442,41 +427,36 @@ def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
 def _normal_form(terms: dict, leads, words: _Words, quots: list | None = None,
                  cut: int | None = None, memo: dict | None = None,
                  head: tuple | None = None, stale: set | None = None) -> dict:
-    """Remainder of the packed integer term table ``terms`` on division by
-    ``leads``, a list of packed integer reducers (leading word, leading
-    coefficient, tail terms); each step uses the first reducer that divides.
+    """Remainder of the packed integer term table ``terms`` (a fresh table,
+    used up) on division by ``leads``, a list of packed integer reducers
+    (leading word, leading coefficient, tail terms); each step uses the
+    first reducer that divides.
 
     Fraction-free: before a term c*x^m is cancelled by a reducer with
     leading coefficient L, the work and remainder tables are multiplied by
-    L/gcd(c, L), and then (c/gcd)*x^q times the reducer is subtracted.  The
-    remainder is therefore an integer multiple of the rational one; it is
-    returned primitive (coprime coefficients, a positive leading
-    coefficient, the leading word first) and is empty iff the rational
-    remainder is zero.  When ``quots`` is given, the quotient terms of
-    reducer i are accumulated into ``quots[i]``, the remainder is returned
-    unnormalised and the accumulated scale s is appended to ``quots``, so
-    that s*terms = sum quots[i]*b_i + remainder.  When ``cut`` is given,
-    the division runs in Q[x]/m^cut under a local degree order: every term
-    of total degree >= cut (a word below ``words.floor(cut)``) is dropped,
-    and only the leading term is reduced.  Reduction stops at the first
-    term no reducer divides; it is returned first, followed by the
-    remaining work terms as an unreduced tail (made primitive as above).
-    Its leading monomial, and whether it is zero, are those of the fully
-    reduced remainder, and they are all a caller under a cut reads.  When
-    ``head`` is given, that term (word, coefficient) starts the remainder
-    unreduced; it must lie above every term of ``terms``.  When ``stale``
-    is given, a reducer in it is refreshed (``_refresh``) before it is used.
+    L/gcd(c, L).  The remainder is returned primitive (coprime coefficients,
+    a positive leading coefficient, the leading word first), and is empty
+    iff the rational remainder is zero.  With ``quots``, the quotient terms
+    of reducer i accumulate in ``quots[i]``, the remainder is returned
+    unnormalised and the scale s is appended to ``quots``: s*terms = sum
+    quots[i]*b_i + remainder.  With ``cut`` (a local degree order), terms of
+    total degree >= cut (words below ``words.floor(cut)``) are dropped, and
+    reduction stops at the first term no reducer divides: it is returned
+    first, the remaining work terms follow as an unreduced tail, and its
+    leading monomial, and whether it is zero, are those of the full
+    remainder.  With ``head``, that term (word, coefficient), above every
+    term of ``terms``, starts the remainder unreduced.  A reducer in
+    ``stale`` is refreshed (``_refresh``) before it is used.
 
-    Terms are taken largest first from a heap of negated words; an entry
-    whose word has since cancelled is skipped.  ``memo`` maps a word to the
-    index of its first divisor in ``leads``, or to ~n when none of the
-    first n reducers divides it; ``leads`` only ever grows by appending, so
-    a caller that keeps one memo per reducer list rescans only the new
-    reducers.  Every new product is checked against the field range."""
+    Terms are taken largest first from a heap of negated words.  ``memo``
+    maps a word to the index of its first divisor in ``leads``, or to ~n
+    when none of the first n reducers divides it, so a caller that keeps
+    one memo per growing reducer list rescans only the new reducers.  Every
+    new product is checked against the field range."""
     over = words.over
     if cut is None:
         floor = None
-        work = dict(terms)
+        work = terms
     else:
         floor = words.floor(cut)
         work = {m: c for m, c in terms.items() if m >= floor}
@@ -587,55 +567,36 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     """Unique reduced Groebner basis of the ideal generated by ``gens``.
 
     With ``cut`` the result is a minimal standard basis of the image of the
-    ideal in Q[x]/m^cut, monic but with tails left unreduced (``reduced``
-    is False): every term of total degree >= cut is dropped, and the
-    monomials of m^cut never become generators.  The cut is valid only for
-    an order in which the lowest total degree leads (a local degree order),
-    and any other order raises ValueError; there the monomials of degree
-    < cut are well-ordered, so the reduction terminates, and a product
-    whose leading term has degree >= cut is zero as a whole.  Only leading
-    monomials are read under a cut, so every remainder is reduced at its
-    leading term only (see ``_normal_form``).
+    ideal in Q[x]/m^cut, monic with unreduced tails (``reduced`` is False):
+    terms of total degree >= cut are dropped, and a remainder is reduced at
+    its leading term only (see ``_normal_form``).  The cut needs a local
+    degree order, in which the lowest total degree leads (any other order
+    raises ValueError): there the monomials of degree < cut are
+    well-ordered, so the reduction terminates, and a product whose leading
+    term has degree >= cut is zero as a whole.
 
-    In two variables the cut is also lowered as the basis grows: once the
-    leading monomials hold every monomial of some degree r < cut, the cut
-    becomes r, and pairs whose lcm has degree >= r are skipped from then
-    on.  Every basis element has all its terms in degrees >= its leading
-    degree, and reduction only adds terms of higher degree, so m^r lies in
-    the ideal plus m^cut: both cuts give the same ideal and the same
-    minimal leading monomials.  The staircase can close only once the
-    leading monomials hold a pure power of each variable, so it is not
-    looked at before.  The result records the cut it ended with
-    (``GroebnerBasis.cut``).  A ``verify`` check runs under the cut as
-    given.
+    In two variables the cut is lowered as the basis grows: once the leading
+    monomials hold every monomial of some degree r < cut, the cut becomes r,
+    and pairs of lcm degree >= r are skipped.  Every element has all its
+    terms in degrees >= its leading degree, and reduction only adds terms of
+    higher degree, so m^r lies in the ideal plus m^cut: both cuts give the
+    same ideal and the same minimal leading monomials.  The staircase closes
+    only once both pure powers lead, so it is not looked at before.
+    ``GroebnerBasis.cut`` is the cut the run ended with; ``verify`` checks
+    under the cut as given.
 
     With ``base``, a basis an earlier run returned under a cut in the same
-    order, the run continues that one: the result is a minimal standard
-    basis of the ideal of ``base`` plus ``gens`` under the cut ``base``
-    ended with (or ``cut``, if smaller).  The base elements are taken as
-    they are, still packed, and start active with no queued pairs: the
-    pairs among them were treated by the run that built the base, and only
-    the new elements form pairs.  When every new generator truncates to
-    zero, ``base`` itself is returned.  A base under another order, or one
-    without a cut, raises ValueError.
+    order, the run continues it: the result is a minimal standard basis of
+    base's ideal plus ``gens`` under base's cut (or ``cut``, if smaller).
+    The base elements start active with no queued pairs, as the run that
+    built the base treated their pairs.  When every new generator truncates
+    to zero, ``base`` itself is returned.  A base under another order, or
+    one without a cut, raises ValueError.
 
-    Pairs are queued by the Gebauer-Moeller update as each element enters
-    (see the module docstring), new pairs only below the cut in force.  An
-    input generator whose leading word an active element already has pairs
-    with that element alone and retires at once.  A retired element stays a
-    reducer, and the minimal basis is read from the active elements.
-
-    Basis elements are kept as primitive integer reducers on packed words
-    throughout, with one first-divisor memo for the growing list.  Without
-    a cut, the elements a finished pair degree produced (all but the last)
-    are stale, and a stale tail is reduced once against the list, on the
-    element's next use as a reducer or in an S-pair.  That keeps the ideal
-    and every leading word, hence every pair, criterion and output, as
-    they are, and shrinks the multipliers of later reductions (see the
-    module docstring).  The result is returned as soon as the basis is
-    minimal: its leading monomials are the stored ones, and its generators
-    are built on first read (inter-reduced for a reduced basis, then made
-    monic), so a caller that reads only leading monomials pays for neither.
+    An input generator with the leading word of an active element pairs
+    with that element alone and retires at once.  The minimal basis is read
+    from the active elements; a caller that reads only its leading
+    monomials pays for neither inter-reduction nor rationals.
 
     Raises ValueError if every generator is zero (after the cut) and there
     is no base, and MonomialRangeError if an exponent leaves the packed
@@ -646,9 +607,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
             raise ValueError("only a basis computed under a cut, in the same order, "
                              "can be continued")
         cut = base.cut if cut is None else min(cut, base.cut)
-    if cut is not None:
-        gens = [Polynomial._from_valid(g.nvars, {m: c for m, c in g.terms() if sum(m) < cut})
-                for g in gens]
+    if cut is not None:  # only a generator that reaches the cut is copied
+        gens = [g if (g.degree() or 0) < cut else Polynomial._from_valid(
+                    g.nvars, {m: c for m, c in g.terms() if sum(m) < cut}) for g in gens]
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
         if base is not None:
@@ -661,7 +622,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     if cut is not None and not words.local:
         raise ValueError("a degree cut needs a local degree order, "
                          "in which the lowest total degree leads")
-    over, units = words.over, words._units
+    over, word = words.over, words.word
 
     # (lm, lc, tail): packed primitive integer basis elements, and their
     # leading exponents, for the staircase and pair degrees
@@ -703,39 +664,48 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
         # an input generator with the leading word of an active element g
         # pairs with g alone and retires at once: each other pair of h has
         # the lcm of a pair of g, and reduces by the chain through g
-        g = next((g for g in active if lms[g] == wh), None) if h < entered else None
-        if g is not None:
-            if wh and (limit is None or sum(eh) < limit):  # 1 and 1 are coprime
-                heappush(heap, (sum(eh), wh, g, h))
-            return
+        if h < entered:
+            for g in active:
+                if lms[g] == wh:
+                    degree = sum(eh)
+                    if wh and (limit is None or degree < limit):  # 1 and 1 are coprime
+                        heappush(heap, (degree, wh, g, h))
+                    return
         # B_k: a queued pair whose lcm wh divides, strictly on both sides,
         # reduces by the chain through h
-        if any(not (e[1] - wh) & over for e in heap):
-            heap[:] = [e for e in heap if (e[1] - wh) & over
-                       or e[0] == sum(map(max, exps[e[2]], eh))
-                       or e[0] == sum(map(max, exps[e[3]], eh))]
-            heapify(heap)
+        for e in heap:
+            if not (e[1] - wh) & over:
+                heap[:] = [e for e in heap if (e[1] - wh) & over
+                           or e[0] == sum(map(max, exps[e[2]], eh))
+                           or e[0] == sum(map(max, exps[e[3]], eh))]
+                heapify(heap)
+                break
         # the new pairs below the cut (above it the S-polynomial lies in
         # m^cut), lowest lcm first and a coprime pair before the others with
         # its lcm: a pair whose lcm an earlier one's divides is dropped, and
-        # a coprime pair, whose S-polynomial reduces to zero, is not queued
-        pairs = []
+        # a coprime pair, whose S-polynomial reduces to zero, is not queued.
+        # g retires when wh divides lm_g (the lcm is lm_g): it stays a reducer
+        pairs, kept = [], []
         for g in active:
             top = tuple(map(max, exps[g], eh))
+            if top != exps[g]:
+                kept.append(g)
             degree = sum(top)
             if limit is None or degree < limit:
-                w = sum(map(mul, top, units))  # in range, as both factors are
+                w = word(top)  # in range, as both factors are
                 pairs.append((degree, w, w != lms[g] + wh, g))
+        kept.append(h)
+        active[:] = kept
         pairs.sort()
         tops: list[int] = []
         for degree, w, joint, g in pairs:
-            if all((w - t) & over for t in tops):
+            for t in tops:
+                if not (w - t) & over:
+                    break
+            else:
                 tops.append(w)
                 if joint:
                     heappush(heap, (degree, w, g, h))
-        # retire the active elements whose leading word wh divides: they stay
-        # reducers but form no new pairs
-        active[:] = [g for g in active if (lms[g] - wh) & over] + [h]
 
     for h in range(old, entered):
         update(h)
@@ -819,13 +789,8 @@ def leading_term_ideal(gb: GroebnerBasis) -> MonomialIdeal:
 def is_zero_dimensional(lt: MonomialIdeal) -> bool:
     """True iff some pure power of every variable lies in the ideal.
 
-    The unit ideal (generated by the empty exponent vector) counts as
-    zero-dimensional; the zero ideal does not.
+    A pure power x_v^k is a monomial whose degree is its exponent of x_v:
+    so the unit ideal, generated by x^0, counts as zero-dimensional; the
+    zero ideal does not.
     """
-    zero = (0,) * lt.nvars
-    if zero in lt.gens:
-        return True
-    for v in range(lt.nvars):
-        if not any(m[v] > 0 and all(e == 0 for u, e in enumerate(m) if u != v) for m in lt.gens):
-            return False
-    return True
+    return all(any(m[v] == sum(m) for m in lt.gens) for v in range(lt.nvars))

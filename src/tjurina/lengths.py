@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb
 from typing import Sequence
 
@@ -118,20 +118,9 @@ def staircase_length(lt: MonomialIdeal):
     if lt.nvars == 2:
         # every run but the last (height 0) is a finite block of columns
         return sum((stop - start) * height for start, stop, height in _staircase(lt.gens)[:-1])
-    # generic fallback: enumerate inside the box cut out by pure powers
-    bounds = []
-    for v in range(lt.nvars):
-        p = min(m[v] for m in lt.gens
-                if m[v] > 0 and all(e == 0 for u, e in enumerate(m) if u != v))
-        bounds.append(p)
-    count = 0
-    stack = [(())]
-    for v, bound in enumerate(bounds):
-        stack = [pre + (e,) for pre in stack for e in range(bound)]
-    for m in stack:
-        if not any(monomial_divides(g, m) for g in lt.gens):
-            count += 1
-    return count
+    # generic fallback: enumerate inside the box cut out by the pure powers
+    box = [range(min(m[v] for m in lt.gens if m[v] == sum(m) > 0)) for v in range(lt.nvars)]
+    return sum(1 for m in product(*box) if not any(monomial_divides(g, m) for g in lt.gens))
 
 
 class _LocalDegreeOrder:
@@ -145,24 +134,33 @@ class _LocalDegreeOrder:
     def key(m: Monomial):
         return (-sum(m),) + m
 
+    def __reduce__(self):  # unpickles as the one instance, so bases stay comparable
+        return "_LOCAL"
+
 
 _LOCAL = _LocalDegreeOrder()
 
 
+def _add_run(d2: list[int], start: int, stop: int, height: int | None, n: int):
+    """Add to the second-order difference table ``d2`` the columns at degrees
+    start .. stop-1 (stop <= n), each adding one to the degrees t .. t +
+    height - 1 below n (all of them for a height of None): two ramps."""
+    if start >= stop or height == 0:
+        return
+    d2[start] += 1
+    d2[stop] -= 1
+    if height is not None and start + height < n:
+        d2[start + height] -= 1
+        d2[min(stop, n - height) + height] += 1
+
+
 def _standard_counts(lms: Sequence[Monomial], R: int) -> list[int]:
     """counts[t] = number of monomials x^i y^j of degree t < R that no
-    monomial in ``lms`` divides.
-
-    Column i adds one to the degrees i .. i+h-1, h its staircase height
-    capped at R - i; recorded as a difference table and summed once."""
-    steps = [0] * (R + 1)
+    monomial in ``lms`` divides: one trapezoid per staircase run."""
+    d2 = [0] * (R + 1)
     for start, stop, height in _staircase(lms):
-        for i in range(start, R if stop is None else min(stop, R)):
-            h = R - i if height is None else min(height, R - i)
-            if h:
-                steps[i] += 1
-                steps[i + h] -= 1
-    return list(accumulate(steps[:R]))
+        _add_run(d2, start, R if stop is None else min(stop, R), height, R)
+    return list(accumulate(accumulate(d2[:R])))
 
 
 def local_length_at_origin(gens: Sequence[Polynomial], base: GroebnerBasis | None = None):
@@ -301,33 +299,48 @@ def _slice_dims(lt: MonomialIdeal, t_max: int) -> list[int]:
     """dims[t] for t <= t_max: the number of degree-t standard monomials of a
     monomial ideal in 3 variables.
 
-    Column by column: above (a, b) the standard monomials x0^a x1^b x2^c
-    are those with c < block, the smallest g[2] over generators with
-    g[0] <= a and g[1] <= b (unbounded when there is none).  Each column
-    adds one to the degrees a+b .. a+b+block-1, recorded as a difference
-    table and summed once at the end.  Blocks only shrink as a or b grows,
-    so a row stops at its first empty column, and the next row stops there
-    too.
+    Above (a, b) the standard monomials x0^a x1^b x2^c are those with
+    c < block, the smallest g[2] over generators with g[0] <= a and
+    g[1] <= b (n = t_max + 1 when there is none).  Blocks only shrink as a
+    or b grows, so row a is a list of runs (stop, block) of columns, up to
+    its first empty column: the smaller of row a - 1 and of the generators
+    in row a.  Each run is one trapezoid (``_add_run``).
     """
     n = t_max + 1
-    own: dict[tuple[int, int], int] = {}
-    for g0, g1, g2 in lt.gens:
+    own: dict[int, list] = {}  # row a: runs (stop, least g[2] so far) of its generators
+    for g0, g1, g2 in sorted(lt.gens):
         if g0 + g1 <= t_max:
-            own[g0, g1] = min(own.get((g0, g1), n), g2)
-    steps = [0] * (n + 1)
-    prev = [n] * n  # block over the columns (a - 1, b), up to the first empty one
+            runs = own.setdefault(g0, [(n, n)])
+            if g2 < runs[-1][1]:
+                runs[-1] = (g1, runs[-1][1])
+                runs.append((n, g2))
+    d2 = [0] * (n + 1)
+    row = [(n, n)]
     for a in range(n):
-        block = n
-        row = []
-        for b in range(min(n - a, len(prev))):
-            block = min(block, prev[b], own.get((a, b), n))
-            if not block:
-                break
-            row.append(block)
-            steps[a + b] += 1
-            steps[min(a + b + block, n)] -= 1
-        prev = row
-    return list(accumulate(steps[:n]))
+        limit, start = n - a, 0
+        row = _min_runs(row, own[a]) if a in own else row
+        for stop, block in row:
+            if stop > limit:
+                stop = limit
+            _add_run(d2, a + start, a + stop, block, n)
+            start = stop
+    return list(accumulate(accumulate(d2[:n])))
+
+
+def _min_runs(p: list, q: list) -> list:
+    """The smaller of two non-increasing step functions, each given as runs
+    (stop, height) from column 0, up to the first column where it is 0."""
+    out, i, j = [], 0, 0
+    while i < len(p) and j < len(q):
+        (sp, hp), (sq, hq) = p[i], q[j]
+        stop, height = min(sp, sq), min(hp, hq)
+        if not height:
+            break
+        if stop:
+            out.append((stop, height))
+        i += sp == stop
+        j += sq == stop
+    return out
 
 
 def hilbert_function(gens: Sequence[Polynomial], t: int) -> int:

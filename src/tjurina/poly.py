@@ -167,6 +167,9 @@ class Polynomial:
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):  # pickle rebuilds through _from_valid, not __setattr__
+        return type(self)._from_valid, (self.nvars, self._terms)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -228,7 +231,7 @@ class Polynomial:
         """Total degree; None for the zero polynomial."""
         if not self._terms:
             return None
-        return max(sum(m) for m in self._terms)
+        return max(map(sum, self._terms))
 
     def min_degree(self) -> int | None:
         """Degree of the lowest nonzero homogeneous component (the order of

@@ -485,6 +485,40 @@ def test_python_m_tjurina_runs_the_cli():
     assert code == 0 and elapsed.sub("", proc.stdout) == elapsed.sub("", out)
 
 
+def _closed_after_first_line(argv):
+    """Run ``python -m tjurina`` unbuffered with stdout a pipe that is closed
+    once its first line is read, as ``| head -1`` does: (exit code, stderr)."""
+    import tjurina
+
+    src = str(Path(tjurina.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONUNBUFFERED": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-m", "tjurina", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["global-tjurina", "--curve=x0*x1*(x0+x1)*(x0-x1+x2)", "--json", "--trace"],
+    ["family", "--scan", "--a-max", "6"],
+])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # the reader may close only after the last write, and then the run is
+    # simply a success; a few tries make sure the early close is seen too
+    codes = set()
+    for _ in range(8):
+        code, err = _closed_after_first_line(argv)
+        assert err == "" and code in (0, 1), (code, err)
+        codes.add(code)
+        if code == 1:
+            break
+    assert 1 in codes
+
+
 # -- json output -----------------------------------------------------------------------
 
 

@@ -1,8 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from tjurina import (
     FamilyCase,
     FamilyParams,
+    GRLEX,
     MonomialIdeal,
     Polynomial,
     admissible_params,
@@ -10,6 +14,7 @@ from tjurina import (
     divide,
     family_case,
     is_ordinary,
+    leading_term_ideal,
     min_tjurina,
     parse_poly,
     predicted_gb,
@@ -146,6 +151,49 @@ def test_verify_params_live_engine_small_range():
             v = verify_params(p, check_gb=True)
             assert v.ok, (p, v)
             assert v.formula_tau == v.live_tau
+
+
+def _perturbed(basis, rng):
+    """The predicted basis with one coefficient changed, with one element
+    dropped, and with two elements swapped."""
+    basis = list(basis)
+    i = rng.randrange(len(basis))
+    terms = dict(basis[i].terms())
+    m = rng.choice(sorted(terms))
+    terms[m] += rng.choice((-1, 1, Fraction(1, 2)))
+    if not terms[m]:
+        terms[m] = 7
+    changed = basis[:i] + [Polynomial(2, terms)] + basis[i + 1:]
+    dropped = basis[:i] + basis[i + 1:]
+    swapped = list(basis)
+    j = rng.randrange(len(basis))
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    return {"changed": changed, "dropped": dropped, "swapped": swapped}
+
+
+def test_verify_params_reports_a_perturbed_basis_as_the_set_comparison_does():
+    # gb_match and lt_match against the plain definitions: equal sets of
+    # generators, and equal minimal generators of the leading-term ideals
+    rng = random.Random(2020)
+    outcomes = set()
+    for a in range(2, 21):
+        for p in admissible_params(a):
+            if p.b >= p.a:
+                continue
+            f = p.curve()
+            gb = buchberger([f, f.partial_derivative(0), f.partial_derivative(1)], verify=False)
+            live_lt = leading_term_ideal(gb)
+            for kind, predicted in [("exact", predicted_gb(p)),
+                                    *_perturbed(predicted_gb(p), rng).items()]:
+                v = verify_params(p, check_gb=True, predicted=tuple(predicted))
+                gb_match = set(gb.generators) == set(predicted)
+                lt_match = live_lt == MonomialIdeal(
+                    2, (g.leading_monomial(GRLEX) for g in predicted))
+                assert (v.gb_match, v.lt_match) == (gb_match, lt_match), (p, kind, predicted)
+                outcomes.add((kind, gb_match, lt_match))
+    # each kind of perturbation was seen, always with the outcome it must have
+    assert outcomes == {("exact", True, True), ("changed", False, True),
+                        ("dropped", False, False), ("swapped", True, True)}
 
 
 def test_big_b_basis_is_the_fat_point_intersection_globally():

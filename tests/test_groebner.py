@@ -758,3 +758,43 @@ def test_an_input_that_repeats_a_leading_word_pairs_with_the_first_alone(monkeyp
     assert gb.generators[0] == P("x+y^2")
     first = entries[0]
     assert [set(p) for p in pairs] == [{first, entries[2]}, {first, entries[3]}]
+
+
+# -- packing a polynomial into an integer reducer ---------------------------------
+
+
+def _reducer_by_the_formula(p, words):
+    """The primitive integer reducer by the plain formula: clear the common
+    denominator of all coefficients, divide out their gcd, make the leading
+    coefficient positive."""
+    from math import gcd, lcm
+    ms, cs = zip(*p.terms())
+    den = lcm(*(Fraction(c).denominator for c in cs))
+    cs = [int(c * den) for c in cs]
+    g = gcd(*cs)
+    terms = sorted(zip(map(words.pack, ms), cs), reverse=True)
+    if terms[0][1] < 0:
+        g = -g
+    terms = [(m, c // g) for m, c in terms]
+    return terms[0][0], terms[0][1], tuple(terms[1:])
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int-only", "fractions"])
+def test_integer_reducer_matches_the_formula(fractions):
+    from tjurina.groebner import _integer_reducer, _words
+    from tjurina.lengths import _LOCAL
+    rng = random.Random(4242 + fractions)
+    for _ in range(400):
+        nvars = rng.choice((2, 3))
+        order = rng.choice((GRLEX, LEX, DEGREVLEX, _LOCAL) if nvars == 2 else (GRLEX, LEX, DEGREVLEX))
+        words = _words(order, nvars)
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            c = rng.choice((-12, -6, -3, -1, 1, 2, 4, 9, 30))
+            if fractions and rng.random() < 0.5:
+                c = Fraction(c, rng.choice((2, 3, 4, 9)))
+            terms[tuple(rng.randint(0, 5) for _ in range(nvars))] = c
+        p = Polynomial(nvars, terms)
+        if p.is_zero():
+            continue
+        assert _integer_reducer(p, words) == _reducer_by_the_formula(p, words), (p, order)

@@ -247,6 +247,37 @@ def test_standard_counts_and_closing_degree_match_enumeration():
             assert closing is None or closing >= 20, lms
 
 
+def _counts_by_enumeration(lms, R):
+    return [sum(1 for m in monomials_of_degree(2, t)
+                if not any(monomial_divides(g, m) for g in lms)) for t in range(R)]
+
+
+@pytest.mark.parametrize("lms, R", [
+    ([(3, 5), (8, 1), (12, 0)], 7),        # R cuts inside the run of height 5
+    ([(3, 5), (8, 1), (12, 0)], 10),       # ... and inside the run of height 1
+    ([(4, 2), (0, 9)], 6),                 # no pure power of x: the last run never ends
+    ([(4, 2), (7, 0)], 9),                 # first run (columns 0..3) unbounded
+    ([(2, 3)], 12),                        # first run unbounded, last run of height 3
+    ([], 1), ([], 9),                      # the empty set: every monomial counts
+    ([(0, 0)], 1), ([(0, 0)], 9),          # the unit ideal: none does
+    ([(0, 0), (3, 1)], 5),
+])
+def test_standard_counts_by_runs_match_enumeration(lms, R):
+    assert _standard_counts(lms, R) == _counts_by_enumeration(lms, R)
+
+
+def test_standard_counts_by_runs_on_long_runs():
+    # a few corners far apart, so every run spans many columns, and R cutting
+    # anywhere, inside a run or past the last one
+    rng = random.Random(9090)
+    for _ in range(3000):
+        corners = sorted(rng.sample(range(0, 25), rng.randint(0, 4)))
+        heights = sorted(rng.sample(range(0, 25), len(corners)), reverse=True)
+        lms = list(zip(corners, heights))
+        R = rng.randint(1, 45)
+        assert _standard_counts(lms, R) == _counts_by_enumeration(lms, R), (lms, R)
+
+
 def test_length_mod_m2_matches_the_oracle():
     # alpha_2 for the embedding dimension, on ideals zero-dimensional at the
     # origin or not (a common factor through O, or a single generator)
@@ -345,6 +376,25 @@ def test_slice_dims_match_a_per_degree_count():
                         if not any(monomial_divides(g, m) for g in lt.gens))
                     for t in range(t_max + 1)]
         assert _slice_dims(lt, t_max) == expected
+
+
+def test_slice_dims_by_runs_on_long_equal_height_runs():
+    # blocks of one height over long runs of columns (a few generators with
+    # large x0, x1 exponents), cut by a t_max that falls inside a run
+    from tjurina.lengths import _slice_dims
+    rng = random.Random(2718)
+    for _ in range(150):
+        gens = [(0, 0, rng.randint(1, 6))]
+        gens += [(rng.randint(0, 14), rng.randint(0, 14), rng.randint(0, 5))
+                 for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.7:  # pure powers, so the staircase is finite
+            gens += [(rng.randint(4, 16), 0, 0), (0, rng.randint(4, 16), 0)]
+        lt = MonomialIdeal(3, gens)
+        t_max = rng.randint(0, 30)
+        expected = [sum(1 for m in monomials_of_degree(3, t)
+                        if not any(monomial_divides(g, m) for g in lt.gens))
+                    for t in range(t_max + 1)]
+        assert _slice_dims(lt, t_max) == expected, (sorted(lt.gens), t_max)
 
 
 def test_hilbert_function_validates():

@@ -21,7 +21,9 @@ from tjurina import (
     SingularityReport,
     TruncationTrace,
     analyze,
+    buchberger,
     classify_double_point,
+    local_length_at_origin,
     parse_poly,
     verify_params,
 )
@@ -138,14 +140,26 @@ def test_validation_and_normalisation_stay():
 
 
 def test_pickle_round_trip_gives_an_equal_record():
-    # a trace's basis and a SimplePoint's tangent hold objects that do not pickle
-    trace = _report().tjurina_trace
+    # a trace's basis and a SimplePoint's tangent pickle too: a Polynomial is
+    # rebuilt through _from_valid, a basis's packed words through their cache
+    report = _report()
+    trace = report.tjurina_trace
     records = [TruncationTrace(trace.pairs, trace.stabilized_at), *_outcomes()[1:],
                Classification("A_n", 4), FamilyParams(4, 1, 4),
-               MonomialOrder("degrevlex", precedence=(2, 0, 1))]
+               MonomialOrder("degrevlex", precedence=(2, 0, 1)),
+               _outcomes()[0], trace, report, verify_params(FamilyParams(5, 3, 3), check_gb=True)]
     for record in records:
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record) and copy == record and repr(copy) == repr(record)
+    # a GroebnerBasis, reduced or under a cut; the local one can still be continued
+    for basis in (trace.basis, buchberger([parse_poly("x^2+y"), parse_poly("x*y-1")])):
+        copy = pickle.loads(pickle.dumps(basis))
+        assert copy == basis and repr(copy) == repr(basis)
+        assert (copy.order, copy.cut, copy.leading_monomials()) == \
+            (basis.order, basis.cut, basis.leading_monomials())
+    more = [parse_poly("x^3 + y^7 + x*y^5")]
+    assert local_length_at_origin(more, base=pickle.loads(pickle.dumps(trace.basis))) == \
+        local_length_at_origin(more, base=trace.basis)
 
 
 def test_every_record_kind_is_covered():
