@@ -197,17 +197,11 @@ def _staircase(lms: Iterable[Monomial]) -> list[tuple]:
 def _closing_degree(lms: Iterable[Monomial]) -> int | None:
     """The least r such that every monomial of degree r in two variables is
     a multiple of one in ``lms`` (one more than the largest degree of a
-    standard monomial), or None when there is no such r: the largest
-    stop + height - 1 over the runs of ``_staircase``, walked corner by corner."""
-    closing, height = 0, None
-    for a, b in sorted(lms):
-        if height is None:
-            if a:
-                return None  # column 0 is unbounded
-            height = b
-        elif b < height:
-            closing, height = max(closing, a + height - 1), b
-    return closing if height == 0 else None
+    standard monomial), or None when there is no such r."""
+    runs = _staircase(lms)
+    if runs[0][2] is None or runs[-1][2]:
+        return None
+    return max((stop + height - 1 for _, stop, height in runs[:-1]), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +258,7 @@ class _Words:
         units = [(1 << _FIELD * (nvars - 1 - v))
                  + sum(w << top - _FIELD * (j + 1) for j, w in enumerate(col))
                  for v, col in enumerate(cols)]
-        # the word of an exponent tuple, unchecked; spelt out in the plane
-        self.word = ((lambda m, u=units[0], v=units[1]: m[0] * u + m[1] * v) if nvars == 2
-                     else (lambda m: sum(map(mul, m, units))))
+        self.word = lambda m: sum(map(mul, m, units))  # unchecked
         self._top = (rows[0][0], top - _FIELD)
 
     def __reduce__(self):  # the Struct does not pickle; the cache rebuilds it
@@ -335,7 +327,7 @@ def _integer_reducer(p: Polynomial, words: _Words) -> tuple:
         for m in table:
             words.pack(m)  # raises the range error of the first bad term
     cs = table.values()
-    if Fraction in map(type, cs):  # an all-int polynomial needs no common denominator
+    if any(type(c) is not int for c in cs):  # an all-int polynomial needs no common denominator
         den = lcm(*(c.denominator for c in cs))
         cs = [c.numerator * (den // c.denominator) for c in cs]
     terms = sorted(zip(map(words.word, table), cs), reverse=True)

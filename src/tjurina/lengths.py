@@ -301,46 +301,19 @@ def _slice_dims(lt: MonomialIdeal, t_max: int) -> list[int]:
 
     Above (a, b) the standard monomials x0^a x1^b x2^c are those with
     c < block, the smallest g[2] over generators with g[0] <= a and
-    g[1] <= b (n = t_max + 1 when there is none).  Blocks only shrink as a
-    or b grows, so row a is a list of runs (stop, block) of columns, up to
-    its first empty column: the smaller of row a - 1 and of the generators
-    in row a.  Each run is one trapezoid (``_add_run``).
+    g[1] <= b: row a is the staircase of those (g[1], g[2]), recomputed only
+    where a generator starts.  Each of its runs is one trapezoid (``_add_run``).
     """
     n = t_max + 1
-    own: dict[int, list] = {}  # row a: runs (stop, least g[2] so far) of its generators
-    for g0, g1, g2 in sorted(lt.gens):
-        if g0 + g1 <= t_max:
-            runs = own.setdefault(g0, [(n, n)])
-            if g2 < runs[-1][1]:
-                runs[-1] = (g1, runs[-1][1])
-                runs.append((n, g2))
     d2 = [0] * (n + 1)
-    row = [(n, n)]
+    starts = {g[0] for g in lt.gens}
+    runs = [(0, None, None)]
     for a in range(n):
-        limit, start = n - a, 0
-        row = _min_runs(row, own[a]) if a in own else row
-        for stop, block in row:
-            if stop > limit:
-                stop = limit
-            _add_run(d2, a + start, a + stop, block, n)
-            start = stop
+        if a in starts:
+            runs = _staircase([g[1:] for g in lt.gens if g[0] <= a])
+        for start, stop, height in runs:
+            _add_run(d2, a + start, n if stop is None else min(a + stop, n), height, n)
     return list(accumulate(accumulate(d2[:n])))
-
-
-def _min_runs(p: list, q: list) -> list:
-    """The smaller of two non-increasing step functions, each given as runs
-    (stop, height) from column 0, up to the first column where it is 0."""
-    out, i, j = [], 0, 0
-    while i < len(p) and j < len(q):
-        (sp, hp), (sq, hq) = p[i], q[j]
-        stop, height = min(sp, sq), min(hp, hq)
-        if not height:
-            break
-        if stop:
-            out.append((stop, height))
-        i += sp == stop
-        j += sq == stop
-    return out
 
 
 def hilbert_function(gens: Sequence[Polynomial], t: int) -> int:

@@ -798,3 +798,13 @@ def test_integer_reducer_matches_the_formula(fractions):
         if p.is_zero():
             continue
         assert _integer_reducer(p, words) == _reducer_by_the_formula(p, words), (p, order)
+    if fractions:
+        # _norm_coeff keeps a Fraction subclass as it is (the constructor's
+        # sums would give plain Fractions)
+        class Ratio(Fraction):
+            pass
+
+        words = _words(GRLEX, 2)
+        p = Polynomial._from_valid(2, {(2, 0): Ratio(3, 4), (0, 1): Ratio(-5, 6), (0, 0): 2})
+        assert _integer_reducer(p, words) == _reducer_by_the_formula(p, words)
+
