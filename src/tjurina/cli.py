@@ -7,17 +7,21 @@ Subcommands:
 * ``global-tjurina`` degree of the Jacobian scheme of a projective curve
 * ``family``         closed-form vs live verification for x^a+y^a+x^b*y^c
 
+Every option is written once, in ``_SUBCOMMANDS``.  ``main`` reads a plain
+argv (exact names, each once, well-formed values) by that table alone, into
+the namespace argparse would give.  Any other argv goes to the argparse parser
+built from the table on the first such call, which alone rejects an argv.
+
 Exit codes: 0 success, 1 a ``family`` mismatch, or stdout closed before
 the output is written (``| head -1``; nothing on stderr), 2 malformed input
-(expressions, points, flags, zero or constant curves), 3 analysis failure
-(curve not reduced at the point, or an exponent outside the engine's packed
-range), 4 point not on the curve (classify).  The ``warnings`` field of
-``analyze --json`` and ``global-tjurina --json`` is always [].
-JSON fields are exact: integers as numbers, non-integer rationals as
-"p/q" strings; no floats.  Every ``--json`` document is written by
-``_json_text``, which gives the bytes of ``json.dumps(doc, indent=2)``
-without the json module's pure-Python indenting encoder, and refuses a
-float with TypeError.
+(expressions, points, flags, zero or constant curves, an option the request
+would not read, as ``--curve`` with ``--curves-file`` or ``--a-max`` without
+``--scan``), 3 analysis failure (curve not reduced at the point, or an
+exponent outside the engine's packed range), 4 point not on the curve
+(classify).  The ``warnings`` field of ``analyze --json`` and
+``global-tjurina --json`` is always [].  JSON fields are exact: integers as
+numbers, non-integer rationals as "p/q" strings; no floats.  Every ``--json``
+document is written by ``_json_text``, as ``json.dumps(doc, indent=2)`` would.
 """
 
 from __future__ import annotations
@@ -197,6 +201,8 @@ def cmd_analyze(args, out) -> int:
     from .analyzer import analyze
 
     point = _parse_point(args.point, 2)
+    if args.curve is not None and args.curves_file is not None:
+        raise _CliError(EXIT_BAD_INPUT, "give --curve or --curves-file, not both")
     if args.curves_file:
         try:
             with open(args.curves_file, encoding="utf-8") as fh:
@@ -311,12 +317,9 @@ def cmd_family(args, out) -> int:
     if args.scan:
         if args.json:
             raise _CliError(EXIT_BAD_INPUT, "--scan prints text only; --json is not supported")
-        if args.a is not None:
-            a_values = [args.a]
-        elif args.a_max is not None:
-            a_values = list(range(2, args.a_max + 1))
-        else:
-            raise _CliError(EXIT_BAD_INPUT, "--scan needs --a or --a-max")
+        if (args.a is None) == (args.a_max is None) or args.b is not None or args.c is not None:
+            raise _CliError(EXIT_BAD_INPUT, "--scan needs one of --a, --a-max, and no --b or --c")
+        a_values = [args.a] if args.a is not None else list(range(2, args.a_max + 1))
         if not a_values or a_values[0] < 2:  # an --a-max below 2 leaves nothing to check
             raise _CliError(EXIT_BAD_INPUT, "need a >= 2")
         mismatches = 0
@@ -342,8 +345,8 @@ def cmd_family(args, out) -> int:
         print(f"scan: {checked} tuples checked, {mismatches} mismatches", file=out)
         return EXIT_OK if mismatches == 0 else 1
 
-    if args.a is None or args.b is None or args.c is None:
-        raise _CliError(EXIT_BAD_INPUT, "single-tuple mode needs --a, --b and --c")
+    if args.a is None or args.b is None or args.c is None or args.a_max is not None:
+        raise _CliError(EXIT_BAD_INPUT, "single-tuple mode needs --a, --b and --c, and no --a-max")
     try:
         p = FamilyParams(args.a, args.b, args.c)
     except ValueError as e:
@@ -374,83 +377,105 @@ def cmd_family(args, out) -> int:
     return EXIT_OK if v.ok else 1
 
 
+# Every option of every subcommand, written once: ``build_parser`` builds the
+# argparse parser from this table, and ``_read_plain`` reads requests by it.
+# An option's row is (dest, kind, required, help), its kind "flag", str or int.
+_JSON = ("json", "flag", False, "machine-readable output")
+_TRACE = ("trace", "flag", False, "include traces")
+_SUBCOMMANDS = {
+    "analyze": (cmd_analyze, "full report at a point", {
+        "--json": _JSON, "--trace": _TRACE,
+        "--curve": ("curve", str, False, "affine curve in x, y"),
+        "--curves-file": ("curves_file", str, False, "file with one curve expression per line"),
+        "--point": ("point", str, True, "rational point, e.g. 0,0 or 1/2,-3")}),
+    "classify": (cmd_classify, "double-point algorithm at a point", {
+        "--json": _JSON, "--curve": ("curve", str, True, None),
+        "--point": ("point", str, True, None),
+        "--projective": ("projective", "flag", False, "curve in x0,x1,x2 and point a,b,c in P^2")}),
+    "global-tjurina": (cmd_global_tjurina, "degree of the projective Jacobian scheme", {
+        "--json": _JSON, "--trace": _TRACE,
+        "--curve": ("curve", str, True, "homogeneous curve in x0, x1, x2")}),
+    "family": (cmd_family, "x^a + y^a + x^b*y^c closed forms vs live engine", {
+        "--json": _JSON, "--a": ("a", int, False, None), "--b": ("b", int, False, None),
+        "--c": ("c", int, False, None),
+        "--scan": ("scan", "flag", False, "verify all admissible (b, c)"),
+        "--a-max": ("a_max", int, False, "with --scan: verify a = 2..a_max"),
+        "--verify-gb": ("verify_gb", "flag", False,
+                        "also compare the live Groebner basis with the closed form")}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tjurina",
-        description="Exact invariants of plane curve singularities.")
+    parser = argparse.ArgumentParser(prog="tjurina",
+                                     description="Exact invariants of plane curve singularities.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, trace=False):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        if trace:
-            p.add_argument("--trace", action="store_true", help="include traces")
-
-    p = sub.add_parser("analyze", help="full report at a point")
-    common(p, trace=True)
-    p.add_argument("--curve", help="affine curve in x, y")
-    p.add_argument("--curves-file", help="file with one curve expression per line")
-    p.add_argument("--point", required=True, help="rational point, e.g. 0,0 or 1/2,-3")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("classify", help="double-point algorithm at a point")
-    common(p)
-    p.add_argument("--curve", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--projective", action="store_true",
-                   help="curve in x0,x1,x2 and point a,b,c in P^2")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("global-tjurina", help="degree of the projective Jacobian scheme")
-    common(p, trace=True)
-    p.add_argument("--curve", required=True, help="homogeneous curve in x0, x1, x2")
-    p.set_defaults(func=cmd_global_tjurina)
-
-    p = sub.add_parser("family", help="x^a + y^a + x^b*y^c closed forms vs live engine")
-    common(p)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--scan", action="store_true", help="verify all admissible (b, c)")
-    p.add_argument("--a-max", type=int, help="with --scan: verify a = 2..a_max")
-    p.add_argument("--verify-gb", action="store_true",
-                   help="also compare the live Groebner basis with the closed form")
-    p.set_defaults(func=cmd_family)
+    for command, (func, summary, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, (dest, kind, required, text) in options.items():
+            if kind == "flag":
+                p.add_argument(name, dest=dest, action="store_true", help=text)
+            else:
+                p.add_argument(name, dest=dest, type=None if kind is str else kind,
+                               required=required, help=text)
+        p.set_defaults(func=func)
     return parser
 
 
-# Built on the first call to ``main``, not at import, and reused by every
-# later call in the process; each call parses into a fresh namespace.
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """argparse's namespace for a plain argv, else None.  Plain is an exact
+    subcommand, then exact option names, each at most once, as ``--opt=value``
+    or ``--opt value``: no value empty or, given apart, opening with ``-``; no
+    ``=`` on a flag; int values that ``int()`` reads; every required option."""
+    spec = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    func, _summary, options = spec
+    values = {dest: False if kind == "flag" else None for dest, kind, _r, _h in options.values()}
+    unread = dict(options)  # an option read once leaves it
+    words = iter(argv[1:])
+    for word in words:
+        name, eq, value = word.partition("=")
+        if name not in unread:
+            return None
+        dest, kind, _required, _help = unread.pop(name)
+        if kind == "flag":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(words, "")  # "" when the value is missing
+            if value.startswith("-"):
+                return None
+        if not value:
+            return None
+        try:
+            values[dest] = kind(value)  # str(value) is value
+        except ValueError:
+            return None
+    if any(required for _d, _k, required, _h in unread.values()):
+        return None
+    return argparse.Namespace(command=argv[0], func=func, **values)
+
+
+# Built for the first argv that is not plain, and reused for the process.
 _PARSER: argparse.ArgumentParser | None = None
-# The subcommand parsers of ``_PARSER``, by name.
-_COMMANDS: dict[str, argparse.ArgumentParser] = {}
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_PARSER.parse_args(argv)`` in one pass over the words, not two.
-
-    An argv that opens with a subcommand goes straight to that subcommand's
-    parser.  The top-level parser takes every other argv, and also one whose
-    direct parse leaves words over or that holds a word opening with ``--=``
-    (or ``-=`` on some Python versions), which it rejects as ambiguous among
-    its own options; so its errors and exit codes stay its own.
-    """
-    sub = _COMMANDS.get(argv[0]) if argv else None
-    if sub is not None and not any(w.startswith(("--=", "-=")) for w in argv):
-        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return _PARSER.parse_args(argv)
+    """``build_parser().parse_args(argv)``, read by the table if argv is plain."""
+    global _PARSER
+    args = _read_plain(argv)
+    if args is None:
+        if _PARSER is None:
+            _PARSER = build_parser()
+        args = _PARSER.parse_args(argv)
+    return args
 
 
 def main(argv=None, out=None) -> int:
-    global _PARSER, _COMMANDS
     out = out or sys.stdout
-    if _PARSER is None:
-        _PARSER = build_parser()
-        (commands,) = [a for a in _PARSER._actions
-                       if isinstance(a, argparse._SubParsersAction)]
-        _COMMANDS = commands.choices
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args, out)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tjurina.cli import _json_text, main
 
@@ -310,8 +311,13 @@ def test_family_scan_single_a_deterministic():
     ("classify", "--curve", "y^2-x^3", "--point", "0,0", "--trace"),
     ("family", "--a", "5", "--b", "2", "--c", "2", "--trace"),
     ("family", "--scan", "--a", "3", "--json"),
+    ("analyze", "--curve=y^2-x^5", "--curves-file=curves.txt", "--point=0,0"),
+    ("family", "--scan", "--a", "3", "--a-max", "5"),
+    ("family", "--scan", "--a", "3", "--b", "2"),
+    ("family", "--a", "3", "--b", "6", "--c", "1", "--a-max", "9"),
 ], ids=["analyze-threads", "classify-threads", "global-threads", "family-threads",
-        "classify-trace", "family-trace", "family-scan-json"])
+        "classify-trace", "family-trace", "family-scan-json", "analyze-curve-and-file",
+        "family-scan-a-and-a-max", "family-scan-b", "family-tuple-a-max"])
 def test_flags_nothing_reads_are_rejected(argv, capsys):
     # options that would change no output are usage errors, not silent no-ops
     try:
@@ -378,8 +384,19 @@ SEQUENCE = [
 
 
 def test_main_builds_its_parser_once(counted_parser_builds):
+    # well-formed requests are read by the option table alone; argparse is
+    # built for the first malformed one and kept for the rest of the process
     for argv in SEQUENCE * 3:
         run_cli(*argv)
+    assert counted_parser_builds == []
+    with pytest.raises(SystemExit):
+        run_cli("analyze", "--bogus")
+    assert counted_parser_builds == [1]
+    for argv in SEQUENCE:
+        run_cli(*argv)
+    assert run_cli("classify", "--cur=y^2-x^3", "--point=0,0") == (0, "A_2\n")
+    with pytest.raises(SystemExit):
+        run_cli("nonsense")
     assert counted_parser_builds == [1]
 
 
@@ -390,10 +407,10 @@ def test_flags_do_not_leak_between_calls(counted_parser_builds, monkeypatch):
     for argv in SEQUENCE:
         monkeypatch.setattr(cli, "_PARSER", None)
         lone.append(run_cli(*argv))
-    assert len(counted_parser_builds) == len(SEQUENCE)
+    assert counted_parser_builds == []
     monkeypatch.setattr(cli, "_PARSER", None)
     assert [run_cli(*argv) for argv in SEQUENCE] == lone
-    assert len(counted_parser_builds) == len(SEQUENCE) + 1
+    assert counted_parser_builds == []
     # the flags make a difference, so a leak would show
     assert len({out for _code, out in lone[:4]}) == 3
 
@@ -460,6 +477,83 @@ def test_main_parses_like_the_top_level_parser(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_parse_args", stop)
     expected = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
     assert _parse_outcome(main, argv, capsys) == expected
+
+
+# every option of the four subcommands, with a value each accepts (None: a flag)
+_PLAIN_OPTIONS = {
+    "analyze": {"--json": None, "--trace": None, "--curve": "y^2-x^5",
+                "--curves-file": "curves.txt", "--point": "0,0"},
+    "classify": {"--json": None, "--curve": "y^2-x^3", "--point": "1/2,-3",
+                 "--projective": None},
+    "global-tjurina": {"--json": None, "--trace": None, "--curve": "x0^3+x1^3+x2^3"},
+    "family": {"--json": None, "--a": "5", "--b": "2", "--c": "4", "--scan": None,
+               "--a-max": "6", "--verify-gb": None},
+}
+_REQUIRED = {"analyze": {"--point"}, "classify": {"--curve", "--point"},
+             "global-tjurina": {"--curve"}, "family": set()}
+# abbreviations (--cur is ambiguous in analyze), unknown options and words
+# the top-level parser answers itself
+_OTHER_NAMES = ["--poi", "--cur", "--a-m", "--bogus", "--", "-h", "--help", "--version", "-x"]
+_ODD_VALUES = ["", "-x^2+y^3", "-3", " 7", "+7", "7_0", "\u0667", "0x7", "x", "0,0", "a=b",
+               "analyze"]
+
+
+def _words(name, value, form):
+    if form == "bare":
+        return [name]
+    return [f"{name}={value}"] if form == "=" else [name, value]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of options of one subcommand, each at most once, in a drawn
+    order and form, a required one at times left out, a value or a flag at
+    times made odd, and up to two more word groups (repeats, other names)
+    dropped in anywhere; returned with whether it is plain."""
+    command = draw(st.sampled_from([*_PLAIN_OPTIONS] * 3 + ["ana", "nonsense", "-h", "--version"]))
+    options = _PLAIN_OPTIONS.get(command, _PLAIN_OPTIONS["analyze"])
+    required = _REQUIRED.get(command, set())
+    chosen = set(draw(st.lists(st.sampled_from(sorted(options)), unique=True)))
+    if draw(st.integers(0, 3)):
+        chosen |= required
+    plain = command in _PLAIN_OPTIONS and required <= chosen
+    words = []
+    for name in draw(st.permutations(sorted(chosen))):
+        value, form = options[name], "bare" if options[name] is None else draw(st.sampled_from("=_"))
+        if not draw(st.integers(0, 4)):
+            value, form, plain = draw(st.sampled_from(_ODD_VALUES)), form if value else "=", False
+        words += _words(name, value, form)
+    extras = draw(st.lists(st.tuples(
+        st.sampled_from(sorted(options) * 2 + _OTHER_NAMES),
+        st.sampled_from(_ODD_VALUES + [v for v in options.values() if v]),
+        st.sampled_from(["bare", "=", "_"]),
+        st.integers(0, len(words))), max_size=2))
+    for name, value, form, at in extras:
+        words[at:at] = _words(name, value, form)
+    return [command, *words], plain and not extras
+
+
+def _outcome_of(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("namespace", parse(list(argv)))
+        except SystemExit as e:
+            result = ("exit", e.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(_argvs())
+def test_the_plain_reader_parses_like_argparse(drawn):
+    # the option table reads a plain argv itself and hands every other one to
+    # argparse: same namespace, or same exit code and output
+    from tjurina import cli
+
+    argv, plain = drawn
+    if plain:
+        assert cli._read_plain(argv) is not None
+    assert _outcome_of(cli._parse_args, argv) == _outcome_of(cli.build_parser().parse_args, argv)
 
 
 def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):

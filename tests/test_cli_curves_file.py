@@ -1,4 +1,4 @@
-"""`analyze --curves-file` with a file that holds no curve."""
+"""`analyze --curves-file` with a file that holds no curve, or with `--curve`."""
 
 import io
 
@@ -23,3 +23,13 @@ def test_a_file_with_one_curve_among_comments_is_analyzed(tmp_path):
     out = io.StringIO()
     assert main(["analyze", f"--curves-file={path}", "--point=0,0"], out=out) == 0
     assert "A_2 (tau = 2)" in out.getvalue()
+
+
+def test_a_curve_given_with_a_file_is_bad_input(tmp_path, capsys):
+    # one of the two would go unread: a usage error, not a silent choice
+    path = tmp_path / "curves.txt"
+    path.write_text("y^2 - x^3\n", encoding="utf-8")
+    out = io.StringIO()
+    code = main(["analyze", "--curve=y^2-x^5", f"--curves-file={path}", "--point=0,0"], out=out)
+    assert code == 2 and out.getvalue() == ""
+    assert capsys.readouterr().err == "error: give --curve or --curves-file, not both\n"

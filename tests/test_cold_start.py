@@ -1,6 +1,7 @@
 """A fresh process imports only what its subcommand runs, and the package
 resolves its public names on first access."""
 
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +22,8 @@ REQUESTS = {
 
 # Runs in a fresh `python -I -S`: no site, no environment, only the package
 # sources added to the standard library's path.  Prints the package's
-# submodules after a bare import, the request's exit code, then every loaded
-# module.
+# submodules after a bare import, the request's exit code, whether the CLI's
+# argparse parser is still unbuilt, then every loaded module.
 _PROBE = """
 import io, sys
 sys.path.insert(0, sys.argv[1])
@@ -30,6 +31,7 @@ import tjurina
 print(",".join(sorted(n for n in sys.modules if n.startswith("tjurina."))))
 from tjurina import cli
 print(cli.main(sys.argv[2:], out=io.StringIO()))
+print(cli._PARSER is None)
 print(",".join(sorted(sys.modules)))
 """
 
@@ -42,22 +44,30 @@ NOT_LOADED = {
 }
 
 
-def _cold_start(argv):
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _PROBE, SRC, *argv],
+@functools.lru_cache(maxsize=None)
+def _cold_start(command):
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _PROBE, SRC, *REQUESTS[command]],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    bare, code, loaded = proc.stdout.splitlines()
-    return bare, int(code), set(loaded.split(","))
+    bare, code, parser_unbuilt, loaded = proc.stdout.splitlines()
+    return bare, int(code), parser_unbuilt == "True", frozenset(loaded.split(","))
 
 
 @pytest.mark.parametrize("command", sorted(REQUESTS))
 def test_a_subcommand_loads_only_its_engine(command):
-    bare, code, loaded = _cold_start(REQUESTS[command])
+    bare, code, _parser_unbuilt, loaded = _cold_start(command)
     assert bare == ""  # import tjurina loads no submodule
     assert code == 0
     assert "tjurina.cli" in loaded and "tjurina.lengths" in loaded
     assert not loaded & NEVER
     assert not loaded & NOT_LOADED[command]
+
+
+@pytest.mark.parametrize("command", sorted(REQUESTS))
+def test_a_well_formed_request_builds_no_argparse_parser(command):
+    # the option table reads it; argparse is built only for an argv it leaves
+    _bare, code, parser_unbuilt, _loaded = _cold_start(command)
+    assert code == 0 and parser_unbuilt
 
 
 def test_star_import_binds_every_public_name():
