@@ -1,8 +1,9 @@
 """Per-point analysis of plane curve singularities.
 
-Everything is exact and local: a point with rational coordinates is
-translated to the origin and the invariants are read off ideals in
-Q[x,y].
+Everything is exact and local.  One germ per point: each per-point function
+moves f from a rational point to the origin once, into a private record of
+the translate, its multiplicity and its partials, and reads the invariants
+off ideals in Q[x,y].  The report of ``analyze`` keeps that germ.
 
 * multiplicity and ordinariness (squarefreeness of the initial form);
 * the Tjurina number tau = length at O of (f, f_x, f_y) and the Milnor
@@ -79,38 +80,64 @@ class MultiplicityAtLeastThree(Record):
 
 
 class SingularityReport(Record):
+    """What ``analyze`` found at a point.  The ``germ`` it was read from takes
+    no part in equality, hash or repr."""
+
     __slots__ = ("point", "multiplicity", "is_on_curve", "ordinary", "tjurina", "milnor",
-                 "symmetry_order", "classification", "tjurina_trace", "milnor_trace")
+                 "symmetry_order", "classification", "tjurina_trace", "milnor_trace", "germ")
+    _hidden = ("germ",)
 
     def __init__(self, point: Point, multiplicity: int, is_on_curve: bool,
                  ordinary: bool | None, tjurina: int, milnor: int,
                  symmetry_order: int | None, classification: Classification,
-                 tjurina_trace: TruncationTrace, milnor_trace: TruncationTrace):
+                 tjurina_trace: TruncationTrace, milnor_trace: TruncationTrace,
+                 germ: _Germ | None = None):
         self._set(point, multiplicity, is_on_curve, ordinary, tjurina, milnor,
-                  symmetry_order, classification, tjurina_trace, milnor_trace)
+                  symmetry_order, classification, tjurina_trace, milnor_trace, germ)
 
 
 # -- basic local data ---------------------------------------------------------
 
 
+class _Germ:
+    """A nonzero curve f moved from a rational point to the origin, as every
+    per-point invariant reads it: the translate g, its multiplicity m (0 off
+    the curve) and its partials gx, gy."""
+
+    __slots__ = ("point", "g", "m", "gx", "gy")
+
+    def __init__(self, f: Polynomial, point: Point,
+                 zero: str = "the zero polynomial does not define a curve"):
+        if f.is_zero():
+            raise ValueError(zero)
+        g = self.g = translate_to_origin(f, point)
+        self.point, self.m = tuple(point), g.min_degree()
+        self.gx, self.gy = g.partial_derivative(0), g.partial_derivative(1)
+
+    def where(self) -> str:
+        return "(" + ",".join(str(c) for c in self.point) + ")"
+
+    def length(self, gens: list[Polynomial], failure: str) -> tuple[int, TruncationTrace]:
+        """``local_length_at_origin(gens)``, whose StabilizationError names the point."""
+        try:
+            return local_length_at_origin(gens)
+        except StabilizationError as e:
+            raise StabilizationError(f"{failure} at {self.where()}: {e}") from e
+
+
 def multiplicity_at(f: Polynomial, point: Point) -> int:
     """Least degree of a nonzero homogeneous component after translating
     the point to the origin; 0 means the point is off the curve."""
-    if f.is_zero():
-        raise ValueError("multiplicity of the zero polynomial is undefined")
-    return translate_to_origin(f, point).min_degree()
+    return _Germ(f, point, "multiplicity of the zero polynomial is undefined").m
 
 
 def is_ordinary(f: Polynomial, point: Point) -> bool:
     """True iff the tangent cone at a singular point consists of distinct
     lines (squarefree initial form).  Requires multiplicity >= 2."""
-    if f.is_zero():
-        raise ValueError("the zero polynomial does not define a curve")
-    g = translate_to_origin(f, point)
-    m = g.min_degree()
-    if m < 2:
+    germ = _Germ(f, point)
+    if germ.m < 2:
         raise ValueError("ordinariness is defined at singular points (multiplicity >= 2)")
-    return squarefree_binary_form(g.homogeneous_component(m))
+    return squarefree_binary_form(germ.g.homogeneous_component(germ.m))
 
 
 def local_tjurina(f: Polynomial, point: Point) -> tuple[int, TruncationTrace]:
@@ -119,31 +146,14 @@ def local_tjurina(f: Polynomial, point: Point) -> tuple[int, TruncationTrace]:
     Zero iff the point is smooth or off the curve.  Raises
     StabilizationError if the curve is not reduced at the point.
     """
-    if f.is_zero():
-        raise ValueError("the zero polynomial does not define a curve")
-    g = translate_to_origin(f, point)
-    gens = [g, g.partial_derivative(0), g.partial_derivative(1)]
-    try:
-        return local_length_at_origin(gens)
-    except StabilizationError as e:
-        raise StabilizationError(f"curve not reduced at {_fmt_point(point)}: {e}") from e
+    germ = _Germ(f, point)
+    return germ.length([germ.g, germ.gx, germ.gy], "curve not reduced")
 
 
 def local_milnor(f: Polynomial, point: Point) -> tuple[int, TruncationTrace]:
     """Length at the point of the Milnor scheme of (f_x, f_y)."""
-    if f.is_zero():
-        raise ValueError("the zero polynomial does not define a curve")
-    g = translate_to_origin(f, point)
-    gens = [g.partial_derivative(0), g.partial_derivative(1)]
-    try:
-        return local_length_at_origin(gens)
-    except StabilizationError as e:
-        raise StabilizationError(
-            f"non-isolated critical point at {_fmt_point(point)}: {e}") from e
-
-
-def _fmt_point(point: Point) -> str:
-    return "(" + ",".join(str(c) for c in point) + ")"
+    germ = _Germ(f, point)
+    return germ.length([germ.gx, germ.gy], "non-isolated critical point")
 
 
 # -- symmetry and slci tests ---------------------------------------------------
@@ -185,17 +195,11 @@ def is_slci(f: Polynomial, point: Point) -> bool:
     complete intersection of two multiplicity-(m-1) curves with no common
     tangent: both partials vanish to order exactly m-1 and their initial
     forms share no linear factor."""
-    if f.is_zero():
-        raise ValueError("the zero polynomial does not define a curve")
-    g = translate_to_origin(f, point)
-    m = g.min_degree()
+    germ = _Germ(f, point)
+    m, gx, gy = germ.m, germ.gx, germ.gy
     if m < 2:
         raise ValueError("slci test is defined at singular points (multiplicity >= 2)")
-    gx = g.partial_derivative(0)
-    gy = g.partial_derivative(1)
-    if gx.is_zero() or gy.is_zero():
-        return False
-    if gx.min_degree() != m - 1 or gy.min_degree() != m - 1:
+    if gx.min_degree() != m - 1 or gy.min_degree() != m - 1:  # None for a zero partial
         return False
     return common_factor_degree([gx.homogeneous_component(m - 1),
                                  gy.homogeneous_component(m - 1)]) == 0
@@ -223,18 +227,14 @@ def classify_double_point(f: Polynomial, point: Point):
     its type A_n (the Jacobian scheme of a double point is curvilinear of
     length n exactly for A_n).
     """
-    if f.is_zero():
-        raise ValueError("the zero polynomial does not define a curve")
-    g = translate_to_origin(f, point)
-    if g.constant_term() != 0:
-        raise ValueError(f"point {_fmt_point(point)} is not on the curve")
-    linear = g.homogeneous_component(1)
-    if not linear.is_zero():
-        return SimplePoint(tangent=linear)
-    if g.homogeneous_component(2).is_zero():
-        return MultiplicityAtLeastThree(multiplicity=g.min_degree())
-    n, _trace = local_length_at_origin(
-        [g, g.partial_derivative(0), g.partial_derivative(1)])
+    germ = _Germ(f, point)
+    if germ.m == 0:
+        raise ValueError(f"point {germ.where()} is not on the curve")
+    if germ.m == 1:
+        return SimplePoint(tangent=germ.g.homogeneous_component(1))
+    if germ.m >= 3:
+        return MultiplicityAtLeastThree(multiplicity=germ.m)
+    n, _trace = local_length_at_origin([germ.g, germ.gx, germ.gy])
     return DoubleA(n=n)
 
 
@@ -266,19 +266,13 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     tau <= mu, or of mu = (m-1)^2 at an ordinary point, raises
     AssertionError.
     """
-    if f.is_zero():
-        raise ValueError("the zero polynomial does not define a curve")
-    if f.degree() == 0:
+    if f.degree() == 0:  # the zero polynomial has degree None: _Germ refuses it
         raise ValueError("a nonzero constant defines the empty curve")
-    g = translate_to_origin(f, point)
-    m = g.min_degree()
-    on_curve = m >= 1
-    gx = g.partial_derivative(0)
-    gy = g.partial_derivative(1)
+    germ = _Germ(f, point)
+    g, m, gx, gy = germ.g, germ.m, germ.gx, germ.gy
 
     errors = []
-    tau = mu = None
-    tau_trace = mu_trace = None
+    mu_trace = None
     try:
         mu, mu_trace = local_length_at_origin([gx, gy])
     except StabilizationError as e:
@@ -290,9 +284,10 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
             tau, tau_trace = local_length_at_origin([g], base=mu_trace.basis)
     except StabilizationError as e:
         errors.insert(0, f"tjurina: {e}")
-    if errors:
-        raise StabilizationError(
-            f"curve not reduced at {_fmt_point(point)}: " + "; ".join(errors))
+    if errors:  # off the curve, (f) is the unit ideal: only mu can fail
+        where = (f"point {germ.where()} is not on the curve, and f has a non-isolated "
+                 "critical point there" if m == 0 else f"curve not reduced at {germ.where()}")
+        raise StabilizationError(f"{where}: " + "; ".join(errors))
 
     ordinary = symmetry = None
     if m >= 2:
@@ -314,9 +309,9 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
         raise AssertionError(f"ordinary point with mu = {mu} != (m-1)^2 = {(m - 1) ** 2}")
 
     return SingularityReport(
-        point=tuple(point),
+        point=germ.point,
         multiplicity=m,
-        is_on_curve=on_curve,
+        is_on_curve=m >= 1,
         ordinary=ordinary,
         tjurina=tau,
         milnor=mu,
@@ -324,4 +319,5 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
         classification=classification,
         tjurina_trace=tau_trace,
         milnor_trace=mu_trace,
+        germ=germ,
     )

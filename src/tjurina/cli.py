@@ -15,10 +15,10 @@ built from the table on the first such call, which alone rejects an argv.
 Exit codes: 0 success, 1 a ``family`` mismatch, or stdout closed before
 the output is written (``| head -1``; nothing on stderr), 2 malformed input
 (expressions, points, flags, zero or constant curves, an option the request
-would not read, as ``--curve`` with ``--curves-file`` or ``--a-max`` without
-``--scan``), 3 analysis failure (curve not reduced at the point, or an
-exponent outside the engine's packed range), 4 point not on the curve
-(classify).  The ``warnings`` field of ``analyze --json`` and
+would not read, as a repeated one, ``--curve`` with ``--curves-file`` or
+``--a-max`` without ``--scan``), 3 analysis failure (curve not reduced at the
+point, f with a non-isolated critical point off the curve, or an exponent
+outside the engine's packed range), 4 point not on the curve (classify).  The ``warnings`` field of ``analyze --json`` and
 ``global-tjurina --json`` is always [].  JSON fields are exact: integers as
 numbers, non-integer rationals as "p/q" strings; no floats.  Every ``--json``
 document is written by ``_json_text``, as ``json.dumps(doc, indent=2)`` would.
@@ -150,12 +150,11 @@ def _encode(o, newline: str, parts: list[str]) -> None:
     parts.append(newline + close)
 
 
-def _report_document(curve_text: str, point, report: SingularityReport,
-                     elapsed_ms: int) -> dict:
+def _report_document(curve_text: str, report: SingularityReport, elapsed_ms: int) -> dict:
     return {
         "version": __version__,
         "curve": curve_text,
-        "point": [_exact(c) for c in point],
+        "point": [_exact(c) for c in report.point],
         "multiplicity": report.multiplicity,
         "ordinary": report.ordinary,
         "tjurina": report.tjurina,
@@ -169,18 +168,16 @@ def _report_document(curve_text: str, point, report: SingularityReport,
     }
 
 
-def _print_human_report(doc: dict, report: SingularityReport, curve: Polynomial, out,
+def _print_human_report(curve_text: str, report: SingularityReport, out,
                         with_trace: bool = False):
-    point = ",".join(str(c) for c in doc["point"])
-    print(f"curve: {doc['curve']}", file=out)
-    print(f"point: ({point})", file=out)
+    print(f"curve: {curve_text}", file=out)
+    print(f"point: {report.germ.where()}", file=out)
     if not report.is_on_curve:
         print("the point is not on the curve", file=out)
         return
     print(f"multiplicity: {report.multiplicity}", file=out)
     if report.multiplicity == 1:
-        g = translate_to_origin(curve, report.point)
-        tangent = render_poly(g.homogeneous_component(1))
+        tangent = render_poly(report.germ.g.homogeneous_component(1))
         print(f"smooth point, tangent: {tangent} = 0", file=out)
         return
     cls = report.classification
@@ -225,14 +222,13 @@ def cmd_analyze(args, out) -> int:
         t0 = time.monotonic()
         results.append((analyze(curve, point), int((time.monotonic() - t0) * 1000)))
 
-    docs = [_report_document(t, point, rep, ms)
-            for t, (rep, ms) in zip(texts, results)]
     if args.json:
+        docs = [_report_document(t, rep, ms) for t, (rep, ms) in zip(texts, results)]
         payload = docs[0] if len(docs) == 1 and not args.curves_file else docs
         print(_json_text(payload), file=out)
     else:
-        for doc, curve, (rep, _ms) in zip(docs, curves, results):
-            _print_human_report(doc, rep, curve, out, with_trace=args.trace)
+        for text, (rep, _ms) in zip(texts, results):
+            _print_human_report(text, rep, out, with_trace=args.trace)
     return EXIT_OK
 
 
@@ -405,6 +401,13 @@ _SUBCOMMANDS = {
 }
 
 
+class _Once(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:  # the first value would go unread
+            raise argparse.ArgumentError(self, "may be given only once")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tjurina",
                                      description="Exact invariants of plane curve singularities.")
@@ -416,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
             if kind == "flag":
                 p.add_argument(name, dest=dest, action="store_true", help=text)
             else:
-                p.add_argument(name, dest=dest, type=None if kind is str else kind,
+                p.add_argument(name, dest=dest, action=_Once, type=None if kind is str else kind,
                                required=required, help=text)
         p.set_defaults(func=func)
     return parser

@@ -200,12 +200,10 @@ def min_tjurina(a: int) -> tuple[int, FamilyParams]:
 # live verification against the Groebner engine
 
 
-def admissible_params(a: int, b_max: int | None = None) -> Iterator[FamilyParams]:
-    """All normalized (a, b, c) with c <= b <= b_max (default a + 2) and
-    b + c > a, in lexicographic order."""
-    if b_max is None:
-        b_max = a + 2
-    for b in range(1, b_max + 1):
+def admissible_params(a: int) -> Iterator[FamilyParams]:
+    """All normalized (a, b, c) with c <= b <= a + 2 and b + c > a, in
+    lexicographic order."""
+    for b in range(1, a + 3):
         for c in range(0, b + 1):
             if b + c > a:
                 yield FamilyParams(a, b, c)
@@ -241,11 +239,8 @@ def verify_params(p: FamilyParams, check_gb: bool = False,
         if p.b < p.a:
             if predicted is None:
                 predicted = predicted_gb(p)
-            # set equality by == alone; both lists are sorted by decreasing
-            # leading monomial, so a match is found on the first comparison
-            live = gb.generators
-            gb_match = live == predicted or (all(g in predicted for g in live)
-                                             and all(g in live for g in predicted))
+            # equal as sets; predicted_gb's order is the live one, so == decides it
+            gb_match = gb.generators == predicted or set(gb.generators) == set(predicted)
             # equal bases have the same minimal leading monomials
             lt_match = gb_match or leading_term_ideal(gb) == MonomialIdeal(
                 2, (g.leading_monomial(GRLEX) for g in predicted))

@@ -437,17 +437,21 @@ def test_analytic_invariance_smoke():
 
 # -- tau continues mu's local basis: fixtures captured before the change --------
 
-_MILNOR_FAILS = (
-    "curve not reduced at (0,0): milnor: truncation sequence still growing at r = 2 = "
-    "d^2 + 1 (d = 1, the largest generator degree); a scheme zero-dimensional at the "
-    "origin stabilizes by r = d^2 (proven bound), so this one is not (alphas = [1, 2])")
+_OFF_CURVE_MILNOR_FAILS = (
+    "point (0,0) is not on the curve, and f has a non-isolated critical point there: "
+    "milnor: truncation sequence still growing at r = {r} = d^2 + 1 (d = {d}, the largest "
+    "generator degree); a scheme zero-dimensional at the origin stabilizes by r = d^2 "
+    "(proven bound), so this one is not (alphas = {alphas})")
 
 
 def test_analyze_reports_a_milnor_failure_alone():
-    # (f_x, f_y) = (2x) is not zero-dimensional at O, but tau (= 0) is, from scratch
-    with pytest.raises(StabilizationError) as info:
-        analyze(P("x^2+1"), O)
-    assert str(info.value) == _MILNOR_FAILS
+    # (f_x, f_y) = (2x) is not zero-dimensional at O, but tau (= 0) is, from scratch;
+    # the curves are reduced, and O is off them, so the failure is not "not reduced"
+    for text, r, d, alphas in [("x^2+1", 2, 1, [1, 2]), ("(x+y)^2+1", 2, 1, [1, 2]),
+                               ("x^2*y^2+1", 10, 3, [1, 3, 6, 8, 10, 12, 14, 16, 18, 20])]:
+        with pytest.raises(StabilizationError) as info:
+            analyze(P(text), O)
+        assert str(info.value) == _OFF_CURVE_MILNOR_FAILS.format(r=r, d=d, alphas=alphas)
 
 
 def test_analyze_off_curve_where_mu_is_one():
@@ -520,6 +524,36 @@ def test_analyze_packs_each_partial_once(monkeypatch):
     g = translate_to_origin(f, O)
     assert [packed.count(h) for h in (g, g.partial_derivative(0), g.partial_derivative(1))] \
         == [1, 1, 1]
+
+
+def test_each_request_translates_the_curve_once(monkeypatch):
+    # one germ per point: every per-point helper moves the curve to the origin
+    # once, and the human report reads a smooth point's tangent from the germ
+    # analyze built, without translating again
+    import io
+
+    import tjurina.analyzer as A
+    from tjurina import cli, poly
+    calls = []
+    translate = poly.translate_to_origin
+
+    def counted(f, point):
+        calls.append(point)
+        return translate(f, point)
+
+    for module in (A, cli, poly):
+        monkeypatch.setattr(module, "translate_to_origin", counted)
+    f = P("(x-1)^3-(y-1)^3+(x-1)^4")
+    for helper in (A.multiplicity_at, A.is_ordinary, A.local_tjurina, A.local_milnor,
+                   A.is_slci, A.classify_double_point, A.analyze):
+        calls.clear()
+        helper(f, (1, 1))
+        assert calls == [(1, 1)], helper.__name__
+    calls.clear()
+    out = io.StringIO()
+    assert cli.main(["analyze", "--curve=y-x^2", "--point=1,1"], out=out) == 0
+    assert out.getvalue().endswith("smooth point, tangent: -2*x+y = 0\n")
+    assert len(calls) == 1
 
 
 _TAU_ABOVE_MU = """

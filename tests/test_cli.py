@@ -328,6 +328,31 @@ def test_flags_nothing_reads_are_rejected(argv, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--curve=x", "--curve=y^2-x^3", "--point=0,0"),
+    ("classify", "--curve=x", "--cur=y^2-x^3", "--point=0,0"),
+    ("analyze", "--curve", "x^3-y^3", "--point=0,0", "--point=1,1"),
+    ("family", "--a", "3", "--a", "4", "--b", "6", "--c", "1"),
+], ids=["classify-curve", "classify-curve-abbreviated", "analyze-point", "family-a"])
+def test_a_repeated_option_is_a_usage_error(argv, capsys):
+    # the first value would go unread: exit 2 with the subcommand's usage line
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: tjurina {argv[0]} ")
+    assert "may be given only once" in err
+
+
+def test_off_curve_milnor_failure_exits_3_and_says_so(capsys):
+    # x^2+1 is reduced: at the off-curve point O only (f_x, f_y) = (2x) fails
+    code, out = run_cli("analyze", "--curve=x^2+1", "--point=0,0")
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith(
+        "error: point (0,0) is not on the curve, and f has a non-isolated critical point "
+        "there: milnor: ")
+
+
 def test_family_scan_a9_reports_min_55():
     code, out = run_cli("family", "--scan", "--a", "9")
     assert code == 0

@@ -162,6 +162,23 @@ def test_pickle_round_trip_gives_an_equal_record():
         local_length_at_origin(more, base=trace.basis)
 
 
+def test_a_report_carries_its_germ_outside_its_contract():
+    # analyze's report keeps the germ it was read from, as a trace keeps its
+    # basis: equality, hash, repr and pickling are those of the shown fields
+    report = _report()
+    assert report.germ is not None and report.germ.g == parse_poly("x^3 + y^7 + x*y^5")
+    fields = [getattr(report, name) for name in report._shown]
+    bare = SingularityReport(*fields)
+    assert bare.germ is None
+    assert bare == report and hash(bare) == hash(report) and hash(report) == hash(tuple(fields))
+    assert repr(bare) == repr(report) == REPORT
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy == report and repr(copy) == REPORT
+    assert (copy.germ.point, copy.germ.g, copy.germ.m, copy.germ.gx, copy.germ.gy) == \
+        (report.germ.point, report.germ.g, 3, report.germ.gx, report.germ.gy)
+    assert pickle.loads(pickle.dumps(bare)).germ is None
+
+
 def test_every_record_kind_is_covered():
     kinds = {type(r) for r in _records()}
     assert kinds == {Classification, DoubleA, FamilyParams, FamilyVerification, MonomialOrder,
