@@ -22,7 +22,6 @@ _EXPORTS = {
     "local_milnor": "analyzer", "local_tjurina": "analyzer",
     "multiplicity_at": "analyzer", "nodes_only_check": "analyzer",
     # binforms
-    "binary_form_resultant": "binforms", "discriminant": "binforms",
     "squarefree_binary_form": "binforms",
     # exprio
     "AMBIENTS": "exprio", "ExprSyntaxError": "exprio", "parse_poly": "exprio",
@@ -39,14 +38,12 @@ _EXPORTS = {
     "s_polynomial": "groebner",
     # lengths
     "INFINITE": "lengths", "Infinite": "lengths", "StabilizationError": "lengths",
-    "TruncationTrace": "lengths", "VERTICAL": "lengths", "global_tjurina": "lengths",
-    "hilbert_function": "lengths", "line_restriction_length": "lengths",
-    "local_length_at_origin": "lengths", "local_length_oracle": "lengths",
-    "staircase_length": "lengths",
+    "TruncationTrace": "lengths", "global_tjurina": "lengths",
+    "hilbert_function": "lengths", "local_length_at_origin": "lengths",
+    "local_length_oracle": "lengths", "staircase_length": "lengths",
     # poly
     "DEGREVLEX": "poly", "GRLEX": "poly", "LEX": "poly", "MonomialOrder": "poly",
-    "Polynomial": "poly", "homogeneous_component": "poly", "partial_derivative": "poly",
-    "translate_to_origin": "poly",
+    "Polynomial": "poly", "translate_to_origin": "poly",
 }
 __all__ = sorted(_EXPORTS)
 

@@ -11,9 +11,8 @@ integer kernel: each form is read once into a primitive integer
 coefficient list (denominators cleared once), and a primitive
 pseudo-remainder sequence gives the degree of the gcd.
 
-The Sylvester resultant, the discriminant and ``binary_form_resultant``
-decide the same questions by determinants.  No production path calls
-them; they are kept as independent references for the tests.
+The tests cross-check both against determinants (the Sylvester resultant
+and the discriminant), which live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .poly import Polynomial, Scalar
+from .poly import Polynomial
 
 # Univariate polynomials are coefficient lists, lowest degree first,
 # trailing zeros stripped; [] is the zero polynomial.
@@ -101,61 +100,6 @@ def upoly_gcd(u: UPoly, v: UPoly) -> UPoly:
     return [Fraction(c, a[-1]) for c in a]
 
 
-def sylvester_resultant(u: UPoly, v: UPoly) -> Scalar:
-    """Resultant of two nonzero univariate polynomials (Sylvester determinant).
-
-    Computed by exact fraction-based Gaussian elimination; deg 0 operands
-    follow the usual convention Res(c, v) = c^deg(v).
-    """
-    if not u or not v:
-        raise ValueError("resultant of the zero polynomial is undefined")
-    n, m = len(u) - 1, len(v) - 1
-    if n == 0:
-        return Fraction(u[0]) ** m if m else Fraction(1)
-    if m == 0:
-        return Fraction(v[0]) ** n
-    size = n + m
-    rows = []
-    uc = list(reversed(u))  # highest degree first
-    vc = list(reversed(v))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in uc] + [Fraction(0)] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in vc] + [Fraction(0)] * (size - m - 1 - i))
-    det = Fraction(1)
-    for col in range(size):
-        pivot = None
-        for r in range(col, size):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det *= pv
-        for r in range(col + 1, size):
-            f = rows[r][col] / pv
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return det
-
-
-def discriminant(u: UPoly) -> Scalar:
-    """Discriminant of a univariate polynomial of degree >= 1, with the
-    standard normalization (-1)^(n(n-1)/2) Res(u, u') / lc(u)."""
-    n = len(u) - 1
-    if n < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    if n == 1:
-        return Fraction(1)
-    res = sylvester_resultant(u, upoly_derivative(u))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res / Fraction(u[-1])
-
-
 # ---------------------------------------------------------------------------
 # binary forms
 
@@ -175,29 +119,6 @@ def _dehomogenize(g: Polynomial) -> tuple[int, UPoly]:
             raise ValueError("binary form must be homogeneous")
         coeffs[j] = c
     return m, upoly_trim(coeffs)
-
-
-def dehomogenize(g: Polynomial) -> UPoly:
-    """g(1, y) as a univariate coefficient list, indexed by the y-exponent.
-
-    The degree drop m - deg(g(1,y)) is the multiplicity of the factor x."""
-    return _dehomogenize(g)[1]
-
-
-def binary_form_resultant(g: Polynomial, h: Polynomial) -> Scalar:
-    """Nonzero iff the two forms share no linear factor over C.
-
-    The dehomogenizations g(1,y), h(1,y) see every factor except x; the
-    factor x shows up as a degree drop, and a shared x factor forces the
-    result to 0 directly.
-    """
-    mg, gu = _dehomogenize(g)
-    mh, hu = _dehomogenize(h)
-    x_in_g = mg - (len(gu) - 1)
-    x_in_h = mh - (len(hu) - 1)
-    if x_in_g > 0 and x_in_h > 0:
-        return Fraction(0)
-    return sylvester_resultant(gu, hu)
 
 
 def common_factor_degree(forms: Sequence[Polynomial]) -> int:

@@ -11,6 +11,8 @@ Every option is written once, in ``_SUBCOMMANDS``.  ``main`` reads a plain
 argv (exact names, each once, well-formed values) by that table alone, into
 the namespace argparse would give.  Any other argv goes to the argparse parser
 built from the table on the first such call, which alone rejects an argv.
+Each subcommand imports the engine it runs when it runs, so a process loads
+only its own subcommand's modules.
 
 Exit codes: 0 success, 1 a ``family`` mismatch, or stdout closed before
 the output is written (``| head -1``; nothing on stderr), 2 malformed input
@@ -51,22 +53,6 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_ANALYSIS = 3
 EXIT_OFF_CURVE = 4
-
-# Each subcommand imports the engine it runs when it runs, so a process loads
-# only its own subcommand's modules.  The engine names this module bound at
-# import before stay readable as its attributes.
-_ENGINE_NAMES = frozenset({
-    "DoubleA", "SimplePoint", "SingularityReport", "analyze", "classify_double_point",
-    "FamilyParams", "admissible_params", "min_tjurina", "predicted_gb", "verify_params",
-    "global_tjurina",
-})
-
-
-def __getattr__(name):
-    if name in _ENGINE_NAMES:
-        return getattr(sys.modules[__package__], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 class _CliError(Exception):
     def __init__(self, code: int, message: str):

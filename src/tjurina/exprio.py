@@ -24,12 +24,11 @@ exponent vector; only a parenthesised factor becomes a term table.
 from __future__ import annotations
 
 import re
-from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from operator import add
 
-from .poly import GRLEX, MonomialOrder, Polynomial, _power_table, _product_table
+from .poly import GRLEX, MonomialOrder, Polynomial, _power_table, _product_table, _render_terms
 
 AMBIENTS = {
     "affine2": ("x", "y"),
@@ -238,30 +237,8 @@ def render_poly(f: Polynomial, order: MonomialOrder = GRLEX) -> str:
     a literal over 4,300 digits, which the parser rejects."""
     if f.is_zero():
         return "0"
-    if f.nvars == 2:
-        names = ("x", "y")
-    elif f.nvars == 3:
-        names = ("x0", "x1", "x2")
-    else:
+    if f.nvars not in (2, 3):
         raise ValueError("rendering supports 2 or 3 variables")
     terms = f.terms_dict()
-    out = []
-    for mono in sorted(terms, key=order.key, reverse=True):
-        c = terms[mono]
-        neg = c < 0
-        mag = -c if neg else c
-        pows = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono) if e)
-        num = str(Decimal(mag.numerator))  # Decimal, unlike str(int), has no digit limit
-        if mag.denominator != 1:
-            num += f"/{Decimal(mag.denominator)}"
-        if not pows:
-            body = num
-        elif mag == 1:
-            body = pows
-        else:
-            body = f"{num}*{pows}"
-        if not out:
-            out.append("-" + body if neg else body)
-        else:
-            out.append(("-" if neg else "+") + body)
-    return "".join(out)
+    ordered = sorted(terms, key=order.key, reverse=True)
+    return _render_terms(f.nvars, [(m, terms[m]) for m in ordered])

@@ -235,7 +235,7 @@ def verify_params(p: FamilyParams, check_gb: bool = False,
     live_tau, trace = local_length_at_origin(gens)
     gb_match = lt_match = None
     if check_gb:
-        gb = buchberger(gens, GRLEX, verify=False)
+        gb = buchberger(gens, GRLEX)
         if p.b < p.a:
             if predicted is None:
                 predicted = predicted_gb(p)

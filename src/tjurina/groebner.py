@@ -43,8 +43,8 @@ pair selection and the criteria see no change, and the reduced basis is the
 same unique one, reached with smaller multipliers.  Under a cut nothing is
 refreshed.
 
-``VERIFY_BASES`` turns on a full postcondition check of every emitted basis
-(reducedness, and every S-polynomial reducing to zero), for test runs.
+``_verify_reduced_basis`` is ``buchberger``'s postcondition (reducedness,
+and every S-polynomial reducing to zero); the tests check their bases by it.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ from operator import add, mul
 from struct import Struct
 from typing import Iterable, Sequence
 
-from .poly import GRLEX, Monomial, MonomialOrder, Polynomial, monomial_divides
-
-VERIFY_BASES = False
+from .poly import GRLEX, Monomial, MonomialOrder, Polynomial, _render_terms, monomial_divides
 
 
 class GroebnerBasis:
@@ -170,11 +168,8 @@ class MonomialIdeal:
         return len(self.gens)
 
     def __repr__(self):
-        names = ("x", "y") if self.nvars == 2 else tuple(f"x{i}" for i in range(self.nvars))
-        def fmt(m):
-            s = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e)
-            return s or "1"
-        return "MonomialIdeal(" + ", ".join(fmt(m) for m in self.sorted_gens()) + ")"
+        gens = (_render_terms(self.nvars, [(m, 1)]) for m in self.sorted_gens())
+        return f"MonomialIdeal({', '.join(gens)})"
 
 
 def _staircase(lms: Iterable[Monomial]) -> list[tuple]:
@@ -554,8 +549,7 @@ def s_polynomial(g: Polynomial, h: Polynomial, order: MonomialOrder = GRLEX) -> 
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
-               verify: bool | None = None, cut: int | None = None,
-               base: GroebnerBasis | None = None) -> GroebnerBasis:
+               cut: int | None = None, base: GroebnerBasis | None = None) -> GroebnerBasis:
     """Unique reduced Groebner basis of the ideal generated by ``gens``.
 
     With ``cut`` the result is a minimal standard basis of the image of the
@@ -574,8 +568,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     higher degree, so m^r lies in the ideal plus m^cut: both cuts give the
     same ideal and the same minimal leading monomials.  The staircase closes
     only once both pure powers lead, so it is not looked at before.
-    ``GroebnerBasis.cut`` is the cut the run ended with; ``verify`` checks
-    under the cut as given.
+    ``GroebnerBasis.cut`` is the cut the run ended with.
 
     With ``base``, a basis an earlier run returned under a cut in the same
     order, the run continues it: the result is a minimal standard basis of
@@ -739,11 +732,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
         if i >= entered or not any(not (lms[i] - lms[k]) & over for k in keep):
             keep.append(i)
     keep.sort(key=lms.__getitem__, reverse=True)
-    gb = GroebnerBasis(order, cut is None, words, [leads[i] for i in keep],
-                       [exps[i] for i in keep], limit)
-    if verify or (verify is None and VERIFY_BASES):
-        _verify_reduced_basis(gb, cut)
-    return gb
+    return GroebnerBasis(order, cut is None, words, [leads[i] for i in keep],
+                         [exps[i] for i in keep], limit)
 
 
 def _verify_reduced_basis(gb: GroebnerBasis, cut: int | None = None):

@@ -36,7 +36,6 @@ from .poly import (
     DEGREVLEX,
     Monomial,
     Polynomial,
-    Scalar,
     monomial_divides,
     monomials_of_degree,
 )
@@ -54,20 +53,6 @@ class Infinite(Enum):
 
 
 INFINITE = Infinite.INFINITE
-
-
-class Vertical(Enum):
-    """Marker for the line x = 0 in line restrictions."""
-
-    VERTICAL = "Vertical"
-
-    def __repr__(self):
-        return self.value
-
-    __str__ = __repr__
-
-
-VERTICAL = Vertical.VERTICAL
 
 
 class StabilizationError(ArithmeticError):
@@ -202,7 +187,7 @@ def local_length_at_origin(gens: Sequence[Polynomial], base: GroebnerBasis | Non
         raise ValueError("local lengths are computed in the plane (2 variables)")
     d = max(g.degree() for g in polys)
     bound = max(d * d + 1, 2)  # the trace always holds alpha_1 and alpha_2
-    gb = buchberger(polys, _LOCAL, verify=False, cut=bound, base=base)
+    gb = buchberger(polys, _LOCAL, cut=bound, base=base)
     lms = gb.leading_monomials()
     R = min(max(gb.cut, 1) + 1, bound)
     counts = _standard_counts(lms, R)
@@ -228,7 +213,7 @@ def _length_mod_m2(gens: Sequence[Polynomial]) -> int:
     polys = [g for g in polys if g.min_degree() < 2]
     if not polys:
         return 3
-    lms = buchberger(polys, _LOCAL, verify=False, cut=2).leading_monomials()
+    lms = buchberger(polys, _LOCAL, cut=2).leading_monomials()
     return sum(_standard_counts(lms, 2))
 
 
@@ -331,7 +316,7 @@ def hilbert_function(gens: Sequence[Polynomial], t: int) -> int:
             raise ValueError("generators must be homogeneous")
     if not polys:
         return comb(t + 2, 2)
-    gb = buchberger(polys, DEGREVLEX, verify=False)
+    gb = buchberger(polys, DEGREVLEX)
     return _slice_dims(leading_term_ideal(gb), t)[t]
 
 
@@ -373,7 +358,7 @@ def global_tjurina(f: Polynomial, with_trace: bool = False):
     if d < 2:
         raise ValueError("the curve must have degree >= 2")
     parts = [f.partial_derivative(i) for i in range(3)]  # not all zero (Euler)
-    gb = buchberger(parts, DEGREVLEX, verify=False)
+    gb = buchberger(parts, DEGREVLEX)
     lt = leading_term_ideal(gb)
     if not _projective_dimension_at_most_points(lt):
         return (INFINITE, []) if with_trace else INFINITE
@@ -383,39 +368,3 @@ def global_tjurina(f: Polynomial, with_trace: bool = False):
     L = sum(max(m[v] for m in lt.gens) for v in range(3))
     values = _slice_dims(lt, max(3 * (d - 1), L - 2))
     return (values[-1], values) if with_trace else values[-1]
-
-
-# ---------------------------------------------------------------------------
-# line restrictions
-
-
-def line_restriction_length(gens: Sequence[Polynomial], line):
-    """Length at the origin of the scheme restricted to a line through O.
-
-    ``line`` is either a rational slope t (the line y = t*x) or VERTICAL
-    (the line x = 0).  The result is the minimum order of vanishing at 0
-    of the restricted generators; INFINITE if they all restrict to zero.
-    """
-    polys = [g for g in gens if not g.is_zero()]
-    if not polys:
-        raise ValueError("need at least one nonzero generator")
-    best = None
-    for g in polys:
-        if g.nvars != 2:
-            raise ValueError("line restrictions are computed in the plane")
-        if isinstance(line, Vertical):
-            vals = [j for (i, j), c in g.terms() if i == 0]
-            v = min(vals) if vals else None
-        else:
-            if isinstance(line, float):
-                raise TypeError("slopes must be exact (int or Fraction), not float")
-            t = line if isinstance(line, (int, Fraction)) else Fraction(line)
-            coeffs: dict[int, Scalar] = {}
-            for (i, j), c in g.terms():
-                k = i + j
-                coeffs[k] = coeffs.get(k, 0) + c * (t ** j if j else 1)
-            nonzero = [k for k, c in coeffs.items() if c != 0]
-            v = min(nonzero) if nonzero else None
-        if v is not None:
-            best = v if best is None else min(best, v)
-    return INFINITE if best is None else best

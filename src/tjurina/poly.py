@@ -13,6 +13,7 @@ the two consistently, so structural equality and hashing just work).
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, lcm
 from operator import add, le, neg
@@ -56,6 +57,25 @@ def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
     for first in range(d, -1, -1):
         for rest in monomials_of_degree(nvars - 1, d - first):
             yield (first,) + rest
+
+
+def _render_terms(nvars: int, terms: Iterable[tuple[Monomial, Scalar]]) -> str:
+    """The terms (exponents, nonzero coefficient) as one signed sum, in the
+    order given; "" for none.  The variables are x, y in two variables and
+    x0, x1, ... otherwise; a unit coefficient is elided next to a variable,
+    and numbers are written in full (through Decimal, which unlike
+    ``str(int)`` has no digit limit)."""
+    names = ("x", "y") if nvars == 2 else tuple(f"x{i}" for i in range(nvars))
+    out = []
+    for m, c in terms:
+        mag = -c if c < 0 else c
+        pows = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e)
+        num = str(Decimal(mag.numerator))
+        if mag.denominator != 1:
+            num += f"/{Decimal(mag.denominator)}"
+        body = num if not pows else pows if mag == 1 else f"{num}*{pows}"
+        out.append(("-" if c < 0 else "+" if out else "") + body)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -369,40 +389,8 @@ class Polynomial:
         return bool(self._terms)
 
     def __repr__(self):
-        if not self._terms:
-            return "Polynomial(0)"
-        names = ("x", "y") if self.nvars == 2 else tuple(f"x{i}" for i in range(self.nvars))
-        bits = []
-        for m in sorted(self._terms, key=GRLEX.key, reverse=True):
-            c = self._terms[m]
-            pows = "*".join(
-                n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e
-            )
-            if not pows:
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(pows)
-            elif c == -1:
-                bits.append("-" + pows)
-            else:
-                bits.append(f"{c}*{pows}")
-        s = bits[0]
-        for b in bits[1:]:
-            s += b if b.startswith("-") else "+" + b
-        return f"Polynomial({s})"
-
-
-# ---------------------------------------------------------------------------
-# free-function forms of the core operations
-
-
-def partial_derivative(f: Polynomial, var_index: int) -> Polynomial:
-    """Exact formal partial derivative of f with respect to one variable."""
-    return f.partial_derivative(var_index)
-
-
-def homogeneous_component(f: Polynomial, k: int) -> Polynomial:
-    return f.homogeneous_component(k)
+        terms = sorted(self._terms.items(), key=lambda t: GRLEX.key(t[0]), reverse=True)
+        return f"Polynomial({_render_terms(self.nvars, terms) or 0})"
 
 
 def _taylor_shift(c: Sequence[int], a: int, b: int, top: int) -> list[int]:

@@ -1,0 +1,145 @@
+"""Test-only references: ``buchberger`` with its postcondition checked, and
+determinants and line restrictions, independent routes to what
+``tjurina.binforms`` decides by one gcd."""
+
+from __future__ import annotations
+
+from enum import Enum
+from fractions import Fraction
+from typing import Sequence
+
+from tjurina import groebner
+from tjurina.binforms import UPoly, _dehomogenize, upoly_derivative
+from tjurina.groebner import GroebnerBasis
+from tjurina.lengths import INFINITE
+from tjurina.poly import GRLEX, MonomialOrder, Polynomial, Scalar
+
+
+def checked_buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
+                       cut: int | None = None, base: GroebnerBasis | None = None):
+    """``buchberger``, then ``groebner._verify_reduced_basis`` (read on each
+    call, so a test can patch it) under the cut the run started with:
+    ``cut``, ``base.cut`` or the smaller of the two."""
+    gb = groebner.buchberger(gens, order, cut, base)
+    if base is not None:
+        cut = base.cut if cut is None else min(cut, base.cut)
+    groebner._verify_reduced_basis(gb, cut)
+    return gb
+
+
+def sylvester_resultant(u: UPoly, v: UPoly) -> Scalar:
+    """Resultant of two nonzero univariate polynomials (Sylvester determinant).
+
+    Computed by exact fraction-based Gaussian elimination; deg 0 operands
+    follow the usual convention Res(c, v) = c^deg(v).
+    """
+    if not u or not v:
+        raise ValueError("resultant of the zero polynomial is undefined")
+    n, m = len(u) - 1, len(v) - 1
+    if n == 0:
+        return Fraction(u[0]) ** m if m else Fraction(1)
+    if m == 0:
+        return Fraction(v[0]) ** n
+    size = n + m
+    rows = []
+    uc = list(reversed(u))  # highest degree first
+    vc = list(reversed(v))
+    for i in range(m):
+        rows.append([Fraction(0)] * i + [Fraction(c) for c in uc] + [Fraction(0)] * (size - n - 1 - i))
+    for i in range(n):
+        rows.append([Fraction(0)] * i + [Fraction(c) for c in vc] + [Fraction(0)] * (size - m - 1 - i))
+    det = Fraction(1)
+    for col in range(size):
+        pivot = None
+        for r in range(col, size):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        pv = rows[col][col]
+        det *= pv
+        for r in range(col + 1, size):
+            f = rows[r][col] / pv
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def discriminant(u: UPoly) -> Scalar:
+    """Discriminant of a univariate polynomial of degree >= 1, with the
+    standard normalization (-1)^(n(n-1)/2) Res(u, u') / lc(u)."""
+    n = len(u) - 1
+    if n < 1:
+        raise ValueError("discriminant needs degree >= 1")
+    if n == 1:
+        return Fraction(1)
+    res = sylvester_resultant(u, upoly_derivative(u))
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * res / Fraction(u[-1])
+
+
+
+def binary_form_resultant(g: Polynomial, h: Polynomial) -> Scalar:
+    """Nonzero iff the two forms share no linear factor over C.
+
+    The dehomogenizations g(1,y), h(1,y) see every factor except x; the
+    factor x shows up as a degree drop, and a shared x factor forces the
+    result to 0 directly.
+    """
+    mg, gu = _dehomogenize(g)
+    mh, hu = _dehomogenize(h)
+    x_in_g = mg - (len(gu) - 1)
+    x_in_h = mh - (len(hu) - 1)
+    if x_in_g > 0 and x_in_h > 0:
+        return Fraction(0)
+    return sylvester_resultant(gu, hu)
+
+
+class Vertical(Enum):
+    """Marker for the line x = 0 in line restrictions."""
+
+    VERTICAL = "Vertical"
+
+    def __repr__(self):
+        return self.value
+
+    __str__ = __repr__
+
+
+VERTICAL = Vertical.VERTICAL
+
+
+def line_restriction_length(gens: Sequence[Polynomial], line):
+    """Length at the origin of the scheme restricted to a line through O.
+
+    ``line`` is either a rational slope t (the line y = t*x) or VERTICAL
+    (the line x = 0).  The result is the minimum order of vanishing at 0
+    of the restricted generators; INFINITE if they all restrict to zero.
+    """
+    polys = [g for g in gens if not g.is_zero()]
+    if not polys:
+        raise ValueError("need at least one nonzero generator")
+    best = None
+    for g in polys:
+        if g.nvars != 2:
+            raise ValueError("line restrictions are computed in the plane")
+        if isinstance(line, Vertical):
+            vals = [j for (i, j), c in g.terms() if i == 0]
+            v = min(vals) if vals else None
+        else:
+            if isinstance(line, float):
+                raise TypeError("slopes must be exact (int or Fraction), not float")
+            t = line if isinstance(line, (int, Fraction)) else Fraction(line)
+            coeffs: dict[int, Scalar] = {}
+            for (i, j), c in g.terms():
+                k = i + j
+                coeffs[k] = coeffs.get(k, 0) + c * (t ** j if j else 1)
+            nonzero = [k for k, c in coeffs.items() if c != 0]
+            v = min(nonzero) if nonzero else None
+        if v is not None:
+            best = v if best is None else min(best, v)
+    return INFINITE if best is None else best

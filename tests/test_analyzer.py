@@ -25,9 +25,10 @@ from tjurina import (
     nodes_only_check,
     parse_poly,
 )
-from tjurina.binforms import binary_form_resultant
-from tjurina.lengths import INFINITE, VERTICAL, line_restriction_length
+from tjurina.lengths import INFINITE
 from tjurina.poly import Polynomial, monomials_of_degree, translate_to_origin
+
+from reference import VERTICAL, binary_form_resultant, line_restriction_length
 
 P = parse_poly
 O = (0, 0)

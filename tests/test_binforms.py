@@ -3,15 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from tjurina import binary_form_resultant, discriminant, parse_poly, squarefree_binary_form
-from tjurina.binforms import (
-    common_factor_degree,
-    dehomogenize,
-    sylvester_resultant,
-    upoly_derivative,
-    upoly_gcd,
-)
+from tjurina import parse_poly, squarefree_binary_form
+from tjurina.binforms import _dehomogenize, common_factor_degree, upoly_derivative, upoly_gcd
 from tjurina.poly import Polynomial, monomials_of_degree
+
+from reference import binary_form_resultant, discriminant, sylvester_resultant
 
 P = parse_poly
 
@@ -143,7 +139,7 @@ def _squarefree_by_discriminant(g):
         return False
     if min_x == 1:
         g = Polynomial(2, {(i - 1, j): c for (i, j), c in g.terms()})
-    u = dehomogenize(g)
+    u = _dehomogenize(g)[1]
     return len(u) - 1 < 1 or discriminant(u) != 0
 
 

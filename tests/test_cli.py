@@ -231,11 +231,14 @@ def test_global_tjurina_nodal_cubic_with_trace():
 def test_global_tjurina_trace_runs_to_the_proven_window():
     # d = 4, and L = 13 is the degree of the lcm of LT(J)'s minimal generators:
     # the trace runs over degrees 0 .. max(3(d-1), L-2) = 11
-    from tjurina import DEGREVLEX, buchberger, leading_term_ideal, parse_poly
+    from tjurina import DEGREVLEX, leading_term_ideal, parse_poly
+
+    from reference import checked_buchberger
 
     curve = "x1*x2^3-3*x0^4+2*x0^2*x2^2-2*x1^2*x2^2"
     f = parse_poly(curve, "projective3")
-    lt = leading_term_ideal(buchberger([f.partial_derivative(i) for i in range(3)], DEGREVLEX))
+    lt = leading_term_ideal(checked_buchberger([f.partial_derivative(i) for i in range(3)],
+                                               DEGREVLEX))
     L = sum(max(m[v] for m in lt.gens) for v in range(3))
     assert L - 2 > 3 * (4 - 1)
     code, out = run_cli("global-tjurina", "--curve", curve, "--json", "--trace")
@@ -271,13 +274,13 @@ def test_family_tau3():
 
 
 def test_family_builds_the_predicted_basis_once_per_request(monkeypatch):
-    from tjurina import cli, family
+    from tjurina import family
 
+    # cmd_family imports predicted_gb from family when it runs
     calls = []
     real = family.predicted_gb
     counting = lambda p: calls.append(p) or real(p)  # noqa: E731
     monkeypatch.setattr(family, "predicted_gb", counting)
-    monkeypatch.setattr(cli, "predicted_gb", counting)
     for a, b, c in [(9, 7, 3), (10, 6, 5), (5, 4, 4), (4, 5, 1)]:
         calls.clear()
         code, out = run_cli("family", "--a", str(a), "--b", str(b), "--c", str(c),

@@ -112,13 +112,27 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
     assert not hasattr(tjurina, "cli_main")
 
 
-def test_cli_keeps_the_engine_names_it_bound_before():
-    from tjurina import cli, family
 
-    # through the module's __getattr__: a monkeypatch undone elsewhere may
-    # have left a plain binding in the namespace
-    assert cli.__getattr__("predicted_gb") is family.predicted_gb
-    assert cli.__getattr__("analyze") is tjurina.analyze
-    assert cli.__getattr__("global_tjurina") is tjurina.global_tjurina
-    with pytest.raises(AttributeError, match="no_such_name"):
-        cli.no_such_name  # noqa: B018
+
+# removed on purpose: test references now (tests/reference.py), or aliases
+REMOVED = {"binary_form_resultant": "binforms", "discriminant": "binforms", "VERTICAL": "lengths",
+           "line_restriction_length": "lengths", "homogeneous_component": "poly",
+           "partial_derivative": "poly"}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_a_removed_name_is_gone_from_the_package_and_its_module(name):
+    import importlib
+
+    assert name not in tjurina.__all__
+    for owner in (tjurina, importlib.import_module(f"tjurina.{REMOVED[name]}")):
+        with pytest.raises(AttributeError, match=name):
+            getattr(owner, name)
+
+
+def test_cli_reads_no_engine_name_as_its_attribute():
+    from tjurina import cli
+
+    assert not hasattr(cli, "_ENGINE_NAMES") and not hasattr(cli, "__getattr__")
+    with pytest.raises(AttributeError, match="predicted_gb"):
+        cli.predicted_gb  # noqa: B018

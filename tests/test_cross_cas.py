@@ -61,7 +61,7 @@ def test_reduced_bases_match_independent_cas(nvars, my_order, sp_order, max_deg,
                             for _ in range(rng.randint(2, 4))) if not g.is_zero()]
         if not gens:
             continue
-        mine = buchberger(gens, my_order, verify=False)
+        mine = buchberger(gens, my_order)
         theirs = sympy.groebner([_to_sympy(g, syms) for g in gens],
                                 *syms, order=sp_order, domain=sympy.QQ)
         assert set(mine.generators) == {_from_sympy(p, nvars) for p in theirs.polys}
@@ -94,7 +94,7 @@ def _assert_same_degrevlex_basis(parts, precedence):
     perm = precedence or (0, 1, 2)
     syms = sympy.symbols("x0 x1 x2")
     gens_order = [syms[v] for v in perm]  # sympy's first generator is the most significant
-    mine = buchberger(parts, order, verify=False)
+    mine = buchberger(parts, order)
     theirs = sympy.groebner([_to_sympy(p, syms) for p in parts],
                             *gens_order, order="grevlex", domain=sympy.QQ)
     unpermuted = []

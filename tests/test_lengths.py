@@ -11,13 +11,11 @@ from tjurina import (
     MonomialIdeal,
     Polynomial,
     StabilizationError,
-    VERTICAL,
     analyze,
     buchberger,
     global_tjurina,
     hilbert_function,
     leading_term_ideal,
-    line_restriction_length,
     local_length_at_origin,
     local_length_oracle,
     parse_poly,
@@ -27,6 +25,8 @@ from tjurina import (
 from tjurina.groebner import _closing_degree
 from tjurina.lengths import _LOCAL, _length_mod_m2, _standard_counts
 from tjurina.poly import monomial_divides, monomials_of_degree
+
+from reference import VERTICAL, checked_buchberger, line_restriction_length
 
 P = parse_poly
 
@@ -223,7 +223,7 @@ def test_oracle_matches_trace_on_random_origin_primary_ideals():
         for r, alpha in trace.pairs:
             assert local_length_oracle(gens, r) == alpha
         # origin-primary: the untruncated staircase already gives the length
-        gb = buchberger(gens, verify=False)
+        gb = buchberger(gens)
         assert staircase_length(leading_term_ideal(gb)) == val
         # stabilization is genuine: two steps past the trace it has not moved
         assert local_length_oracle(gens, trace.pairs[-1][0] + 2) == val
@@ -335,15 +335,15 @@ def test_tau_continued_from_mu_matches_tau_from_scratch():
                 (fresh[0], fresh[1].pairs, fresh[1].stabilized_at), (f, point)
             base, c = mu_trace.basis, mu_trace.basis.cut
             continued += c > 0
-            gb = buchberger([g], _LOCAL, verify=True, base=base)
+            gb = checked_buchberger([g], _LOCAL, base=base)
             if g.min_degree() >= c:
                 assert gb is base  # f truncates to zero under the cut
             every = [h for h in (gx, gy, g) if not h.is_zero() and h.min_degree() < c]
             if every:
-                below = buchberger(every, _LOCAL, verify=True, cut=c).leading_monomials()
+                below = checked_buchberger(every, _LOCAL, cut=c).leading_monomials()
                 assert tuple(m for m in gb.leading_monomials() if sum(m) < c) == below
             # the sum closes by degree c, so one degree more shows its whole staircase
-            above = buchberger([gx, gy, g], _LOCAL, verify=True, cut=c + 1)
+            above = checked_buchberger([gx, gy, g], _LOCAL, cut=c + 1)
             assert gb.leading_monomials() == above.leading_monomials(), (f, point)
     assert continued >= 50  # continued past the unit ideal (55 at this seed)
 
@@ -458,7 +458,7 @@ def test_global_tjurina_reads_a_proven_window():
             assert hf == []
             assert hilbert_function(parts, 6 * d + 1) > hilbert_function(parts, 6 * d), f
             continue
-        lt = leading_term_ideal(buchberger(parts, DEGREVLEX))
+        lt = leading_term_ideal(checked_buchberger(parts, DEGREVLEX))
         L = sum(max(m[v] for m in lt.gens) for v in range(3))
         assert len(hf) == max(3 * (d - 1), L - 2) + 1, f
         assert set(hf[L - 2:]) == {value}, f

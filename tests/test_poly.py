@@ -11,7 +11,6 @@ from tjurina import (
     MonomialOrder,
     Polynomial,
     parse_poly,
-    partial_derivative,
     render_poly,
     translate_to_origin,
 )
@@ -105,9 +104,9 @@ def test_power_matches_repeated_product(f, n):
 
 def test_partial_derivative_examples():
     f = P("x^9+y^9+x^7*y^3")
-    assert partial_derivative(f, 0) == P("9*x^8+7*x^6*y^3")
-    assert partial_derivative(Polynomial.constant(2, 5), 0).is_zero()
-    assert partial_derivative(P("y^2-x^6"), 1) == P("2*y")
+    assert f.partial_derivative(0) == P("9*x^8+7*x^6*y^3")
+    assert Polynomial.constant(2, 5).partial_derivative(0).is_zero()
+    assert P("y^2-x^6").partial_derivative(1) == P("2*y")
 
 
 def test_partial_derivative_index_out_of_range():
@@ -244,6 +243,14 @@ def test_hash_is_structural(f):
     g = Polynomial(2, dict(f.terms()))
     assert f == g
     assert hash(f) == hash(g)
+
+
+def test_repr_writes_coefficients_past_the_int_digit_limit():
+    # str(int) refuses more than 4,300 digits; the repr writes them in full
+    assert repr(Polynomial(2, {(1, 0): 10 ** 5000})) == f"Polynomial(1{'0' * 5000}*x)"
+    assert repr(P("-3/4*x*y^2+2-y")) == "Polynomial(-3/4*x*y^2-y+2)"
+    assert repr(Polynomial(4, {(1, 0, 0, 2): Fraction(2, 3), (0,) * 4: -1})) \
+        == "Polynomial(2/3*x0*x3^2-1)"
 
 
 def test_evaluate_is_exact():
