@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # never loaded.
 _EXPORTS = {
     # analyzer
-    "Classification": "analyzer", "DoubleA": "analyzer",
+    "Classification": "analyzer", "DoubleA": "analyzer", "OffCurveError": "analyzer",
     "MultiplicityAtLeastThree": "analyzer", "SimplePoint": "analyzer",
     "SingularityReport": "analyzer", "analyze": "analyzer",
     "classify_double_point": "analyzer", "embedding_dimension": "analyzer",

@@ -32,6 +32,10 @@ Point = tuple
 # -- classification values ---------------------------------------------------
 
 
+class OffCurveError(ValueError):
+    """The point given to ``classify_double_point`` is not on the curve."""
+
+
 class Classification(Record):
     """Singularity type tag: smooth, A_n (n = tau for double points),
     ordinary or non-ordinary multiple point of the given multiplicity."""
@@ -221,20 +225,21 @@ def classify_double_point(f: Polynomial, point: Point):
     multiplicity >= 3.
 
     After translating the point to the origin: a nonzero linear part means
-    a simple point (tangent = that linear part); a vanishing quadratic
-    part means multiplicity >= 3; otherwise the point is double, and the
-    stabilized truncation value n of the Jacobian ideal (f, f_x, f_y) is
-    its type A_n (the Jacobian scheme of a double point is curvilinear of
-    length n exactly for A_n).
+    a simple point (tangent = that linear part, centred at the point); a
+    vanishing quadratic part means multiplicity >= 3; otherwise the point
+    is double, and the stabilized truncation value n of the Jacobian ideal
+    (f, f_x, f_y) is its type A_n (the Jacobian scheme of a double point
+    is curvilinear of length n exactly for A_n).  Raises OffCurveError off
+    the curve, and ``local_tjurina``'s StabilizationError if it is not reduced.
     """
     germ = _Germ(f, point)
     if germ.m == 0:
-        raise ValueError(f"point {germ.where()} is not on the curve")
+        raise OffCurveError(f"point {germ.where()} is not on the curve")
     if germ.m == 1:
         return SimplePoint(tangent=germ.g.homogeneous_component(1))
     if germ.m >= 3:
         return MultiplicityAtLeastThree(multiplicity=germ.m)
-    n, _trace = local_length_at_origin([germ.g, germ.gx, germ.gy])
+    n, _trace = germ.length([germ.g, germ.gx, germ.gy], "curve not reduced")
     return DoubleA(n=n)
 
 

@@ -16,14 +16,17 @@ only its own subcommand's modules.
 
 Exit codes: 0 success, 1 a ``family`` mismatch, or stdout closed before
 the output is written (``| head -1``; nothing on stderr), 2 malformed input
-(expressions, points, flags, zero or constant curves, an option the request
-would not read, as a repeated one, ``--curve`` with ``--curves-file`` or
-``--a-max`` without ``--scan``), 3 analysis failure (curve not reduced at the
-point, f with a non-isolated critical point off the curve, or an exponent
-outside the engine's packed range), 4 point not on the curve (classify).  The ``warnings`` field of ``analyze --json`` and
-``global-tjurina --json`` is always [].  JSON fields are exact: integers as
-numbers, non-integer rationals as "p/q" strings; no floats.  Every ``--json``
-document is written by ``_json_text``, as ``json.dumps(doc, indent=2)`` would.
+(expressions, points, flags, zero or constant curves, a curves file not in
+UTF-8, an option the request would not read, as a repeated one, ``--curve``
+with ``--curves-file`` or ``--a-max`` without ``--scan``), 3 analysis failure
+(curve not reduced at the point, f with a non-isolated critical point off the
+curve, or an exponent outside the engine's packed range), 4 point not on the
+curve (classify).  A ``classify`` failure names the point given, or with
+``--projective`` its point in the affine chart (x_k swapped with x2, x2 = 1).
+The ``warnings`` field of ``analyze --json`` and ``global-tjurina --json`` is
+always [].  JSON fields are exact: integers as numbers, non-integer rationals
+as "p/q" strings; no floats.  Every ``--json`` document is written by
+``_json_text``, as ``json.dumps(doc, indent=2)`` would.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from . import __version__
 from .exprio import ExprSyntaxError, parse_poly, render_poly
 from .groebner import MonomialRangeError
 from .lengths import INFINITE, StabilizationError
-from .poly import Polynomial, translate_to_origin
+from .poly import Polynomial
 
 if TYPE_CHECKING:
     from .analyzer import SingularityReport
@@ -188,9 +191,9 @@ def cmd_analyze(args, out) -> int:
         raise _CliError(EXIT_BAD_INPUT, "give --curve or --curves-file, not both")
     if args.curves_file:
         try:
-            with open(args.curves_file, encoding="utf-8") as fh:
+            with open(args.curves_file, encoding="utf-8-sig") as fh:  # a BOM is no curve text
                 lines = [ln.strip() for ln in fh]
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise _CliError(EXIT_BAD_INPUT, f"cannot read {args.curves_file}: {e}") from e
         texts = [ln for ln in lines if ln and not ln.startswith("#")]
         if not texts:
@@ -218,46 +221,37 @@ def cmd_analyze(args, out) -> int:
     return EXIT_OK
 
 
-def _projective_to_affine_chart(F: Polynomial, point) -> Polynomial:
-    """Move a projective point to [0,0,1] and restrict to the chart x2 != 0.
-
-    A coordinate swap brings a nonzero coordinate last, then the chart is
-    translated so the point sits at the affine origin.
-    """
+def _projective_to_affine_chart(F: Polynomial, point) -> tuple[Polynomial, tuple]:
+    """The chart x2 = 1, after swapping a nonzero coordinate x_k with x2:
+    the affine curve in the two other coordinates, and the point there."""
     if not F.is_homogeneous() or F.is_zero():
         raise _CliError(EXIT_BAD_INPUT, "projective mode needs a nonzero homogeneous curve")
     if all(c == 0 for c in point):
         raise _CliError(EXIT_BAD_INPUT, "[0,0,0] is not a projective point")
-    last = max(i for i, c in enumerate(point) if c != 0)
-    perm = [0, 1, 2]
-    perm[last], perm[2] = perm[2], perm[last]
-    Fp = Polynomial(3, {(m[perm[0]], m[perm[1]], m[perm[2]]): c for m, c in F.terms()})
-    pt = [point[perm[0]], point[perm[1]], point[perm[2]]]
-    q0, q1 = pt[0] / pt[2], pt[1] / pt[2]
-    aff = Polynomial(2, {(i, j): c for (i, j, _k), c in Fp.terms()})
-    # chart x2 = 1 loses nothing of the local structure at the point
-    return translate_to_origin(aff, (q0, q1))
+    k = max(i for i, c in enumerate(point) if c != 0)
+    a, b = (2 if i == k else i for i in (0, 1))  # x_k is dropped, x2 takes its axis
+    aff = Polynomial(2, {(m[a], m[b]): c for m, c in F.terms()})  # F homogeneous: no clash
+    return aff, (point[a] / point[k], point[b] / point[k])
 
 
 def cmd_classify(args, out) -> int:
-    from .analyzer import DoubleA, SimplePoint, classify_double_point
+    from .analyzer import DoubleA, OffCurveError, SimplePoint, classify_double_point
 
+    ambient, dim = ("projective3", 3) if args.projective else ("affine2", 2)
+    curve, point = _parse_curve(args.curve, ambient), _parse_point(args.point, dim)
     if args.projective:
-        curve = _parse_curve(args.curve, "projective3")
-        point3 = _parse_point(args.point, 3)
-        g = _projective_to_affine_chart(curve, point3)
-    else:
-        curve = _parse_curve(args.curve, "affine2")
-        g = translate_to_origin(curve, _parse_point(args.point, 2))
-    if g.constant_term() != 0:
-        raise _CliError(EXIT_OFF_CURVE, "point is not on the curve")
-    if g.is_zero():
+        curve, point = _projective_to_affine_chart(curve, point)
+    if curve.is_zero():
         raise _CliError(EXIT_BAD_INPUT, "the zero polynomial does not define a curve")
-    outcome = classify_double_point(g, (0, 0))
+    try:
+        outcome = classify_double_point(curve, point)
+    except OffCurveError as e:
+        raise _CliError(EXIT_OFF_CURVE, "point is not on the curve") from e
 
     if isinstance(outcome, SimplePoint):
-        msg = f"simple point, tangent: {render_poly(outcome.tangent)} = 0"
-        data = {"kind": "simple", "tangent": render_poly(outcome.tangent)}
+        tangent = render_poly(outcome.tangent)
+        msg = f"simple point, tangent: {tangent} = 0"
+        data = {"kind": "simple", "tangent": tangent}
     elif isinstance(outcome, DoubleA):
         msg = f"A_{outcome.n}"
         data = {"kind": "A_n", "n": outcome.n}

@@ -299,6 +299,27 @@ def test_classify_requires_point_on_curve():
         classify_double_point(P("y^2-x^3+1"), O)
 
 
+def test_off_curve_error_is_a_value_error_raised_off_the_curve():
+    import tjurina
+    from tjurina.analyzer import OffCurveError
+
+    assert tjurina.OffCurveError is OffCurveError and issubclass(OffCurveError, ValueError)
+    for curve, point in (("y^2-x^3+1", O), ("1", O), ("y-x^2", (1, 2))):
+        with pytest.raises(OffCurveError, match=r"^point \(.*\) is not on the curve$"):
+            classify_double_point(P(curve), point)
+
+
+@pytest.mark.parametrize("curve, point", [("y^2", (0, 0)), ("(y-1)^2", (0, 1))])
+def test_classify_names_a_non_reduced_double_point(curve, point):
+    # the failure names the point, as local_tjurina's does
+    with pytest.raises(StabilizationError) as info:
+        classify_double_point(P(curve), point)
+    assert str(info.value).startswith(f"curve not reduced at ({point[0]},{point[1]}): ")
+    with pytest.raises(StabilizationError) as tau_info:
+        local_tjurina(P(curve), point)
+    assert str(info.value) == str(tau_info.value)
+
+
 def test_classify_away_from_origin():
     assert classify_double_point(P("y^2-(x-2)^5"), (2, 0)) == DoubleA(4)
 
@@ -542,7 +563,8 @@ def test_each_request_translates_the_curve_once(monkeypatch):
         calls.append(point)
         return translate(f, point)
 
-    for module in (A, cli, poly):
+    assert not hasattr(cli, "translate_to_origin")  # so the count sees every translation
+    for module in (A, poly):
         monkeypatch.setattr(module, "translate_to_origin", counted)
     f = P("(x-1)^3-(y-1)^3+(x-1)^4")
     for helper in (A.multiplicity_at, A.is_ordinary, A.local_tjurina, A.local_milnor,
@@ -555,6 +577,16 @@ def test_each_request_translates_the_curve_once(monkeypatch):
     assert cli.main(["analyze", "--curve=y-x^2", "--point=1,1"], out=out) == 0
     assert out.getvalue().endswith("smooth point, tangent: -2*x+y = 0\n")
     assert len(calls) == 1
+    # classify hands the parsed point, or the point of its projective chart, to
+    # the engine, which translates once (the affine request translated twice)
+    for argv, answer in ((["classify", "--curve=y-x^2", "--point=1,1"], "-2*x+y"),
+                         (["classify", "--projective", "--curve=x1^2*x2-x0^3",
+                           "--point=1,1,1"], "-3*x+2*y")):
+        calls.clear()
+        out = io.StringIO()
+        assert cli.main(argv, out=out) == 0
+        assert out.getvalue() == f"simple point, tangent: {answer} = 0\n"
+        assert len(calls) == 1, argv
 
 
 _TAU_ABOVE_MU = """

@@ -202,6 +202,27 @@ def test_classify_projective_chart():
     assert code == 0 and out.strip() == "A_1"
 
 
+@pytest.mark.parametrize("curve, point, tangent", [
+    ("x0*x2-x1^2", "1,0,0", "x"), ("x1*x0-x2^2", "1,0,0", "y"),
+    ("x2*x1-x0^2", "0,1,0", "y"), ("x0*x2-x1^2", "0,0,1", "x")])
+def test_classify_projective_chart_axis_order(curve, point, tangent):
+    # the chart swaps x_k (the last nonzero coordinate) with x2, then sets x2 = 1:
+    # at k = 0 the chart's x is x2 and its y is x1, at k = 1 they are x0 and x2
+    code, out = run_cli("classify", "--projective", f"--curve={curve}", f"--point={point}")
+    assert (code, out) == (0, f"simple point, tangent: {tangent} = 0\n")
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["--curve=y^2", "--point=0,0"], "(0,0)"), (["--curve=(y-1)^2", "--point=0,1"], "(0,1)"),
+    (["--projective", "--curve=x1^2*x2", "--point=1,0,3"], "(1/3,0)")])
+def test_classify_names_a_non_reduced_point(argv, where, capsys):
+    # for --projective the point named is the point of the affine chart
+    code, out = run_cli("classify", *argv)
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: curve not reduced at {where}: truncation sequence")
+
+
 def test_classify_projective_off_curve_exit_4():
     code, _ = run_cli("classify", "--projective",
                       "--curve", "x1^2*x2-x0^3", "--point", "1,1,0")
