@@ -18,7 +18,8 @@ Exit codes: 0 success, 1 a ``family`` mismatch, or stdout closed before
 the output is written (``| head -1``; nothing on stderr), 2 malformed input
 (expressions, points, flags, zero or constant curves, a curves file not in
 UTF-8, an option the request would not read, as a repeated one, ``--curve``
-with ``--curves-file`` or ``--a-max`` without ``--scan``), 3 analysis failure
+with ``--curves-file``, ``analyze --json --trace`` or ``--a-max`` without
+``--scan``), 3 analysis failure
 (curve not reduced at the point, f with a non-isolated critical point off the
 curve, or an exponent outside the engine's packed range), 4 point not on the
 curve (classify).  A ``classify`` failure names the point given, or with
@@ -186,6 +187,9 @@ def _print_human_report(curve_text: str, report: SingularityReport, out,
 def cmd_analyze(args, out) -> int:
     from .analyzer import analyze
 
+    if args.json and args.trace:
+        raise _CliError(EXIT_BAD_INPUT, "--trace is for the text report; --json always "
+                                        "carries both traces")
     point = _parse_point(args.point, 2)
     if args.curve is not None and args.curves_file is not None:
         raise _CliError(EXIT_BAD_INPUT, "give --curve or --curves-file, not both")

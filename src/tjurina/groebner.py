@@ -1,9 +1,10 @@
 """Buchberger's algorithm and reduced Groebner bases over Q.
 
 ``buchberger`` returns the unique reduced basis (monic, inter-reduced,
-sorted by decreasing leading monomial), or under a degree cut a minimal
-standard basis in Q[x]/m^cut with unreduced tails, as a ``GroebnerBasis``
-whose generators are built on first read.  Pairs follow the normal strategy
+sorted by decreasing leading monomial) under a global order, or under the
+local degree order, which comes only with a degree cut, a minimal standard
+basis in Q[x]/m^cut with unreduced tails, as a ``GroebnerBasis`` whose
+generators are built on first read.  Pairs follow the normal strategy
 (lowest lcm degree, then smallest lcm) and are pruned by the Gebauer-Moeller
 update (Gebauer and Moeller 1988, "On an installation of Buchberger's
 algorithm"), run as each element enters.  Of its new pairs it keeps those
@@ -69,21 +70,25 @@ class GroebnerBasis:
     generators are built on first read, once: a reduced basis has its tails
     inter-reduced and every element is made monic.  ``cut`` is the degree
     cut the run ended with, after lowering (None without a cut); a later
-    run can continue the basis under it (``buchberger``'s ``base``).
+    run can continue the basis under it (``buchberger``'s ``base``).  A
+    basis is ``reduced`` exactly when its run had no cut.
     Equality and hash are those of (order, generators, reduced).  Under a
     cut they compare the stored unreduced generators, whose tails depend on
     which S-pairs the run formed, so they say nothing about the ideal;
     compare ``(order, cut, leading_monomials())`` for that."""
 
-    def __init__(self, order: MonomialOrder, reduced: bool, words: _Words,
-                 leads: Sequence[tuple], exps: Sequence[Monomial], cut: int | None):
+    def __init__(self, order: MonomialOrder, words: _Words, leads: Sequence[tuple],
+                 exps: Sequence[Monomial], cut: int | None):
         self.order = order
-        self.reduced = reduced
         self.cut = cut
         self.nvars = words.nvars
         self._words = words
         self._leads = tuple(leads)
         self._exps = tuple(exps)
+
+    @property
+    def reduced(self) -> bool:
+        return self.cut is None
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return self._exps
@@ -395,10 +400,14 @@ def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
     the listed order.  Returns (quotients, remainder); the loop itself is
     ``_normal_form``, the reducer Buchberger uses.  Denominators are
     cleared on the way in and the accumulated scale is divided out on the
-    way out, so quotients and remainder are the exact rational ones.
+    way out, so quotients and remainder are the exact rational ones.  A
+    local degree order raises ValueError: it is no well-order, and the
+    division need not end (x^2 by x - x^2 leads to x^3, x^4, ...).
     """
     _check_basis(basis)
     words = _words(order, f.nvars)
+    if words.local:
+        raise ValueError("division under a local degree order need not terminate")
     reducers = [_integer_reducer(b, words) for b in basis]
     units = [Fraction(r[1]) / b.leading_coefficient(order) for r, b in zip(reducers, basis)]
     table, uf = _integer_terms({words.pack(m): c for m, c in f.terms()})
@@ -555,11 +564,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     With ``cut`` the result is a minimal standard basis of the image of the
     ideal in Q[x]/m^cut, monic with unreduced tails (``reduced`` is False):
     terms of total degree >= cut are dropped, and a remainder is reduced at
-    its leading term only (see ``_normal_form``).  The cut needs a local
-    degree order, in which the lowest total degree leads (any other order
-    raises ValueError): there the monomials of degree < cut are
-    well-ordered, so the reduction terminates, and a product whose leading
-    term has degree >= cut is zero as a whole.
+    its leading term only (see ``_normal_form``).  A cut and a local degree
+    order (``MonomialOrder("local")``, in which the lowest total degree
+    leads) go together, and either one without the other raises ValueError:
+    under the local order only the monomials of degree < cut are
+    well-ordered, so only there does the reduction terminate, and a product
+    whose leading term has degree >= cut is zero as a whole.
 
     In two variables the cut is lowered as the basis grows: once the leading
     monomials hold every monomial of some degree r < cut, the cut becomes r,
@@ -604,9 +614,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     if any(g.nvars != nvars for g in polys):
         raise ValueError("generators live in different rings")
     words = _words(order, nvars)
-    if cut is not None and not words.local:
-        raise ValueError("a degree cut needs a local degree order, "
-                         "in which the lowest total degree leads")
+    if (cut is None) == words.local:
+        raise ValueError("a degree cut and a local degree order, in which the lowest total "
+                         "degree leads, go together: only below a cut is it a well-order")
     over, word = words.over, words.word
 
     # (lm, lc, tail): packed primitive integer basis elements, and their
@@ -732,8 +742,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
         if i >= entered or not any(not (lms[i] - lms[k]) & over for k in keep):
             keep.append(i)
     keep.sort(key=lms.__getitem__, reverse=True)
-    return GroebnerBasis(order, cut is None, words, [leads[i] for i in keep],
-                         [exps[i] for i in keep], limit)
+    return GroebnerBasis(order, words, [leads[i] for i in keep], [exps[i] for i in keep], limit)
 
 
 def _verify_reduced_basis(gb: GroebnerBasis, cut: int | None = None):

@@ -2,11 +2,13 @@
 
 Two independent routes to the same numbers live here:
 
-* the Groebner route: staircase counting on leading-term ideals, and the
-  truncation sequence alpha_r = dim A/(J + m^r) whose stabilized value is
-  the length of the component of A/J at the origin (truncating by powers
-  of the maximal ideal kills every component away from O), read from one
-  standard basis of J + m^R under a local degree order;
+* the Groebner route: staircase counting on the leading-term ideals of
+  the plane, and the truncation sequence alpha_r = dim A/(J + m^r) whose
+  stabilized value is the length of the component of A/J at the origin
+  (truncating by powers of the maximal ideal kills every component away
+  from O), read from one standard basis of J + m^R under the local degree
+  order ``MonomialOrder("local")``, which ``buchberger`` runs only under
+  that cut R;
 * a Macaulay-matrix route: alpha_r as a corank of an exact rational
   coefficient matrix, used as an oracle to cross-check the first route.
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb
 from typing import Sequence
 
@@ -32,13 +34,7 @@ from .groebner import (
     is_zero_dimensional,
     leading_term_ideal,
 )
-from .poly import (
-    DEGREVLEX,
-    Monomial,
-    Polynomial,
-    monomial_divides,
-    monomials_of_degree,
-)
+from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial, monomials_of_degree
 
 
 class Infinite(Enum):
@@ -93,37 +89,17 @@ class TruncationTrace(Record):
 
 
 def staircase_length(lt: MonomialIdeal):
-    """Number of standard monomials (those outside ``lt``); INFINITE when
-    the ideal is not zero-dimensional."""
+    """Number of standard monomials (those outside ``lt``) of a monomial
+    ideal in two variables; INFINITE when it is not zero-dimensional."""
+    if lt.nvars != 2:
+        raise ValueError("staircases are counted in the plane (2 variables)")
     if not is_zero_dimensional(lt):
         return INFINITE
-    zero = (0,) * lt.nvars
-    if zero in lt.gens:
-        return 0
-    if lt.nvars == 2:
-        # every run but the last (height 0) is a finite block of columns
-        return sum((stop - start) * height for start, stop, height in _staircase(lt.gens)[:-1])
-    # generic fallback: enumerate inside the box cut out by the pure powers
-    box = [range(min(m[v] for m in lt.gens if m[v] == sum(m) > 0)) for v in range(lt.nvars)]
-    return sum(1 for m in product(*box) if not any(monomial_divides(g, m) for g in lt.gens))
+    # every run but the last (height 0) is a finite block of columns
+    return sum((stop - start) * height for start, stop, height in _staircase(lt.gens)[:-1])
 
 
-class _LocalDegreeOrder:
-    """Lowest total degree leads; ties are broken by grlex.
-
-    A local degree order: a well-order only on the monomials of degree
-    < R, so it is used only in Q[x, y]/m^R (``buchberger``'s ``cut``).
-    """
-
-    @staticmethod
-    def key(m: Monomial):
-        return (-sum(m),) + m
-
-    def __reduce__(self):  # unpickles as the one instance, so bases stay comparable
-        return "_LOCAL"
-
-
-_LOCAL = _LocalDegreeOrder()
+_LOCAL = MonomialOrder("local")
 
 
 def _add_run(d2: list[int], start: int, stop: int, height: int | None, n: int):

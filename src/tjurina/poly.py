@@ -9,6 +9,9 @@ Monomials are plain tuples of non-negative integers, one entry per
 variable.  Coefficients are ``int`` or ``fractions.Fraction`` (an
 integer-valued Fraction is normalized back to ``int``; Python hashes
 the two consistently, so structural equality and hashing just work).
+A monomial order is a ``MonomialOrder`` of one field, its kind: grlex,
+lex, degrevlex, or "local", the local degree order, all of them reading
+the variables in their natural order.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from ._record import Record
 Scalar = Union[int, Fraction]
 Monomial = tuple[int, ...]
 
-_ORDER_KINDS = ("grlex", "lex", "degrevlex")
+_ORDER_KINDS = ("grlex", "lex", "degrevlex", "local")
 
 
 def _norm_coeff(c: Scalar) -> Scalar:
@@ -115,43 +118,32 @@ def _power_table(base: Mapping[Monomial, Scalar], n: int, nvars: int) -> dict:
 
 
 class MonomialOrder(Record):
-    """A monomial order: grlex, lex or degrevlex plus a variable precedence.
+    """A monomial order on exponent tuples, variable 0 highest.
 
-    ``precedence`` lists variable indices from most to least significant;
-    ``None`` means the natural order (variable 0 highest).  grlex compares
-    total degree first and breaks ties lexicographically by precedence;
-    degrevlex breaks degree ties by the smallest exponent on the least
-    significant variable.
+    grlex compares total degree first and breaks ties lexicographically;
+    lex compares lexicographically; degrevlex breaks degree ties by the
+    smallest exponent on the last variable.  "local" is a local degree
+    order: the lowest total degree leads, and ties are broken as in grlex.
+    It well-orders only the monomials of degree < R, so it is used only in
+    Q[x]/m^R (``buchberger``'s ``cut``).
     """
 
-    __slots__ = ("kind", "precedence")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str = "grlex", precedence: Sequence[int] | None = None):
+    def __init__(self, kind: str = "grlex"):
         if kind not in _ORDER_KINDS:
             raise ValueError(f"unknown order kind {kind!r}")
-        if precedence is not None:
-            precedence = tuple(precedence)
-            if sorted(precedence) != list(range(len(precedence))):
-                raise ValueError("precedence must be a permutation of variable indices")
-        self._set(kind, precedence)
+        self._set(kind)
 
     def key(self, m: Monomial):
         """Sort key: larger key = larger monomial in this order."""
-        if self.precedence is None:
-            if self.kind == "grlex":
-                return (sum(m), *m)
-            if self.kind == "lex":
-                return tuple(m)
-            return (sum(m), *map(neg, reversed(m)))
-        prec = self.precedence
-        if len(prec) != len(m):
-            raise ValueError("precedence length does not match variable count")
-        if self.kind == "lex":
-            return tuple(m[i] for i in prec)
         if self.kind == "grlex":
-            return (sum(m),) + tuple(m[i] for i in prec)
-        # degrevlex
-        return (sum(m),) + tuple(-m[i] for i in reversed(prec))
+            return (sum(m), *m)
+        if self.kind == "lex":
+            return tuple(m)
+        if self.kind == "degrevlex":
+            return (sum(m), *map(neg, reversed(m)))
+        return (-sum(m), *m)
 
 
 GRLEX = MonomialOrder("grlex")
@@ -243,9 +235,6 @@ class Polynomial:
 
     def coefficient(self, mono: Monomial) -> Scalar:
         return self._terms.get(tuple(mono), 0)
-
-    def constant_term(self) -> Scalar:
-        return self._terms.get((0,) * self.nvars, 0)
 
     def degree(self) -> int | None:
         """Total degree; None for the zero polynomial."""
@@ -356,18 +345,6 @@ class Polynomial:
             mm[var_index] = e - 1
             table[tuple(mm)] = _norm_coeff(c * e)
         return Polynomial._from_valid(self.nvars, table)
-
-    def evaluate(self, point: tuple[Scalar, ...]) -> Scalar:
-        if len(point) != self.nvars:
-            raise ValueError("point dimension does not match variable count")
-        total: Scalar = 0
-        for m, c in self._terms.items():
-            v = c
-            for coord, e in zip(point, m):
-                if e:
-                    v *= coord ** e
-            total += v
-        return _norm_coeff(total) if isinstance(total, Fraction) else total
 
     # -- comparisons --------------------------------------------------------
 

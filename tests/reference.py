@@ -1,6 +1,6 @@
-"""Test-only references: ``buchberger`` with its postcondition checked, and
-determinants and line restrictions, independent routes to what
-``tjurina.binforms`` decides by one gcd."""
+"""Test-only references: ``buchberger`` with its postcondition checked,
+exact evaluation at a point, and determinants and line restrictions,
+independent routes to what ``tjurina.binforms`` decides by one gcd."""
 
 from __future__ import annotations
 
@@ -25,6 +25,18 @@ def checked_buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
         cut = base.cut if cut is None else min(cut, base.cut)
     groebner._verify_reduced_basis(gb, cut)
     return gb
+
+
+def evaluate(f: Polynomial, point: Sequence[Scalar]) -> Scalar:
+    """f at ``point``, exactly: the sum of its terms, each a product of powers."""
+    if len(point) != f.nvars:
+        raise ValueError("point dimension does not match variable count")
+    total: Scalar = 0
+    for m, c in f.terms():
+        for coord, e in zip(point, m):
+            c *= coord ** e
+        total += c
+    return total
 
 
 def sylvester_resultant(u: UPoly, v: UPoly) -> Scalar:

@@ -259,6 +259,28 @@ def test_is_slci_true_at_ordinary_points():
     assert is_slci(f, O)
 
 
+def test_is_slci_is_is_ordinary_at_singular_points():
+    # by Euler's relation m*h = x*h_x + y*h_y, the initial form h is
+    # squarefree exactly when h_x and h_y share no line: a line dividing h,
+    # h_x and h_y divides h twice.  Half the samples plant a repeated factor,
+    # a line or a quadratic form, whose lines may be complex.
+    rng = random.Random(3141)
+    seen = {True: 0, False: 0}
+    for i in range(240):
+        m = rng.randint(2, 6)
+        init = _random_form(rng, m)
+        if i % 2:
+            factor = _random_form(rng, rng.randint(1, m // 2))
+            init = factor * factor * _random_form(rng, m - 2 * factor.degree())
+        g = init + _random_form(rng, m + 1) + _random_form(rng, m + rng.randint(2, 3))
+        point = (Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+        f = translate_to_origin(g, (-point[0], -point[1]))  # g moved to the point
+        answer = is_ordinary(f, point)
+        assert is_slci(f, point) == answer, (g, point)
+        seen[answer] += 1
+    assert min(seen.values()) >= 40, seen
+
+
 def test_slci_milnor_schemes_are_symmetric():
     # a symmetric local complete intersection meets every line in length k,
     # so the Milnor generators of an ordinary m-point are (m-1)-symmetric

@@ -339,9 +339,10 @@ def test_family_scan_single_a_deterministic():
     ("family", "--scan", "--a", "3", "--a-max", "5"),
     ("family", "--scan", "--a", "3", "--b", "2"),
     ("family", "--a", "3", "--b", "6", "--c", "1", "--a-max", "9"),
+    ("analyze", "--curve=x^3+y^4", "--point=0,0", "--json", "--trace"),
 ], ids=["analyze-threads", "classify-threads", "global-threads", "family-threads",
         "classify-trace", "family-trace", "family-scan-json", "analyze-curve-and-file",
-        "family-scan-a-and-a-max", "family-scan-b", "family-tuple-a-max"])
+        "family-scan-a-and-a-max", "family-scan-b", "family-tuple-a-max", "analyze-json-trace"])
 def test_flags_nothing_reads_are_rejected(argv, capsys):
     # options that would change no output are usage errors, not silent no-ops
     try:

@@ -65,8 +65,11 @@ def test_staircase_matches_enumeration_on_random_ideals():
 
 
 def test_staircase_three_variables():
-    mi = MonomialIdeal(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
-    assert staircase_length(mi) == 8
+    # staircases are counted in the plane only; three variables raise
+    for gens in ([(2, 0, 0), (0, 2, 0), (0, 0, 2)], [(1, 0, 0)], []):
+        with pytest.raises(ValueError, match="2 variables"):
+            staircase_length(MonomialIdeal(3, gens))
+    assert staircase_length(MonomialIdeal(2, [(0, 0)])) == 0  # the unit ideal
 
 
 def test_fat_point_length_is_binomial():

@@ -15,6 +15,8 @@ from tjurina import (
     translate_to_origin,
 )
 
+from reference import evaluate
+
 P = parse_poly
 
 
@@ -165,7 +167,7 @@ def test_translate_examples():
 @given(polys(max_deg=3), st.integers(-3, 3), st.integers(-3, 3))
 def test_translate_evaluates_correctly(f, p, q):
     g = translate_to_origin(f, (p, q))
-    assert g.constant_term() == f.evaluate((p, q))
+    assert g.coefficient((0, 0)) == evaluate(f, (p, q))
     # translating back is the inverse
     assert translate_to_origin(g, (-p, -q)) == f
 
@@ -189,27 +191,46 @@ def test_degrevlex_vs_grlex_in_three_vars():
     assert DEGREVLEX.key(b) > DEGREVLEX.key(a)
 
 
+def test_local_order_leads_with_the_lowest_degree():
+    local = MonomialOrder("local")
+    assert local.key((1, 0)) > local.key((0, 1)) > local.key((2, 0))
+    assert local.key((0, 0)) > local.key((1, 0))
+    assert P("x-x^2+y^3").leading_monomial(local) == (1, 0)
+
+
 def test_precedence_permutation():
-    y_first = MonomialOrder("grlex", precedence=(1, 0))
-    assert y_first.key((0, 1)) > y_first.key((1, 0))
+    # an order takes no variable precedence: a problem in another variable
+    # order is stated on renamed variables
+    with pytest.raises(TypeError):
+        MonomialOrder("grlex", (1, 0))
+    with pytest.raises(TypeError):
+        MonomialOrder("lex", precedence=(1, 0))
+    assert MonomialOrder.__slots__ == ("kind",)
 
 
 @pytest.mark.parametrize("kind", ["grlex", "lex", "degrevlex"])
 @pytest.mark.parametrize("nvars", [2, 3])
 def test_natural_precedence_key_matches_identity_precedence(kind, nvars):
+    # the keys are those the identity precedence (0, 1, ..., n-1) gave,
+    # written out term by term, so the packed words and bases are unchanged
     from tjurina.poly import monomials_of_degree
-    natural = MonomialOrder(kind)
-    identity = MonomialOrder(kind, precedence=tuple(range(nvars)))
+    prec = range(nvars)
+    identity = {"lex": lambda m: tuple(m[i] for i in prec),
+                "grlex": lambda m: (sum(m),) + tuple(m[i] for i in prec),
+                "degrevlex": lambda m: (sum(m),) + tuple(-m[i] for i in reversed(prec))}[kind]
     for d in range(7):
         for m in monomials_of_degree(nvars, d):
-            assert natural.key(m) == identity.key(m)
+            assert MonomialOrder(kind).key(m) == identity(m)
+            assert MonomialOrder("local").key(m) == (-d,) + m
 
 
 def test_order_validation():
     with pytest.raises(ValueError):
         MonomialOrder("degree")
     with pytest.raises(ValueError):
-        MonomialOrder("grlex", precedence=(0, 0))
+        MonomialOrder("Local")
+    assert [MonomialOrder(k).kind for k in ("grlex", "lex", "degrevlex", "local")] \
+        == ["grlex", "lex", "degrevlex", "local"]
 
 
 def test_leading_monomial():
@@ -254,8 +275,13 @@ def test_repr_writes_coefficients_past_the_int_digit_limit():
 
 
 def test_evaluate_is_exact():
+    # the reference the translation tests compare constant terms with
     f = P("1/3*x^2+y")
-    assert f.evaluate((Fraction(1, 2), Fraction(-1, 12))) == 0
+    assert evaluate(f, (Fraction(1, 2), Fraction(-1, 12))) == 0
+    assert evaluate(f, (Fraction(1, 2), 0)) == Fraction(1, 12)
+    assert evaluate(P("x^2*y-3"), (2, 5)) == 17
+    with pytest.raises(ValueError):
+        evaluate(f, (1, 2, 3))
 
 
 # -- exact translation and the trusted constructor -------------------------------
@@ -300,7 +326,7 @@ def test_translate_matches_naive_expansion_at_large_rational_points():
             p = 0
         g = translate_to_origin(f, (p, q))
         assert g == _naive_translate(f, p, q)
-        assert g.constant_term() == f.evaluate((p, q))
+        assert g.coefficient((0, 0)) == evaluate(f, (p, q))
         assert translate_to_origin(g, (-p, -q)) == f
         _assert_stored_validly(g)
 
