@@ -20,17 +20,18 @@ class Record:
     def __init_subclass__(cls):
         shown = tuple(f for f in cls.__slots__ if f not in cls._hidden)
         key = attrgetter(*shown)
-        if len(shown) == 1:  # attrgetter of one name returns the value, not a 1-tuple
-            key = lambda r, value=key: (value(r),)  # noqa: E731
 
         # closures over one C getter, not generic methods that look the
-        # fields up: MonomialOrder is hashed on every groebner._words lookup
+        # fields up: MonomialOrder is hashed on every groebner._words lookup,
+        # and the getter of one name returns the value, not a 1-tuple
         def __eq__(self, other):
             if other.__class__ is self.__class__:
                 return key(self) == key(other)
             return NotImplemented
 
-        cls.__eq__, cls.__hash__ = __eq__, lambda self: hash(key(self))
+        cls.__eq__ = __eq__
+        cls.__hash__ = ((lambda self: hash((key(self),))) if len(shown) == 1
+                        else lambda self: hash(key(self)))
         cls._shown = shown
         cls.__match_args__ = cls.__slots__
 

@@ -121,6 +121,13 @@ class _Germ:
     def where(self) -> str:
         return "(" + ",".join(str(c) for c in self.point) + ")"
 
+    def ordinary(self, test: str) -> bool:
+        """True iff the tangent cone consists of distinct lines (squarefree
+        initial form); ``test`` names the question off singular points."""
+        if self.m < 2:
+            raise ValueError(f"{test} is defined at singular points (multiplicity >= 2)")
+        return squarefree_binary_form(self.g.homogeneous_component(self.m))
+
     def length(self, gens: list[Polynomial], failure: str) -> tuple[int, TruncationTrace]:
         """``local_length_at_origin(gens)``, whose StabilizationError names the point."""
         try:
@@ -137,11 +144,9 @@ def multiplicity_at(f: Polynomial, point: Point) -> int:
 
 def is_ordinary(f: Polynomial, point: Point) -> bool:
     """True iff the tangent cone at a singular point consists of distinct
-    lines (squarefree initial form).  Requires multiplicity >= 2."""
-    germ = _Germ(f, point)
-    if germ.m < 2:
-        raise ValueError("ordinariness is defined at singular points (multiplicity >= 2)")
-    return squarefree_binary_form(germ.g.homogeneous_component(germ.m))
+    lines (squarefree initial form), the test ``is_slci`` and ``analyze``
+    read too.  Requires multiplicity >= 2."""
+    return _Germ(f, point).ordinary("ordinariness")
 
 
 def local_tjurina(f: Polynomial, point: Point) -> tuple[int, TruncationTrace]:
@@ -195,18 +200,12 @@ def _symmetry_order(gens: Sequence[Polynomial]) -> int | None:
 
 
 def is_slci(f: Polynomial, point: Point) -> bool:
-    """True iff the Milnor scheme at a point of multiplicity m is a local
-    complete intersection of two multiplicity-(m-1) curves with no common
-    tangent: both partials vanish to order exactly m-1 and their initial
-    forms share no linear factor."""
-    germ = _Germ(f, point)
-    m, gx, gy = germ.m, germ.gx, germ.gy
-    if m < 2:
-        raise ValueError("slci test is defined at singular points (multiplicity >= 2)")
-    if gx.min_degree() != m - 1 or gy.min_degree() != m - 1:  # None for a zero partial
-        return False
-    return common_factor_degree([gx.homogeneous_component(m - 1),
-                                 gy.homogeneous_component(m - 1)]) == 0
+    """True iff the Milnor scheme at a singular point of multiplicity m is a
+    local complete intersection of two multiplicity-(m-1) curves with no
+    common tangent: the partials have initial forms h_x and h_y, for the
+    initial form h, that share no line.  By Euler's relation m*h = x*h_x +
+    y*h_y that is ``is_ordinary``'s test, h squarefree."""
+    return _Germ(f, point).ordinary("slci test")
 
 
 def embedding_dimension(gens: Sequence[Polynomial]) -> int:
@@ -296,7 +295,7 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
 
     ordinary = symmetry = None
     if m >= 2:
-        ordinary = squarefree_binary_form(g.homogeneous_component(m))
+        ordinary = germ.ordinary("ordinariness")
         symmetry = m - 1 if ordinary else None
 
     if m <= 1:

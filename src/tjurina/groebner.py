@@ -29,20 +29,20 @@ multiply and compare as they do, ``w`` divides ``v`` iff ``(v - w) & over``
 is zero, and an exponent that leaves its 32-bit field raises
 ``MonomialRangeError``, never a wrong order.  ``_normal_form`` remembers,
 per reducer list, the first reducer that divides each word; a list only
-grows by appending, so a remembered divisor stays the first.  The
-inter-reduction on first read reduces every tail against the whole minimal
-list with one memo: no term below ``lm_i`` is a multiple of ``lm_i``, so
-every first divisor is the one the list without ``i`` gives.
+grows by appending, so a remembered divisor stays the first.
 
-A global run (no cut) keeps its basis close to inter-reduced.  When the
-degree of the popped pair changes, the elements the finished degree produced
-become stale, all but the last; a stale tail is reduced once (``_refresh``)
-on the element's next use, as a reducer or in an S-pair.  The refreshed
-element is a nonzero multiple of the old one minus a combination of the
-others, so the ideal and every leading word stay the same: the memo, the
-pair selection and the criteria see no change, and the reduced basis is the
-same unique one, reached with smaller multipliers.  Under a cut nothing is
-refreshed.
+One helper, ``_reduce_tail``, reduces an element's tail under its head.  The
+inter-reduction on first read runs it on every element against the whole
+minimal list with one memo: no term below ``lm_i`` is a multiple of
+``lm_i``, so every first divisor is the one the list without ``i`` gives.
+A global run (no cut) runs it during the run too.  When the degree of the
+popped pair changes, the elements the finished degree produced become
+stale, all but the last; a stale tail is reduced once (``_refresh``) on the
+element's next use, as a reducer or in an S-pair.  The refreshed element is
+a nonzero multiple of the old one minus a combination of the others, so the
+ideal and every leading word stay the same: the memo, the pair selection and
+the criteria see no change, and the reduced basis is the same unique one,
+reached with smaller multipliers.  Under a cut nothing is refreshed.
 
 ``_verify_reduced_basis`` is ``buchberger``'s postcondition (reducedness,
 and every S-polynomial reducing to zero); the tests check their bases by it.
@@ -72,10 +72,10 @@ class GroebnerBasis:
     cut the run ended with, after lowering (None without a cut); a later
     run can continue the basis under it (``buchberger``'s ``base``).  A
     basis is ``reduced`` exactly when its run had no cut.
-    Equality and hash are those of (order, generators, reduced).  Under a
-    cut they compare the stored unreduced generators, whose tails depend on
-    which S-pairs the run formed, so they say nothing about the ideal;
-    compare ``(order, cut, leading_monomials())`` for that."""
+    Bases compare and hash by identity.  Two reduced bases of one ideal
+    under one order have equal ``generators``; under a cut the tails depend
+    on which S-pairs the run formed, so compare ``(order, cut,
+    leading_monomials())``."""
 
     def __init__(self, order: MonomialOrder, words: _Words, leads: Sequence[tuple],
                  exps: Sequence[Monomial], cut: int | None):
@@ -95,27 +95,14 @@ class GroebnerBasis:
 
     @cached_property
     def generators(self) -> tuple[Polynomial, ...]:
-        # inter-reduce tails against the whole minimal list, with one memo:
-        # no term below lm_i is a multiple of lm_i, so element i never
-        # reduces its own tail and every first divisor is the one the other
-        # elements give.  Leading monomials form an antichain, so they
-        # survive.  Under a cut tails stay as they are.
+        # one memo for the whole minimal list (see the module docstring); the
+        # leading monomials form an antichain, so they survive.  Under a cut
+        # tails stay as they are.
         leads, words = self._leads, self._words
-        if self.reduced and len(leads) > 1:
+        if self.reduced:
             memo: dict = {}
-            leads = [_reducer_of(_normal_form(dict(tail), leads, words, memo=memo,
-                                              head=(lm, lc)))
-                     for lm, lc, tail in leads]
+            leads = [_reduce_tail(r, leads, words, memo) for r in leads]
         return tuple(_monic(self.nvars, words.unpack_reducer(r)) for r in leads)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroebnerBasis):
-            return NotImplemented
-        return (self.order, self.generators, self.reduced) == \
-            (other.order, other.generators, other.reduced)
-
-    def __hash__(self):
-        return hash((self.order, self.generators, self.reduced))
 
     def __repr__(self):
         return (f"GroebnerBasis(order={self.order!r}, generators={self.generators!r}, "
@@ -521,18 +508,24 @@ def _normal_form(terms: dict, leads, words: _Words, quots: list | None = None,
     return rem
 
 
+def _reduce_tail(reducer: tuple, leads, words: _Words, memo: dict,
+                 stale: set | None = None) -> tuple:
+    """The reducer with its tail reduced by ``leads`` under its head; one with
+    an empty tail is returned as it is.  A tail that nothing divides comes
+    back unchanged, since the element is primitive."""
+    lm, lc, tail = reducer
+    if not tail:
+        return reducer
+    return _reducer_of(_normal_form(dict(tail), leads, words, memo=memo, head=(lm, lc),
+                                    stale=stale))
+
+
 def _refresh(k: int, leads: list, words: _Words, memo: dict, stale: set):
-    """Reduce the tail of the stale element k of ``leads`` once, in place,
-    keeping its head.  No earlier element divides a term of that tail (k
-    is a remainder on division by them), so nothing is done unless a later
-    one does.  A stale reducer the reduction picks is refreshed first, so
-    refreshes nest at most as deep as there are stale elements."""
+    """Reduce the tail of the stale element k of ``leads`` once, in place.
+    A stale reducer the reduction picks is refreshed first, so refreshes
+    nest at most as deep as there are stale elements."""
     stale.discard(k)
-    lm, lc, tail = leads[k]
-    over, later = words.over, [r[0] for r in leads[k + 1:]]
-    if any(not (t - w) & over for t, _ in tail for w in later):
-        leads[k] = _reducer_of(_normal_form(dict(tail), leads, words, memo=memo,
-                                            head=(lm, lc), stale=stale))
+    leads[k] = _reduce_tail(leads[k], leads, words, memo, stale)
 
 
 def s_polynomial(g: Polynomial, h: Polynomial, order: MonomialOrder = GRLEX) -> Polynomial:

@@ -206,8 +206,9 @@ def _scaled_generator_sets(rng, arities, count):
 def test_basis_is_invariant_under_scaling_generators(order):
     rng = random.Random(5150)
     for gens, scaled in _scaled_generator_sets(rng, (2, 3), 20):
-        gb = checked_buchberger(gens, order)
-        assert checked_buchberger(scaled, order) == gb
+        gb, other = checked_buchberger(gens, order), checked_buchberger(scaled, order)
+        assert (other.order, other.generators, other.reduced) == \
+            (gb.order, gb.generators, gb.reduced)
         assert all(g.leading_coefficient(order) == 1 for g in gb.generators)
 
 
@@ -647,7 +648,9 @@ def test_generators_are_built_once(monkeypatch, cut):
     assert counts["monic"] == 0
     assert gb.generators is gb.generators
     assert counts["monic"] == len(gb) > 1
-    assert counts["interreduce"] == (len(gb) if cut is None else 0)
+    # a monomial element has no tail to inter-reduce
+    tails = sum(1 for _, _, tail in gb._leads if tail)
+    assert counts["interreduce"] == (tails if cut is None else 0) and tails > 0
 
 
 # -- stale tails refreshed during global runs ----------------------------------
@@ -697,6 +700,40 @@ def test_global_runs_refresh_stale_tails_and_runs_under_a_cut_do_not(monkeypatch
     f = P("x^5+y^5+x^3*y^3")
     assert local_length_at_origin([f, f.partial_derivative(0), f.partial_derivative(1)])[0] == 15
     assert counts["refresh"] == counts["interreduce"] == 0
+
+
+def test_reduce_tail_returns_a_monomial_element_as_it_is(monkeypatch):
+    from tjurina import groebner
+    calls = []
+    monkeypatch.setattr(groebner, "_normal_form", lambda *args, **kwargs: calls.append(args))
+    words = groebner._words(GRLEX, 2)
+    monomial = groebner._integer_reducer(P("3*x^2*y"), words)
+    leads = [groebner._integer_reducer(P("x*y-1"), words), monomial]
+    assert groebner._reduce_tail(monomial, leads, words, {}) is monomial and calls == []
+
+
+def test_refresh_keeps_a_tail_nothing_divides_and_reduces_one_a_later_element_divides():
+    from tjurina import groebner
+    words = groebner._words(GRLEX, 2)
+    # y^2 divides no term of x^2 + y: the refreshed reducer is an equal one
+    leads = [groebner._integer_reducer(p, words) for p in (P("2*x^2+3*y"), P("y^2+x"))]
+    before, stale = list(leads), {0}
+    groebner._refresh(0, leads, words, {}, stale)
+    assert leads == before and stale == set()
+    # y^2 + x, a later element, divides the tail of x^3 + 2*y^2: x^3 - 2*x
+    leads = [groebner._integer_reducer(p, words) for p in (P("x^3+2*y^2"), P("y^2+x"))]
+    groebner._refresh(0, leads, words, {}, {0})
+    assert leads[0] == groebner._integer_reducer(P("x^3-2*x"), words)
+
+
+def test_bases_compare_by_identity():
+    from tjurina import GroebnerBasis
+    assert "__eq__" not in vars(GroebnerBasis) and "__hash__" not in vars(GroebnerBasis)
+    f = P("x^5+y^5+x^3*y^3")
+    gens = [f, f.partial_derivative(0), f.partial_derivative(1)]
+    first, second = buchberger(gens), buchberger(gens)
+    assert first is not second and first != second and len({first, second}) == 2
+    assert first.generators == second.generators and first == first
 
 
 # -- local bases under a cut, pinned before the pair update changed -------------

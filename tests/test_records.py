@@ -95,6 +95,22 @@ def test_equal_records_hash_equally_and_serve_as_keys():
     assert hash(FamilyParams(4, 1, 4)) == hash((4, 4, 1))
 
 
+def test_a_one_field_record_hashes_and_compares_in_one_python_call():
+    # MonomialOrder is hashed on every groebner._words lookup: the hash and
+    # equality of a one-field record are closures over its C getter alone
+    import sys
+    order, other = MonomialOrder("local"), MonomialOrder("local")
+    for op in (hash, other.__eq__):
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(event) if event == "call" else None)
+        try:
+            op(order)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["call"], op
+    assert hash(order) == hash(("local",)) and order == other
+
+
 def test_records_are_immutable():
     for record in _records():
         field = repr(record).split("(", 1)[1].split("=", 1)[0]
@@ -149,11 +165,14 @@ def test_pickle_round_trip_gives_an_equal_record():
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record) and copy == record and repr(copy) == repr(record)
     # a GroebnerBasis, reduced or under a cut; the local one can still be continued
-    for basis in (trace.basis, checked_buchberger([parse_poly("x^2+y"), parse_poly("x*y-1")])):
+    reduced = checked_buchberger([parse_poly("x^2+y"), parse_poly("x*y-1")])
+    for basis in (trace.basis, reduced):
         copy = pickle.loads(pickle.dumps(basis))
-        assert copy == basis and repr(copy) == repr(basis)
+        assert copy is not basis and repr(copy) == repr(basis)
         assert (copy.order, copy.cut, copy.leading_monomials()) == \
             (basis.order, basis.cut, basis.leading_monomials())
+        if basis is reduced:
+            assert copy.reduced and copy.generators == basis.generators
     more = [parse_poly("x^3 + y^7 + x*y^5")]
     assert local_length_at_origin(more, base=pickle.loads(pickle.dumps(trace.basis))) == \
         local_length_at_origin(more, base=trace.basis)

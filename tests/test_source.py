@@ -105,3 +105,37 @@ def test_analyzer_decides_line_questions_by_one_gcd():
              for alias in node.names]
     names += [getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)]
     assert banned.isdisjoint(names)
+
+
+def test_every_module_level_definition_is_named_elsewhere():
+    # no dead code: each module-level function and class of the package is
+    # named by a Name or an attribute outside its own definition, somewhere
+    # in the package, the tests, the benchmark or the demos, or is exported
+    root = Path(__file__).resolve().parent.parent
+    files = [*SOURCES, *(path for folder in ("tests", "bench", "demos")
+                         for path in sorted((root / folder).glob("*.py")))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    uses = [(path, node.lineno, getattr(node, "id", getattr(node, "attr", None)))
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    found = [f"{path.name}:{node.name}"
+             for path in SOURCES for node in trees[path].body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and not (node.name.startswith("__") or node.name in tjurina._EXPORTS)
+             and not any(name == node.name and not (where == path and node.lineno <= line
+                                                    <= node.end_lineno)
+                         for where, line, name in uses)]
+    assert found == []
+
+
+def test_one_tangent_cone_test_serves_every_per_point_reader():
+    # is_ordinary, is_slci and analyze read the germ's one squarefree test;
+    # is_slci keeps no order-and-gcd code of its own
+    source = Path(tjurina.__file__).resolve().parent / "analyzer.py"
+    funcs = {node.name: node for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef)}
+    for name in ("is_ordinary", "is_slci", "analyze"):
+        calls = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                 for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)}
+        assert "ordinary" in calls and "squarefree_binary_form" not in calls, name
+        assert "common_factor_degree" not in calls, name
