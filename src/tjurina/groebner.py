@@ -19,8 +19,10 @@ The reduction core is fraction-free: basis elements are primitive integer
 term tables with a positive leading coefficient, S-polynomials are built
 with integer cofactors, and ``_normal_form`` reduces by scaled
 pseudo-division, so a remainder is an integer multiple of the rational one.
-Rationals appear only at the boundary: ``_integer_reducer``, ``_monic``,
-``divide`` and ``s_polynomial``.
+A polynomial enters the core only through ``_integer_reducer``, which
+refuses a zero polynomial and one from another ring with one ValueError,
+and rationals leave it only through ``_monic``, ``divide`` and
+``s_polynomial``.
 
 Inside the core a monomial is a packed word (``_Words``): one int whose
 high fields hold the order key, linear in the exponents for every order
@@ -297,19 +299,15 @@ def _words(order, nvars: int) -> _Words:
 # integer reducers
 
 
-def _integer_terms(terms: dict) -> tuple[dict, Fraction]:
-    """(table, u): the primitive integer term table table = u * terms, u > 0."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    table = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-    g = gcd(*table.values()) or 1
-    return {m: c // g for m, c in table.items()}, Fraction(den, g)
-
-
 def _integer_reducer(p: Polynomial, words: _Words) -> tuple:
     """(lm, lc, tail): the packed reducer of the primitive integer multiple
     of p with a positive leading coefficient lc, its tail sorted by
-    decreasing word.  The multiple is lc / p's leading coefficient."""
+    decreasing word.  The multiple is lc / p's leading coefficient.  The one
+    gate from a Polynomial into the integer core: a zero polynomial, or one
+    outside the ring of ``words``, raises ValueError."""
     table = p._terms
+    if not table or p.nvars != words.nvars:
+        raise ValueError(f"expected a nonzero polynomial in {words.nvars} variables")
     if max(map(max, table)) >> words.bits:
         for m in table:
             words.pack(m)  # raises the range error of the first bad term
@@ -371,14 +369,6 @@ def _monic(nvars: int, reducer: tuple) -> Polynomial:
 # division
 
 
-def _check_basis(basis: Sequence[Polynomial]):
-    if not basis:
-        raise ValueError("division basis must be nonempty")
-    for b in basis:
-        if b.is_zero():
-            raise ValueError("division basis contains the zero polynomial")
-
-
 def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GRLEX):
     """Multivariate division: f = sum q_i b_i + r.
 
@@ -387,17 +377,23 @@ def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GR
     the listed order.  Returns (quotients, remainder); the loop itself is
     ``_normal_form``, the reducer Buchberger uses.  Denominators are
     cleared on the way in and the accumulated scale is divided out on the
-    way out, so quotients and remainder are the exact rational ones.  A
-    local degree order raises ValueError: it is no well-order, and the
+    way out, so quotients and remainder are the exact rational ones, and a
+    zero f gives zero ones.  An empty basis, a basis element that
+    ``_integer_reducer`` refuses (zero, or outside f's ring) and a local
+    degree order raise ValueError: that order is no well-order, and the
     division need not end (x^2 by x - x^2 leads to x^3, x^4, ...).
     """
-    _check_basis(basis)
+    if not basis:
+        raise ValueError("division basis must be nonempty")
     words = _words(order, f.nvars)
     if words.local:
         raise ValueError("division under a local degree order need not terminate")
     reducers = [_integer_reducer(b, words) for b in basis]
     units = [Fraction(r[1]) / b.leading_coefficient(order) for r, b in zip(reducers, basis)]
-    table, uf = _integer_terms({words.pack(m): c for m, c in f.terms()})
+    table, uf = {}, 1
+    if not f.is_zero():
+        lm, lc, tail = _integer_reducer(f, words)
+        table, uf = dict(((lm, lc), *tail)), Fraction(lc) / f.leading_coefficient(order)
     quots: list = [{} for _ in basis]
     rem = _normal_form(table, reducers, words, quots)
     den = quots.pop() * uf
@@ -532,12 +528,9 @@ def s_polynomial(g: Polynomial, h: Polynomial, order: MonomialOrder = GRLEX) -> 
     """The standard S-polynomial (lcm/LT(g)) g - (lcm/LT(h)) h.
 
     Leading coefficients are divided out, so the result of two monomials
-    is identically zero.
+    is identically zero.  A zero polynomial, or h outside g's ring, raises
+    ``_integer_reducer``'s ValueError.
     """
-    if g.is_zero() or h.is_zero():
-        raise ValueError("S-polynomial of the zero polynomial is undefined")
-    if g.nvars != h.nvars:
-        raise ValueError("S-polynomial of polynomials in different rings")
     words = _words(order, g.nvars)
     a = _integer_reducer(g, words)
     b = _integer_reducer(h, words)
@@ -587,8 +580,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     monomials pays for neither inter-reduction nor rationals.
 
     Raises ValueError if every generator is zero (after the cut) and there
-    is no base, and MonomialRangeError if an exponent leaves the packed
-    field range.
+    is no base, ``_integer_reducer``'s ValueError for a nonzero generator
+    outside the ring of the first one (or of the base), and
+    MonomialRangeError if an exponent leaves the packed field range.
     """
     if base is not None:
         if base.order != order or base.cut is None:
@@ -604,8 +598,6 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
             return base
         raise ValueError("need at least one nonzero generator")
     nvars = polys[0].nvars if base is None else base.nvars
-    if any(g.nvars != nvars for g in polys):
-        raise ValueError("generators live in different rings")
     words = _words(order, nvars)
     if (cut is None) == words.local:
         raise ValueError("a degree cut and a local degree order, in which the lowest total "

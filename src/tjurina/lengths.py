@@ -302,14 +302,11 @@ def _projective_dimension_at_most_points(lt: MonomialIdeal) -> bool:
 
     For a monomial ideal the quotient dimension is the size of the largest
     variable subset S such that no generator is supported inside S; here
-    it suffices that every pair of variables supports some generator.
+    it suffices that every pair of variables supports some generator, that
+    is, in three variables, that every variable is missing from some
+    generator.
     """
-    for u in range(3):
-        for v in range(u + 1, 3):
-            if not any(all(e == 0 for w, e in enumerate(m) if w not in (u, v))
-                       for m in lt.gens):
-                return False
-    return True
+    return all(any(not m[w] for m in lt.gens) for w in range(3))
 
 
 def global_tjurina(f: Polynomial, with_trace: bool = False):

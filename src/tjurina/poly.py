@@ -414,6 +414,8 @@ def translate_to_origin(f: Polynomial, point: tuple[Scalar, Scalar]) -> Polynomi
     """
     if f.nvars != 2:
         raise ValueError("translation is defined for affine 2-variable polynomials")
+    if len(point) != 2:
+        raise ValueError(f"a point in the plane has 2 coordinates, got {len(point)}")
     for c in point:
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"point coordinates must be exact (int or Fraction), "

@@ -331,6 +331,14 @@ def test_off_curve_error_is_a_value_error_raised_off_the_curve():
             classify_double_point(P(curve), point)
 
 
+@pytest.mark.parametrize("point", [(0, 0, 0), (1,)])
+@pytest.mark.parametrize("func", [analyze, local_tjurina, classify_double_point, translate_to_origin])
+def test_a_point_in_the_plane_has_two_coordinates(func, point):
+    with pytest.raises(ValueError,
+                       match=f"^a point in the plane has 2 coordinates, got {len(point)}$"):
+        func(P("y^2-x^3"), point)
+
+
 @pytest.mark.parametrize("curve, point", [("y^2", (0, 0)), ("(y-1)^2", (0, 1))])
 def test_classify_names_a_non_reduced_double_point(curve, point):
     # the failure names the point, as local_tjurina's does

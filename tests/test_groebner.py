@@ -47,6 +47,8 @@ def test_divide_monomial_cases():
     assert r.is_zero() and q[0] == P("x")
     q, r = divide(P("y"), [P("x")])
     assert r == P("y") and q[0].is_zero()
+    q, r = divide(P("0"), [P("x"), P("y^2-x")])
+    assert r.is_zero() and len(q) == 2 and all(p.is_zero() for p in q)
 
 
 def test_divide_reconstructs_input():
@@ -72,10 +74,39 @@ def test_divide_table_identity_for_b1():
 
 
 def test_divide_requires_sane_basis():
-    with pytest.raises(ValueError):
-        divide(P("x"), [])
+    for f in (P("x"), P("0")):
+        with pytest.raises(ValueError, match="^division basis must be nonempty$"):
+            divide(f, [])
     with pytest.raises(ValueError):
         divide(P("x"), [P("0")])
+
+
+# -- the one gate into the integer core ---------------------------------------
+
+X02 = parse_poly("x0*x2", "projective3")
+LOCAL = MonomialOrder("local")
+GATE = "^expected a nonzero polynomial in {} variables$"
+
+
+@pytest.mark.parametrize("call, nvars", [
+    # x0*x2 packed with 2-variable words would read as x
+    (lambda: divide(P("x^2"), [X02]), 2),
+    (lambda: divide(P("x^2"), [P("x"), P("0")]), 2),
+    (lambda: divide(X02, [P("x")]), 3),
+    (lambda: s_polynomial(P("x"), X02), 2),
+    (lambda: s_polynomial(X02, P("x")), 3),
+    (lambda: s_polynomial(P("0"), P("x")), 2),
+    (lambda: s_polynomial(P("x"), P("0")), 2),
+    (lambda: buchberger([X02, P("x^2-y")]), 3),
+    (lambda: buchberger([P("x"), parse_poly("x0", "projective3")]), 2),
+    (lambda: buchberger([X02], LOCAL, base=buchberger([P("x^2"), P("y^3")], LOCAL, cut=8)), 2),
+], ids=["divide-basis-ring", "divide-basis-zero", "divide-dividend-ring",
+        "s-second-ring", "s-first-ring", "s-first-zero", "s-second-zero",
+        "buchberger-first-ring", "buchberger-x-x0", "buchberger-base-ring"])
+def test_gate_refuses_zero_and_other_rings(call, nvars):
+    # one message for a zero polynomial and for one from another ring
+    with pytest.raises(ValueError, match=GATE.format(nvars)):
+        call()
 
 
 def test_divide_is_deterministic_in_basis_order():

@@ -23,7 +23,12 @@ from tjurina import (
     translate_to_origin,
 )
 from tjurina.groebner import _closing_degree
-from tjurina.lengths import _LOCAL, _length_mod_m2, _standard_counts
+from tjurina.lengths import (
+    _LOCAL,
+    _length_mod_m2,
+    _projective_dimension_at_most_points,
+    _standard_counts,
+)
 from tjurina.poly import monomial_divides, monomials_of_degree
 
 from reference import VERTICAL, checked_buchberger, line_restriction_length
@@ -416,6 +421,17 @@ def test_hilbert_function_stabilizes_over_three_degrees():
 
 
 # -- the global Tjurina number ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("gens, expected", [
+    ([(2, 0, 0), (0, 2, 0)], True),   # (x0^2, x1^2): the point (0:0:1)
+    ([(0, 0, 0)], True),              # the unit ideal: the empty scheme
+    ([(1, 1, 0)], False),             # (x0*x1): two lines
+    ([(0, 0, 1)], False),             # (x2): a line
+    ([], False),                      # the zero ideal: the whole plane
+], ids=["x0^2,x1^2", "unit", "x0*x1", "x2", "zero"])
+def test_projective_dimension_at_most_points(gens, expected):
+    assert _projective_dimension_at_most_points(MonomialIdeal(3, gens)) is expected
 
 
 def test_global_tjurina_of_line_arrangements():
