@@ -19,9 +19,14 @@ The reduction core is fraction-free: basis elements are primitive integer
 term tables with a positive leading coefficient, S-polynomials are built
 with integer cofactors, and ``_normal_form`` reduces by scaled
 pseudo-division, so a remainder is an integer multiple of the rational one.
-A polynomial enters the core only through ``_integer_reducer``, which
-refuses a zero polynomial and one from another ring with one ValueError,
-and rationals leave it only through ``_monic``, ``divide`` and
+A polynomial enters the core through one of two gates: ``_integer_reducer``,
+which refuses a zero polynomial and one from another ring with one
+ValueError, and ``_packed_gradient``, which packs the nonzero partial
+derivatives of a polynomial straight from its terms, without building
+them.  ``buchberger`` checks its arguments, passes its generators through
+the first gate and hands the packed reducers to ``_buchberger``, the run
+itself; ``lengths.global_tjurina`` hands it the second gate's gradient.
+Rationals leave the core only through ``_monic``, ``divide`` and
 ``s_polynomial``.
 
 Inside the core a monomial is a packed word (``_Words``): one int whose
@@ -325,6 +330,45 @@ def _integer_reducer(p: Polynomial, words: _Words) -> tuple:
     return lm, lc, tuple(terms[1:])
 
 
+def _packed_gradient(f: Polynomial, words: _Words) -> list[tuple]:
+    """The packed reducers of f's nonzero partial derivatives, in variable
+    order: ``[_integer_reducer(f.partial_derivative(v), words)]`` with the
+    zero partials dropped, and the same errors, but no partial is built.
+    f's denominators are cleared once and each term is packed once: words
+    are linear, so the partial in x_v of the term of word w has the word
+    w - word(x_v), and the partials' terms come out of one sort already
+    sorted.  An f outside the ring of ``words`` raises ValueError."""
+    table = f._terms
+    if f.nvars != words.nvars:
+        raise ValueError(f"expected a nonzero polynomial in {words.nvars} variables")
+    if table and max(map(max, table)) >> words.bits:
+        # only a partial's own terms must lie in range, and
+        # _integer_reducer meets its bad terms in f's term order
+        for v in range(f.nvars):
+            for m in table:
+                if m[v]:
+                    words.pack(m[:v] + (m[v] - 1,) + m[v + 1:])
+    cs = table.values()
+    if any(type(c) is not int for c in cs):
+        den = lcm(*(c.denominator for c in cs))
+        cs = [c.numerator * (den // c.denominator) for c in cs]
+    terms = sorted(zip(map(words.word, table), table, cs), reverse=True)
+    gradient = []
+    for v in range(f.nvars):
+        unit = words.word(tuple(int(i == v) for i in range(f.nvars)))
+        part = [(w - unit, c * m[v]) for w, m, c in terms if m[v]]
+        if not part:
+            continue
+        g = gcd(*(c for _, c in part))
+        if part[0][1] < 0:
+            g = -g
+        if g != 1:
+            part = [(w, c // g) for w, c in part]
+        lm, lc = part[0]
+        gradient.append((lm, lc, tuple(part[1:])))
+    return gradient
+
+
 def _reducer_of(rem: dict) -> tuple:
     """The reducer of a primitive remainder, whose first term leads."""
     items = iter(rem.items())
@@ -602,6 +646,15 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     if (cut is None) == words.local:
         raise ValueError("a degree cut and a local degree order, in which the lowest total "
                          "degree leads, go together: only below a cut is it a well-order")
+    return _buchberger([_integer_reducer(g, words) for g in polys], words, cut, base)
+
+
+def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None,
+                base: GroebnerBasis | None = None) -> GroebnerBasis:
+    """``buchberger``'s run on ``reducers``, a nonempty list of packed
+    primitive integer reducers in the ring of ``words``, under the cut
+    ``buchberger`` settled on (None for a global order) and continuing
+    ``base``; the inputs are not checked again."""
     over, word = words.over, words.word
 
     # (lm, lc, tail): packed primitive integer basis elements, and their
@@ -610,8 +663,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     exps: list[Monomial] = [] if base is None else list(base._exps)
     old = len(leads)
     seen: set = set()
-    for g in polys:
-        w = _integer_reducer(g, words)
+    for w in reducers:
         if w not in seen:
             seen.add(w)
             leads.append(w)
@@ -621,7 +673,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
 
     # the cut in force, lowered where the staircase of lms closes; it closes
     # only once both axes hold a leading monomial (a pure power of x and of y)
-    lowerable = cut is not None and nvars == 2
+    lowerable = cut is not None and words.nvars == 2
     axes: set[int] = set()
 
     def lowered(limit: int, new: Iterable[Monomial]) -> int:
@@ -727,7 +779,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
         if i >= entered or not any(not (lms[i] - lms[k]) & over for k in keep):
             keep.append(i)
     keep.sort(key=lms.__getitem__, reverse=True)
-    return GroebnerBasis(order, words, [leads[i] for i in keep], [exps[i] for i in keep], limit)
+    return GroebnerBasis(words.order, words, [leads[i] for i in keep], [exps[i] for i in keep],
+                         limit)
 
 
 def _verify_reduced_basis(gb: GroebnerBasis, cut: int | None = None):

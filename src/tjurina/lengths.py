@@ -29,7 +29,10 @@ from ._record import Record
 from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
+    _buchberger,
+    _packed_gradient,
     _staircase,
+    _words,
     buchberger,
     is_zero_dimensional,
     leading_term_ideal,
@@ -322,6 +325,10 @@ def global_tjurina(f: Polynomial, with_trace: bool = False):
 
     With ``with_trace=True`` returns (value, hf_values): the Hilbert
     function in degrees 0 .. max(3(d-1), L-2), or [] with INFINITE.
+
+    The partials are never built as polynomials: f enters the integer core
+    once, through ``groebner._packed_gradient``, which packs the nonzero
+    partials straight from f's terms.
     """
     if f.nvars != 3 or f.is_zero():
         raise ValueError("expected a nonzero polynomial in x0, x1, x2")
@@ -330,8 +337,8 @@ def global_tjurina(f: Polynomial, with_trace: bool = False):
     d = f.degree()
     if d < 2:
         raise ValueError("the curve must have degree >= 2")
-    parts = [f.partial_derivative(i) for i in range(3)]  # not all zero (Euler)
-    gb = buchberger(parts, DEGREVLEX)
+    words = _words(DEGREVLEX, 3)
+    gb = _buchberger(_packed_gradient(f, words), words)  # not all zero (Euler)
     lt = leading_term_ideal(gb)
     if not _projective_dimension_at_most_points(lt):
         return (INFINITE, []) if with_trace else INFINITE

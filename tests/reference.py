@@ -1,6 +1,7 @@
 """Test-only references: ``buchberger`` with its postcondition checked,
-exact evaluation at a point, and determinants and line restrictions,
-independent routes to what ``tjurina.binforms`` decides by one gcd."""
+exact evaluation at a point, the product of two term tables, and
+determinants and line restrictions, independent routes to what
+``tjurina.binforms`` decides by one gcd."""
 
 from __future__ import annotations
 
@@ -37,6 +38,18 @@ def evaluate(f: Polynomial, point: Sequence[Scalar]) -> Scalar:
             c *= coord ** e
         total += c
     return total
+
+
+def product_table(f: dict, g: dict) -> dict:
+    """The term table of the product of two term tables, the plain way: every
+    pair of terms adds its exponents component by component, the sums are
+    collected first, and the zero ones are dropped at the end."""
+    table: dict = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            table[m] = table.get(m, 0) + c1 * c2
+    return {m: c for m, c in table.items() if c}
 
 
 def sylvester_resultant(u: UPoly, v: UPoly) -> Scalar:

@@ -35,3 +35,24 @@ def test_cli_reproduces_golden_output(row):
     assert code == row["exit"]
     assert _ELAPSED.sub('"elapsed_ms": "*"', out.getvalue()) == row["stdout"]
     assert err.getvalue() == row["stderr"]
+
+
+# Two global-tjurina rows pinned here, not in golden_cli.json: test_cli numbers
+# its parse cases by position after the golden rows, so a row appended to the
+# file would rename fourteen unrelated test ids.  Each curve has a fractional
+# coefficient, which the packed gradient clears once; the first has a square
+# factor, so it is non-reduced and its value is null.
+GRADIENT_ROWS = [
+    ("1/2*x0*(x1-x2)^2*(x0+x1+x2)", None, []),
+    ("(x0-1/2*x1)*(x1+x2)*(x0+3*x2)*x1", 6, [1, 3, 6, 7, 6, 6, 6, 6, 6, 6]),
+]
+
+
+@pytest.mark.parametrize("curve, tau, hf", GRADIENT_ROWS, ids=["non-reduced", "reduced"])
+def test_global_tjurina_of_a_fractional_product_reproduces_golden_output(curve, tau, hf):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["global-tjurina", f"--curve={curve}", "--json", "--trace"], out=out)
+    doc = {"version": "0.1.0", "curve": curve, "global_tjurina": tau, "warnings": [],
+           "hilbert_function": hf}
+    assert (code, out.getvalue(), err.getvalue()) == (0, json.dumps(doc, indent=2) + "\n", "")

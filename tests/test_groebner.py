@@ -954,3 +954,70 @@ def test_integer_reducer_matches_the_formula(fractions):
         p = Polynomial._from_valid(2, {(2, 0): Ratio(3, 4), (0, 1): Ratio(-5, 6), (0, 0): 2})
         assert _integer_reducer(p, words) == _reducer_by_the_formula(p, words)
 
+
+
+# -- packing the gradient of a polynomial -------------------------------------------
+
+
+def _gradient_by_the_partials(f, words):
+    from tjurina.groebner import _integer_reducer
+    parts = (f.partial_derivative(v) for v in range(f.nvars))
+    return [_integer_reducer(p, words) for p in parts if not p.is_zero()]
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int-only", "fractions"])
+def test_packed_gradient_matches_the_reducers_of_the_partials(fractions):
+    from tjurina.groebner import _packed_gradient, _words
+    rng = random.Random(f"gradient:{fractions}")
+    for _ in range(200):
+        order = rng.choice((GRLEX, LEX, DEGREVLEX))
+        words = _words(order, 3)
+        f = _random_homogeneous(rng, 3, rng.randint(1, 7))
+        if fractions:
+            f = Polynomial(3, {m: Fraction(c, rng.choice((1, 2, 3, 4, 9)))
+                               for m, c in f.terms()})
+        assert _packed_gradient(f, words) == _gradient_by_the_partials(f, words), (f, order)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_packed_gradient_of_a_cone_drops_its_two_zero_partials(d):
+    from tjurina.groebner import _packed_gradient, _words
+    words = _words(DEGREVLEX, 3)
+    f = Polynomial(3, {(d, 0, 0): Fraction(-3, 4)})
+    gradient = _packed_gradient(f, words)
+    assert gradient == _gradient_by_the_partials(f, words)
+    assert gradient == [(words.pack((d - 1, 0, 0)), 1, ())]
+
+
+def test_packed_gradient_of_a_constant_or_zero_is_empty():
+    from tjurina.groebner import _packed_gradient, _words
+    words = _words(DEGREVLEX, 3)
+    assert _packed_gradient(Polynomial(3, {(0, 0, 0): 5}), words) == []
+    assert _packed_gradient(Polynomial.zero(3), words) == []
+
+
+def test_packed_gradient_refuses_another_ring():
+    from tjurina.groebner import _packed_gradient, _words
+    with pytest.raises(ValueError, match="expected a nonzero polynomial in 3 variables"):
+        _packed_gradient(P("x^2*y"), _words(DEGREVLEX, 3))
+
+
+def test_packed_gradient_range_errors_are_those_of_the_partials():
+    from tjurina.groebner import MonomialRangeError, _packed_gradient, _words
+    words = _words(DEGREVLEX, 3)
+    top = (1 << words.bits) - 1
+    # x0^(top+1): f leaves the fields, but its one partial does not
+    f = Polynomial(3, {(top + 1, 0, 0): 2, (0, top, 0): 1})
+    assert _packed_gradient(f, words) == _gradient_by_the_partials(f, words)
+    assert _packed_gradient(f, words)[0][0] == words.pack((top, 0, 0))
+    # an exponent outside the fields in some partial: the first bad term of
+    # the first partial that has one names the error
+    for table in ({(0, top + 2, 1): 1, (1, 0, 0): 1},     # the partial in x0 is in range
+                  {(top + 1, 1, 0): 1, (1, 1, 1): 1},     # x0^(top+1) in the partial in x1
+                  {(2, 0, 0): 1, (top + 5, 0, top + 3): -1}):
+        f = Polynomial(3, table)
+        with pytest.raises(MonomialRangeError) as expected:
+            _gradient_by_the_partials(f, words)
+        with pytest.raises(MonomialRangeError) as packed:
+            _packed_gradient(f, words)
+        assert str(packed.value) == str(expected.value), table

@@ -574,6 +574,34 @@ def test_global_matches_sum_of_locals_on_line_arrangements(d):
         assert global_tjurina(F) == _sum_of_local_tjurina(F, points), lines
 
 
+def test_global_tjurina_builds_no_partial(monkeypatch):
+    # the Jacobian enters the integer core packed (groebner._packed_gradient)
+    def refuse(self, var_index):
+        raise AssertionError("global_tjurina built a partial derivative")
+
+    monkeypatch.setattr(Polynomial, "partial_derivative", refuse)
+    assert global_tjurina(_p3("x1^2*x2-x0^3")) == 2
+    assert global_tjurina(_p3("x0^3+x1^3+x2^3")) == 0
+    assert global_tjurina(_p3("1/2*x0*(x1-x2)^2*(x0+x1+x2)"), with_trace=True) == (INFINITE, [])
+    assert global_tjurina(_p3("x0*x1*x2*(x0-x1)*(x0-x2)*(x1-x2)")) == 19
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_global_tjurina_agrees_with_the_hilbert_function_of_the_partials(d):
+    # two gates into the integer core: global_tjurina packs the gradient,
+    # hilbert_function packs the partials as polynomials; both read the
+    # same value at the last degree of the read-out
+    rng = random.Random(f"two gates:{d}")
+    for _ in range(3):
+        F = _p3("1")
+        for line in _arrangement_with_a_triple_point(rng, d):
+            F = F * Polynomial(3, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), line)))
+        value, hf = global_tjurina(F, with_trace=True)
+        parts = [F.partial_derivative(v) for v in range(3)]
+        assert hf[-1] == value
+        assert hilbert_function(parts, len(hf) - 1) == value, F
+
+
 @pytest.mark.parametrize("curve, points, tau", [
     ("x1^2*x2-x0^3", [(0, 0, 1)], 2),  # cuspidal cubic
     ("(x0*x2-x1^2)*x0", [(0, 0, 1)], 3),  # conic and a tangent line: A_3

@@ -421,3 +421,57 @@ def test_trusted_constructor_sites_store_valid_tables():
                 _assert_stored_validly(g)
                 assert g == Polynomial(nvars, [(lm, 1), *((m, Fraction(c, lc)) for m, c in tail)])
                 assert g == f.monic(order)
+
+
+# -- the product of two term tables -------------------------------------------------
+
+
+def _collision_table(rng, nvars, fractions):
+    """Up to six terms with exponents 0 and 1 and coefficients of one scale
+    times +-1 or 2 (a Fraction scale with ``fractions``), so that the
+    products of two such tables collide, and often cancel."""
+    scale = Fraction(rng.randint(1, 3), rng.choice((2, 3, 5))) if fractions else 1
+    return {tuple(rng.randint(0, 1) for _ in range(nvars)): scale * rng.choice((-1, 1, 2))
+            for _ in range(rng.randint(1, 6))}
+
+
+def _cancelled(f, g, table):
+    """The exponents that some pair of terms reaches but the product lacks:
+    their sum came back to zero, so the product deleted the entry."""
+    sums = {tuple(a + b for a, b in zip(m1, m2)) for m1 in f for m2 in g}
+    return sums - set(table)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_product_table_matches_the_reference_product(nvars):
+    # 2 and 3 variables add exponents field by field, 1 and 4 take the
+    # general path; both argument orders, since the shorter table leads
+    from tjurina.poly import _product_table
+
+    from reference import product_table
+    rng = random.Random(f"product:{nvars}")
+    cancelling = 0
+    for _ in range(300):
+        f = _collision_table(rng, nvars, fractions=True)
+        g = _collision_table(rng, nvars, fractions=rng.random() < 0.5)
+        expected = product_table(f, g)
+        for table in (_product_table(f, g), _product_table(g, f)):
+            assert table == expected, (f, g)
+            assert all(type(m) is tuple and len(m) == nvars for m in table)
+        cancelling += bool(_cancelled(f, g, expected))
+    assert cancelling >= 10  # the deleting branch runs on every path
+
+
+@pytest.mark.parametrize("f, g, ambient, gone", [
+    ("x+y", "x-y", "affine2", (1, 1)),
+    ("1/2*x0+1/3*x1", "2/3*x0-4/9*x1", "projective3", (1, 1, 0)),
+    ("x0*x2-x1^2", "x0*x2+x1^2", "projective3", (1, 2, 1)),
+])
+def test_product_table_deletes_a_coefficient_that_cancels(f, g, ambient, gone):
+    from tjurina.poly import _product_table
+
+    from reference import product_table
+    f, g = P(f, ambient)._terms, P(g, ambient)._terms
+    table = _product_table(f, g)
+    assert table == product_table(f, g)
+    assert _cancelled(f, g, table) == {gone}
