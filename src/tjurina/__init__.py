@@ -33,9 +33,8 @@ _EXPORTS = {
     "verify_params": "family",
     # groebner
     "GroebnerBasis": "groebner", "MonomialIdeal": "groebner",
-    "MonomialRangeError": "groebner", "buchberger": "groebner", "divide": "groebner",
+    "MonomialRangeError": "groebner", "buchberger": "groebner",
     "is_zero_dimensional": "groebner", "leading_term_ideal": "groebner",
-    "s_polynomial": "groebner",
     # lengths
     "INFINITE": "lengths", "Infinite": "lengths", "StabilizationError": "lengths",
     "TruncationTrace": "lengths", "global_tjurina": "lengths",

@@ -17,7 +17,6 @@ and the discriminant), which live in ``tests/reference.py``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
@@ -88,16 +87,6 @@ def _gcd_degree(us: Sequence[UPoly]) -> int:
             break
         acc = _integer_gcd(acc, u)
     return len(acc) - 1
-
-
-def upoly_gcd(u: UPoly, v: UPoly) -> UPoly:
-    """Monic gcd over Q.
-
-    Denominators are cleared once; the Euclidean algorithm then runs on
-    primitive integer pseudo-remainders, which have the same gcd over Q up
-    to a unit, and the result is made monic at the end."""
-    a = _integer_gcd(_primitive(u), _primitive(v))
-    return [Fraction(c, a[-1]) for c in a]
 
 
 # ---------------------------------------------------------------------------

@@ -274,9 +274,10 @@ def cmd_global_tjurina(args, out) -> int:
     from .lengths import global_tjurina
 
     curve = _parse_curve(args.curve, "projective3")
-    if not curve.is_homogeneous() or curve.is_zero() or curve.degree() < 2:
-        raise _CliError(EXIT_BAD_INPUT, "need a nonzero homogeneous curve of degree >= 2")
-    value, hf_values = global_tjurina(curve, with_trace=True)
+    try:
+        value, hf_values = global_tjurina(curve, with_trace=True)
+    except ValueError as e:  # a zero, inhomogeneous or linear curve
+        raise _CliError(EXIT_BAD_INPUT, "need a nonzero homogeneous curve of degree >= 2") from e
     if args.json:
         doc = {"version": __version__, "curve": args.curve,
                "global_tjurina": None if value is INFINITE else value,

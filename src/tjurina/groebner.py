@@ -26,8 +26,8 @@ derivatives of a polynomial straight from its terms, without building
 them.  ``buchberger`` checks its arguments, passes its generators through
 the first gate and hands the packed reducers to ``_buchberger``, the run
 itself; ``lengths.global_tjurina`` hands it the second gate's gradient.
-Rationals leave the core only through ``_monic``, ``divide`` and
-``s_polynomial``.
+Both gates end in one primitive step, ``_primitive_reducer``.  Rationals
+leave the core only through ``_monic``.
 
 Inside the core a monomial is a packed word (``_Words``): one int whose
 high fields hold the order key, linear in the exponents for every order
@@ -304,23 +304,21 @@ def _words(order, nvars: int) -> _Words:
 # integer reducers
 
 
-def _integer_reducer(p: Polynomial, words: _Words) -> tuple:
-    """(lm, lc, tail): the packed reducer of the primitive integer multiple
-    of p with a positive leading coefficient lc, its tail sorted by
-    decreasing word.  The multiple is lc / p's leading coefficient.  The one
-    gate from a Polynomial into the integer core: a zero polynomial, or one
-    outside the ring of ``words``, raises ValueError."""
-    table = p._terms
-    if not table or p.nvars != words.nvars:
-        raise ValueError(f"expected a nonzero polynomial in {words.nvars} variables")
-    if max(map(max, table)) >> words.bits:
-        for m in table:
-            words.pack(m)  # raises the range error of the first bad term
-    cs = table.values()
-    if any(type(c) is not int for c in cs):  # an all-int polynomial needs no common denominator
+def _ring_error(nvars: int) -> ValueError:
+    """The gates' one error for a zero polynomial and one from another ring."""
+    return ValueError(f"expected a nonzero polynomial in {nvars} variables")
+
+
+def _primitive_reducer(terms: list) -> tuple:
+    """(lm, lc, tail) of the primitive integer multiple, with a positive
+    leading coefficient, of the nonzero terms (word, rational coefficient)
+    sorted by decreasing word: denominators are cleared once, then the
+    content is divided out."""
+    cs = [c for _, c in terms]
+    if any(type(c) is not int for c in cs):  # all-int terms need no common denominator
         den = lcm(*(c.denominator for c in cs))
-        cs = [c.numerator * (den // c.denominator) for c in cs]
-    terms = sorted(zip(map(words.word, table), cs), reverse=True)
+        terms = [(m, c.numerator * (den // c.denominator)) for m, c in terms]
+        cs = [c for _, c in terms]
     g = gcd(*cs)
     if terms[0][1] < 0:
         g = -g
@@ -330,17 +328,32 @@ def _integer_reducer(p: Polynomial, words: _Words) -> tuple:
     return lm, lc, tuple(terms[1:])
 
 
+def _integer_reducer(p: Polynomial, words: _Words) -> tuple:
+    """(lm, lc, tail): the packed reducer of the primitive integer multiple
+    of p with a positive leading coefficient lc, its tail sorted by
+    decreasing word.  The multiple is lc / p's leading coefficient.  The one
+    gate from a Polynomial into the integer core: a zero polynomial, or one
+    outside the ring of ``words``, raises ValueError."""
+    table = p._terms
+    if not table or p.nvars != words.nvars:
+        raise _ring_error(words.nvars)
+    if max(map(max, table)) >> words.bits:
+        for m in table:
+            words.pack(m)  # raises the range error of the first bad term
+    return _primitive_reducer(sorted(zip(map(words.word, table), table.values()), reverse=True))
+
+
 def _packed_gradient(f: Polynomial, words: _Words) -> list[tuple]:
     """The packed reducers of f's nonzero partial derivatives, in variable
     order: ``[_integer_reducer(f.partial_derivative(v), words)]`` with the
     zero partials dropped, and the same errors, but no partial is built.
-    f's denominators are cleared once and each term is packed once: words
-    are linear, so the partial in x_v of the term of word w has the word
-    w - word(x_v), and the partials' terms come out of one sort already
-    sorted.  An f outside the ring of ``words`` raises ValueError."""
+    Each term is packed once: words are linear, so the partial in x_v of the
+    term of word w has the word w - word(x_v), and the partials' terms come
+    out of one sort already sorted.  An f outside the ring of ``words``
+    raises ValueError."""
     table = f._terms
     if f.nvars != words.nvars:
-        raise ValueError(f"expected a nonzero polynomial in {words.nvars} variables")
+        raise _ring_error(words.nvars)
     if table and max(map(max, table)) >> words.bits:
         # only a partial's own terms must lie in range, and
         # _integer_reducer meets its bad terms in f's term order
@@ -348,24 +361,13 @@ def _packed_gradient(f: Polynomial, words: _Words) -> list[tuple]:
             for m in table:
                 if m[v]:
                     words.pack(m[:v] + (m[v] - 1,) + m[v + 1:])
-    cs = table.values()
-    if any(type(c) is not int for c in cs):
-        den = lcm(*(c.denominator for c in cs))
-        cs = [c.numerator * (den // c.denominator) for c in cs]
-    terms = sorted(zip(map(words.word, table), table, cs), reverse=True)
+    terms = sorted(zip(map(words.word, table), table, table.values()), reverse=True)
     gradient = []
     for v in range(f.nvars):
         unit = words.word(tuple(int(i == v) for i in range(f.nvars)))
         part = [(w - unit, c * m[v]) for w, m, c in terms if m[v]]
-        if not part:
-            continue
-        g = gcd(*(c for _, c in part))
-        if part[0][1] < 0:
-            g = -g
-        if g != 1:
-            part = [(w, c // g) for w, c in part]
-        lm, lc = part[0]
-        gradient.append((lm, lc, tuple(part[1:])))
+        if part:
+            gradient.append(_primitive_reducer(part))
     return gradient
 
 
@@ -410,46 +412,12 @@ def _monic(nvars: int, reducer: tuple) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# division
+# reduction
 
 
-def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GRLEX):
-    """Multivariate division: f = sum q_i b_i + r.
-
-    No term of the remainder is divisible by any leading monomial of the
-    basis.  Deterministic: each reduction step uses the first divisor in
-    the listed order.  Returns (quotients, remainder); the loop itself is
-    ``_normal_form``, the reducer Buchberger uses.  Denominators are
-    cleared on the way in and the accumulated scale is divided out on the
-    way out, so quotients and remainder are the exact rational ones, and a
-    zero f gives zero ones.  An empty basis, a basis element that
-    ``_integer_reducer`` refuses (zero, or outside f's ring) and a local
-    degree order raise ValueError: that order is no well-order, and the
-    division need not end (x^2 by x - x^2 leads to x^3, x^4, ...).
-    """
-    if not basis:
-        raise ValueError("division basis must be nonempty")
-    words = _words(order, f.nvars)
-    if words.local:
-        raise ValueError("division under a local degree order need not terminate")
-    reducers = [_integer_reducer(b, words) for b in basis]
-    units = [Fraction(r[1]) / b.leading_coefficient(order) for r, b in zip(reducers, basis)]
-    table, uf = {}, 1
-    if not f.is_zero():
-        lm, lc, tail = _integer_reducer(f, words)
-        table, uf = dict(((lm, lc), *tail)), Fraction(lc) / f.leading_coefficient(order)
-    quots: list = [{} for _ in basis]
-    rem = _normal_form(table, reducers, words, quots)
-    den = quots.pop() * uf
-    unpack = words.exponents
-    return ([Polynomial(f.nvars, {unpack(m): u * c / den for m, c in q.items()})
-             for q, u in zip(quots, units)],
-            Polynomial(f.nvars, {unpack(m): c / den for m, c in rem.items()}))
-
-
-def _normal_form(terms: dict, leads, words: _Words, quots: list | None = None,
-                 cut: int | None = None, memo: dict | None = None,
-                 head: tuple | None = None, stale: set | None = None) -> dict:
+def _normal_form(terms: dict, leads, words: _Words, cut: int | None = None,
+                 memo: dict | None = None, head: tuple | None = None,
+                 stale: set | None = None) -> dict:
     """Remainder of the packed integer term table ``terms`` (a fresh table,
     used up) on division by ``leads``, a list of packed integer reducers
     (leading word, leading coefficient, tail terms); each step uses the
@@ -459,16 +427,13 @@ def _normal_form(terms: dict, leads, words: _Words, quots: list | None = None,
     leading coefficient L, the work and remainder tables are multiplied by
     L/gcd(c, L).  The remainder is returned primitive (coprime coefficients,
     a positive leading coefficient, the leading word first), and is empty
-    iff the rational remainder is zero.  With ``quots``, the quotient terms
-    of reducer i accumulate in ``quots[i]``, the remainder is returned
-    unnormalised and the scale s is appended to ``quots``: s*terms = sum
-    quots[i]*b_i + remainder.  With ``cut`` (a local degree order), terms of
-    total degree >= cut (words below ``words.floor(cut)``) are dropped, and
-    reduction stops at the first term no reducer divides: it is returned
-    first, the remaining work terms follow as an unreduced tail, and its
-    leading monomial, and whether it is zero, are those of the full
-    remainder.  With ``head``, that term (word, coefficient), above every
-    term of ``terms``, starts the remainder unreduced.  A reducer in
+    iff the rational remainder is zero.  With ``cut`` (a local degree
+    order), terms of total degree >= cut (words below ``words.floor(cut)``)
+    are dropped, and reduction stops at the first term no reducer divides:
+    it is returned first, the remaining work terms follow as an unreduced
+    tail, and its leading monomial, and whether it is zero, are those of the
+    full remainder.  With ``head``, that term (word, coefficient), above
+    every term of ``terms``, starts the remainder unreduced.  A reducer in
     ``stale`` is refreshed (``_refresh``) before it is used.
 
     Terms are taken largest first from a heap of negated words.  ``memo``
@@ -489,7 +454,6 @@ def _normal_form(terms: dict, leads, words: _Words, quots: list | None = None,
     heap = [-m for m in work]
     heapify(heap)
     rem: dict = dict([head]) if head else {}
-    scale = 1
     while work:
         m = -heappop(heap)
         c = work.pop(m, 0)
@@ -515,13 +479,10 @@ def _normal_form(terms: dict, leads, words: _Words, quots: list | None = None,
         g = gcd(c, lc)
         mult, qc = lc // g, c // g
         if mult != 1:
-            scale *= mult
-            for table in (work, rem, *(quots or ())):
+            for table in (work, rem):
                 for t in table:
                     table[t] *= mult
         q = m - lm
-        if quots is not None:
-            quots[i][q] = quots[i].get(q, 0) + qc
         for bm, bc in tail:
             t = q + bm
             if floor is not None and t < floor:
@@ -537,9 +498,7 @@ def _normal_form(terms: dict, leads, words: _Words, quots: list | None = None,
                 del work[t]
             else:
                 work[t] = s - p
-    if quots is not None:
-        quots.append(scale)
-    elif rem:
+    if rem:
         g = gcd(*rem.values())
         if next(iter(rem.values())) < 0:
             g = -g
@@ -566,21 +525,6 @@ def _refresh(k: int, leads: list, words: _Words, memo: dict, stale: set):
     nest at most as deep as there are stale elements."""
     stale.discard(k)
     leads[k] = _reduce_tail(leads[k], leads, words, memo, stale)
-
-
-def s_polynomial(g: Polynomial, h: Polynomial, order: MonomialOrder = GRLEX) -> Polynomial:
-    """The standard S-polynomial (lcm/LT(g)) g - (lcm/LT(h)) h.
-
-    Leading coefficients are divided out, so the result of two monomials
-    is identically zero.  A zero polynomial, or h outside g's ring, raises
-    ``_integer_reducer``'s ValueError.
-    """
-    words = _words(order, g.nvars)
-    a = _integer_reducer(g, words)
-    b = _integer_reducer(h, words)
-    den = lcm(a[1], b[1])
-    s = _s_pair(a, b, words.lcm(a[0], b[0]), words)
-    return Polynomial(g.nvars, {words.exponents(m): Fraction(c, den) for m, c in s.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -624,24 +568,28 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     monomials pays for neither inter-reduction nor rationals.
 
     Raises ValueError if every generator is zero (after the cut) and there
-    is no base, ``_integer_reducer``'s ValueError for a nonzero generator
-    outside the ring of the first one (or of the base), and
-    MonomialRangeError if an exponent leaves the packed field range.
+    is no base, the gates' ValueError for a nonzero generator outside the
+    ring of the first one (or of the base), checked before the cut, so a
+    generator the cut would zero is refused too, and MonomialRangeError if
+    an exponent leaves the packed field range.
     """
     if base is not None:
         if base.order != order or base.cut is None:
             raise ValueError("only a basis computed under a cut, in the same order, "
                              "can be continued")
         cut = base.cut if cut is None else min(cut, base.cut)
-    if cut is not None:  # only a generator that reaches the cut is copied
-        gens = [g if (g.degree() or 0) < cut else Polynomial._from_valid(
-                    g.nvars, {m: c for m, c in g.terms() if sum(m) < cut}) for g in gens]
     polys = [g for g in gens if not g.is_zero()]
+    nvars = base.nvars if base is not None else polys[0].nvars if polys else None
+    if any(g.nvars != nvars for g in polys):
+        raise _ring_error(nvars)
+    if cut is not None:  # only a generator that reaches the cut is copied
+        polys = [g if g.degree() < cut else Polynomial._from_valid(
+                     g.nvars, {m: c for m, c in g.terms() if sum(m) < cut}) for g in polys]
+        polys = [g for g in polys if not g.is_zero()]
     if not polys:
         if base is not None:
             return base
         raise ValueError("need at least one nonzero generator")
-    nvars = polys[0].nvars if base is None else base.nvars
     words = _words(order, nvars)
     if (cut is None) == words.local:
         raise ValueError("a degree cut and a local degree order, in which the lowest total "

@@ -1,7 +1,8 @@
 """Test-only references: ``buchberger`` with its postcondition checked,
-exact evaluation at a point, the product of two term tables, and
-determinants and line restrictions, independent routes to what
-``tjurina.binforms`` decides by one gcd."""
+plain rational division and S-polynomials, independent of the package's
+packed integer core, exact evaluation at a point, the product of two term
+tables, and a Fraction-Euclid gcd, determinants and line restrictions,
+independent routes to what ``tjurina.binforms`` decides by one gcd."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from tjurina import groebner
 from tjurina.binforms import UPoly, _dehomogenize, upoly_derivative
 from tjurina.groebner import GroebnerBasis
 from tjurina.lengths import INFINITE
-from tjurina.poly import GRLEX, MonomialOrder, Polynomial, Scalar
+from tjurina.poly import GRLEX, MonomialOrder, Polynomial, Scalar, monomial_divides
 
 
 def checked_buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
@@ -26,6 +27,77 @@ def checked_buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
         cut = base.cut if cut is None else min(cut, base.cut)
     groebner._verify_reduced_basis(gb, cut)
     return gb
+
+
+def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GRLEX):
+    """Multivariate division over Q: (quotients, remainder) with f = sum
+    q_i b_i + r, no term of r divisible by a leading monomial of the basis.
+    Each step takes the largest term left under ``order.key`` and cancels it
+    with the first basis element, in list order, whose leading monomial
+    divides it, or moves it to the remainder.  Fractions throughout, no
+    packed words.  The order must be a well-order (under the local order
+    the loop need not end); an empty basis or a zero element raises
+    ValueError."""
+    if not basis or any(b.is_zero() for b in basis):
+        raise ValueError("division basis must be nonempty, of nonzero polynomials")
+    heads = [(b.leading_monomial(order), Fraction(b.leading_coefficient(order))) for b in basis]
+    work = f.terms_dict()
+    quots: list[dict] = [{} for _ in basis]
+    rem = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for (lm, lc), b, q in zip(heads, basis, quots):
+            if monomial_divides(lm, m):
+                shift = tuple(e - d for e, d in zip(m, lm))
+                qc = c / lc
+                q[shift] = qc
+                for bm, bc in b.terms():
+                    if bm != lm:
+                        t = tuple(e + d for e, d in zip(shift, bm))
+                        s = work.get(t, 0) - qc * bc
+                        if s:
+                            work[t] = s
+                        else:
+                            work.pop(t, None)
+                break
+        else:
+            rem[m] = c
+    return [Polynomial(f.nvars, q) for q in quots], Polynomial(f.nvars, rem)
+
+
+def s_polynomial(g: Polynomial, h: Polynomial, order: MonomialOrder = GRLEX) -> Polynomial:
+    """The S-polynomial (lcm/LT(g)) g - (lcm/LT(h)) h over Q, leading
+    coefficients divided out, so that of two monomials is zero."""
+    top = tuple(map(max, g.leading_monomial(order), h.leading_monomial(order)))
+    table: dict = {}
+    for p, sign in ((g, 1), (h, -1)):
+        lm = p.leading_monomial(order)
+        c0 = sign / Fraction(p.leading_coefficient(order))
+        for m, c in p.terms():
+            t = tuple(e + d - l for e, d, l in zip(top, m, lm))
+            table[t] = table.get(t, 0) + c0 * c
+    return Polynomial(g.nvars, table)
+
+
+def fraction_euclid_gcd(u: UPoly, v: UPoly) -> UPoly:
+    """The monic gcd over Q of two coefficient lists, lowest degree first,
+    by Euclid on Fraction coefficients; [] for two zero lists."""
+    def rem(a, b):
+        r = list(a)
+        while len(r) >= len(b):
+            f = r[-1] / b[-1]
+            for i, c in enumerate(b):
+                r[len(r) - len(b) + i] -= f * c
+            while r and r[-1] == 0:
+                r.pop()
+        return r
+
+    a = [Fraction(c) for c in u]
+    b = [Fraction(c) for c in v]
+    while b:
+        a, b = b, rem(a, b)
+    return [c / a[-1] for c in a]
 
 
 def evaluate(f: Polynomial, point: Sequence[Scalar]) -> Scalar:

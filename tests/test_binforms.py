@@ -4,10 +4,14 @@ from fractions import Fraction
 import pytest
 
 from tjurina import parse_poly, squarefree_binary_form
-from tjurina.binforms import _dehomogenize, common_factor_degree, upoly_derivative, upoly_gcd
+from tjurina.binforms import (
+    _dehomogenize, _integer_gcd, _primitive, common_factor_degree, upoly_derivative,
+)
 from tjurina.poly import Polynomial, monomials_of_degree
 
-from reference import binary_form_resultant, discriminant, sylvester_resultant
+from reference import (
+    binary_form_resultant, discriminant, fraction_euclid_gcd, sylvester_resultant,
+)
 
 P = parse_poly
 
@@ -166,25 +170,6 @@ def test_squarefree_gcd_route_matches_discriminant_route():
     assert seen == {True, False}
 
 
-def _fraction_euclid_gcd(u, v):
-    """Reference: the monic gcd over Q by Euclid on Fraction coefficients."""
-    def rem(a, b):
-        r = [Fraction(c) for c in a]
-        while len(r) >= len(b):
-            f = r[-1] / b[-1]
-            for i, c in enumerate(b):
-                r[len(r) - len(b) + i] -= f * c
-            while r and r[-1] == 0:
-                r.pop()
-        return r
-
-    a = [Fraction(c) for c in u]
-    b = [Fraction(c) for c in v]
-    while b:
-        a, b = b, rem(a, b)
-    return [c / a[-1] for c in a]
-
-
 def _random_upoly(rng, degree, rational):
     coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12) if rational else 1)
               for _ in range(degree)]
@@ -218,8 +203,10 @@ def test_upoly_gcd_matches_fraction_euclid():
     cases += [([], []), ([], [2, 4]), ([Fraction(1, 2), 0, 3], [])]
     constant = 0
     for u, v in cases:
-        expected = _fraction_euclid_gcd(u, v) if (u or v) else []
-        got = upoly_gcd(u, v)
+        expected = fraction_euclid_gcd(u, v) if (u or v) else []
+        # the kernel's gcd is primitive and integral, up to a unit: made monic here
+        a = _integer_gcd(_primitive(u), _primitive(v))
+        got = [Fraction(c, a[-1]) for c in a]
         assert got == expected, (u, v)
         assert all(type(c) is Fraction for c in got)
         constant += len(got) == 1

@@ -275,6 +275,15 @@ def test_global_tjurina_rejects_nonhomogeneous():
     assert code == 2
 
 
+@pytest.mark.parametrize("curve", ["0", "x0"], ids=["zero", "linear"])
+def test_global_tjurina_refuses_what_global_tjurina_refuses(curve, capsys):
+    # the command leaves the checks to lengths.global_tjurina and maps its
+    # ValueError to exit 2 (golden_cli.json pins x0^2+x1)
+    code, out = run_cli("global-tjurina", f"--curve={curve}")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: need a nonzero homogeneous curve of degree >= 2\n"
+
+
 # -- family --------------------------------------------------------------------------
 
 
@@ -479,8 +488,9 @@ def test_rejected_arguments_leave_the_parser_working(counted_parser_builds, caps
 # -- one parse per request ---------------------------------------------------------
 
 
-PARSE_CASES = [row["argv"] for row in json.loads(
-    (Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))] + [
+GOLDEN_ARGVS = [row["argv"] for row in json.loads(
+    (Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))]
+FIXED_ARGVS = [
     [], ["-h"], ["--version"], ["nonsense"],
     ["ana", "--curve", "x", "--point", "0,0"],
     ["--json", "analyze", "--curve", "x", "--point", "0,0"],
@@ -494,6 +504,18 @@ PARSE_CASES = [row["argv"] for row in json.loads(
     ["analyze", "--=x", "--point", "0,0"],
     ["analyze", "-=x", "--point", "0,0"],
 ]
+PARSE_CASES = GOLDEN_ARGVS + FIXED_ARGVS
+
+
+def _parse_id(number, argv):
+    return f"{number:02d}-{' '.join(argv)[:30]}"
+
+
+# a golden row is numbered by its place in the file, a fixed case from 70 on,
+# where the fixed cases began when the file held 70 rows: a row appended to
+# the file renames no fixed case
+PARSE_IDS = ([_parse_id(i, a) for i, a in enumerate(GOLDEN_ARGVS)]
+             + [_parse_id(70 + i, a) for i, a in enumerate(FIXED_ARGVS)])
 
 
 class _Parsed(Exception):
@@ -511,8 +533,7 @@ def _parse_outcome(parse, argv, capsys):
     return result, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", PARSE_CASES,
-                         ids=[f"{i:02d}-{' '.join(a)[:30]}" for i, a in enumerate(PARSE_CASES)])
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=PARSE_IDS)
 def test_main_parses_like_the_top_level_parser(argv, monkeypatch, capsys):
     # main hands a request that opens with a subcommand straight to that
     # subcommand's parser; namespace, output and exit code must be those of

@@ -117,7 +117,8 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
 # removed on purpose: test references now (tests/reference.py), or aliases
 REMOVED = {"binary_form_resultant": "binforms", "discriminant": "binforms", "VERTICAL": "lengths",
            "line_restriction_length": "lengths", "homogeneous_component": "poly",
-           "partial_derivative": "poly"}
+           "partial_derivative": "poly", "divide": "groebner", "s_polynomial": "groebner",
+           "upoly_gcd": "binforms"}
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))

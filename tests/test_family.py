@@ -11,7 +11,6 @@ from tjurina import (
     Polynomial,
     admissible_params,
     buchberger,
-    divide,
     family_case,
     is_ordinary,
     leading_term_ideal,
@@ -24,7 +23,7 @@ from tjurina import (
     verify_params,
 )
 
-from reference import checked_buchberger
+from reference import checked_buchberger, divide
 
 P = parse_poly
 

@@ -37,11 +37,9 @@ def test_cli_reproduces_golden_output(row):
     assert err.getvalue() == row["stderr"]
 
 
-# Two global-tjurina rows pinned here, not in golden_cli.json: test_cli numbers
-# its parse cases by position after the golden rows, so a row appended to the
-# file would rename fourteen unrelated test ids.  Each curve has a fractional
-# coefficient, which the packed gradient clears once; the first has a square
-# factor, so it is non-reduced and its value is null.
+# Two global-tjurina rows pinned here, beside golden_cli.json.  Each curve has
+# a fractional coefficient, which the packed gradient clears; the first has a
+# square factor, so it is non-reduced and its value is null.
 GRADIENT_ROWS = [
     ("1/2*x0*(x1-x2)^2*(x0+x1+x2)", None, []),
     ("(x0-1/2*x1)*(x1+x2)*(x0+3*x2)*x1", 6, [1, 3, 6, 7, 6, 6, 6, 6, 6, 6]),

@@ -13,15 +13,14 @@ from tjurina import (
     MonomialOrder,
     Polynomial,
     buchberger,
-    divide,
     is_zero_dimensional,
     leading_term_ideal,
     parse_poly,
-    s_polynomial,
 )
+from tjurina.groebner import _integer_reducer, _normal_form, _s_pair, _words
 from tjurina.poly import monomial_divides, monomial_mul, monomials_of_degree
 
-from reference import checked_buchberger
+from reference import checked_buchberger, divide, s_polynomial
 
 P = parse_poly
 
@@ -40,6 +39,29 @@ class _Precedence:
 
 
 # -- division -----------------------------------------------------------------
+#
+# ``divide`` is the plain rational division of tests/reference.py; the core's
+# division is ``_normal_form`` on reducers packed by ``_integer_reducer``.
+
+
+def _core_remainder(f, basis, order=GRLEX):
+    """The core's remainder of f by ``basis``: both packed through the gate,
+    reduced by ``_normal_form``, unpacked (primitive, integral)."""
+    words = _words(order, f.nvars)
+    leads = [_integer_reducer(b, words) for b in basis]
+    table = {}
+    if not f.is_zero():
+        lm, lc, tail = _integer_reducer(f, words)
+        table = dict(((lm, lc), *tail))
+    rem = _normal_form(table, leads, words)
+    return Polynomial(f.nvars, {words.exponents(m): c for m, c in rem.items()})
+
+
+def _proportional(p, q, order=GRLEX):
+    """p is a nonzero rational multiple of q (both zero counts)."""
+    if p.is_zero() or q.is_zero():
+        return p.is_zero() and q.is_zero()
+    return p == q.scale(Fraction(p.leading_coefficient(order)) / q.leading_coefficient(order))
 
 
 def test_divide_monomial_cases():
@@ -49,6 +71,9 @@ def test_divide_monomial_cases():
     assert r == P("y") and q[0].is_zero()
     q, r = divide(P("0"), [P("x"), P("y^2-x")])
     assert r.is_zero() and len(q) == 2 and all(p.is_zero() for p in q)
+    assert _core_remainder(P("x^7"), [P("x^6")]).is_zero()
+    assert _core_remainder(P("3/2*y"), [P("x")]) == P("y")
+    assert _core_remainder(P("0"), [P("x"), P("y^2-x")]).is_zero()
 
 
 def test_divide_reconstructs_input():
@@ -60,9 +85,9 @@ def test_divide_reconstructs_input():
         total = total + q * b
     assert total == f
     lt = [b.leading_monomial(GRLEX) for b in basis]
-    from tjurina.poly import monomial_divides
     for m, _ in rem.terms():
         assert not any(monomial_divides(l, m) for l in lt)
+    assert _proportional(_core_remainder(f, basis), rem)
 
 
 def test_divide_table_identity_for_b1():
@@ -71,11 +96,12 @@ def test_divide_table_identity_for_b1():
     basis = [P("7*x^6*y^3+9*x^8"), P("3*x^7*y^2+9*y^8"), P("x^9"), P("y^9"), P("x^2*y^8")]
     _, rem = divide(f, basis)
     assert rem.is_zero()
+    assert _core_remainder(f, basis).is_zero()
 
 
 def test_divide_requires_sane_basis():
     for f in (P("x"), P("0")):
-        with pytest.raises(ValueError, match="^division basis must be nonempty$"):
+        with pytest.raises(ValueError, match="^division basis must be nonempty"):
             divide(f, [])
     with pytest.raises(ValueError):
         divide(P("x"), [P("0")])
@@ -88,21 +114,28 @@ LOCAL = MonomialOrder("local")
 GATE = "^expected a nonzero polynomial in {} variables$"
 
 
+# divide-*: the divisors and the dividend of a core division (``_normal_form``)
+# enter through ``_integer_reducer``; s-*: the partners of an S-pair enter
+# through ``buchberger``, which drops zero generators, or through the gate
 @pytest.mark.parametrize("call, nvars", [
     # x0*x2 packed with 2-variable words would read as x
-    (lambda: divide(P("x^2"), [X02]), 2),
-    (lambda: divide(P("x^2"), [P("x"), P("0")]), 2),
-    (lambda: divide(X02, [P("x")]), 3),
-    (lambda: s_polynomial(P("x"), X02), 2),
-    (lambda: s_polynomial(X02, P("x")), 3),
-    (lambda: s_polynomial(P("0"), P("x")), 2),
-    (lambda: s_polynomial(P("x"), P("0")), 2),
+    (lambda: _integer_reducer(X02, _words(GRLEX, 2)), 2),
+    (lambda: _integer_reducer(P("0"), _words(GRLEX, 2)), 2),
+    (lambda: _integer_reducer(P("x"), _words(GRLEX, 3)), 3),
+    (lambda: buchberger([P("x^2*y"), X02]), 2),
+    (lambda: buchberger([X02, P("x")], LOCAL, cut=4), 3),
+    (lambda: _integer_reducer(P("0"), _words(LOCAL, 2)), 2),
+    (lambda: _integer_reducer(Polynomial.zero(3), _words(DEGREVLEX, 3)), 3),
     (lambda: buchberger([X02, P("x^2-y")]), 3),
     (lambda: buchberger([P("x"), parse_poly("x0", "projective3")]), 2),
     (lambda: buchberger([X02], LOCAL, base=buchberger([P("x^2"), P("y^3")], LOCAL, cut=8)), 2),
+    # refused before the cut, which would drop every term of x0^9
+    (lambda: buchberger([P("x^2"), P("y^2"), parse_poly("x0^9", "projective3")], LOCAL,
+                        cut=3), 2),
 ], ids=["divide-basis-ring", "divide-basis-zero", "divide-dividend-ring",
         "s-second-ring", "s-first-ring", "s-first-zero", "s-second-zero",
-        "buchberger-first-ring", "buchberger-x-x0", "buchberger-base-ring"])
+        "buchberger-first-ring", "buchberger-x-x0", "buchberger-base-ring",
+        "buchberger-ring-before-cut"])
 def test_gate_refuses_zero_and_other_rings(call, nvars):
     # one message for a zero polynomial and for one from another ring
     with pytest.raises(ValueError, match=GATE.format(nvars)):
@@ -144,9 +177,22 @@ def test_divide_random_rational_bases(order):
         for q, lm in zip(quots, lms):
             for m, _ in q.terms():
                 assert order.key(monomial_mul(m, lm)) <= top
+        # the core takes the same first divisors, so its remainder is the
+        # reference one up to a nonzero rational factor
+        assert _proportional(_core_remainder(f, basis, order), rem, order)
 
 
 # -- S-polynomials ---------------------------------------------------------------
+#
+# ``s_polynomial`` is the rational one of tests/reference.py; the core's is
+# ``_s_pair`` on packed reducers, an integer multiple of it.
+
+
+def _core_s_pair(g, h, order=GRLEX):
+    words = _words(order, g.nvars)
+    a, b = _integer_reducer(g, words), _integer_reducer(h, words)
+    s = _s_pair(a, b, words.lcm(a[0], b[0]), words)
+    return Polynomial(g.nvars, {words.exponents(m): c for m, c in s.items()})
 
 
 def test_s_polynomial_scaled_identity():
@@ -155,17 +201,22 @@ def test_s_polynomial_scaled_identity():
     f2 = P("3*x^7*y^2+9*y^8")
     s = s_polynomial(f1, f2)
     assert s.scale(7 * 3) == P("27*x^9-63*y^9")
+    # the reducers are 7x^6y^3+9x^8 and x^7y^2+3y^8: lcm(7, 1) = 7 times S
+    assert _core_s_pair(f1, f2) == s.scale(7)
 
 
 def test_s_polynomial_of_monomials_vanishes():
     assert s_polynomial(P("x^9"), P("y^9")).is_zero()
     f = P("x^2*y-x")
     assert s_polynomial(f, f).is_zero()
+    assert _core_s_pair(P("x^9"), P("y^9")).is_zero()
+    assert _core_s_pair(f, f.scale(Fraction(-3, 2))).is_zero()
 
 
 def test_s_polynomial_rejects_zero():
+    # an S-pair's partners are packed reducers, and the gate refuses zero
     with pytest.raises(ValueError):
-        s_polynomial(P("0"), P("x"))
+        _integer_reducer(P("0"), _words(GRLEX, 2))
 
 
 # -- Buchberger -------------------------------------------------------------------
@@ -421,8 +472,6 @@ def test_a_local_order_needs_a_cut():
     for order in (_LOCAL, _Precedence(_LOCAL, (1, 0))):
         with pytest.raises(ValueError, match="local degree order"):
             buchberger([P("x-x^2"), P("x*y+y^3")], order)
-        with pytest.raises(ValueError, match="local degree order"):
-            divide(P("x^2"), [P("x-x^2")], order)
     assert buchberger([P("x-x^2"), P("x*y+y^3")], _LOCAL, cut=6).leading_monomials() \
         == ((1, 0), (0, 3))
 
@@ -571,8 +620,9 @@ def test_packed_words_reject_exponents_outside_the_fields():
         checked_buchberger([Polynomial(2, {(0, top + 1): 1, (1, 0): 1})], GRLEX)
     # a product made during the reduction leaves the field range
     with pytest.raises(MonomialRangeError):
-        divide(Polynomial(2, {(1, top // 2 + 1): 1}),
-               [Polynomial(2, {(1, 0): 1, (0, top // 2 + 1): -1})], LEX)
+        _normal_form({words.pack((1, top // 2 + 1)): 1},
+                     [_integer_reducer(Polynomial(2, {(1, 0): 1, (0, top // 2 + 1): -1}), words)],
+                     words)
     with pytest.raises(MonomialRangeError):
         checked_buchberger([Polynomial(2, {(1, 0): 1, (0, top // 2 + 1): -1}),
                             Polynomial(2, {(2, 1): 1})], LEX)
