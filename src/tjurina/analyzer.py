@@ -2,8 +2,9 @@
 
 Everything is exact and local.  One germ per point: each per-point function
 moves f from a rational point to the origin once, into a private record of
-the translate, its multiplicity and its partials, and reads the invariants
-off ideals in Q[x,y].  The report of ``analyze`` keeps that germ.
+an integer multiple of the translate, packed with its gradient for the
+local lengths, and reads the invariants off ideals in Q[x,y].  The report
+of ``analyze`` keeps that germ.
 
 * multiplicity and ordinariness (squarefreeness of the initial form);
 * the Tjurina number tau = length at O of (f, f_x, f_y) and the Milnor
@@ -19,13 +20,16 @@ off ideals in Q[x,y].  The report of ``analyze`` keeps that germ.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 from typing import Sequence
 
 from ._record import Record
 from .binforms import common_factor_degree, squarefree_binary_form
-from .lengths import StabilizationError, TruncationTrace, _length_mod_m2, local_length_at_origin
-from .poly import Polynomial, translate_to_origin
+from .groebner import _packed_gradient, _words
+from .lengths import (_LOCAL, StabilizationError, TruncationTrace, _length_mod_m2, _local_length,
+                      local_length_at_origin)
+from .poly import Polynomial, _integer_translate
 
 Point = tuple
 
@@ -105,33 +109,45 @@ class SingularityReport(Record):
 
 class _Germ:
     """A nonzero curve f moved from a rational point to the origin, as every
-    per-point invariant reads it: the translate g, its multiplicity m (0 off
-    the curve) and its partials gx, gy."""
+    per-point invariant reads it: h = scale * g, a positive integer multiple
+    of the translate g (multiplicity, tangent cone and lengths do not see a
+    nonzero scalar), its multiplicity m (0 off the curve) and its degree d."""
 
-    __slots__ = ("point", "g", "m", "gx", "gy")
+    __slots__ = ("point", "h", "scale", "m", "d")
 
     def __init__(self, f: Polynomial, point: Point,
                  zero: str = "the zero polynomial does not define a curve"):
         if f.is_zero():
             raise ValueError(zero)
-        g = self.g = translate_to_origin(f, point)
-        self.point, self.m = tuple(point), g.min_degree()
-        self.gx, self.gy = g.partial_derivative(0), g.partial_derivative(1)
+        h, self.scale = _integer_translate(f, point)
+        self.h, self.point, self.m, self.d = h, tuple(point), h.min_degree(), h.degree()
 
     def where(self) -> str:
         return "(" + ",".join(str(c) for c in self.point) + ")"
+
+    def tangent(self) -> Polynomial:
+        """The linear part of the translate g, exact: the one rational output."""
+        return self.h.homogeneous_component(1).scale(Fraction(1, self.scale))
 
     def ordinary(self, test: str) -> bool:
         """True iff the tangent cone consists of distinct lines (squarefree
         initial form); ``test`` names the question off singular points."""
         if self.m < 2:
             raise ValueError(f"{test} is defined at singular points (multiplicity >= 2)")
-        return squarefree_binary_form(self.g.homogeneous_component(self.m))
+        return squarefree_binary_form(self.h.homogeneous_component(self.m))
 
-    def length(self, gens: list[Polynomial], failure: str) -> tuple[int, TruncationTrace]:
-        """``local_length_at_origin(gens)``, whose StabilizationError names the point."""
+    def packed(self) -> list[tuple]:
+        """The reducers of h and of its nonzero partials, packed once under
+        the local order; by Euler's relation the partials have degree d - 1."""
+        return _packed_gradient(self.h, _words(_LOCAL, 2), with_f=True)
+
+    def length(self, jacobian: bool, failure: str) -> tuple[int, TruncationTrace]:
+        """The local length of (h, h_x, h_y), or of (h_x, h_y), whose
+        StabilizationError names the point."""
+        packed = self.packed()
+        reducers, d = (packed, self.d) if jacobian else (packed[1:], self.d - 1)
         try:
-            return local_length_at_origin(gens)
+            return _local_length(reducers, d)
         except StabilizationError as e:
             raise StabilizationError(f"{failure} at {self.where()}: {e}") from e
 
@@ -155,14 +171,12 @@ def local_tjurina(f: Polynomial, point: Point) -> tuple[int, TruncationTrace]:
     Zero iff the point is smooth or off the curve.  Raises
     StabilizationError if the curve is not reduced at the point.
     """
-    germ = _Germ(f, point)
-    return germ.length([germ.g, germ.gx, germ.gy], "curve not reduced")
+    return _Germ(f, point).length(True, "curve not reduced")
 
 
 def local_milnor(f: Polynomial, point: Point) -> tuple[int, TruncationTrace]:
     """Length at the point of the Milnor scheme of (f_x, f_y)."""
-    germ = _Germ(f, point)
-    return germ.length([germ.gx, germ.gy], "non-isolated critical point")
+    return _Germ(f, point).length(False, "non-isolated critical point")
 
 
 # -- symmetry and slci tests ---------------------------------------------------
@@ -235,10 +249,10 @@ def classify_double_point(f: Polynomial, point: Point):
     if germ.m == 0:
         raise OffCurveError(f"point {germ.where()} is not on the curve")
     if germ.m == 1:
-        return SimplePoint(tangent=germ.g.homogeneous_component(1))
+        return SimplePoint(tangent=germ.tangent())
     if germ.m >= 3:
         return MultiplicityAtLeastThree(multiplicity=germ.m)
-    n, _trace = germ.length([germ.g, germ.gx, germ.gy], "curve not reduced")
+    n, _trace = germ.length(True, "curve not reduced")
     return DoubleA(n=n)
 
 
@@ -273,19 +287,19 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     if f.degree() == 0:  # the zero polynomial has degree None: _Germ refuses it
         raise ValueError("a nonzero constant defines the empty curve")
     germ = _Germ(f, point)
-    g, m, gx, gy = germ.g, germ.m, germ.gx, germ.gy
+    m, d, packed = germ.m, germ.d, germ.packed()
 
     errors = []
     mu_trace = None
     try:
-        mu, mu_trace = local_length_at_origin([gx, gy])
+        mu, mu_trace = _local_length(packed[1:], d - 1)
     except StabilizationError as e:
         errors.append(f"milnor: {e}")
     try:
         if mu_trace is None:
-            tau, tau_trace = local_length_at_origin([g, gx, gy])
+            tau, tau_trace = _local_length(packed, d)
         else:  # (f_x, f_y) lies inside (f, f_x, f_y): continue mu's basis with f
-            tau, tau_trace = local_length_at_origin([g], base=mu_trace.basis)
+            tau, tau_trace = _local_length(packed[:1], d, base=mu_trace.basis)
     except StabilizationError as e:
         errors.insert(0, f"tjurina: {e}")
     if errors:  # off the curve, (f) is the unit ideal: only mu can fail

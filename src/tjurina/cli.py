@@ -9,8 +9,9 @@ Subcommands:
 
 Every option is written once, in ``_SUBCOMMANDS``.  ``main`` reads a plain
 argv (exact names, each once, well-formed values) by that table alone, into
-the namespace argparse would give.  Any other argv goes to the argparse parser
-built from the table on the first such call, which alone rejects an argv.
+a plain namespace with the attributes argparse would give.  Any other argv
+goes to the argparse parser built from the table on the first such call,
+which alone rejects an argv; argparse is imported only then.
 Each subcommand imports the engine it runs when it runs, so a process loads
 only its own subcommand's modules.
 
@@ -32,11 +33,11 @@ as "p/q" strings; no floats.  Every ``--json`` document is written by
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 try:  # json's own C string escaper, without loading the json package and its regexes
@@ -51,6 +52,8 @@ from .lengths import INFINITE, StabilizationError
 from .poly import Polynomial
 
 if TYPE_CHECKING:
+    import argparse
+
     from .analyzer import SingularityReport
 
 EXIT_OK = 0
@@ -167,7 +170,7 @@ def _print_human_report(curve_text: str, report: SingularityReport, out,
         return
     print(f"multiplicity: {report.multiplicity}", file=out)
     if report.multiplicity == 1:
-        tangent = render_poly(report.germ.g.homogeneous_component(1))
+        tangent = render_poly(report.germ.tangent())
         print(f"smooth point, tangent: {tangent} = 0", file=out)
         return
     cls = report.classification
@@ -386,14 +389,15 @@ _SUBCOMMANDS = {
 }
 
 
-class _Once(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:  # the first value would go unread
-            raise argparse.ArgumentError(self, "may be given only once")
-        setattr(namespace, self.dest, values)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Once(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            if getattr(namespace, self.dest) is not None:  # the first value would go unread
+                raise argparse.ArgumentError(self, "may be given only once")
+            setattr(namespace, self.dest, values)
+
     parser = argparse.ArgumentParser(prog="tjurina",
                                      description="Exact invariants of plane curve singularities.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -410,11 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_plain(argv: list[str]) -> argparse.Namespace | None:
-    """argparse's namespace for a plain argv, else None.  Plain is an exact
-    subcommand, then exact option names, each at most once, as ``--opt=value``
-    or ``--opt value``: no value empty or, given apart, opening with ``-``; no
-    ``=`` on a flag; int values that ``int()`` reads; every required option."""
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's attributes for a plain argv, in a SimpleNamespace, else
+    None.  Plain is an exact subcommand, then exact option names, each at
+    most once, as ``--opt=value`` or ``--opt value``: no value empty or,
+    given apart, opening with ``-``; no ``=`` on a flag; int values that
+    ``int()`` reads; every required option."""
     spec = _SUBCOMMANDS.get(argv[0]) if argv else None
     if spec is None:
         return None
@@ -444,14 +449,14 @@ def _read_plain(argv: list[str]) -> argparse.Namespace | None:
             return None
     if any(required for _d, _k, required, _h in unread.values()):
         return None
-    return argparse.Namespace(command=argv[0], func=func, **values)
+    return SimpleNamespace(command=argv[0], func=func, **values)
 
 
 # Built for the first argv that is not plain, and reused for the process.
 _PARSER: argparse.ArgumentParser | None = None
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
     """``build_parser().parse_args(argv)``, read by the table if argv is plain."""
     global _PARSER
     args = _read_plain(argv)

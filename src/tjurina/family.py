@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from ._record import Record
-from .groebner import MonomialIdeal, buchberger, leading_term_ideal
-from .lengths import TruncationTrace, local_length_at_origin, staircase_length
+from .groebner import MonomialIdeal, _buchberger, _packed_gradient, _words, leading_term_ideal
+from .lengths import _LOCAL, TruncationTrace, _local_length, staircase_length
 from .poly import GRLEX, Polynomial, _norm_coeff
 
 
@@ -229,13 +229,15 @@ def verify_params(p: FamilyParams, check_gb: bool = False,
     """Run the live pipeline on one family member and compare with the
     closed forms: Tjurina number always, Groebner basis and leading-term
     ideal when ``check_gb`` is set (the GB prediction applies to b < a).
-    ``predicted`` is predicted_gb(p), if the caller has built it."""
+    ``predicted`` is predicted_gb(p), if the caller has built it.  Each run
+    packs f and its gradient once, in its own order."""
     f = p.curve()
-    gens = [f, f.partial_derivative(0), f.partial_derivative(1)]
-    live_tau, trace = local_length_at_origin(gens)
+    live_tau, trace = _local_length(_packed_gradient(f, _words(_LOCAL, 2), with_f=True),
+                                    f.degree())
     gb_match = lt_match = None
     if check_gb:
-        gb = buchberger(gens, GRLEX)
+        words = _words(GRLEX, 2)
+        gb = _buchberger(_packed_gradient(f, words, with_f=True), words)
         if p.b < p.a:
             if predicted is None:
                 predicted = predicted_gb(p)

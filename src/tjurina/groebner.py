@@ -22,10 +22,10 @@ pseudo-division, so a remainder is an integer multiple of the rational one.
 A polynomial enters the core through one of two gates: ``_integer_reducer``,
 which refuses a zero polynomial and one from another ring with one
 ValueError, and ``_packed_gradient``, which packs the nonzero partial
-derivatives of a polynomial straight from its terms, without building
-them.  ``buchberger`` checks its arguments, passes its generators through
-the first gate and hands the packed reducers to ``_buchberger``, the run
-itself; ``lengths.global_tjurina`` hands it the second gate's gradient.
+derivatives of a polynomial, and the polynomial too if asked, straight from
+its terms.  ``buchberger`` checks its arguments, passes its generators
+through the first gate and hands the packed reducers to ``_buchberger``, the
+run itself; the local lengths and ``global_tjurina`` use the second gate.
 Both gates end in one primitive step, ``_primitive_reducer``.  Rationals
 leave the core only through ``_monic``.
 
@@ -227,7 +227,8 @@ class _Words:
     a negative field difference borrows and sets the bits above 2^bits.
     """
 
-    __slots__ = ("order", "nvars", "bits", "mask", "over", "local", "word", "_fields", "_top")
+    __slots__ = ("order", "nvars", "bits", "mask", "over", "local", "units", "word", "_fields",
+                 "_top")
 
     def __init__(self, order, nvars: int):
         units = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
@@ -249,9 +250,10 @@ class _Words:
         self.local = rows[0][0] < 0 and len(set(rows[0])) == 1
         self._fields = Struct(f">{nvars}I")  # the exponent fields, as 32-bit words
         top = _FIELD * (nvars + len(rows))
-        units = [(1 << _FIELD * (nvars - 1 - v))
-                 + sum(w << top - _FIELD * (j + 1) for j, w in enumerate(col))
-                 for v, col in enumerate(cols)]
+        # the words of the variables
+        self.units = units = [(1 << _FIELD * (nvars - 1 - v))
+                              + sum(w << top - _FIELD * (j + 1) for j, w in enumerate(col))
+                              for v, col in enumerate(cols)]
         self.word = lambda m: sum(map(mul, m, units))  # unchecked
         self._top = (rows[0][0], top - _FIELD)
 
@@ -343,16 +345,17 @@ def _integer_reducer(p: Polynomial, words: _Words) -> tuple:
     return _primitive_reducer(sorted(zip(map(words.word, table), table.values()), reverse=True))
 
 
-def _packed_gradient(f: Polynomial, words: _Words) -> list[tuple]:
+def _packed_gradient(f: Polynomial, words: _Words, with_f: bool = False) -> list[tuple]:
     """The packed reducers of f's nonzero partial derivatives, in variable
     order: ``[_integer_reducer(f.partial_derivative(v), words)]`` with the
-    zero partials dropped, and the same errors, but no partial is built.
+    zero partials dropped, and the same errors, but no partial is built;
+    with ``with_f``, f's own reducer first, its terms range-checked last.
     Each term is packed once: words are linear, so the partial in x_v of the
     term of word w has the word w - word(x_v), and the partials' terms come
-    out of one sort already sorted.  An f outside the ring of ``words``
-    raises ValueError."""
+    out of one sort already sorted.  An f outside the ring of ``words`` (or
+    zero, with ``with_f``) raises ValueError."""
     table = f._terms
-    if f.nvars != words.nvars:
+    if f.nvars != words.nvars or with_f and not table:
         raise _ring_error(words.nvars)
     if table and max(map(max, table)) >> words.bits:
         # only a partial's own terms must lie in range, and
@@ -361,10 +364,12 @@ def _packed_gradient(f: Polynomial, words: _Words) -> list[tuple]:
             for m in table:
                 if m[v]:
                     words.pack(m[:v] + (m[v] - 1,) + m[v + 1:])
+        if with_f:
+            for m in table:
+                words.pack(m)
     terms = sorted(zip(map(words.word, table), table, table.values()), reverse=True)
-    gradient = []
-    for v in range(f.nvars):
-        unit = words.word(tuple(int(i == v) for i in range(f.nvars)))
+    gradient = [_primitive_reducer([(w, c) for w, _, c in terms])] if with_f else []
+    for v, unit in enumerate(words.units):
         part = [(w - unit, c * m[v]) for w, m, c in terms if m[v]]
         if part:
             gradient.append(_primitive_reducer(part))

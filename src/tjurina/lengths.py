@@ -7,8 +7,8 @@ Two independent routes to the same numbers live here:
   stabilized value is the length of the component of A/J at the origin
   (truncating by powers of the maximal ideal kills every component away
   from O), read from one standard basis of J + m^R under the local degree
-  order ``MonomialOrder("local")``, which ``buchberger`` runs only under
-  that cut R;
+  order ``MonomialOrder("local")``, which a run uses only under that cut
+  R;
 * a Macaulay-matrix route: alpha_r as a corank of an exact rational
   coefficient matrix, used as an oracle to cross-check the first route.
 
@@ -30,7 +30,9 @@ from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
     _buchberger,
+    _integer_reducer,
     _packed_gradient,
+    _primitive_reducer,
     _staircase,
     _words,
     buchberger,
@@ -139,9 +141,9 @@ def local_length_at_origin(gens: Sequence[Polynomial], base: GroebnerBasis | Non
     degree order, R = d^2 + 1 with d the largest generator degree: it is
     the number of standard monomials of degree < r (the Hilbert-Samuel
     function), and the first repeat is the first degree with no standard
-    monomial.  ``buchberger`` lowers R to that degree as soon as the
-    staircase closes there, and the standard monomials are counted only
-    up to its ``cut`` (one degree more, to confirm the repeat).
+    monomial.  The run lowers R to that degree as soon as the staircase
+    closes there, and the standard monomials are counted only up to its
+    ``cut`` (one degree more, to confirm the repeat).
 
     With ``base``, the basis of an earlier length (``TruncationTrace.basis``),
     the run continues that basis instead of starting over, and the length
@@ -157,16 +159,34 @@ def local_length_at_origin(gens: Sequence[Polynomial], base: GroebnerBasis | Non
     the scheme fails to be zero-dimensional at the origin: two generic
     combinations of the generators meet at O with multiplicity <= d^2
     (Bezout), so a zero-dimensional length is <= d^2 and the sequence
-    stabilizes by r = d^2.
+    stabilizes by r = d^2.  The generators are packed once, for
+    ``_local_length``.
     """
     polys = [g for g in gens if not g.is_zero()]
-    if not polys:
-        raise ValueError("need at least one nonzero generator")
     if any(g.nvars != 2 for g in polys):
         raise ValueError("local lengths are computed in the plane (2 variables)")
-    d = max(g.degree() for g in polys)
+    if base is not None and (base.order != _LOCAL or base.cut is None):
+        raise ValueError("only a basis computed under a cut, in the same order, "
+                         "can be continued")
+    words = _words(_LOCAL, 2)
+    return _local_length([_integer_reducer(g, words) for g in polys],
+                         max((g.degree() for g in polys), default=0), base)
+
+
+def _local_length(reducers: list[tuple], d: int, base: GroebnerBasis | None = None):
+    """``local_length_at_origin`` of generators packed under the local order
+    in two variables, d their largest degree: the one run, and the only
+    raiser of StabilizationError."""
     bound = max(d * d + 1, 2)  # the trace always holds alpha_1 and alpha_2
-    gb = buchberger(polys, _LOCAL, cut=bound, base=base)
+    cut = bound if base is None else min(bound, base.cut)
+    words = _words(_LOCAL, 2)
+    if d >= cut:  # only under base's cut can a term reach it (d < d^2 + 1)
+        floor = words.floor(cut)
+        reducers = [_primitive_reducer([(lm, lc), *(t for t in tail if t[0] >= floor)])
+                    for lm, lc, tail in reducers if lm >= floor]
+    if not reducers and base is None:
+        raise ValueError("need at least one nonzero generator")
+    gb = _buchberger(reducers, words, cut, base) if reducers else base
     lms = gb.leading_monomials()
     R = min(max(gb.cut, 1) + 1, bound)
     counts = _standard_counts(lms, R)

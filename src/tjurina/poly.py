@@ -423,16 +423,25 @@ def _taylor_shift(c: Sequence[int], a: int, b: int, top: int) -> list[int]:
 
 
 def translate_to_origin(f: Polynomial, point: tuple[Scalar, Scalar]) -> Polynomial:
-    """Return g(x, y) = f(x + p, y + q), so that g(0,0) = f(p, q).
+    """Return g(x, y) = f(x + p, y + q), so that g(0,0) = f(p, q): each
+    coefficient of ``_integer_translate``'s integer multiple becomes one
+    rational."""
+    h, scale = _integer_translate(f, point)
+    return h if scale == 1 else Polynomial._from_valid(
+        2, {m: _norm_coeff(Fraction(n, scale)) for m, n in h._terms.items()})
+
+
+def _integer_translate(f: Polynomial, point: tuple[Scalar, Scalar]) -> tuple[Polynomial, int]:
+    """(h, s) with h = s * f(x + p, y + q) an integer polynomial, s > 0.
 
     Only affine (2-variable) polynomials are translated, and only to exact
     points: a float coordinate raises TypeError.  With p = a/b, q = u/v and
-    D the common denominator of the coefficients, the integer polynomial
-    D * b^dx * v^dy * g (dx, dy the degrees of f in x and y) is built by an
-    integer Horner Taylor shift per variable: x along each row of equal
-    y-degree, in (b*x + a), then y along each column of equal x-degree, in
-    (v*y + u).  Each output coefficient becomes one rational at the end.  A
-    dense polynomial of degree D costs O(D^3) multiply-adds.
+    D the common denominator of the coefficients, h = D * b^dx * v^dy * g
+    (dx, dy the degrees of f in x and y) is built by an integer Horner
+    Taylor shift per variable: x along each row of equal y-degree, in
+    (b*x + a), then y along each column of equal x-degree, in (v*y + u).  At
+    the origin h is D*f (f itself for D = 1).  A dense polynomial of degree
+    D costs O(D^3) multiply-adds.
     """
     if f.nvars != 2:
         raise ValueError("translation is defined for affine 2-variable polynomials")
@@ -442,24 +451,24 @@ def translate_to_origin(f: Polynomial, point: tuple[Scalar, Scalar]) -> Polynomi
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"point coordinates must be exact (int or Fraction), "
                             f"not {type(c).__name__}")
-    p, q = (Fraction(c) for c in point)
-    if (p == 0 and q == 0) or f.is_zero():
-        return f
-    a, b, u, v = p.numerator, p.denominator, q.numerator, q.denominator
-    dx = max(i for i, _ in f._terms)
-    dy = max(j for _, j in f._terms)
+    (a, b), (u, v) = ((c.numerator, c.denominator) for c in point)
     den = lcm(*(c.denominator for c in f._terms.values() if isinstance(c, Fraction)))
+    table = f._terms if den == 1 else {m: c.numerator * (den // c.denominator)
+                                       for m, c in f._terms.items()}
+    if not (table and (a or u)):
+        return (f if den == 1 else Polynomial._from_valid(2, table)), den
+    dx = max(i for i, _ in table)
+    dy = max(j for _, j in table)
     rows = [[0] * (dx + 1) for _ in range(dy + 1)]
-    for (i, j), c in f._terms.items():
-        rows[j][i] = c * den if isinstance(c, int) else c.numerator * (den // c.denominator)
+    for (i, j), c in table.items():
+        rows[j][i] = c
     if a:  # a = 0 means b = 1: the rows need neither a shift nor a scale
         rows = [_taylor_shift(row, a, b, dx) if any(row) else row for row in rows]
-    scale = den * b ** dx * v ** dy
-    table: dict[Monomial, Scalar] = {}
+    shifted: dict[Monomial, int] = {}
     for i, col in enumerate(zip(*rows)):
         if u and any(col):
             col = _taylor_shift(col, u, v, dy)
         for j, n in enumerate(col):
             if n:
-                table[(i, j)] = _norm_coeff(Fraction(n, scale))
-    return Polynomial._from_valid(2, table)
+                shifted[(i, j)] = n
+    return Polynomial._from_valid(2, shifted), den * b ** dx * v ** dy

@@ -559,23 +559,28 @@ def test_analyze_nonreduced_curve_at_a_rational_point():
 
 
 def test_analyze_packs_each_partial_once(monkeypatch):
-    # one local standard basis per analyze: f_x and f_y enter mu's run, and
-    # tau continues it with f alone
-    from tjurina import groebner, translate_to_origin
-    packed = []
-    integer_reducer = groebner._integer_reducer
+    # one local standard basis per analyze, from one packing of the germ: the
+    # packed f_x and f_y enter mu's run, and tau continues it with the packed
+    # f alone; no generator passes through _integer_reducer
+    import tjurina.analyzer as A
+    from tjurina import groebner, lengths
+    packings = []
+    packed_gradient = groebner._packed_gradient
 
-    def counted(p, order):
-        packed.append(p)
-        return integer_reducer(p, order)
+    def counted(f, words, with_f=False):
+        packings.append((f, with_f))
+        return packed_gradient(f, words, with_f)
 
-    monkeypatch.setattr(groebner, "_integer_reducer", counted)
+    def refused(p, words):
+        raise AssertionError(f"{p} packed again")
+
+    monkeypatch.setattr(A, "_packed_gradient", counted)
+    for module in (groebner, lengths):
+        monkeypatch.setattr(module, "_integer_reducer", refused)
     f = P("x^5+y^5+x^3*y^3")
     r = analyze(f, O)
     assert (r.tjurina, r.milnor) == (15, 16)
-    g = translate_to_origin(f, O)
-    assert [packed.count(h) for h in (g, g.partial_derivative(0), g.partial_derivative(1))] \
-        == [1, 1, 1]
+    assert packings == [(f, True)]
 
 
 def test_each_request_translates_the_curve_once(monkeypatch):
@@ -587,15 +592,16 @@ def test_each_request_translates_the_curve_once(monkeypatch):
     import tjurina.analyzer as A
     from tjurina import cli, poly
     calls = []
-    translate = poly.translate_to_origin
+    translate = poly._integer_translate
 
     def counted(f, point):
         calls.append(point)
         return translate(f, point)
 
-    assert not hasattr(cli, "translate_to_origin")  # so the count sees every translation
+    # so the count sees every translation, the public one included
+    assert not hasattr(cli, "_integer_translate") and not hasattr(cli, "translate_to_origin")
     for module in (A, poly):
-        monkeypatch.setattr(module, "translate_to_origin", counted)
+        monkeypatch.setattr(module, "_integer_translate", counted)
     f = P("(x-1)^3-(y-1)^3+(x-1)^4")
     for helper in (A.multiplicity_at, A.is_ordinary, A.local_tjurina, A.local_milnor,
                    A.is_slci, A.classify_double_point, A.analyze):
@@ -627,7 +633,7 @@ from tjurina.lengths import TruncationTrace
 if __debug__:
     raise SystemExit("not running under -O")
 trace = TruncationTrace(((1, 1), (2, 1)), stabilized_at=1)
-A.local_length_at_origin = lambda gens, base=None: (4 if len(gens) == 2 else 5, trace)
+A._local_length = lambda reducers, d, base=None: (4 if len(reducers) == 2 else 5, trace)
 try:
     A.analyze(parse_poly("y^2-x^3"), (0, 0))
 except AssertionError as e:

@@ -523,10 +523,11 @@ class _Parsed(Exception):
 
 
 def _parse_outcome(parse, argv, capsys):
+    # the plain reader's namespace is not argparse's type: compare every attribute
     try:
-        result = ("namespace", parse(list(argv)))
+        result = ("namespace", vars(parse(list(argv))))
     except _Parsed as e:
-        result = ("namespace", e.args[0])
+        result = ("namespace", vars(e.args[0]))
     except SystemExit as e:
         result = ("exit", e.code)
     captured = capsys.readouterr()
@@ -608,7 +609,7 @@ def _outcome_of(parse, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = ("namespace", parse(list(argv)))
+            result = ("namespace", vars(parse(list(argv))))
         except SystemExit as e:
             result = ("exit", e.code)
     return result, out.getvalue(), err.getvalue()

@@ -65,9 +65,11 @@ def test_a_subcommand_loads_only_its_engine(command):
 
 @pytest.mark.parametrize("command", sorted(REQUESTS))
 def test_a_well_formed_request_builds_no_argparse_parser(command):
-    # the option table reads it; argparse is built only for an argv it leaves
-    _bare, code, parser_unbuilt, _loaded = _cold_start(command)
+    # the option table reads it; argparse is built, and even imported, only
+    # for an argv the table leaves to it
+    _bare, code, parser_unbuilt, loaded = _cold_start(command)
     assert code == 0 and parser_unbuilt
+    assert "argparse" not in loaded
 
 
 def test_star_import_binds_every_public_name():

@@ -182,7 +182,9 @@ def test_a_report_carries_its_germ_outside_its_contract():
     # analyze's report keeps the germ it was read from, as a trace keeps its
     # basis: equality, hash, repr and pickling are those of the shown fields
     report = _report()
-    assert report.germ is not None and report.germ.g == parse_poly("x^3 + y^7 + x*y^5")
+    # at the origin an integer curve is its own integer multiple (scale 1)
+    assert report.germ is not None and report.germ.h == parse_poly("x^3 + y^7 + x*y^5")
+    assert report.germ.scale == 1
     fields = [getattr(report, name) for name in report._shown]
     bare = SingularityReport(*fields)
     assert bare.germ is None
@@ -190,8 +192,9 @@ def test_a_report_carries_its_germ_outside_its_contract():
     assert repr(bare) == repr(report) == REPORT
     copy = pickle.loads(pickle.dumps(report))
     assert copy == report and repr(copy) == REPORT
-    assert (copy.germ.point, copy.germ.g, copy.germ.m, copy.germ.gx, copy.germ.gy) == \
-        (report.germ.point, report.germ.g, 3, report.germ.gx, report.germ.gy)
+    assert (copy.germ.point, copy.germ.h, copy.germ.scale, copy.germ.m, copy.germ.d,
+            copy.germ.packed()) == \
+        (report.germ.point, report.germ.h, 1, 3, 7, report.germ.packed())
     assert pickle.loads(pickle.dumps(bare)).germ is None
 
 

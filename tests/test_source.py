@@ -52,20 +52,27 @@ def test_normal_form_uses_no_fractions():
 
 
 def test_local_length_runs_one_standard_basis():
-    # one truncated run per length: the cut is lowered inside buchberger
+    # one truncated run per length, in the one local entry: the cut is
+    # lowered inside the run, and the public length only packs its generators
     source = Path(tjurina.__file__).resolve().parent / "lengths.py"
-    func = next(node for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
-                if isinstance(node, ast.FunctionDef) and node.name == "local_length_at_origin")
-    calls = [node.lineno for node in ast.walk(func)
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "buchberger"]
+    funcs = {node.name: node for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef)}
+
+    def runs(func):
+        return [node.lineno for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                in ("buchberger", "_buchberger")]
+
+    func = funcs["_local_length"]
     loops = [node.lineno for node in ast.walk(func) if isinstance(node, (ast.For, ast.While))]
-    assert len(calls) == 1 and loops == []
+    assert len(runs(func)) == 1 and loops == []
+    assert runs(funcs["local_length_at_origin"]) == []
 
 
 def test_global_tjurina_reads_one_window():
     # the Hilbert function is read once, at a proven degree: global_tjurina
-    # has no widening loop and no warnings, and only local lengths raise
+    # has no widening loop and no warnings, and only the local entry raises
     # StabilizationError
     source = Path(tjurina.__file__).resolve().parent / "lengths.py"
     tree = ast.parse(source.read_text(encoding="utf-8"))
@@ -73,7 +80,7 @@ def test_global_tjurina_reads_one_window():
     func = funcs["global_tjurina"]
     loops = [node.lineno for node in ast.walk(func) if isinstance(node, (ast.For, ast.While))]
     names = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
-    local = funcs["local_length_at_origin"]
+    local = funcs["_local_length"]
     raises = [node.lineno for node in ast.walk(tree)
               if isinstance(node, ast.Raise) and node.exc is not None
               and any(getattr(n, "id", None) == "StabilizationError" for n in ast.walk(node.exc))]
