@@ -50,9 +50,6 @@ a nonzero multiple of the old one minus a combination of the others, so the
 ideal and every leading word stay the same: the memo, the pair selection and
 the criteria see no change, and the reduced basis is the same unique one,
 reached with smaller multipliers.  Under a cut nothing is refreshed.
-
-``_verify_reduced_basis`` is ``buchberger``'s postcondition (reducedness,
-and every S-polynomial reducing to zero); the tests check their bases by it.
 """
 
 from __future__ import annotations
@@ -77,7 +74,7 @@ class GroebnerBasis:
     generators are built on first read, once: a reduced basis has its tails
     inter-reduced and every element is made monic.  ``cut`` is the degree
     cut the run ended with, after lowering (None without a cut); a later
-    run can continue the basis under it (``buchberger``'s ``base``).  A
+    run can continue the basis under it (``_buchberger``'s ``base``).  A
     basis is ``reduced`` exactly when its run had no cut.
     Bases compare and hash by identity.  Two reduced bases of one ideal
     under one order have equal ``generators``; under a cut the tails depend
@@ -268,12 +265,6 @@ class _Words:
 
     def exponents(self, w: int) -> Monomial:
         return self._fields.unpack((w & self.mask).to_bytes(_FIELD // 8 * self.nvars, "big"))
-
-    def divides(self, a: int, b: int) -> bool:
-        return not (b - a) & self.over
-
-    def lcm(self, a: int, b: int) -> int:
-        return self.word(tuple(map(max, self.exponents(a), self.exponents(b))))
 
     def range_error(self) -> MonomialRangeError:
         """The error for a product w that has left the field range (w & over)."""
@@ -537,7 +528,7 @@ def _refresh(k: int, leads: list, words: _Words, memo: dict, stale: set):
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
-               cut: int | None = None, base: GroebnerBasis | None = None) -> GroebnerBasis:
+               cut: int | None = None) -> GroebnerBasis:
     """Unique reduced Groebner basis of the ideal generated by ``gens``.
 
     With ``cut`` the result is a minimal standard basis of the image of the
@@ -559,32 +550,19 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     only once both pure powers lead, so it is not looked at before.
     ``GroebnerBasis.cut`` is the cut the run ended with.
 
-    With ``base``, a basis an earlier run returned under a cut in the same
-    order, the run continues it: the result is a minimal standard basis of
-    base's ideal plus ``gens`` under base's cut (or ``cut``, if smaller).
-    The base elements start active with no queued pairs, as the run that
-    built the base treated their pairs.  When every new generator truncates
-    to zero, ``base`` itself is returned.  A base under another order, or
-    one without a cut, raises ValueError.
-
     An input generator with the leading word of an active element pairs
     with that element alone and retires at once.  The minimal basis is read
     from the active elements; a caller that reads only its leading
     monomials pays for neither inter-reduction nor rationals.
 
-    Raises ValueError if every generator is zero (after the cut) and there
-    is no base, the gates' ValueError for a nonzero generator outside the
-    ring of the first one (or of the base), checked before the cut, so a
-    generator the cut would zero is refused too, and MonomialRangeError if
-    an exponent leaves the packed field range.
+    Raises ValueError if every generator is zero (after the cut), the
+    gates' ValueError for a nonzero generator outside the ring of the first
+    one, checked before the cut, so a generator the cut would zero is
+    refused too, and MonomialRangeError if an exponent leaves the packed
+    field range.
     """
-    if base is not None:
-        if base.order != order or base.cut is None:
-            raise ValueError("only a basis computed under a cut, in the same order, "
-                             "can be continued")
-        cut = base.cut if cut is None else min(cut, base.cut)
     polys = [g for g in gens if not g.is_zero()]
-    nvars = base.nvars if base is not None else polys[0].nvars if polys else None
+    nvars = polys[0].nvars if polys else None
     if any(g.nvars != nvars for g in polys):
         raise _ring_error(nvars)
     if cut is not None:  # only a generator that reaches the cut is copied
@@ -592,22 +570,25 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
                      g.nvars, {m: c for m, c in g.terms() if sum(m) < cut}) for g in polys]
         polys = [g for g in polys if not g.is_zero()]
     if not polys:
-        if base is not None:
-            return base
         raise ValueError("need at least one nonzero generator")
     words = _words(order, nvars)
     if (cut is None) == words.local:
         raise ValueError("a degree cut and a local degree order, in which the lowest total "
                          "degree leads, go together: only below a cut is it a well-order")
-    return _buchberger([_integer_reducer(g, words) for g in polys], words, cut, base)
+    return _buchberger([_integer_reducer(g, words) for g in polys], words, cut)
 
 
 def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None,
                 base: GroebnerBasis | None = None) -> GroebnerBasis:
     """``buchberger``'s run on ``reducers``, a nonempty list of packed
     primitive integer reducers in the ring of ``words``, under the cut
-    ``buchberger`` settled on (None for a global order) and continuing
-    ``base``; the inputs are not checked again."""
+    ``buchberger`` settled on (None for a global order); the inputs are not
+    checked again.  With ``base``, a basis an earlier run under a cut
+    returned in the order of ``words``, the run continues it: the result is
+    a minimal standard basis of base's ideal plus the reducers, which the
+    caller truncates under a ``cut`` of at most ``base.cut``.  The base
+    elements start active with no queued pairs, as the run that built the
+    base treated their pairs."""
     over, word = words.over, words.word
 
     # (lm, lc, tail): packed primitive integer basis elements, and their
@@ -734,31 +715,6 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
     keep.sort(key=lms.__getitem__, reverse=True)
     return GroebnerBasis(words.order, words, [leads[i] for i in keep], [exps[i] for i in keep],
                          limit)
-
-
-def _verify_reduced_basis(gb: GroebnerBasis, cut: int | None = None):
-    """Postcondition check: monic, minimal and (for a reduced basis)
-    inter-reduced generators, and Buchberger's criterion (in Q[x]/m^cut when
-    ``cut`` is given)."""
-    order = gb.order
-    words = _words(order, gb.nvars)
-    leads = [_integer_reducer(g, words) for g in gb.generators]
-    for idx, (lm_i, _, tail) in enumerate(leads):
-        if gb.generators[idx].leading_coefficient(order) != 1:
-            raise AssertionError("basis element is not monic")
-        for jdx, (lm, _, _) in enumerate(leads):
-            if jdx == idx:
-                continue
-            if words.divides(lm, lm_i):
-                raise AssertionError("leading monomials not minimal")
-            if gb.reduced and any(words.divides(lm, m) for m, _ in tail):
-                raise AssertionError("basis is not inter-reduced")
-    memo: dict = {}
-    for j in range(len(leads)):
-        for i in range(j):
-            s = _s_pair(leads[i], leads[j], words.lcm(leads[i][0], leads[j][0]), words)
-            if s and _normal_form(s, leads, words, cut=cut, memo=memo):
-                raise AssertionError("S-polynomial does not reduce to zero")
 
 
 def leading_term_ideal(gb: GroebnerBasis) -> MonomialIdeal:

@@ -70,8 +70,8 @@ class TruncationTrace(Record):
     ``stabilized_at`` is the first r with alpha_r = alpha_{r+1}; the trace
     includes the confirming pair (r+1, alpha_{r+1}).  ``basis`` is the local
     standard basis the pairs were read from, which a length of a larger
-    ideal can continue (``local_length_at_origin``'s ``base``); it takes no
-    part in equality.
+    ideal can continue (``_local_length``'s ``base``); it takes no part in
+    equality.
     """
 
     __slots__ = ("pairs", "stabilized_at", "basis")
@@ -129,7 +129,7 @@ def _standard_counts(lms: Sequence[Monomial], R: int) -> list[int]:
     return list(accumulate(accumulate(d2[:R])))
 
 
-def local_length_at_origin(gens: Sequence[Polynomial], base: GroebnerBasis | None = None):
+def local_length_at_origin(gens: Sequence[Polynomial]):
     """Length at the origin of the scheme cut out by ``gens`` in the plane.
 
     Computes alpha_r = dim A/(J + m^r) for r = 1, 2, ... and stops at the
@@ -145,15 +145,6 @@ def local_length_at_origin(gens: Sequence[Polynomial], base: GroebnerBasis | Non
     closes there, and the standard monomials are counted only up to its
     ``cut`` (one degree more, to confirm the repeat).
 
-    With ``base``, the basis of an earlier length (``TruncationTrace.basis``),
-    the run continues that basis instead of starting over, and the length
-    is that of base's ideal plus ``gens``.  The sum contains base's ideal,
-    so its staircase lies inside base's in every degree and closes no
-    later: the cut at which base's staircase closed bounds this read-out
-    too.  d is the largest degree in ``gens``, which must be at least that
-    of base's generators (as f is among f, f_x, f_y): base's staircase
-    then closed below d^2 + 1, and so does the sum's.
-
     Returns (length, TruncationTrace).  Raises StabilizationError when the
     sequence is still growing at r = d^2 + 1, which happens exactly when
     the scheme fails to be zero-dimensional at the origin: two generic
@@ -165,18 +156,23 @@ def local_length_at_origin(gens: Sequence[Polynomial], base: GroebnerBasis | Non
     polys = [g for g in gens if not g.is_zero()]
     if any(g.nvars != 2 for g in polys):
         raise ValueError("local lengths are computed in the plane (2 variables)")
-    if base is not None and (base.order != _LOCAL or base.cut is None):
-        raise ValueError("only a basis computed under a cut, in the same order, "
-                         "can be continued")
     words = _words(_LOCAL, 2)
     return _local_length([_integer_reducer(g, words) for g in polys],
-                         max((g.degree() for g in polys), default=0), base)
+                         max((g.degree() for g in polys), default=0))
 
 
 def _local_length(reducers: list[tuple], d: int, base: GroebnerBasis | None = None):
     """``local_length_at_origin`` of generators packed under the local order
     in two variables, d their largest degree: the one run, and the only
-    raiser of StabilizationError."""
+    raiser of StabilizationError.
+
+    With ``base``, the basis of an earlier length (``TruncationTrace.basis``),
+    the run continues it, and the length is that of base's ideal plus the
+    generators, as ``analyze``'s tau continues mu's basis with f.  The sum's
+    staircase lies inside base's in every degree, so it closes no later,
+    and base's cut bounds this read-out too.  d must be at least the degree
+    of base's generators (f has degree d, its partials d - 1): base's
+    staircase then closed below d^2 + 1, and so does the sum's."""
     bound = max(d * d + 1, 2)  # the trace always holds alpha_1 and alpha_2
     cut = bound if base is None else min(bound, base.cut)
     words = _words(_LOCAL, 2)

@@ -1,8 +1,9 @@
-"""Test-only references: ``buchberger`` with its postcondition checked,
-plain rational division and S-polynomials, independent of the package's
-packed integer core, exact evaluation at a point, the product of two term
-tables, and a Fraction-Euclid gcd, determinants and line restrictions,
-independent routes to what ``tjurina.binforms`` decides by one gcd."""
+"""Test-only references: ``buchberger`` with its postcondition checked, a
+continued local run checked the same way, plain rational division and
+S-polynomials, independent of the package's packed integer core, exact
+evaluation at a point, the product of two term tables, and a Fraction-Euclid
+gcd, determinants and line restrictions, independent routes to what
+``tjurina.binforms`` decides by one gcd."""
 
 from __future__ import annotations
 
@@ -10,23 +11,83 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from tjurina import groebner
+from tjurina import groebner, lengths
 from tjurina.binforms import UPoly, _dehomogenize, upoly_derivative
-from tjurina.groebner import GroebnerBasis
-from tjurina.lengths import INFINITE
+from tjurina.groebner import (GroebnerBasis, _integer_reducer, _normal_form, _primitive_reducer,
+                              _s_pair, _words)
+from tjurina.lengths import _LOCAL, INFINITE
 from tjurina.poly import GRLEX, MonomialOrder, Polynomial, Scalar, monomial_divides
 
 
+def lcm_word(words, a: int, b: int) -> int:
+    """The packed word of the lcm of the monomials of the words a and b."""
+    return words.word(tuple(map(max, words.exponents(a), words.exponents(b))))
+
+
+def verify_reduced_basis(gb: GroebnerBasis, cut: int | None = None):
+    """``buchberger``'s postcondition: monic, minimal and (for a reduced
+    basis) inter-reduced generators, and Buchberger's criterion (in
+    Q[x]/m^cut when ``cut`` is given)."""
+    order = gb.order
+    words = _words(order, gb.nvars)
+    leads = [_integer_reducer(g, words) for g in gb.generators]
+    for idx, (lm_i, _, tail) in enumerate(leads):
+        if gb.generators[idx].leading_coefficient(order) != 1:
+            raise AssertionError("basis element is not monic")
+        for jdx, (lm, _, _) in enumerate(leads):
+            if jdx == idx:
+                continue
+            if not (lm_i - lm) & words.over:
+                raise AssertionError("leading monomials not minimal")
+            if gb.reduced and any(not (m - lm) & words.over for m, _ in tail):
+                raise AssertionError("basis is not inter-reduced")
+    memo: dict = {}
+    for j in range(len(leads)):
+        for i in range(j):
+            s = _s_pair(leads[i], leads[j], lcm_word(words, leads[i][0], leads[j][0]), words)
+            if s and _normal_form(s, leads, words, cut=cut, memo=memo):
+                raise AssertionError("S-polynomial does not reduce to zero")
+
+
 def checked_buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
-                       cut: int | None = None, base: GroebnerBasis | None = None):
-    """``buchberger``, then ``groebner._verify_reduced_basis`` (read on each
-    call, so a test can patch it) under the cut the run started with:
-    ``cut``, ``base.cut`` or the smaller of the two."""
-    gb = groebner.buchberger(gens, order, cut, base)
-    if base is not None:
-        cut = base.cut if cut is None else min(cut, base.cut)
-    groebner._verify_reduced_basis(gb, cut)
+                       cut: int | None = None):
+    """``buchberger``, then ``verify_reduced_basis`` (read on each call, so a
+    test can patch it) under ``cut``."""
+    gb = groebner.buchberger(gens, order, cut)
+    verify_reduced_basis(gb, cut)
     return gb
+
+
+def checked_continuation(gens: Sequence[Polynomial], base: GroebnerBasis,
+                         cut: int | None = None):
+    """A local run that continues ``base`` with ``gens``, as ``analyze``'s tau
+    continues mu's basis, through ``groebner._buchberger``: the nonzero
+    generators are packed, truncated under ``base.cut`` (or ``cut``, if
+    smaller), and base itself is returned when nothing is left.  The result
+    is checked by ``verify_reduced_basis`` under that cut."""
+    words = _words(_LOCAL, 2)
+    cut = base.cut if cut is None else min(cut, base.cut)
+    floor = words.floor(cut)
+    kept = []
+    for g in gens:
+        if not g.is_zero():
+            lm, lc, tail = _integer_reducer(g, words)
+            if lm >= floor:
+                kept.append(_primitive_reducer([(lm, lc), *(t for t in tail if t[0] >= floor)]))
+    gb = groebner._buchberger(kept, words, cut, base) if kept else base
+    verify_reduced_basis(gb, cut)
+    return gb
+
+
+def continued_length(gens: Sequence[Polynomial], base: GroebnerBasis):
+    """``local_length_at_origin`` of base's ideal plus ``gens``, continuing
+    ``base`` (a ``TruncationTrace.basis``) through ``lengths._local_length``,
+    as ``analyze``'s tau continues mu's basis; the largest degree in
+    ``gens`` must be at least that of base's generators."""
+    polys = [g for g in gens if not g.is_zero()]
+    words = _words(_LOCAL, 2)
+    return lengths._local_length([_integer_reducer(g, words) for g in polys],
+                                 max((g.degree() for g in polys), default=0), base)
 
 
 def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GRLEX):

@@ -31,7 +31,8 @@ from tjurina.lengths import (
 )
 from tjurina.poly import monomial_divides, monomials_of_degree
 
-from reference import VERTICAL, checked_buchberger, line_restriction_length
+from reference import (VERTICAL, checked_buchberger, checked_continuation, continued_length,
+                       line_restriction_length)
 
 P = parse_poly
 
@@ -338,12 +339,12 @@ def test_tau_continued_from_mu_matches_tau_from_scratch():
             except StabilizationError:
                 continue
             fresh = local_length_at_origin([g, gx, gy])
-            tau, trace = local_length_at_origin([g], base=mu_trace.basis)
+            tau, trace = continued_length([g], mu_trace.basis)
             assert (tau, trace.pairs, trace.stabilized_at) == \
                 (fresh[0], fresh[1].pairs, fresh[1].stabilized_at), (f, point)
             base, c = mu_trace.basis, mu_trace.basis.cut
             continued += c > 0
-            gb = checked_buchberger([g], _LOCAL, base=base)
+            gb = checked_continuation([g], base)
             if g.min_degree() >= c:
                 assert gb is base  # f truncates to zero under the cut
             every = [h for h in (gx, gy, g) if not h.is_zero() and h.min_degree() < c]
@@ -354,6 +355,21 @@ def test_tau_continued_from_mu_matches_tau_from_scratch():
             above = checked_buchberger([gx, gy, g], _LOCAL, cut=c + 1)
             assert gb.leading_monomials() == above.leading_monomials(), (f, point)
     assert continued >= 50  # continued past the unit ideal (55 at this seed)
+
+
+def test_a_length_takes_its_generators_alone():
+    # a basis is continued only inside the local lengths (``_local_length``),
+    # whose caller meets its degree precondition; a public base whose
+    # generators were of larger degree than the new ones once raised a false
+    # StabilizationError here: the length of (y, x^10) is 10
+    import inspect
+
+    y = P("y")
+    tau, trace = local_length_at_origin([y, P("x^10")])
+    assert tau == 10 and trace.stabilized_at == 10
+    assert list(inspect.signature(local_length_at_origin).parameters) == ["gens"]
+    with pytest.raises(TypeError):
+        local_length_at_origin([y], base=trace.basis)
 
 
 # -- Hilbert functions ---------------------------------------------------------------

@@ -22,13 +22,12 @@ from tjurina import (
     TruncationTrace,
     analyze,
     classify_double_point,
-    local_length_at_origin,
     parse_poly,
     verify_params,
 )
 from tjurina.poly import GRLEX
 
-from reference import checked_buchberger
+from reference import checked_buchberger, continued_length
 
 TAU_TRACE = ("TruncationTrace(pairs=((1, 1), (2, 3), (3, 5), (4, 7), (5, 9), (6, 10), "
              "(7, 11), (8, 11)), stabilized_at=7)")
@@ -174,8 +173,8 @@ def test_pickle_round_trip_gives_an_equal_record():
         if basis is reduced:
             assert copy.reduced and copy.generators == basis.generators
     more = [parse_poly("x^3 + y^7 + x*y^5")]
-    assert local_length_at_origin(more, base=pickle.loads(pickle.dumps(trace.basis))) == \
-        local_length_at_origin(more, base=trace.basis)
+    assert continued_length(more, pickle.loads(pickle.dumps(trace.basis))) == \
+        continued_length(more, trace.basis)
 
 
 def test_a_report_carries_its_germ_outside_its_contract():

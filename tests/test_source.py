@@ -135,6 +135,24 @@ def test_every_module_level_definition_is_named_elsewhere():
     assert found == []
 
 
+def test_every_private_definition_is_named_by_the_package():
+    # no test-only code in the package: each private module-level function
+    # and class is named by a Name or an attribute outside its own
+    # definition in the package itself, not only in the tests
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    uses = [(path, node.lineno, getattr(node, "id", getattr(node, "attr", None)))
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    found = [f"{path.name}:{node.name}"
+             for path, tree in trees.items() for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name.startswith("_") and not node.name.startswith("__")
+             and not any(name == node.name and not (where == path and node.lineno <= line
+                                                    <= node.end_lineno)
+                         for where, line, name in uses)]
+    assert found == []
+
+
 def test_one_tangent_cone_test_serves_every_per_point_reader():
     # is_ordinary, is_slci and analyze read the germ's one squarefree test;
     # is_slci keeps no order-and-gcd code of its own
