@@ -27,7 +27,7 @@ from typing import Sequence
 from ._record import Record
 from .binforms import common_factor_degree, squarefree_binary_form
 from .groebner import _packed_gradient, _words
-from .lengths import (_LOCAL, StabilizationError, TruncationTrace, _length_mod_m2, _local_length,
+from .lengths import (_LOCAL, StabilizationError, TruncationTrace, _local_length,
                       local_length_at_origin)
 from .poly import Polynomial, _integer_translate
 
@@ -225,9 +225,18 @@ def is_slci(f: Polynomial, point: Point) -> bool:
 def embedding_dimension(gens: Sequence[Polynomial]) -> int:
     """Local embedding dimension at O of a zero-dimensional scheme:
     0 for the reduced point (or empty scheme), 1 for a curvilinear tangent
-    space, 2 for a fat one.  Computed as alpha_2 - 1, with alpha_2 read
-    from a local standard basis of J + m^2."""
-    return max(0, _length_mod_m2(gens) - 1)
+    space, 2 for a fat one.  That is dim m/(m^2 + J), read off the
+    generators' lowest terms: 0 when one is a unit at O, else 2 minus the
+    rank of their linear parts, each the row (coefficient of x, of y)."""
+    polys = [g for g in gens if not g.is_zero()]
+    if any(g.nvars != 2 for g in polys):
+        raise ValueError("local lengths are computed in the plane (2 variables)")
+    if any(g.coefficient((0, 0)) for g in polys):
+        return 0
+    rows = [(g.coefficient((1, 0)), g.coefficient((0, 1))) for g in polys]
+    if any(a * d != b * c for a, b in rows for c, d in rows):
+        return 0
+    return 1 if any(any(row) for row in rows) else 2
 
 
 # -- the double-point algorithm -------------------------------------------------

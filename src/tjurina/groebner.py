@@ -1,19 +1,19 @@
 """Buchberger's algorithm and reduced Groebner bases over Q.
 
 ``buchberger`` returns the unique reduced basis (monic, inter-reduced,
-sorted by decreasing leading monomial) under a global order, or under the
-local degree order, which comes only with a degree cut, a minimal standard
-basis in Q[x]/m^cut with unreduced tails, as a ``GroebnerBasis`` whose
-generators are built on first read.  Pairs follow the normal strategy
-(lowest lcm degree, then smallest lcm) and are pruned by the Gebauer-Moeller
-update (Gebauer and Moeller 1988, "On an installation of Buchberger's
-algorithm"), run as each element enters.  Of its new pairs it keeps those
-whose lcm no other new pair's lcm divides, and a coprime pair prunes the
-pairs its lcm divides and is then dropped itself.  It drops the queued
-pairs whose lcm the new leading word divides strictly on both sides, and it
-retires the elements whose leading word the new one divides: they stay
-reducers but form no new pairs.  S-polynomials of two monomials vanish and
-are skipped.
+sorted by decreasing leading monomial) under a global order, as a
+``GroebnerBasis`` whose generators are built on first read.  The same run,
+``_buchberger``, gives the local lengths a minimal standard basis in
+Q[x]/m^cut with unreduced tails under the local degree order.  Pairs follow
+the normal strategy (lowest lcm degree, then smallest lcm) and are pruned
+by the Gebauer-Moeller update (Gebauer and Moeller 1988, "On an
+installation of Buchberger's algorithm"), run as each element enters.  Of
+its new pairs it keeps those whose lcm no other new pair's lcm divides, and
+a coprime pair prunes the pairs its lcm divides and is then dropped itself.
+It drops the queued pairs whose lcm the new leading word divides strictly
+on both sides, and it retires the elements whose leading word the new one
+divides: they stay reducers but form no new pairs.  S-polynomials of two
+monomials vanish and are skipped.
 
 The reduction core is fraction-free: basis elements are primitive integer
 term tables with a positive leading coefficient, S-polynomials are built
@@ -23,9 +23,9 @@ A polynomial enters the core through one of two gates: ``_integer_reducer``,
 which refuses a zero polynomial and one from another ring with one
 ValueError, and ``_packed_gradient``, which packs the nonzero partial
 derivatives of a polynomial, and the polynomial too if asked, straight from
-its terms.  ``buchberger`` checks its arguments, passes its generators
-through the first gate and hands the packed reducers to ``_buchberger``, the
-run itself; the local lengths and ``global_tjurina`` use the second gate.
+its terms.  ``buchberger`` checks its order, passes its generators through
+the first gate and hands the packed reducers to ``_buchberger``, the run
+itself; the local lengths and ``global_tjurina`` use the second gate.
 Both gates end in one primitive step, ``_primitive_reducer``.  Rationals
 leave the core only through ``_monic``.
 
@@ -67,7 +67,7 @@ from .poly import GRLEX, Monomial, MonomialOrder, Polynomial, _render_terms, mon
 
 class GroebnerBasis:
     """A minimal basis together with its monomial order, kept as the packed
-    primitive integer reducers ``buchberger`` ends with, sorted by
+    primitive integer reducers ``_buchberger`` ends with, sorted by
     decreasing leading monomial.
 
     ``leading_monomials`` reads their stored leading exponents.  The
@@ -81,9 +81,9 @@ class GroebnerBasis:
     on which S-pairs the run formed, so compare ``(order, cut,
     leading_monomials())``."""
 
-    def __init__(self, order: MonomialOrder, words: _Words, leads: Sequence[tuple],
-                 exps: Sequence[Monomial], cut: int | None):
-        self.order = order
+    def __init__(self, words: _Words, leads: Sequence[tuple], exps: Sequence[Monomial],
+                 cut: int | None):
+        self.order = words.order
         self.cut = cut
         self.nvars = words.nvars
         self._words = words
@@ -527,19 +527,46 @@ def _refresh(k: int, leads: list, words: _Words, memo: dict, stale: set):
 # Buchberger
 
 
-def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
-               cut: int | None = None) -> GroebnerBasis:
-    """Unique reduced Groebner basis of the ideal generated by ``gens``.
+def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX) -> GroebnerBasis:
+    """Unique reduced Groebner basis of the ideal generated by ``gens``
+    under the global order ``order``.
 
-    With ``cut`` the result is a minimal standard basis of the image of the
-    ideal in Q[x]/m^cut, monic with unreduced tails (``reduced`` is False):
-    terms of total degree >= cut are dropped, and a remainder is reduced at
-    its leading term only (see ``_normal_form``).  A cut and a local degree
-    order (``MonomialOrder("local")``, in which the lowest total degree
-    leads) go together, and either one without the other raises ValueError:
-    under the local order only the monomials of degree < cut are
-    well-ordered, so only there does the reduction terminate, and a product
-    whose leading term has degree >= cut is zero as a whole.
+    An input generator with the leading word of an active element pairs
+    with that element alone and retires at once.  The minimal basis is read
+    from the active elements; a caller that reads only its leading
+    monomials pays for neither inter-reduction nor rationals.
+
+    Raises ValueError if every generator is zero or ``order`` is a local
+    degree order (``MonomialOrder("local")``, in which the lowest total
+    degree leads: no well-order, so its standard bases are the truncated
+    ones of the local lengths), the gates' ValueError for a nonzero
+    generator outside the ring of the first one, and MonomialRangeError if
+    an exponent leaves the packed field range.
+    """
+    polys = [g for g in gens if not g.is_zero()]
+    if not polys:
+        raise ValueError("need at least one nonzero generator")
+    words = _words(order, polys[0].nvars)
+    if words.local:
+        raise ValueError("buchberger runs under global orders only; local standard bases "
+                         "come from the local lengths (local_length_at_origin)")
+    return _buchberger([_integer_reducer(g, words) for g in polys], words)
+
+
+def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None,
+                base: GroebnerBasis | None = None) -> GroebnerBasis:
+    """The run on ``reducers``, a nonempty list of packed primitive integer
+    reducers in the ring of ``words``, which are not checked again.  Without
+    ``cut`` (a global order) it gives the reduced basis.  With ``cut`` (a
+    local degree order, and reducers with no term of degree >= cut, as
+    ``lengths._local_length`` truncates them) it gives a minimal standard
+    basis of the image of the ideal in Q[x]/m^cut with unreduced tails
+    (``reduced`` is False): terms of total degree >= cut are dropped, and a
+    remainder is reduced at its leading term only (see ``_normal_form``).
+    A local order and a cut go together: under the local order only the
+    monomials of degree < cut are well-ordered, so only there does the
+    reduction terminate, and a product whose leading term has degree >= cut
+    is zero as a whole.
 
     In two variables the cut is lowered as the basis grows: once the leading
     monomials hold every monomial of some degree r < cut, the cut becomes r,
@@ -550,45 +577,12 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     only once both pure powers lead, so it is not looked at before.
     ``GroebnerBasis.cut`` is the cut the run ended with.
 
-    An input generator with the leading word of an active element pairs
-    with that element alone and retires at once.  The minimal basis is read
-    from the active elements; a caller that reads only its leading
-    monomials pays for neither inter-reduction nor rationals.
-
-    Raises ValueError if every generator is zero (after the cut), the
-    gates' ValueError for a nonzero generator outside the ring of the first
-    one, checked before the cut, so a generator the cut would zero is
-    refused too, and MonomialRangeError if an exponent leaves the packed
-    field range.
-    """
-    polys = [g for g in gens if not g.is_zero()]
-    nvars = polys[0].nvars if polys else None
-    if any(g.nvars != nvars for g in polys):
-        raise _ring_error(nvars)
-    if cut is not None:  # only a generator that reaches the cut is copied
-        polys = [g if g.degree() < cut else Polynomial._from_valid(
-                     g.nvars, {m: c for m, c in g.terms() if sum(m) < cut}) for g in polys]
-        polys = [g for g in polys if not g.is_zero()]
-    if not polys:
-        raise ValueError("need at least one nonzero generator")
-    words = _words(order, nvars)
-    if (cut is None) == words.local:
-        raise ValueError("a degree cut and a local degree order, in which the lowest total "
-                         "degree leads, go together: only below a cut is it a well-order")
-    return _buchberger([_integer_reducer(g, words) for g in polys], words, cut)
-
-
-def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None,
-                base: GroebnerBasis | None = None) -> GroebnerBasis:
-    """``buchberger``'s run on ``reducers``, a nonempty list of packed
-    primitive integer reducers in the ring of ``words``, under the cut
-    ``buchberger`` settled on (None for a global order); the inputs are not
-    checked again.  With ``base``, a basis an earlier run under a cut
-    returned in the order of ``words``, the run continues it: the result is
-    a minimal standard basis of base's ideal plus the reducers, which the
-    caller truncates under a ``cut`` of at most ``base.cut``.  The base
-    elements start active with no queued pairs, as the run that built the
-    base treated their pairs."""
+    With ``base``, a basis an earlier run under a cut returned in the order
+    of ``words``, the run continues it: the result is a minimal standard
+    basis of base's ideal plus the reducers, which the caller truncates
+    under a ``cut`` of at most ``base.cut``.  The base elements start active
+    with no queued pairs, as the run that built the base treated their
+    pairs."""
     over, word = words.over, words.word
 
     # (lm, lc, tail): packed primitive integer basis elements, and their
@@ -713,8 +707,7 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
         if i >= entered or not any(not (lms[i] - lms[k]) & over for k in keep):
             keep.append(i)
     keep.sort(key=lms.__getitem__, reverse=True)
-    return GroebnerBasis(words.order, words, [leads[i] for i in keep], [exps[i] for i in keep],
-                         limit)
+    return GroebnerBasis(words, [leads[i] for i in keep], [exps[i] for i in keep], limit)
 
 
 def leading_term_ideal(gb: GroebnerBasis) -> MonomialIdeal:

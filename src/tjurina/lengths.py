@@ -199,19 +199,6 @@ def _local_length(reducers: list[tuple], d: int, base: GroebnerBasis | None = No
     return alphas[-1], TruncationTrace(pairs, stabilized_at=stable, basis=gb)
 
 
-def _length_mod_m2(gens: Sequence[Polynomial]) -> int:
-    """alpha_2 = dim A/(J + m^2): the standard monomials of degree < 2 of a
-    local standard basis of J + m^2 (3 when no generator reaches below m^2)."""
-    polys = [g for g in gens if not g.is_zero()]
-    if any(g.nvars != 2 for g in polys):
-        raise ValueError("local lengths are computed in the plane (2 variables)")
-    polys = [g for g in polys if g.min_degree() < 2]
-    if not polys:
-        return 3
-    lms = buchberger(polys, _LOCAL, cut=2).leading_monomials()
-    return sum(_standard_counts(lms, 2))
-
-
 def local_length_oracle(gens: Sequence[Polynomial], r: int) -> int:
     """Independent linear-algebra computation of alpha_r = dim A/(J + m^r).
 

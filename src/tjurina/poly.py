@@ -147,7 +147,7 @@ class MonomialOrder(Record):
     smallest exponent on the last variable.  "local" is a local degree
     order: the lowest total degree leads, and ties are broken as in grlex.
     It well-orders only the monomials of degree < R, so it is used only in
-    Q[x]/m^R (``buchberger``'s ``cut``).
+    Q[x]/m^R, by the local lengths (``lengths._local_length``'s cut).
     """
 
     __slots__ = ("kind",)

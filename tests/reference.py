@@ -1,9 +1,10 @@
 """Test-only references: ``buchberger`` with its postcondition checked, a
-continued local run checked the same way, plain rational division and
-S-polynomials, independent of the package's packed integer core, exact
-evaluation at a point, the product of two term tables, and a Fraction-Euclid
-gcd, determinants and line restrictions, independent routes to what
-``tjurina.binforms`` decides by one gcd."""
+local standard basis under a degree cut and a continued local run checked
+the same way, plain rational division and S-polynomials, independent of the
+package's packed integer core, exact evaluation at a point, the product of
+two term tables, and a Fraction-Euclid gcd, determinants and line
+restrictions, independent routes to what ``tjurina.binforms`` decides by one
+gcd."""
 
 from __future__ import annotations
 
@@ -49,11 +50,29 @@ def verify_reduced_basis(gb: GroebnerBasis, cut: int | None = None):
                 raise AssertionError("S-polynomial does not reduce to zero")
 
 
+def local_basis(gens: Sequence[Polynomial], cut: int, order: MonomialOrder = _LOCAL):
+    """A minimal standard basis of the image of (gens) in Q[x]/m^cut under a
+    local degree order, from the run the local lengths use: the nonzero
+    generators lose their terms of degree >= cut, and those left are packed
+    by ``_integer_reducer`` and run by ``groebner._buchberger`` under the
+    cut (both read on each call, so a test can patch them).  Raises
+    ValueError when no generator is left, or for a global order."""
+    polys = [Polynomial(g.nvars, {m: c for m, c in g.terms() if sum(m) < cut}) for g in gens]
+    polys = [g for g in polys if not g.is_zero()]
+    if not polys:
+        raise ValueError("need at least one nonzero generator")
+    words = _words(order, polys[0].nvars)
+    if not words.local:
+        raise ValueError("a degree cut needs a local degree order")
+    return groebner._buchberger([groebner._integer_reducer(g, words) for g in polys], words, cut)
+
+
 def checked_buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
                        cut: int | None = None):
-    """``buchberger``, then ``verify_reduced_basis`` (read on each call, so a
-    test can patch it) under ``cut``."""
-    gb = groebner.buchberger(gens, order, cut)
+    """``buchberger``, or ``local_basis`` under ``cut``, then
+    ``verify_reduced_basis`` (read on each call, so a test can patch it)
+    under ``cut``."""
+    gb = groebner.buchberger(gens, order) if cut is None else local_basis(gens, cut, order)
     verify_reduced_basis(gb, cut)
     return gb
 

@@ -383,6 +383,39 @@ def test_embedding_dimension_values():
     assert embedding_dimension([P("1")]) == 0
 
 
+def test_embedding_dimension_matches_the_oracle():
+    # max(0, alpha_2 - 1), on ideals zero-dimensional at the origin or not
+    # (a common factor through O, or a single generator)
+    from tjurina.lengths import local_length_oracle
+    rng = random.Random(2222)
+    monos = [m for t in range(4) for m in monomials_of_degree(2, t)]
+    for _ in range(200):
+        gens = [Polynomial(2, {m: rng.randint(-3, 3) for m in rng.sample(monos, rng.randint(1, 4))})
+                for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            factor = Polynomial(2, {(1, 0): rng.randint(-2, 2), (0, 1): rng.randint(1, 2)})
+            gens = [g * factor for g in gens]
+        assert embedding_dimension(gens) == max(0, local_length_oracle(gens, 2) - 1), gens
+    assert embedding_dimension([]) == 2 and embedding_dimension([P("1")]) == 0
+    with pytest.raises(ValueError, match="2 variables"):
+        embedding_dimension([P("x"), parse_poly("x0*x2", "projective3")])
+
+
+def test_embedding_dimension_builds_no_standard_basis(monkeypatch):
+    # dim m/(m^2 + J) is read off the linear parts: no Groebner run
+    from tjurina import groebner, lengths
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a standard basis was built")
+
+    monkeypatch.setattr(groebner, "_buchberger", refused)
+    monkeypatch.setattr(lengths, "_buchberger", refused)
+    assert embedding_dimension(jacobian_gens(P("y^2-x^5"))) == 1
+    assert embedding_dimension([P("x^2+x*y"), P("y^3-x*y"), P("2*x-3*y+x^2")]) == 1
+    assert embedding_dimension([P("x+y^2"), P("y-x^3")]) == 0
+    assert embedding_dimension(jacobian_gens(P("x^3-y^3"))) == 2
+
+
 def test_curvilinearity_certificate_for_a_n():
     for n in range(2, 8):
         f = P(f"y^2-x^{n + 1}")

@@ -22,7 +22,7 @@ from tjurina.poly import monomial_divides, monomial_mul, monomials_of_degree
 
 import reference
 from reference import checked_buchberger, checked_continuation, continued_length, divide, \
-    lcm_word, s_polynomial
+    lcm_word, local_basis, s_polynomial
 
 P = parse_poly
 
@@ -125,17 +125,14 @@ GATE = "^expected a nonzero polynomial in {} variables$"
     (lambda: _integer_reducer(P("0"), _words(GRLEX, 2)), 2),
     (lambda: _integer_reducer(P("x"), _words(GRLEX, 3)), 3),
     (lambda: buchberger([P("x^2*y"), X02]), 2),
-    (lambda: buchberger([X02, P("x")], LOCAL, cut=4), 3),
+    (lambda: local_basis([X02, P("x")], 4), 3),
     (lambda: _integer_reducer(P("0"), _words(LOCAL, 2)), 2),
     (lambda: _integer_reducer(Polynomial.zero(3), _words(DEGREVLEX, 3)), 3),
     (lambda: buchberger([X02, P("x^2-y")]), 3),
     (lambda: buchberger([P("x"), parse_poly("x0", "projective3")]), 2),
-    # refused before the cut, which would drop every term of x0^9
-    (lambda: buchberger([P("x^2"), P("y^2"), parse_poly("x0^9", "projective3")], LOCAL,
-                        cut=3), 2),
 ], ids=["divide-basis-ring", "divide-basis-zero", "divide-dividend-ring",
         "s-second-ring", "s-first-ring", "s-first-zero", "s-second-zero",
-        "buchberger-first-ring", "buchberger-x-x0", "buchberger-ring-before-cut"])
+        "buchberger-first-ring", "buchberger-x-x0"])
 def test_gate_refuses_zero_and_other_rings(call, nvars):
     # one message for a zero polynomial and for one from another ring
     with pytest.raises(ValueError, match=GATE.format(nvars)):
@@ -454,25 +451,16 @@ def test_local_counts_under_a_cut_match_the_oracle(through_origin):
             assert sum(_standard_counts(lms, R)) == local_length_oracle(gens, R), (gens, R)
 
 
-def test_a_cut_needs_a_local_degree_order():
-    # x*(x + y^3) keeps x^2 below degree 4, so a cut under a global order
-    # would lead with y^3 and count 9 standard monomials where the oracle
-    # counts 4
-    from tjurina.lengths import local_length_oracle
-    assert local_length_oracle([P("x+y^3")], 4) == 4
-    for order in (GRLEX, LEX, DEGREVLEX, _Precedence(GRLEX, (1, 0))):
-        with pytest.raises(ValueError, match="local degree order"):
-            checked_buchberger([P("x+y^3")], order, cut=4)
-
-
 def test_a_local_order_needs_a_cut():
     # below no cut the local order is no well-order: x - x^2 reduces x^2 to
-    # x^3, x^4, ... without end, so both calls are refused at once
+    # x^3, x^4, ... without end, so buchberger refuses both calls at once and
+    # points to the local lengths, whose run truncates under a cut
     from tjurina.lengths import _LOCAL
     for order in (_LOCAL, _Precedence(_LOCAL, (1, 0))):
-        with pytest.raises(ValueError, match="local degree order"):
+        with pytest.raises(ValueError, match="^buchberger runs under global orders only; "
+                                             ".*local_length_at_origin"):
             buchberger([P("x-x^2"), P("x*y+y^3")], order)
-    assert buchberger([P("x-x^2"), P("x*y+y^3")], _LOCAL, cut=6).leading_monomials() \
+    assert checked_buchberger([P("x-x^2"), P("x*y+y^3")], _LOCAL, cut=6).leading_monomials() \
         == ((1, 0), (0, 3))
 
 
@@ -491,14 +479,16 @@ def test_buchberger_has_no_verify_switch():
 
     from tjurina import groebner
 
-    assert list(inspect.signature(buchberger).parameters) == ["gens", "order", "cut"]
+    assert list(inspect.signature(buchberger).parameters) == ["gens", "order"]
     assert not hasattr(groebner, "VERIFY_BASES")
     with pytest.raises(TypeError):
         buchberger([P("x")], GRLEX, verify=True)
-    # a basis is continued only inside the local lengths (``_buchberger``)
-    base = buchberger([P("x^2"), P("y^3")], LOCAL, cut=8)
+    # only the local lengths run under a cut or continue a basis (``_buchberger``)
     with pytest.raises(TypeError):
-        buchberger([P("x*y")], LOCAL, base=base)
+        buchberger([P("x")], GRLEX, cut=4)
+    base = local_basis([P("x^2"), P("y^3")], 8)
+    with pytest.raises(TypeError):
+        buchberger([P("x*y")], GRLEX, base=base)
 
 
 @pytest.mark.parametrize("continued, cut, start", [(False, 10, 10), (True, None, 10),
@@ -513,7 +503,7 @@ def test_checked_buchberger_checks_under_the_cut_the_run_started_with(monkeypatc
     monkeypatch.setattr(reference, "verify_reduced_basis", lambda gb, cut=None: seen.append(cut))
     gens = [P("x^3"), P("y^4")]
     if continued:
-        base = buchberger(first, _LOCAL, cut=10)
+        base = local_basis(first, 10)
         gb = checked_continuation(gens, base, cut)
     else:
         base, gb = None, checked_buchberger(gens + first, _LOCAL, cut)
@@ -543,7 +533,6 @@ def test_a_continued_run_pairs_only_the_new_elements(monkeypatch):
 
 def test_the_staircase_is_read_only_once_both_axes_hold_a_leading_monomial(monkeypatch):
     from tjurina import groebner
-    from tjurina.lengths import _LOCAL
     calls = []
     closing_degree = groebner._closing_degree
 
@@ -553,9 +542,9 @@ def test_the_staircase_is_read_only_once_both_axes_hold_a_leading_monomial(monke
 
     monkeypatch.setattr(groebner, "_closing_degree", counted)
     # (x*y + y^4, y^3): no pure power of x ever leads, so the staircase never closes
-    buchberger([P("x*y+y^4"), P("y^3")], _LOCAL, cut=10)
+    local_basis([P("x*y+y^4"), P("y^3")], 10)
     assert calls == []
-    assert buchberger([P("x^2"), P("y^3")], _LOCAL, cut=10).cut == 4
+    assert local_basis([P("x^2"), P("y^3")], 10).cut == 4
     assert calls == [((2, 0), (0, 3))]
 
 
@@ -648,7 +637,7 @@ def test_leading_monomials_are_read_before_the_generators_are_built(order, nvars
         for cut in ((3, 5, 8) if order is _LOCAL else (None,)):
             if cut is not None and all(g.min_degree() >= cut for g in gens):
                 continue  # the cut kills every generator
-            gb = buchberger(gens, order, cut=cut)
+            gb = buchberger(gens, order) if cut is None else local_basis(gens, cut, order)
             lms, size = gb.leading_monomials(), len(gb)
             assert "generators" not in vars(gb)
             assert lms == tuple(g.leading_monomial(order) for g in gb.generators)
@@ -711,11 +700,10 @@ def test_leading_monomial_readers_build_no_generators(monkeypatch):
 
 @pytest.mark.parametrize("cut", [None, 6])
 def test_generators_are_built_once(monkeypatch, cut):
-    from tjurina.lengths import _LOCAL
     counts = _count_calls(monkeypatch)
     f = P("x^5+y^5+x^3*y^3")
-    gb = buchberger([f, f.partial_derivative(0), f.partial_derivative(1)],
-                    GRLEX if cut is None else _LOCAL, cut=cut)
+    gens = [f, f.partial_derivative(0), f.partial_derivative(1)]
+    gb = buchberger(gens) if cut is None else local_basis(gens, cut)
     assert counts["monic"] == 0
     assert gb.generators is gb.generators
     assert counts["monic"] == len(gb) > 1
@@ -756,7 +744,6 @@ def test_global_bases_match_recorded_fixtures(case):
 
 def test_global_runs_refresh_stale_tails_and_runs_under_a_cut_do_not(monkeypatch):
     from tjurina import local_length_at_origin
-    from tjurina.lengths import _LOCAL
     counts = _count_calls(monkeypatch)
     for case in GLOBAL_BASES:
         buchberger(_fixture_polys(case, "gens"), _fixture_order(case))
@@ -766,7 +753,7 @@ def test_global_runs_refresh_stale_tails_and_runs_under_a_cut_do_not(monkeypatch
         gens = _fixture_polys(case, "gens")
         for cut in (5, 9) if case["nvars"] == 2 else ():
             if any(g.min_degree() < cut for g in gens):
-                gb = buchberger(gens, _LOCAL, cut=cut)
+                gb = local_basis(gens, cut)
                 assert gb.generators and not gb.reduced
     f = P("x^5+y^5+x^3*y^3")
     assert local_length_at_origin([f, f.partial_derivative(0), f.partial_derivative(1)])[0] == 15
@@ -942,9 +929,8 @@ def test_an_input_that_repeats_a_leading_word_pairs_with_the_first_alone(monkeyp
     # x + y^3 and x + y^4 repeat the leading word of x + y^2 under the local
     # order: each pairs with it alone and retires at once, so the basis under
     # a cut keeps the first one as it is
-    from tjurina.lengths import _LOCAL
     entries, pairs = _record_entries_and_pairs(monkeypatch)
-    gb = buchberger([P("x+y^2"), P("y^5+x*y"), P("x+y^3"), P("x+y^4")], _LOCAL, cut=8)
+    gb = local_basis([P("x+y^2"), P("y^5+x*y"), P("x+y^3"), P("x+y^4")], 8)
     assert gb.leading_monomials() == ((1, 0), (0, 2))
     assert gb.generators[0] == P("x+y^2")
     first = entries[0]

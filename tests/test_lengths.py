@@ -25,7 +25,6 @@ from tjurina import (
 from tjurina.groebner import _closing_degree
 from tjurina.lengths import (
     _LOCAL,
-    _length_mod_m2,
     _projective_dimension_at_most_points,
     _standard_counts,
 )
@@ -285,21 +284,6 @@ def test_standard_counts_by_runs_on_long_runs():
         lms = list(zip(corners, heights))
         R = rng.randint(1, 45)
         assert _standard_counts(lms, R) == _counts_by_enumeration(lms, R), (lms, R)
-
-
-def test_length_mod_m2_matches_the_oracle():
-    # alpha_2 for the embedding dimension, on ideals zero-dimensional at the
-    # origin or not (a common factor through O, or a single generator)
-    rng = random.Random(2222)
-    monos = [m for t in range(4) for m in monomials_of_degree(2, t)]
-    for _ in range(200):
-        gens = [Polynomial(2, {m: rng.randint(-3, 3) for m in rng.sample(monos, rng.randint(1, 4))})
-                for _ in range(rng.randint(1, 3))]
-        if rng.random() < 0.3:
-            factor = Polynomial(2, {(1, 0): rng.randint(-2, 2), (0, 1): rng.randint(1, 2)})
-            gens = [g * factor for g in gens]
-        assert _length_mod_m2(gens) == local_length_oracle(gens, 2), gens
-
 
 
 def _random_curves(rng, count):

@@ -70,6 +70,20 @@ def test_local_length_runs_one_standard_basis():
     assert runs(funcs["local_length_at_origin"]) == []
 
 
+def test_only_the_local_length_runs_under_a_cut():
+    # one truncation site: a standard basis under a degree cut comes only
+    # from _local_length; every other run is a global one
+    found = [f"{path.name}:{func.name}"
+             for path in SOURCES
+             for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_buchberger"
+             and (len(node.args) > 2 or any(kw.arg == "cut" for kw in node.keywords))]
+    assert found == ["lengths.py:_local_length"]
+
+
 def test_global_tjurina_reads_one_window():
     # the Hilbert function is read once, at a proven degree: global_tjurina
     # has no widening loop and no warnings, and only the local entry raises
