@@ -26,7 +26,7 @@ from typing import Iterator
 
 from ._record import Record
 from .groebner import MonomialIdeal, _buchberger, _packed_gradient, _words, leading_term_ideal
-from .lengths import _LOCAL, TruncationTrace, _local_length, staircase_length
+from .lengths import _LOCAL, _local_length, staircase_length
 from .poly import GRLEX, Polynomial, _norm_coeff
 
 
@@ -210,12 +210,11 @@ def admissible_params(a: int) -> Iterator[FamilyParams]:
 
 
 class FamilyVerification(Record):
-    __slots__ = ("params", "case", "formula_tau", "live_tau", "trace", "gb_match", "lt_match")
+    __slots__ = ("params", "case", "formula_tau", "live_tau", "gb_match", "lt_match")
 
     def __init__(self, params: FamilyParams, case: FamilyCase, formula_tau: int,
-                 live_tau: int, trace: TruncationTrace, gb_match: bool | None,
-                 lt_match: bool | None):
-        self._set(params, case, formula_tau, live_tau, trace, gb_match, lt_match)
+                 live_tau: int, gb_match: bool | None, lt_match: bool | None):
+        self._set(params, case, formula_tau, live_tau, gb_match, lt_match)
 
     @property
     def ok(self) -> bool:
@@ -229,34 +228,34 @@ def verify_params(p: FamilyParams, check_gb: bool = False,
     """Run the live pipeline on one family member and compare with the
     closed forms: Tjurina number always, Groebner basis and leading-term
     ideal when ``check_gb`` is set (the GB prediction applies to b < a).
-    ``predicted`` is predicted_gb(p), if the caller has built it.  Each run
-    packs f and its gradient once, in its own order."""
+    ``predicted`` is predicted_gb(p), if the caller has built it.
+
+    One Groebner run on f and its gradient: the local standard basis, or
+    with ``check_gb`` the grlex basis, whose staircase is tau, as in the
+    paper.  Since a*f - x*f_x - y*f_y = (a-b-c) x^b y^c, f, x*f_x and y*f_y
+    span x^a, y^a, x^b y^c with determinant a(a-b-c), nonzero for b + c > a;
+    so x^a, y^a lie in J, and J is supported at O alone."""
     f = p.curve()
-    live_tau, trace = _local_length(_packed_gradient(f, _words(_LOCAL, 2), with_f=True),
-                                    f.degree())
     gb_match = lt_match = None
     if check_gb:
         words = _words(GRLEX, 2)
         gb = _buchberger(_packed_gradient(f, words, with_f=True), words)
+        lt = leading_term_ideal(gb)
+        live_tau = staircase_length(lt)
         if p.b < p.a:
             if predicted is None:
                 predicted = predicted_gb(p)
             # a caller's predicted basis may come in another order
             gb_match = set(gb.generators) == set(predicted)
             # equal bases have the same minimal leading monomials
-            lt_match = gb_match or leading_term_ideal(gb) == MonomialIdeal(
+            lt_match = gb_match or lt == MonomialIdeal(
                 2, (g.leading_monomial(GRLEX) for g in predicted))
         else:
-            # closed form for b >= a: the basis is {x^{a-1}, y^{a-1}} only
-            # after localizing at O; globally it may differ, so compare the
-            # staircase count instead
-            lt_match = staircase_length(leading_term_ideal(gb)) == (p.a - 1) ** 2
-    return FamilyVerification(
-        params=p,
-        case=family_case(p),
-        formula_tau=tjurina_formula(p),
-        live_tau=live_tau,
-        trace=trace,
-        gb_match=gb_match,
-        lt_match=lt_match,
-    )
+            # for b >= a, J = (x^{a-1}, y^{a-1}) globally, as J is supported
+            # at O alone; its staircase count reads no generator
+            lt_match = live_tau == (p.a - 1) ** 2
+    else:
+        live_tau = _local_length(_packed_gradient(f, _words(_LOCAL, 2), with_f=True),
+                                 f.degree())[0]
+    return FamilyVerification(p, family_case(p), tjurina_formula(p), live_tau,
+                              gb_match, lt_match)

@@ -129,14 +129,18 @@ def test_min_is_attained_by_the_formula_over_each_scan():
 
 
 def test_x_a_and_y_a_lie_in_the_jacobian_ideal():
-    # Groebner division certificate, valid for every admissible tuple
-    for a in (4, 7, 9):
+    # a*f - x*f_x - y*f_y = (a-b-c)*x^b*y^c with a-b-c != 0, so x^a and y^a
+    # lie in J: J is supported at O alone, and its grlex staircase is the
+    # local tau (checked here by division modulo the grlex basis)
+    x, y = P("x"), P("y")
+    for a in range(2, 21):
         for p in admissible_params(a):
             f = p.curve()
-            gb = buchberger([f, f.partial_derivative(0), f.partial_derivative(1)])
-            for mono in (f"x^{p.a}", f"y^{p.a}"):
-                _, rem = divide(P(mono), list(gb.generators))
-                assert rem.is_zero(), (p, mono)
+            fx, fy = f.partial_derivative(0), f.partial_derivative(1)
+            assert a * f - x * fx - y * fy == (a - p.b - p.c) * x ** p.b * y ** p.c, p
+            gb = list(buchberger([f, fx, fy]).generators)
+            for power in (x ** a, y ** a):
+                assert divide(power, gb)[1].is_zero(), (p, power)
 
 
 def test_family_members_are_ordinary():
@@ -151,6 +155,38 @@ def test_verify_params_live_engine_small_range():
             v = verify_params(p, check_gb=True)
             assert v.ok, (p, v)
             assert v.formula_tau == v.live_tau
+
+
+def test_local_and_grlex_routes_give_the_same_tau():
+    # without check_gb tau is a local length, with it the grlex staircase
+    tuples = 0
+    for a in range(2, 13):
+        for p in admissible_params(a):
+            tuples += 1
+            local = verify_params(p).live_tau
+            assert local == verify_params(p, check_gb=True).live_tau == tjurina_formula(p), p
+    assert tuples == 411
+
+
+def test_verify_params_makes_one_groebner_run(monkeypatch):
+    import tjurina.family as family
+    runs = []
+
+    def counted(name, run):
+        def wrapper(*args, **kwargs):
+            runs.append(name)
+            return run(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(family, "_buchberger", counted("grlex", family._buchberger))
+    monkeypatch.setattr(family, "_local_length", counted("local", family._local_length))
+    for p in (FamilyParams(5, 3, 3), FamilyParams(4, 5, 1)):
+        runs.clear()
+        assert verify_params(p, check_gb=True).ok
+        assert runs == ["grlex"], p
+        runs.clear()
+        assert verify_params(p).ok
+        assert runs == ["local"], p
 
 
 def _perturbed(basis, rng):

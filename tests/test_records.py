@@ -41,8 +41,7 @@ REPORT = (
 )
 VERIFICATION = (
     "FamilyVerification(params=FamilyParams(a=5, b=3, c=3), case=<FamilyCase.A4: 'A4'>, "
-    "formula_tau=15, live_tau=15, trace=TruncationTrace(pairs=((1, 1), (2, 3), (3, 6), "
-    "(4, 10), (5, 13), (6, 15), (7, 15)), stabilized_at=6), gb_match=True, lt_match=True)"
+    "formula_tau=15, live_tau=15, gb_match=True, lt_match=True)"
 )
 
 
