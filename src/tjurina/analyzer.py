@@ -41,15 +41,19 @@ class OffCurveError(ValueError):
 
 
 class Classification(Record):
-    """Singularity type tag: smooth, A_n (n = tau for double points),
-    ordinary or non-ordinary multiple point of the given multiplicity."""
+    """Singularity type tag: off the curve, smooth, A_n (n = tau for double
+    points), ordinary or non-ordinary multiple point of the given
+    multiplicity."""
 
-    __slots__ = ("kind", "index")  # kind: "smooth" | "A_n" | "ordinary" | "non_ordinary"
+    # kind: "off_curve" | "smooth" | "A_n" | "ordinary" | "non_ordinary"
+    __slots__ = ("kind", "index")
 
     def __init__(self, kind: str, index: int | None = None):
         self._set(kind, index)
 
     def __str__(self):
+        if self.kind == "off_curve":
+            return "not on the curve"
         if self.kind == "smooth":
             return "smooth point"
         if self.kind == "A_n":
@@ -321,7 +325,9 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
         ordinary = germ.ordinary("ordinariness")
         symmetry = m - 1 if ordinary else None
 
-    if m <= 1:
+    if m == 0:
+        classification = Classification("off_curve")
+    elif m == 1:
         classification = Classification("smooth")
     elif m == 2:
         classification = Classification("A_n", tau)

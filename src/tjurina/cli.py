@@ -10,8 +10,8 @@ Subcommands:
 Every option is written once, in ``_SUBCOMMANDS``.  ``main`` reads a plain
 argv (exact names, each once, well-formed values) by that table alone, into
 a plain namespace with the attributes argparse would give.  Any other argv
-goes to the argparse parser built from the table on the first such call,
-which alone rejects an argv; argparse is imported only then.
+goes to the argparse parser built from the table for that call, which
+alone rejects an argv; argparse is imported only then.
 Each subcommand imports the engine it runs when it runs, so a process loads
 only its own subcommand's modules.
 
@@ -452,24 +452,10 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], func=func, **values)
 
 
-# Built for the first argv that is not plain, and reused for the process.
-_PARSER: argparse.ArgumentParser | None = None
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
-    """``build_parser().parse_args(argv)``, read by the table if argv is plain."""
-    global _PARSER
-    args = _read_plain(argv)
-    if args is None:
-        if _PARSER is None:
-            _PARSER = build_parser()
-        args = _PARSER.parse_args(argv)
-    return args
-
-
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args, out)
         out.flush()

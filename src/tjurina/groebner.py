@@ -531,10 +531,11 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX) -> Groe
     """Unique reduced Groebner basis of the ideal generated by ``gens``
     under the global order ``order``.
 
-    An input generator with the leading word of an active element pairs
-    with that element alone and retires at once.  The minimal basis is read
-    from the active elements; a caller that reads only its leading
-    monomials pays for neither inter-reduction nor rationals.
+    An input generator with the leading word of an active element (a
+    repeated input among them) pairs with that element alone and retires
+    at once.  The minimal basis is read from the active elements; a caller
+    that reads only its leading monomials pays for neither inter-reduction
+    nor rationals.
 
     Raises ValueError if every generator is zero or ``order`` is a local
     degree order (``MonomialOrder("local")``, in which the lowest total
@@ -590,12 +591,8 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
     leads: list[tuple] = [] if base is None else list(base._leads)
     exps: list[Monomial] = [] if base is None else list(base._exps)
     old = len(leads)
-    seen: set = set()
-    for w in reducers:
-        if w not in seen:
-            seen.add(w)
-            leads.append(w)
-            exps.append(words.exponents(w[0]))
+    leads += reducers
+    exps += [words.exponents(w[0]) for w in reducers]
     lms = [r[0] for r in leads]
     entered = len(leads)
 

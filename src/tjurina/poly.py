@@ -86,9 +86,9 @@ def _render_terms(nvars: int, terms: Iterable[tuple[Monomial, Scalar]]) -> str:
 
 
 def _product_table(f: Mapping[Monomial, Scalar], g: Mapping[Monomial, Scalar]) -> dict:
-    """Term table of the product of two term tables; a fresh dict.  In two
-    and three variables the exponents are added field by field, without
-    ``map``, which costs several times as much per term pair."""
+    """Term table of the product of two term tables; a fresh dict.  In three
+    variables the exponents are added field by field, without ``map``,
+    which costs several times as much per term pair."""
     if len(f) > len(g):
         f, g = g, f
     table: dict[Monomial, Scalar] = {}
@@ -98,15 +98,6 @@ def _product_table(f: Mapping[Monomial, Scalar], g: Mapping[Monomial, Scalar]) -
             a, b, e = m1
             for (x, y, z), c2 in g.items():
                 m = (a + x, b + y, e + z)
-                s = get(m, 0) + c1 * c2
-                if s:
-                    table[m] = s
-                else:
-                    del table[m]
-        elif len(m1) == 2:
-            a, b = m1
-            for (x, y), c2 in g.items():
-                m = (a + x, b + y)
                 s = get(m, 0) + c1 * c2
                 if s:
                     table[m] = s
@@ -176,7 +167,7 @@ DEGREVLEX = MonomialOrder("degrevlex")
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = ()):
         if nvars < 1:
@@ -196,7 +187,6 @@ class Polynomial:
                 table[mono] = _norm_coeff(c)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", table)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -217,7 +207,6 @@ class Polynomial:
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", table)
-        object.__setattr__(self, "_hash", None)
         return self
 
     @classmethod
@@ -378,11 +367,7 @@ class Polynomial:
         return self.nvars == other.nvars and self._terms == other._terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.nvars, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     def __bool__(self):
         return bool(self._terms)

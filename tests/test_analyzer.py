@@ -500,6 +500,15 @@ def test_analyze_off_curve():
     assert (r.tjurina, r.milnor) == (0, 0)
 
 
+def test_analyze_off_curve_is_classified_as_off_the_curve():
+    # multiplicity 0 is no smooth point, whatever mu is there
+    for text in ("x+y-1", "x^2+y^2-1", "x^2+y^2+1"):
+        r = analyze(P(text), O)
+        assert r.multiplicity == 0
+        assert r.classification == Classification("off_curve")
+        assert str(r.classification) == "not on the curve"
+
+
 def test_analyze_nonreduced_reports_both_failures():
     with pytest.raises(StabilizationError, match="curve not reduced"):
         analyze(P("y^2"), O)

@@ -51,6 +51,14 @@ def test_analyze_smooth_point_mentions_tangent():
     assert "tangent" in out
 
 
+def test_analyze_json_off_the_curve_is_no_smooth_point():
+    code, out = run_cli("analyze", "--curve=x^2+y^2-1", "--point=0,0", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["multiplicity"] == 0
+    assert doc["classification"] == "not on the curve"
+
+
 def test_analyze_rational_point():
     code, out = run_cli("analyze", "--curve", "y^2-(x-1/2)^3", "--point", "1/2,0", "--json")
     assert code == 0
@@ -408,12 +416,12 @@ def test_family_scan_below_a_2_is_a_usage_error(bound, capsys):
     assert capsys.readouterr().err == "error: need a >= 2\n"
 
 
-# -- one parser per process -------------------------------------------------------
+# -- argparse only for an argv the option table leaves to it -----------------------
 
 
 @pytest.fixture
 def counted_parser_builds(monkeypatch):
-    """Start from an unbuilt parser and count the builds."""
+    """Count the builds of the argparse parser."""
     from tjurina import cli
 
     builds = []
@@ -423,7 +431,6 @@ def counted_parser_builds(monkeypatch):
         builds.append(1)
         return original()
 
-    monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "build_parser", counting)
     return builds
 
@@ -442,32 +449,20 @@ SEQUENCE = [
 ]
 
 
-def test_main_builds_its_parser_once(counted_parser_builds):
+def test_well_formed_requests_build_no_parser(counted_parser_builds):
     # well-formed requests are read by the option table alone; argparse is
-    # built for the first malformed one and kept for the rest of the process
+    # built only for an argv the table leaves to it
     for argv in SEQUENCE * 3:
         run_cli(*argv)
     assert counted_parser_builds == []
-    with pytest.raises(SystemExit):
-        run_cli("analyze", "--bogus")
-    assert counted_parser_builds == [1]
-    for argv in SEQUENCE:
-        run_cli(*argv)
     assert run_cli("classify", "--cur=y^2-x^3", "--point=0,0") == (0, "A_2\n")
-    with pytest.raises(SystemExit):
-        run_cli("nonsense")
     assert counted_parser_builds == [1]
 
 
-def test_flags_do_not_leak_between_calls(counted_parser_builds, monkeypatch):
-    from tjurina import cli
-
-    lone = []
-    for argv in SEQUENCE:
-        monkeypatch.setattr(cli, "_PARSER", None)
-        lone.append(run_cli(*argv))
+def test_flags_do_not_leak_between_calls(counted_parser_builds):
+    # each request once after other neighbours (in reverse), then in order
+    lone = [run_cli(*argv) for argv in reversed(SEQUENCE)][::-1]
     assert counted_parser_builds == []
-    monkeypatch.setattr(cli, "_PARSER", None)
     assert [run_cli(*argv) for argv in SEQUENCE] == lone
     assert counted_parser_builds == []
     # the flags make a difference, so a leak would show
@@ -482,7 +477,7 @@ def test_rejected_arguments_leave_the_parser_working(counted_parser_builds, caps
         assert info.value.code == 2
         assert run_cli(*SEQUENCE[0]) == expected
     assert "usage: tjurina" in capsys.readouterr().err
-    assert counted_parser_builds == [1]
+    assert counted_parser_builds == [1] * 4  # one build for each rejected argv
 
 
 # -- one parse per request ---------------------------------------------------------
@@ -522,33 +517,40 @@ class _Parsed(Exception):
     """Stops ``main`` once it has parsed, carrying the namespace."""
 
 
-def _parse_outcome(parse, argv, capsys):
+def _stop_at_the_handlers(monkeypatch):
+    """Give every subcommand a handler that raises _Parsed with its namespace."""
+    from tjurina import cli
+
+    def stop(args, out):
+        raise _Parsed(args)
+
+    for command, (_func, summary, options) in list(cli._SUBCOMMANDS.items()):
+        monkeypatch.setitem(cli._SUBCOMMANDS, command, (stop, summary, options))
+
+
+def _outcome_of(parse, argv):
     # the plain reader's namespace is not argparse's type: compare every attribute
-    try:
-        result = ("namespace", vars(parse(list(argv))))
-    except _Parsed as e:
-        result = ("namespace", vars(e.args[0]))
-    except SystemExit as e:
-        result = ("exit", e.code)
-    captured = capsys.readouterr()
-    return result, captured.out, captured.err
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("namespace", vars(parse(list(argv))))
+        except _Parsed as e:
+            result = ("namespace", vars(e.args[0]))
+        except SystemExit as e:
+            result = ("exit", e.code)
+    return result, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=PARSE_IDS)
-def test_main_parses_like_the_top_level_parser(argv, monkeypatch, capsys):
-    # main hands a request that opens with a subcommand straight to that
-    # subcommand's parser; namespace, output and exit code must be those of
-    # the top-level parser's own two-stage parse
+def test_main_parses_like_the_top_level_parser(argv, monkeypatch):
+    # main reads a plain argv by the option table and hands any other to the
+    # parser; namespace, output and exit code must be those of the parser's
+    # own parse
     from tjurina import cli
 
-    real = cli._parse_args
-
-    def stop(words):
-        raise _Parsed(real(words))
-
-    monkeypatch.setattr(cli, "_parse_args", stop)
-    expected = _parse_outcome(cli.build_parser().parse_args, argv, capsys)
-    assert _parse_outcome(main, argv, capsys) == expected
+    _stop_at_the_handlers(monkeypatch)
+    expected = _outcome_of(cli.build_parser().parse_args, argv)
+    assert _outcome_of(main, argv) == expected
 
 
 # every option of the four subcommands, with a value each accepts (None: a flag)
@@ -605,16 +607,6 @@ def _argvs(draw):
     return [command, *words], plain and not extras
 
 
-def _outcome_of(parse, argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = ("namespace", vars(parse(list(argv))))
-        except SystemExit as e:
-            result = ("exit", e.code)
-    return result, out.getvalue(), err.getvalue()
-
-
 @settings(derandomize=True, max_examples=400, database=None, deadline=None)
 @given(_argvs())
 def test_the_plain_reader_parses_like_argparse(drawn):
@@ -625,7 +617,9 @@ def test_the_plain_reader_parses_like_argparse(drawn):
     argv, plain = drawn
     if plain:
         assert cli._read_plain(argv) is not None
-    assert _outcome_of(cli._parse_args, argv) == _outcome_of(cli.build_parser().parse_args, argv)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _stop_at_the_handlers(monkeypatch)
+        assert _outcome_of(main, argv) == _outcome_of(cli.build_parser().parse_args, argv)
 
 
 def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):

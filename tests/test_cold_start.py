@@ -22,8 +22,8 @@ REQUESTS = {
 
 # Runs in a fresh `python -I -S`: no site, no environment, only the package
 # sources added to the standard library's path.  Prints the package's
-# submodules after a bare import, the request's exit code, whether the CLI's
-# argparse parser is still unbuilt, then every loaded module.
+# submodules after a bare import, the request's exit code, then every loaded
+# module.
 _PROBE = """
 import io, sys
 sys.path.insert(0, sys.argv[1])
@@ -31,7 +31,6 @@ import tjurina
 print(",".join(sorted(n for n in sys.modules if n.startswith("tjurina."))))
 from tjurina import cli
 print(cli.main(sys.argv[2:], out=io.StringIO()))
-print(cli._PARSER is None)
 print(",".join(sorted(sys.modules)))
 """
 
@@ -49,13 +48,13 @@ def _cold_start(command):
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", _PROBE, SRC, *REQUESTS[command]],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    bare, code, parser_unbuilt, loaded = proc.stdout.splitlines()
-    return bare, int(code), parser_unbuilt == "True", frozenset(loaded.split(","))
+    bare, code, loaded = proc.stdout.splitlines()
+    return bare, int(code), frozenset(loaded.split(","))
 
 
 @pytest.mark.parametrize("command", sorted(REQUESTS))
 def test_a_subcommand_loads_only_its_engine(command):
-    bare, code, _parser_unbuilt, loaded = _cold_start(command)
+    bare, code, loaded = _cold_start(command)
     assert bare == ""  # import tjurina loads no submodule
     assert code == 0
     assert "tjurina.cli" in loaded and "tjurina.lengths" in loaded
@@ -67,8 +66,8 @@ def test_a_subcommand_loads_only_its_engine(command):
 def test_a_well_formed_request_builds_no_argparse_parser(command):
     # the option table reads it; argparse is built, and even imported, only
     # for an argv the table leaves to it
-    _bare, code, parser_unbuilt, loaded = _cold_start(command)
-    assert code == 0 and parser_unbuilt
+    _bare, code, loaded = _cold_start(command)
+    assert code == 0
     assert "argparse" not in loaded
 
 

@@ -935,6 +935,15 @@ def test_an_input_that_repeats_a_leading_word_pairs_with_the_first_alone(monkeyp
     assert gb.generators[0] == P("x+y^2")
     first = entries[0]
     assert [set(p) for p in pairs] == [{first, entries[2]}, {first, entries[3]}]
+    # an input given twice is the same case: the copy pairs with the first
+    # alone, its S-pair cancels, and neither basis nor length changes
+    from tjurina.lengths import local_length_at_origin
+    g, h = P("x^2+y^3"), P("x*y+y^4")
+    assert buchberger([g, g, h]).generators == buchberger([g, h]).generators
+    twice, trace_twice = local_length_at_origin([g, g, h])
+    once, trace_once = local_length_at_origin([g, h])
+    assert twice == once
+    assert trace_twice.basis.leading_monomials() == trace_once.basis.leading_monomials()
 
 
 # -- packing a polynomial into an integer reducer ---------------------------------
