@@ -141,8 +141,10 @@ class _Germ:
         return squarefree_binary_form(self.h.homogeneous_component(self.m))
 
     def packed(self) -> list[tuple]:
-        """The reducers of h and of its nonzero partials, packed once under
-        the local order; by Euler's relation the partials have degree d - 1."""
+        """The reducers of h's Euler remainder m*h - x*h_x - y*h_y (of h
+        itself when m = 0 or h is homogeneous) and of h's nonzero partials,
+        packed once under the local order: they generate the ideal of h and
+        its partials.  By Euler's relation the partials have degree d - 1."""
         return _packed_gradient(self.h, _words(_LOCAL, 2), with_f=True)
 
     def length(self, jacobian: bool, failure: str) -> tuple[int, TruncationTrace]:
@@ -287,10 +289,11 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     """Complete singularity report for a curve at a rational point.
 
     The Milnor number mu is computed first; the Tjurina number tau then
-    continues mu's local standard basis with f alone, since (f_x, f_y)
-    lies inside (f, f_x, f_y).  When mu fails, tau is computed from
-    scratch, so a non-reduced input produces one diagnostic naming
-    everything that went wrong (tau's failure first).  At m >= 2 the
+    continues mu's local standard basis with f's Euler remainder
+    r = m*f - x*f_x - y*f_y alone (f itself when m = 0 or r = 0), since
+    (f_x, f_y) lies inside (f, f_x, f_y) = (r, f_x, f_y).  When mu fails,
+    tau is computed from scratch, so a non-reduced input produces one
+    diagnostic naming everything that went wrong (tau's failure first).  At m >= 2 the
     level-(m-1) forms of (f, f_x, f_y) are the partials of the initial
     form, so one gcd decides ordinariness and the symmetry order (m - 1
     when ordinary, else None), both at the point alone.  A violation of
@@ -311,7 +314,7 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     try:
         if mu_trace is None:
             tau, tau_trace = _local_length(packed, d)
-        else:  # (f_x, f_y) lies inside (f, f_x, f_y): continue mu's basis with f
+        else:  # (f_x, f_y) lies inside (r, f_x, f_y): continue mu's basis with r
             tau, tau_trace = _local_length(packed[:1], d, base=mu_trace.basis)
     except StabilizationError as e:
         errors.insert(0, f"tjurina: {e}")

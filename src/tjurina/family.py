@@ -234,7 +234,9 @@ def verify_params(p: FamilyParams, check_gb: bool = False,
     with ``check_gb`` the grlex basis, whose staircase is tau, as in the
     paper.  Since a*f - x*f_x - y*f_y = (a-b-c) x^b y^c, f, x*f_x and y*f_y
     span x^a, y^a, x^b y^c with determinant a(a-b-c), nonzero for b + c > a;
-    so x^a, y^a lie in J, and J is supported at O alone."""
+    so x^a, y^a lie in J, and J is supported at O alone.  The same identity
+    gives the run its first generator: ``_packed_gradient`` packs f's Euler
+    remainder, here the monomial x^b y^c, in place of f."""
     f = p.curve()
     gb_match = lt_match = None
     if check_gb:

@@ -22,10 +22,13 @@ pseudo-division, so a remainder is an integer multiple of the rational one.
 A polynomial enters the core through one of two gates: ``_integer_reducer``,
 which refuses a zero polynomial and one from another ring with one
 ValueError, and ``_packed_gradient``, which packs the nonzero partial
-derivatives of a polynomial, and the polynomial too if asked, straight from
-its terms.  ``buchberger`` checks its order, passes its generators through
-the first gate and hands the packed reducers to ``_buchberger``, the run
-itself; the local lengths and ``global_tjurina`` use the second gate.
+derivatives of a polynomial straight from its terms, and if asked one more
+generator of the Jacobian ideal: the polynomial's Euler remainder
+``m*f - sum x_v*f_v`` (m its order at the origin), or the polynomial itself
+when that remainder is zero or m is.  ``buchberger`` checks its order,
+passes its generators through the first gate and hands the packed reducers
+to ``_buchberger``, the run itself; the local lengths and
+``global_tjurina`` use the second gate.
 Both gates end in one primitive step, ``_primitive_reducer``.  Rationals
 leave the core only through ``_monic``.
 
@@ -339,8 +342,14 @@ def _integer_reducer(p: Polynomial, words: _Words) -> tuple:
 def _packed_gradient(f: Polynomial, words: _Words, with_f: bool = False) -> list[tuple]:
     """The packed reducers of f's nonzero partial derivatives, in variable
     order: ``[_integer_reducer(f.partial_derivative(v), words)]`` with the
-    zero partials dropped, and the same errors, but no partial is built;
-    with ``with_f``, f's own reducer first, its terms range-checked last.
+    zero partials dropped, and the same errors, but no partial is built.
+    With ``with_f``, one more reducer comes first: that of f's Euler
+    remainder ``r = m*f - sum x_v*f_v``, where m is f's order at the origin.
+    Since ``m*f = r + sum x_v*f_v``, r and the partials generate the ideal
+    of f and its partials, and r has no term of degree m, so a run from it
+    need not find Euler's relation again.  f's own reducer stands in for r
+    when m = 0 (f is a unit) or r = 0 (f is homogeneous).  The range checks
+    stay on f's terms, last.
     Each term is packed once: words are linear, so the partial in x_v of the
     term of word w has the word w - word(x_v), and the partials' terms come
     out of one sort already sorted.  An f outside the ring of ``words`` (or
@@ -359,7 +368,11 @@ def _packed_gradient(f: Polynomial, words: _Words, with_f: bool = False) -> list
             for m in table:
                 words.pack(m)
     terms = sorted(zip(map(words.word, table), table, table.values()), reverse=True)
-    gradient = [_primitive_reducer([(w, c) for w, _, c in terms])] if with_f else []
+    gradient = []
+    if with_f:
+        m = min(map(sum, table))
+        r = [(w, k * c) for w, e, c in terms if (k := m - sum(e))] if m else []
+        gradient.append(_primitive_reducer(r or [(w, c) for w, _, c in terms]))
     for v, unit in enumerate(words.units):
         part = [(w - unit, c * m[v]) for w, m, c in terms if m[v]]
         if part:

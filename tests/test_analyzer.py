@@ -603,7 +603,7 @@ def test_analyze_nonreduced_curve_at_a_rational_point():
 def test_analyze_packs_each_partial_once(monkeypatch):
     # one local standard basis per analyze, from one packing of the germ: the
     # packed f_x and f_y enter mu's run, and tau continues it with the packed
-    # f alone; no generator passes through _integer_reducer
+    # Euler remainder of f alone; no generator passes through _integer_reducer
     import tjurina.analyzer as A
     from tjurina import groebner, lengths
     packings = []

@@ -14,6 +14,7 @@ from tjurina import (
     family_case,
     is_ordinary,
     leading_term_ideal,
+    local_length_at_origin,
     min_tjurina,
     parse_poly,
     predicted_gb,
@@ -250,3 +251,46 @@ def test_four_term_gap_fixtures():
     ]
     for expr, want in fixtures:
         assert local_tjurina(P(expr), (0, 0))[0] == want
+
+
+def _recorded(monkeypatch, module, name):
+    """Patch module.name to record each value it returns; the list of them."""
+    returned = []
+    run = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        returned.append(run(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return returned
+
+
+def test_every_family_run_starts_from_the_monomial_of_euler_relation():
+    # a*f - x*f_x - y*f_y = (a-b-c)*x^b*y^c: the packed Jacobian's first
+    # generator is the monic x^b*y^c, under grlex and the local order alike
+    from tjurina.groebner import _packed_gradient, _words
+    from tjurina.lengths import _LOCAL
+    for a in range(2, 13):
+        for p in admissible_params(a):
+            for order in (GRLEX, _LOCAL):
+                words = _words(order, 2)
+                first = _packed_gradient(p.curve(), words, with_f=True)[0]
+                assert words.unpack_reducer(first) == ((p.b, p.c), 1, ()), (p, order)
+
+
+def test_the_live_runs_equal_the_runs_on_f_and_its_partials(monkeypatch):
+    # the Euler remainder changes the generators, not the ideal: the grlex
+    # basis check_gb reads is the reduced basis of (f, f_x, f_y), and the
+    # local tau and its trace are those of local_length_at_origin on them
+    import tjurina.family as family
+    bases = _recorded(monkeypatch, family, "_buchberger")
+    lengths = _recorded(monkeypatch, family, "_local_length")
+    for a in range(2, 13):
+        for p in admissible_params(a):
+            f = p.curve()
+            jacobian = [f, f.partial_derivative(0), f.partial_derivative(1)]
+            verify_params(p, check_gb=True)
+            assert bases.pop().generators == buchberger(jacobian, GRLEX).generators, p
+            assert verify_params(p).live_tau == lengths[-1][0]
+            assert lengths.pop() == local_length_at_origin(jacobian), p

@@ -93,12 +93,21 @@ def test_the_germ_keeps_a_positive_integer_multiple_of_the_translate(seed):
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
-def test_the_packed_germ_is_the_integer_reducer_of_the_translate_and_its_partials(seed):
+def test_the_packed_germ_is_the_integer_reducer_of_the_euler_remainder_and_the_partials(seed):
     # as test_packed_gradient_* checks for degrevlex: the one packing under the
-    # local order equals the gate's reducer of each explicit polynomial
+    # local order equals the gate's reducer of each explicit polynomial; the
+    # first is the Euler remainder m*g - x*g_x - y*g_y, or g itself when
+    # m = 0 or that remainder is zero
+    x, y = P("x"), P("y")
     for f, point in _cases(seed):
-        gens = [h for h in _explicit(f, point) if not h.is_zero()]
-        assert _Germ(f, point).packed() == [_integer_reducer(h, LOCAL) for h in gens], (f, point)
+        g, gx, gy = _explicit(f, point)
+        packed = _Germ(f, point).packed()
+        assert packed[1:] == [_integer_reducer(h, LOCAL) for h in (gx, gy)
+                              if not h.is_zero()], (f, point)
+        m = g.min_degree()
+        r = g.scale(m) - x * gx - y * gy
+        first = g if m == 0 or r.is_zero() else r
+        assert packed[0] == _integer_reducer(first, LOCAL), (f, point)
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -227,3 +236,28 @@ def test_a_smooth_tangent_at_a_rational_point_stays_exact():
     out = io.StringIO()
     assert main(["analyze", "--curve=y-x^2", "--point=1/2,1/4"], out=out) == 0
     assert out.getvalue().endswith("smooth point, tangent: -x+y = 0\n")
+
+
+# -- the two germs whose run starts from f, not its Euler remainder --------------------
+
+
+@pytest.mark.parametrize("text", ["x^2+y^2+1", "1/2*x^2+2/3*y^2-3/5"])
+def test_off_the_curve_the_run_starts_from_the_unit_f(text):
+    # m = 0: -x*f_x - y*f_y vanishes at O and no longer generates f, so
+    # (x^2 + y^2, x, y) would read tau 1 where (f) is the unit ideal
+    f = P(text)
+    report = analyze(f, (0, 0))
+    assert (report.tjurina, report.milnor) == (0, 1)
+    assert report.classification.kind == "off_curve"
+    assert local_tjurina(f, (0, 0))[0] == 0
+    assert local_milnor(f, (0, 0))[0] == 1
+
+
+@pytest.mark.parametrize("cubic, node", [("x^3-y^3", "x*y"),
+                                         ("1/2*x^3-2/3*y^3", "1/2*x^2-3*y^2")])
+def test_a_homogeneous_germ_starts_from_f_as_its_euler_remainder_is_zero(cubic, node):
+    f = P(cubic)
+    report = analyze(f, (0, 0))
+    assert (report.tjurina, report.milnor) == (4, 4)
+    assert local_tjurina(f, (0, 0))[0] == 4
+    assert classify_double_point(P(node), (0, 0)) == DoubleA(1)
