@@ -93,7 +93,7 @@ def test_the_germ_keeps_a_positive_integer_multiple_of_the_translate(seed):
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
-def test_the_packed_germ_is_the_integer_reducer_of_the_euler_remainder_and_the_partials(seed):
+def test_the_packed_germ_is_the_integer_reducer_of_the_translate_and_its_partials(seed):
     # as test_packed_gradient_* checks for degrevlex: the one packing under the
     # local order equals the gate's reducer of each explicit polynomial; the
     # first is the Euler remainder m*g - x*g_x - y*g_y, or g itself when
