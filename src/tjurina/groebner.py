@@ -544,11 +544,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX) -> Groe
     """Unique reduced Groebner basis of the ideal generated by ``gens``
     under the global order ``order``.
 
-    An input generator with the leading word of an active element (a
-    repeated input among them) pairs with that element alone and retires
-    at once.  The minimal basis is read from the active elements; a caller
-    that reads only its leading monomials pays for neither inter-reduction
-    nor rationals.
+    The minimal basis is read from the active elements; a caller that reads
+    only its leading monomials pays for neither inter-reduction nor
+    rationals.
 
     Raises ValueError if every generator is zero or ``order`` is a local
     degree order (``MonomialOrder("local")``, in which the lowest total
@@ -631,16 +629,6 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
     def update(h: int):
         """The Gebauer-Moeller update for the entering element h."""
         wh, eh = lms[h], exps[h]
-        # an input generator with the leading word of an active element g
-        # pairs with g alone and retires at once: each other pair of h has
-        # the lcm of a pair of g, and reduces by the chain through g
-        if h < entered:
-            for g in active:
-                if lms[g] == wh:
-                    degree = sum(eh)
-                    if wh and (limit is None or degree < limit):  # 1 and 1 are coprime
-                        heappush(heap, (degree, wh, g, h))
-                    return
         # B_k: a queued pair whose lcm wh divides, strictly on both sides,
         # reduces by the chain through h
         for e in heap:

@@ -61,7 +61,11 @@ class StabilizationError(ArithmeticError):
 
     It is still growing at the proven bound r = d^2 + 1 (d the largest
     generator degree), so the scheme is not zero-dimensional at the origin
-    (non-reduced curve or non-isolated singularity)."""
+    (non-reduced curve or non-isolated singularity).  The text lists the
+    alphas, the first 1000 only and then ``...`` when d^2 + 1 > 1000."""
+
+
+_SHOWN = 1000  # the most alphas a StabilizationError text lists
 
 
 class TruncationTrace(Record):
@@ -142,16 +146,18 @@ def local_length_at_origin(gens: Sequence[Polynomial]):
     the number of standard monomials of degree < r (the Hilbert-Samuel
     function), and the first repeat is the first degree with no standard
     monomial.  The run lowers R to that degree as soon as the staircase
-    closes there, and the standard monomials are counted only up to its
-    ``cut`` (one degree more, to confirm the repeat).
+    closes there, so its final ``cut`` is the stabilization index (1 for
+    the unit ideal, whose staircase closes at 0), and the standard
+    monomials are counted only up to it, one degree more to confirm the
+    repeat.
 
     Returns (length, TruncationTrace).  Raises StabilizationError when the
-    sequence is still growing at r = d^2 + 1, which happens exactly when
-    the scheme fails to be zero-dimensional at the origin: two generic
-    combinations of the generators meet at O with multiplicity <= d^2
-    (Bezout), so a zero-dimensional length is <= d^2 and the sequence
-    stabilizes by r = d^2.  The generators are packed once, for
-    ``_local_length``.
+    sequence is still growing at r = d^2 + 1 (the cut never fell below it),
+    which happens exactly when the scheme fails to be zero-dimensional at
+    the origin: two generic combinations of the generators meet at O with
+    multiplicity <= d^2 (Bezout), so a zero-dimensional length is <= d^2
+    and the sequence stabilizes by r = d^2.  Its text lists at most 1000
+    alphas.  The generators are packed once, for ``_local_length``.
     """
     polys = [g for g in gens if not g.is_zero()]
     if any(g.nvars != 2 for g in polys):
@@ -164,7 +170,9 @@ def local_length_at_origin(gens: Sequence[Polynomial]):
 def _local_length(reducers: list[tuple], d: int, base: GroebnerBasis | None = None):
     """``local_length_at_origin`` of generators packed under the local order
     in two variables, d their largest degree: the one run, and the only
-    raiser of StabilizationError.
+    raiser of StabilizationError.  The stabilization index is the run's
+    final cut (at least 1), and the length fails exactly when that reaches
+    the bound d^2 + 1.
 
     With ``base``, the basis of an earlier length (``TruncationTrace.basis``),
     the run continues it, and the length is that of base's ideal plus the
@@ -183,19 +191,17 @@ def _local_length(reducers: list[tuple], d: int, base: GroebnerBasis | None = No
     if not reducers and base is None:
         raise ValueError("need at least one nonzero generator")
     gb = _buchberger(reducers, words, cut, base) if reducers else base
-    lms = gb.leading_monomials()
-    R = min(max(gb.cut, 1) + 1, bound)
-    counts = _standard_counts(lms, R)
-    stable = next((r for r in range(1, R) if counts[r] == 0), None)
-    last = R if stable is None else stable + 1
-    alphas = list(accumulate(counts[:last]))
-    if stable is None:
+    stable = max(gb.cut, 1)  # the unit ideal's staircase closes at 0
+    n = stable + 1 if stable < bound else min(bound, _SHOWN)
+    alphas = list(accumulate(_standard_counts(gb.leading_monomials(), n)))
+    if stable >= bound:
+        shown = str(alphas)[:-1] + (", ...]" if bound > _SHOWN else "]")
         raise StabilizationError(
             f"truncation sequence still growing at r = {bound} = d^2 + 1 "
             f"(d = {d}, the largest generator degree); a scheme zero-dimensional "
             "at the origin stabilizes by r = d^2 (proven bound), so this one is not "
-            f"(alphas = {alphas})")
-    pairs = tuple(zip(range(1, last + 1), alphas))
+            f"(alphas = {shown})")
+    pairs = tuple(zip(range(1, n + 1), alphas))
     return alphas[-1], TruncationTrace(pairs, stabilized_at=stable, basis=gb)
 
 

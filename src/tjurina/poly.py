@@ -115,11 +115,7 @@ def _product_table(f: Mapping[Monomial, Scalar], g: Mapping[Monomial, Scalar]) -
 
 
 def _power_table(base: Mapping[Monomial, Scalar], n: int, nvars: int) -> dict:
-    """Term table of base^n (n >= 0) by repeated squaring; a single term is
-    raised directly.  A fresh dict."""
-    if len(base) == 1:
-        (m, c), = base.items()
-        return {tuple(e * n for e in m): c ** n}
+    """Term table of base^n (n >= 0) by repeated squaring.  A fresh dict."""
     result: dict[Monomial, Scalar] = {(0,) * nvars: 1}
     while n:
         if n & 1:

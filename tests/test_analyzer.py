@@ -548,6 +548,52 @@ def test_analyze_reports_a_milnor_failure_alone():
         assert str(info.value) == _OFF_CURVE_MILNOR_FAILS.format(r=r, d=d, alphas=alphas)
 
 
+def test_analyze_refuses_a_nonzero_constant_and_local_tjurina_the_zero_polynomial():
+    with pytest.raises(ValueError) as info:
+        analyze(P("3"), O)
+    assert str(info.value) == "a nonzero constant defines the empty curve"
+    with pytest.raises(ValueError) as info:
+        local_tjurina(Polynomial.zero(2), O)
+    assert str(info.value) == "the zero polynomial does not define a curve"
+
+
+def test_analyze_checks_f_own_term_against_the_packed_fields():
+    # x^(2^30): its partial x^(2^30 - 1) fits the fields of the local order,
+    # f itself does not
+    from tjurina.groebner import MonomialRangeError
+    with pytest.raises(MonomialRangeError) as info:
+        analyze(P("x^1073741824"), O)
+    assert str(info.value) == "exponent 1073741824 outside the packed field range 0..1073741823"
+    assert any(entry.name == "_packed_gradient" for entry in info.traceback)
+
+
+def _lying_lengths(monkeypatch, tau_shift, mu_shift):
+    """Make ``analyze``'s lengths read off by the given shifts."""
+    from tjurina import analyzer
+    real = analyzer._local_length
+
+    def lying(reducers, d, base=None):
+        value, trace = real(reducers, d, base)
+        return value + (mu_shift if base is None else tau_shift), trace
+
+    monkeypatch.setattr(analyzer, "_local_length", lying)
+
+
+def test_analyze_raises_when_tau_exceeds_mu(monkeypatch):
+    # a real check, not an assert: it raises under python -O too
+    _lying_lengths(monkeypatch, tau_shift=1, mu_shift=0)
+    with pytest.raises(AssertionError) as info:
+        analyze(P("x^3+y^4"), O)
+    assert str(info.value) == "Tjurina number 7 exceeds Milnor number 6"
+
+
+def test_analyze_raises_at_an_ordinary_point_whose_mu_is_not_m_minus_1_squared(monkeypatch):
+    _lying_lengths(monkeypatch, tau_shift=0, mu_shift=1)
+    with pytest.raises(AssertionError) as info:
+        analyze(P("x^3-y^3+x^4"), O)
+    assert str(info.value) == "ordinary point with mu = 5 != (m-1)^2 = 4"
+
+
 def test_analyze_off_curve_where_mu_is_one():
     r = analyze(P("x^2+y^2+1"), O)
     assert (r.tjurina, r.milnor) == (0, 1)

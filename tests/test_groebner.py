@@ -380,6 +380,14 @@ def test_leading_term_ideal_examples():
     assert leading_term_ideal(gb) == MonomialIdeal(2, [(0, 1), (4, 0)])
 
 
+def test_leading_term_ideal_refuses_a_basis_under_a_cut():
+    from tjurina.lengths import local_length_at_origin
+    _, trace = local_length_at_origin([P("x^2"), P("y^3")])
+    with pytest.raises(ValueError) as info:
+        leading_term_ideal(trace.basis)
+    assert str(info.value) == "leading term ideal requires a reduced basis"
+
+
 def test_reprs_write_every_coefficient():
     assert repr(MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)])) == "MonomialIdeal(y^3, x^2, x*y)"
     assert repr(MonomialIdeal(3, [(1, 0, 2), (0, 0, 0)])) == "MonomialIdeal(1)"
@@ -609,6 +617,17 @@ def test_packed_words_reject_exponents_outside_the_fields():
         _words(_LOCAL, 2).floor(1 << 40)
 
 
+def test_an_s_polynomial_outside_the_fields_raises_in_the_s_pair():
+    # the tail x^536870921 of the second generator times the cofactor
+    # x^536870922 has the exponent 2^30 + 19, past the grlex fields
+    from tjurina.groebner import MonomialRangeError
+    with pytest.raises(MonomialRangeError) as info:
+        buchberger([P("x^536870922*y"), P("y^536870922+x^536870921")])
+    assert str(info.value) == ("a product has an exponent outside the packed field range "
+                               "0..1073741823")
+    assert info.traceback[-1].name == "_s_pair"
+
+
 def test_first_divisor_memo_rescans_appended_reducers():
     # a word none of the first n reducers divides is looked up again in the
     # reducers appended after them; a hit is kept
@@ -818,12 +837,21 @@ def _local_run(gens, cut, base=None):
     return gb, ([list(m) for m in gb.leading_monomials()], gb.cut)
 
 
-def _recorded_trace(gens, base=None):
+def _local_trace(gens, base=None):
+    """The trace of the length of ``gens`` (continuing ``base``), or None
+    when the length fails."""
     from tjurina.lengths import StabilizationError, local_length_at_origin
     try:
         _, trace = local_length_at_origin(gens) if base is None else \
             continued_length(gens, base)
     except StabilizationError:
+        return None
+    return trace
+
+
+def _recorded_trace(gens, base=None):
+    trace = _local_trace(gens, base)
+    if trace is None:
         return "StabilizationError", None
     return [list(p) for p in trace.pairs], trace.basis
 
@@ -848,6 +876,41 @@ def test_local_bases_match_recorded_fixtures(case):
         tau, _ = _recorded_trace([f], base=basis) if basis is not None else \
             _recorded_trace([f] + parts)
         assert tau == case["tau_trace"]
+
+
+def _bench_pool_reports(monkeypatch):
+    """``analyze`` on every request of the benchmark's ordinary_batch and
+    an_ladder pools (``bench/workloads.py``), at its point."""
+    import importlib.util
+    import sys
+    from tjurina import analyze
+    path = Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses looks it up
+    spec.loader.exec_module(workloads)
+    for request in workloads.ordinary_pool() + workloads.ladder_pool():
+        options = dict(arg[2:].split("=", 1) for arg in request.argv if "=" in arg)
+        yield analyze(P(options["curve"]), tuple(map(Fraction, options["point"].split(","))))
+
+
+def test_every_trace_stabilizes_at_its_runs_final_cut(monkeypatch):
+    # the run lowers its cut to the degree where the staircase closes, the
+    # first degree with no standard monomial; the unit ideal's closes at 0
+    traces = []
+    for case in LOCAL_BASES:
+        if case["kind"] == "trace":
+            (f,) = _plane_polys([case["curve"]])
+            parts = [g for g in (f.partial_derivative(0), f.partial_derivative(1))
+                     if not g.is_zero()]
+            mu = _local_trace(parts)
+            tau = _local_trace([f], base=mu.basis) if mu else _local_trace([f] + parts)
+            traces += [t for t in (mu, tau) if t is not None]
+    for report in _bench_pool_reports(monkeypatch):
+        traces += [report.milnor_trace, report.tjurina_trace]
+    assert len(traces) > 400
+    for trace in traces:
+        assert trace.stabilized_at == max(trace.basis.cut, 1), trace
 
 
 # -- the Gebauer-Moeller pair update --------------------------------------------
@@ -925,18 +988,14 @@ def test_leading_term_ideal_adopts_the_minimal_leading_monomials():
         assert lt.gens == frozenset(gb.leading_monomials())
 
 
-def test_an_input_that_repeats_a_leading_word_pairs_with_the_first_alone(monkeypatch):
+def test_an_input_that_repeats_a_leading_word_changes_no_leading_monomial_or_length():
     # x + y^3 and x + y^4 repeat the leading word of x + y^2 under the local
-    # order: each pairs with it alone and retires at once, so the basis under
-    # a cut keeps the first one as it is
-    entries, pairs = _record_entries_and_pairs(monkeypatch)
+    # order: the generic update pairs each with the element it retires, and
+    # the chain criterion drops its other pairs, so only tails can differ
     gb = local_basis([P("x+y^2"), P("y^5+x*y"), P("x+y^3"), P("x+y^4")], 8)
     assert gb.leading_monomials() == ((1, 0), (0, 2))
-    assert gb.generators[0] == P("x+y^2")
-    first = entries[0]
-    assert [set(p) for p in pairs] == [{first, entries[2]}, {first, entries[3]}]
-    # an input given twice is the same case: the copy pairs with the first
-    # alone, its S-pair cancels, and neither basis nor length changes
+    # an input given twice is the same case: its S-pair with the copy
+    # cancels, and neither basis nor length changes
     from tjurina.lengths import local_length_at_origin
     g, h = P("x^2+y^3"), P("x*y+y^4")
     assert buchberger([g, g, h]).generators == buchberger([g, h]).generators

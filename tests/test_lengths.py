@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,30 @@ def test_stabilization_messages_of_non_reduced_curves(expr, tjurina, milnor):
     with pytest.raises(StabilizationError) as info:
         analyze(P(expr), (0, 0))
     assert str(info.value) == f"curve not reduced at (0,0): tjurina: {tjurina}; milnor: {milnor}"
+
+
+def test_a_stabilization_error_lists_at_most_a_thousand_alphas():
+    # x^32: mu fails at r = 962 and lists every alpha; tau, from scratch,
+    # fails at r = 1025 and lists the first 1000.  Both ideals are (x^31).
+    alphas = list(itertools.accumulate(min(t + 1, 31) for t in range(1025)))
+    with pytest.raises(StabilizationError) as info:
+        analyze(P("x^32"), (0, 0))
+    assert str(info.value) == (
+        "curve not reduced at (0,0): "
+        f"tjurina: {_growing(1025, 32, str(alphas[:1000])[:-1] + ', ...]')}; "
+        f"milnor: {_growing(962, 31, alphas[:962])}")
+
+
+def test_a_stabilization_error_stays_short_for_a_large_bound():
+    # x^1000 has the bound 10^6 + 1: the text once listed every alpha (21.7
+    # MB), and counting them was most of the time
+    start = time.perf_counter()
+    with pytest.raises(StabilizationError) as info:
+        analyze(P("x^1000"), (0, 0))
+    elapsed = time.perf_counter() - start
+    text = str(info.value)
+    assert len(text) < 16_000 and text.endswith(", 499500, 500499, ...])")
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("expr, n, doubles", [
