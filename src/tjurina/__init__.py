@@ -39,7 +39,7 @@ _EXPORTS = {
     "INFINITE": "lengths", "Infinite": "lengths", "StabilizationError": "lengths",
     "TruncationTrace": "lengths", "global_tjurina": "lengths",
     "hilbert_function": "lengths", "local_length_at_origin": "lengths",
-    "local_length_oracle": "lengths", "staircase_length": "lengths",
+    "staircase_length": "lengths",
     # poly
     "DEGREVLEX": "poly", "GRLEX": "poly", "LEX": "poly", "MonomialOrder": "poly",
     "Polynomial": "poly", "translate_to_origin": "poly",

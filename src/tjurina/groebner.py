@@ -567,8 +567,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX) -> Groe
 
 def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None,
                 base: GroebnerBasis | None = None) -> GroebnerBasis:
-    """The run on ``reducers``, a nonempty list of packed primitive integer
-    reducers in the ring of ``words``, which are not checked again.  Without
+    """The run on ``reducers``, packed primitive integer reducers in the ring
+    of ``words`` (none only where a cut removed all), not checked again.  Without
     ``cut`` (a global order) it gives the reduced basis.  With ``cut`` (a
     local degree order, and reducers with no term of degree >= cut, as
     ``lengths._local_length`` truncates them) it gives a minimal standard

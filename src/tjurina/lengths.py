@@ -1,16 +1,12 @@
 """Lengths of zero-dimensional schemes.
 
-Two independent routes to the same numbers live here:
-
-* the Groebner route: staircase counting on the leading-term ideals of
-  the plane, and the truncation sequence alpha_r = dim A/(J + m^r) whose
-  stabilized value is the length of the component of A/J at the origin
-  (truncating by powers of the maximal ideal kills every component away
-  from O), read from one standard basis of J + m^R under the local degree
-  order ``MonomialOrder("local")``, which a run uses only under that cut
-  R;
-* a Macaulay-matrix route: alpha_r as a corank of an exact rational
-  coefficient matrix, used as an oracle to cross-check the first route.
+Staircase counting on the leading-term ideals of the plane, and the
+truncation sequence alpha_r = dim A/(J + m^r) whose stabilized value is the
+length of the component of A/J at the origin (truncating by powers of the
+maximal ideal kills every component away from O), read from one standard
+basis of J + m^R under the local degree order ``MonomialOrder("local")``,
+which a run uses only under that cut R.  The Macaulay-matrix oracle that
+cross-checks these numbers lives with the tests (``tests/reference.py``).
 
 Also here: graded Hilbert functions in three variables and the global
 Tjurina number of a projective plane curve (the eventually constant value
@@ -20,7 +16,6 @@ of the Hilbert function of the Jacobian quotient).
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from itertools import accumulate
 from math import comb
 from typing import Sequence
@@ -29,6 +24,7 @@ from ._record import Record
 from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
+    MonomialRangeError,
     _buchberger,
     _integer_reducer,
     _packed_gradient,
@@ -39,7 +35,7 @@ from .groebner import (
     is_zero_dimensional,
     leading_term_ideal,
 )
-from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial, monomials_of_degree
+from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial
 
 
 class Infinite(Enum):
@@ -157,7 +153,9 @@ def local_length_at_origin(gens: Sequence[Polynomial]):
     the origin: two generic combinations of the generators meet at O with
     multiplicity <= d^2 (Bezout), so a zero-dimensional length is <= d^2
     and the sequence stabilizes by r = d^2.  Its text lists at most 1000
-    alphas.  The generators are packed once, for ``_local_length``.
+    alphas.  From d = 23,171 the run starts at 2^29, and a sequence still
+    growing there raises MonomialRangeError.  The generators are packed
+    once, for ``_local_length``.
     """
     polys = [g for g in gens if not g.is_zero()]
     if any(g.nvars != 2 for g in polys):
@@ -171,8 +169,13 @@ def _local_length(reducers: list[tuple], d: int, base: GroebnerBasis | None = No
     """``local_length_at_origin`` of generators packed under the local order
     in two variables, d their largest degree: the one run, and the only
     raiser of StabilizationError.  The stabilization index is the run's
-    final cut (at least 1), and the length fails exactly when that reaches
-    the bound d^2 + 1.
+    final cut (at least 1).  The run starts at the bound d^2 + 1, clamped to
+    2^29, the largest cut the packed words hold (d >= 23,171 passes it).  A
+    staircase closing below any cut N certifies the index: if every monomial
+    of degree k < N leads in J + m^N, m^k lies in J + m^(k+1), so in J in
+    the local ring (Nakayama).  The length fails when the final cut reaches
+    d^2 + 1, and raises MonomialRangeError, before any count is read, when
+    it reaches only the clamp.
 
     With ``base``, the basis of an earlier length (``TruncationTrace.basis``),
     the run continues it, and the length is that of base's ideal plus the
@@ -180,18 +183,24 @@ def _local_length(reducers: list[tuple], d: int, base: GroebnerBasis | None = No
     staircase lies inside base's in every degree, so it closes no later,
     and base's cut bounds this read-out too.  d must be at least the degree
     of base's generators (f has degree d, its partials d - 1): base's
-    staircase then closed below d^2 + 1, and so does the sum's."""
+    staircase then closed below the clamped d^2 + 1, and so does the sum's."""
+    if not reducers and base is None:
+        raise ValueError("need at least one nonzero generator")
     bound = max(d * d + 1, 2)  # the trace always holds alpha_1 and alpha_2
-    cut = bound if base is None else min(bound, base.cut)
     words = _words(_LOCAL, 2)
-    if d >= cut:  # only under base's cut can a term reach it (d < d^2 + 1)
+    clamp = min(bound, 1 << words.bits - 1)
+    cut = clamp if base is None else min(clamp, base.cut)
+    if d >= cut:  # only under base's cut or the clamp can a term reach it
         floor = words.floor(cut)
         reducers = [_primitive_reducer([(lm, lc), *(t for t in tail if t[0] >= floor)])
                     for lm, lc, tail in reducers if lm >= floor]
-    if not reducers and base is None:
-        raise ValueError("need at least one nonzero generator")
-    gb = _buchberger(reducers, words, cut, base) if reducers else base
+    gb = _buchberger(reducers, words, cut, base) if reducers or base is None else base
     stable = max(gb.cut, 1)  # the unit ideal's staircase closes at 0
+    if clamp < bound and stable >= clamp:
+        raise MonomialRangeError(
+            f"cut {bound} = d^2 + 1 (d = {d}, the largest generator degree) outside the "
+            f"packed field range: the truncation sequence is still growing at r = {clamp}, "
+            "the largest cut the packed words hold, so its length is undecided")
     n = stable + 1 if stable < bound else min(bound, _SHOWN)
     alphas = list(accumulate(_standard_counts(gb.leading_monomials(), n)))
     if stable >= bound:
@@ -203,65 +212,6 @@ def _local_length(reducers: list[tuple], d: int, base: GroebnerBasis | None = No
             f"(alphas = {shown})")
     pairs = tuple(zip(range(1, n + 1), alphas))
     return alphas[-1], TruncationTrace(pairs, stabilized_at=stable, basis=gb)
-
-
-def local_length_oracle(gens: Sequence[Polynomial], r: int) -> int:
-    """Independent linear-algebra computation of alpha_r = dim A/(J + m^r).
-
-    Spans the image of J in A/m^r by all products (monomial * generator)
-    with a nonzero truncation, i.e. deg(monomial) < r - ord(generator)
-    where ord is the degree of the lowest term; alpha_r is the corank of
-    the resulting exact rational Macaulay matrix on the monomials of
-    degree < r.
-    """
-    if r < 1:
-        raise ValueError("truncation order must be >= 1")
-    polys = [g for g in gens if not g.is_zero()]
-    if any(g.nvars != 2 for g in polys):
-        raise ValueError("the oracle works in the plane (2 variables)")
-    cols: dict[Monomial, int] = {}
-    for d in range(r):
-        for m in monomials_of_degree(2, d):
-            cols[m] = len(cols)
-    n_cols = len(cols)
-    rows: list[dict[int, Fraction]] = []
-    for g in polys:
-        ord_g = g.min_degree()
-        terms = list(g.terms())
-        for d in range(r - ord_g):
-            for m in monomials_of_degree(2, d):
-                row: dict[int, Fraction] = {}
-                for gm, gc in terms:
-                    t = (m[0] + gm[0], m[1] + gm[1])
-                    if sum(t) < r:
-                        row[cols[t]] = row.get(cols[t], Fraction(0)) + gc
-                row = {k: v for k, v in row.items() if v != 0}
-                if row:
-                    rows.append(row)
-    rank = _sparse_rank(rows)
-    return n_cols - rank
-
-
-def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Exact rank of a sparse rational matrix by Gaussian elimination."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                p = pivots[c]
-                f = row[c] / p[c]
-                for k, v in p.items():
-                    s = row.get(k, Fraction(0)) - f * v
-                    if s == 0:
-                        row.pop(k, None)
-                    else:
-                        row[k] = s
-            else:
-                pivots[c] = row
-                break
-    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -52,16 +52,6 @@ def monomial_divides(m: Monomial, n: Monomial) -> bool:
     return all(map(le, m, n))
 
 
-def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
-    """All exponent vectors in ``nvars`` variables of total degree exactly d."""
-    if nvars == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, d - first):
-            yield (first,) + rest
-
-
 def _render_terms(nvars: int, terms: Iterable[tuple[Monomial, Scalar]]) -> str:
     """The terms (exponents, nonzero coefficient) as one signed sum, in the
     order given; "" for none.  The variables are x, y in two variables and

@@ -2,22 +2,24 @@
 local standard basis under a degree cut and a continued local run checked
 the same way, plain rational division and S-polynomials, independent of the
 package's packed integer core, exact evaluation at a point, the product of
-two term tables, and a Fraction-Euclid gcd, determinants and line
+two term tables, a Fraction-Euclid gcd, determinants and line
 restrictions, independent routes to what ``tjurina.binforms`` decides by one
-gcd."""
+gcd, the monomials of one degree, and the Macaulay-matrix oracle for the
+truncated local lengths alpha_r, an exact rank that shares no code with the
+standard-basis route."""
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from tjurina import groebner, lengths
 from tjurina.binforms import UPoly, _dehomogenize, upoly_derivative
 from tjurina.groebner import (GroebnerBasis, _integer_reducer, _normal_form, _primitive_reducer,
                               _s_pair, _words)
 from tjurina.lengths import _LOCAL, INFINITE
-from tjurina.poly import GRLEX, MonomialOrder, Polynomial, Scalar, monomial_divides
+from tjurina.poly import GRLEX, Monomial, MonomialOrder, Polynomial, Scalar, monomial_divides
 
 
 def lcm_word(words, a: int, b: int) -> int:
@@ -320,3 +322,72 @@ def line_restriction_length(gens: Sequence[Polynomial], line):
         if v is not None:
             best = v if best is None else min(best, v)
     return INFINITE if best is None else best
+
+
+def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
+    """All exponent vectors in ``nvars`` variables of total degree exactly d."""
+    if nvars == 1:
+        yield (d,)
+        return
+    for first in range(d, -1, -1):
+        for rest in monomials_of_degree(nvars - 1, d - first):
+            yield (first,) + rest
+
+
+def local_length_oracle(gens: Sequence[Polynomial], r: int) -> int:
+    """Independent linear-algebra computation of alpha_r = dim A/(J + m^r).
+
+    Spans the image of J in A/m^r by all products (monomial * generator)
+    with a nonzero truncation, i.e. deg(monomial) < r - ord(generator)
+    where ord is the degree of the lowest term; alpha_r is the corank of
+    the resulting exact rational Macaulay matrix on the monomials of
+    degree < r.
+    """
+    if r < 1:
+        raise ValueError("truncation order must be >= 1")
+    polys = [g for g in gens if not g.is_zero()]
+    if any(g.nvars != 2 for g in polys):
+        raise ValueError("the oracle works in the plane (2 variables)")
+    cols: dict[Monomial, int] = {}
+    for d in range(r):
+        for m in monomials_of_degree(2, d):
+            cols[m] = len(cols)
+    n_cols = len(cols)
+    rows: list[dict[int, Fraction]] = []
+    for g in polys:
+        ord_g = g.min_degree()
+        terms = list(g.terms())
+        for d in range(r - ord_g):
+            for m in monomials_of_degree(2, d):
+                row: dict[int, Fraction] = {}
+                for gm, gc in terms:
+                    t = (m[0] + gm[0], m[1] + gm[1])
+                    if sum(t) < r:
+                        row[cols[t]] = row.get(cols[t], Fraction(0)) + gc
+                row = {k: v for k, v in row.items() if v != 0}
+                if row:
+                    rows.append(row)
+    rank = _sparse_rank(rows)
+    return n_cols - rank
+
+
+def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
+    """Exact rank of a sparse rational matrix by Gaussian elimination."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            if c in pivots:
+                p = pivots[c]
+                f = row[c] / p[c]
+                for k, v in p.items():
+                    s = row.get(k, Fraction(0)) - f * v
+                    if s == 0:
+                        row.pop(k, None)
+                    else:
+                        row[k] = s
+            else:
+                pivots[c] = row
+                break
+    return len(pivots)

@@ -26,9 +26,10 @@ from tjurina import (
     parse_poly,
 )
 from tjurina.lengths import INFINITE
-from tjurina.poly import Polynomial, monomials_of_degree, translate_to_origin
+from tjurina.poly import Polynomial, translate_to_origin
 
-from reference import VERTICAL, binary_form_resultant, line_restriction_length
+from reference import (VERTICAL, binary_form_resultant, line_restriction_length,
+                       local_length_oracle, monomials_of_degree)
 
 P = parse_poly
 O = (0, 0)
@@ -386,7 +387,6 @@ def test_embedding_dimension_values():
 def test_embedding_dimension_matches_the_oracle():
     # max(0, alpha_2 - 1), on ideals zero-dimensional at the origin or not
     # (a common factor through O, or a single generator)
-    from tjurina.lengths import local_length_oracle
     rng = random.Random(2222)
     monos = [m for t in range(4) for m in monomials_of_degree(2, t)]
     for _ in range(200):
@@ -565,6 +565,46 @@ def test_analyze_checks_f_own_term_against_the_packed_fields():
         analyze(P("x^1073741824"), O)
     assert str(info.value) == "exponent 1073741824 outside the packed field range 0..1073741823"
     assert any(entry.name == "_packed_gradient" for entry in info.traceback)
+
+
+# -- germs of degree d >= 23,171, whose bound d^2 + 1 is past the packed cut 2^29 --
+
+
+@pytest.mark.parametrize("text, tau, mu", [
+    ("x^2*y+y^4+x^23200", 5, 5),          # mu's leads x*y, x^2 hold no power of y
+    ("x*y^2+x^23200", 23201, 23201),      # the staircase closes at degree 23,201
+])
+def test_a_large_degree_germ_closes_below_the_clamped_cut(text, tau, mu):
+    report = analyze(P(text), O)
+    assert (report.tjurina, report.milnor) == (tau, mu)
+    # tau continues mu's basis and ends at its cut, below the clamp
+    assert report.tjurina_trace.stabilized_at <= report.milnor_trace.stabilized_at
+
+
+@pytest.mark.parametrize("text, n", [
+    ("y^2-x^23200", 23199),
+    ("y^2+x^3*y+x^23200", 5),  # the leads y, x^2*y, x^3*y hold no power of x
+])
+def test_a_large_degree_double_point_is_classified(text, n):
+    assert classify_double_point(P(text), O) == DoubleA(n=n)
+
+
+def test_a_large_degree_germ_that_does_not_close_is_a_range_error(monkeypatch):
+    # y^2*(1+x^23200) is not reduced, but no cut the packed words hold proves
+    # it: a range error naming d^2 + 1, raised before any count is read
+    from tjurina import lengths
+    from tjurina.groebner import MonomialRangeError
+    counted = []
+    real = lengths._standard_counts
+    monkeypatch.setattr(lengths, "_standard_counts",
+                        lambda lms, R: counted.append(R) or real(lms, R))
+    with pytest.raises(MonomialRangeError) as info:
+        analyze(P("y^2+x^23200*y^2"), O)
+    assert str(info.value) == (
+        "cut 538286402 = d^2 + 1 (d = 23201, the largest generator degree) outside the "
+        "packed field range: the truncation sequence is still growing at r = 536870912, "
+        "the largest cut the packed words hold, so its length is undecided")
+    assert counted == []
 
 
 def _lying_lengths(monkeypatch, tau_shift, mu_shift):

@@ -7,10 +7,11 @@ from tjurina import parse_poly, squarefree_binary_form
 from tjurina.binforms import (
     _dehomogenize, _integer_gcd, _primitive, common_factor_degree, upoly_derivative,
 )
-from tjurina.poly import Polynomial, monomials_of_degree
+from tjurina.poly import Polynomial
 
 from reference import (
-    binary_form_resultant, discriminant, fraction_euclid_gcd, sylvester_resultant,
+    binary_form_resultant, discriminant, fraction_euclid_gcd, monomials_of_degree,
+    sylvester_resultant,
 )
 
 P = parse_poly

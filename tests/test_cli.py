@@ -118,6 +118,14 @@ def test_exponent_outside_the_packed_range_exits_3(capsys):
         "error: exponent 99999999998 outside the packed field range 0..1073741823\n")
 
 
+def test_a_germ_past_the_packed_cut_that_does_not_close_exits_3(capsys):
+    code, out = run_cli("analyze", "--curve=y^2+x^23200*y^2", "--point=0,0")
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: cut 538286402 = d^2 + 1 (d = 23201, ")
+    assert "outside the packed field range" in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "classify"])
 def test_tangent_with_a_long_coefficient_is_printed(command):
     # a 5,001-digit coefficient is past str(int)'s limit, not past the printer's

@@ -119,7 +119,8 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
 REMOVED = {"binary_form_resultant": "binforms", "discriminant": "binforms", "VERTICAL": "lengths",
            "line_restriction_length": "lengths", "homogeneous_component": "poly",
            "partial_derivative": "poly", "divide": "groebner", "s_polynomial": "groebner",
-           "upoly_gcd": "binforms"}
+           "upoly_gcd": "binforms", "local_length_oracle": "lengths",
+           "monomials_of_degree": "poly"}
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))

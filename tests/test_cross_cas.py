@@ -14,7 +14,8 @@ sympy = pytest.importorskip("sympy")
 
 from tjurina import DEGREVLEX, GRLEX, LEX, Polynomial, buchberger
 from tjurina.exprio import render_poly
-from tjurina.poly import monomials_of_degree
+
+from reference import monomials_of_degree
 
 
 def _to_sympy(p, syms):

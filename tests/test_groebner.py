@@ -18,11 +18,11 @@ from tjurina import (
     parse_poly,
 )
 from tjurina.groebner import _integer_reducer, _normal_form, _s_pair, _words
-from tjurina.poly import monomial_divides, monomial_mul, monomials_of_degree
+from tjurina.poly import monomial_divides, monomial_mul
 
 import reference
 from reference import checked_buchberger, checked_continuation, continued_length, divide, \
-    lcm_word, local_basis, s_polynomial
+    lcm_word, local_basis, local_length_oracle, monomials_of_degree, s_polynomial
 
 P = parse_poly
 
@@ -449,7 +449,7 @@ def test_local_counts_under_a_cut_match_the_oracle(through_origin):
     # every count below the cut is the oracle's, also where a factor through
     # the origin makes the ideal not zero-dimensional there, so that the
     # staircase never closes
-    from tjurina.lengths import _LOCAL, _standard_counts, local_length_oracle
+    from tjurina.lengths import _LOCAL, _standard_counts
     rng = random.Random(7008)
     for gens in _plane_ideals(rng, 30, factor_through_origin=through_origin):
         for R in range(1, 9):

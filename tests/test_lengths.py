@@ -18,7 +18,6 @@ from tjurina import (
     hilbert_function,
     leading_term_ideal,
     local_length_at_origin,
-    local_length_oracle,
     parse_poly,
     staircase_length,
     translate_to_origin,
@@ -29,10 +28,10 @@ from tjurina.lengths import (
     _projective_dimension_at_most_points,
     _standard_counts,
 )
-from tjurina.poly import monomial_divides, monomials_of_degree
+from tjurina.poly import monomial_divides
 
 from reference import (VERTICAL, checked_buchberger, checked_continuation, continued_length,
-                       line_restriction_length)
+                       line_restriction_length, local_length_oracle, monomials_of_degree)
 
 P = parse_poly
 
@@ -200,6 +199,30 @@ def test_a_stabilization_error_stays_short_for_a_large_bound():
     text = str(info.value)
     assert len(text) < 16_000 and text.endswith(", 499500, 500499, ...])")
     assert elapsed < 0.5
+
+
+def test_the_cut_is_clamped_to_the_packed_range_from_degree_23171(monkeypatch):
+    # (y^2, x^(d-1)*y) is not zero-dimensional at O.  Up to d = 23,170 the bound
+    # d^2 + 1 fits the packed cut 2^29 and proves it; from d = 23,171 the run
+    # starts at 2^29 and, still growing there, proves nothing
+    from tjurina import lengths
+    from tjurina.groebner import MonomialRangeError
+    with pytest.raises(StabilizationError, match="r = 536848901 = d"):
+        local_length_at_origin([P("y^2"), P("x^23169*y")])
+    real = lengths._standard_counts
+    monkeypatch.setattr(lengths, "_standard_counts",
+                        lambda lms, R: real(lms, R) if R <= 10**6 else pytest.fail(f"R = {R}"))
+    for gens, bound in [(["y^2", "x^23170*y"], 536895242),
+                        # y and x^600000000: the clamp drops x's power, so the
+                        # staircase cannot close at degree 600,000,000
+                        (["y", "x^600000000"], 360000000000000001),
+                        # the clamp drops every generator
+                        (["x^600000000"], 360000000000000001)]:
+        with pytest.raises(MonomialRangeError) as info:
+            local_length_at_origin([P(g) for g in gens])
+        assert str(info.value).startswith(f"cut {bound} = d^2 + 1 "), gens
+    # a staircase closing below the clamp certifies its length (Nakayama)
+    assert local_length_at_origin([P("y+x^23171"), P("x^5")])[0] == 5
 
 
 @pytest.mark.parametrize("expr, n, doubles", [
@@ -397,7 +420,6 @@ def test_hilbert_function_values():
 
 def test_slice_dims_match_a_per_degree_count():
     from tjurina.lengths import _slice_dims
-    from tjurina.poly import monomials_of_degree
     rng = random.Random(3141)
     ideals = [MonomialIdeal(3, []), MonomialIdeal(3, [(0, 0, 0)])]
     for _ in range(60):

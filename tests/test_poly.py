@@ -15,7 +15,7 @@ from tjurina import (
     translate_to_origin,
 )
 
-from reference import evaluate
+from reference import evaluate, monomials_of_degree
 
 P = parse_poly
 
@@ -34,7 +34,6 @@ def polys(nvars=2, max_deg=4, max_terms=6):
 
 
 def homogeneous_polys(nvars=3, degree=3):
-    from tjurina.poly import monomials_of_degree
     monos = list(monomials_of_degree(nvars, degree))
     return st.lists(st.sampled_from(monos), min_size=1, max_size=5).flatmap(
         lambda ms: st.tuples(*[coeffs() for _ in ms]).map(
@@ -213,7 +212,6 @@ def test_precedence_permutation():
 def test_natural_precedence_key_matches_identity_precedence(kind, nvars):
     # the keys are those the identity precedence (0, 1, ..., n-1) gave,
     # written out term by term, so the packed words and bases are unchanged
-    from tjurina.poly import monomials_of_degree
     prec = range(nvars)
     identity = {"lex": lambda m: tuple(m[i] for i in prec),
                 "grlex": lambda m: (sum(m),) + tuple(m[i] for i in prec),
