@@ -29,7 +29,7 @@ from .binforms import common_factor_degree, squarefree_binary_form
 from .groebner import _packed_gradient, _words
 from .lengths import (_LOCAL, StabilizationError, TruncationTrace, _local_length,
                       local_length_at_origin)
-from .poly import Polynomial, _integer_translate
+from .poly import Polynomial, _integer_table, _integer_translate
 
 Point = tuple
 
@@ -111,20 +111,30 @@ class SingularityReport(Record):
 # -- basic local data ---------------------------------------------------------
 
 
+_ZERO = "the zero polynomial does not define a curve"
+
+
 class _Germ:
     """A nonzero curve f moved from a rational point to the origin, as every
     per-point invariant reads it: h = scale * g, a positive integer multiple
     of the translate g (multiplicity, tangent cone and lengths do not see a
-    nonzero scalar), its multiplicity m (0 off the curve) and its degree d."""
+    nonzero scalar), its multiplicity m (0 off the curve) and its degree d.
+
+    f comes as an integer term table T in x, y and a denominator D > 0, f =
+    T/D, as ``exprio._parse`` gives it; ``of`` converts a Polynomial."""
 
     __slots__ = ("point", "h", "scale", "m", "d")
 
-    def __init__(self, f: Polynomial, point: Point,
-                 zero: str = "the zero polynomial does not define a curve"):
-        if f.is_zero():
+    def __init__(self, table: dict, den: int, point: Point, zero: str = _ZERO):
+        if not table:
             raise ValueError(zero)
-        h, self.scale = _integer_translate(f, point)
+        h, self.scale = _integer_translate(table, den, point)
         self.h, self.point, self.m, self.d = h, tuple(point), h.min_degree(), h.degree()
+
+    @classmethod
+    def of(cls, f: Polynomial, point: Point, zero: str = _ZERO) -> _Germ:
+        """The germ of a Polynomial in x, y."""
+        return cls(*_integer_table(f), point, zero)
 
     def where(self) -> str:
         return "(" + ",".join(str(c) for c in self.point) + ")"
@@ -161,14 +171,14 @@ class _Germ:
 def multiplicity_at(f: Polynomial, point: Point) -> int:
     """Least degree of a nonzero homogeneous component after translating
     the point to the origin; 0 means the point is off the curve."""
-    return _Germ(f, point, "multiplicity of the zero polynomial is undefined").m
+    return _Germ.of(f, point, "multiplicity of the zero polynomial is undefined").m
 
 
 def is_ordinary(f: Polynomial, point: Point) -> bool:
     """True iff the tangent cone at a singular point consists of distinct
     lines (squarefree initial form), the test ``is_slci`` and ``analyze``
     read too.  Requires multiplicity >= 2."""
-    return _Germ(f, point).ordinary("ordinariness")
+    return _Germ.of(f, point).ordinary("ordinariness")
 
 
 def local_tjurina(f: Polynomial, point: Point) -> tuple[int, TruncationTrace]:
@@ -177,12 +187,12 @@ def local_tjurina(f: Polynomial, point: Point) -> tuple[int, TruncationTrace]:
     Zero iff the point is smooth or off the curve.  Raises
     StabilizationError if the curve is not reduced at the point.
     """
-    return _Germ(f, point).length(True, "curve not reduced")
+    return _Germ.of(f, point).length(True, "curve not reduced")
 
 
 def local_milnor(f: Polynomial, point: Point) -> tuple[int, TruncationTrace]:
     """Length at the point of the Milnor scheme of (f_x, f_y)."""
-    return _Germ(f, point).length(False, "non-isolated critical point")
+    return _Germ.of(f, point).length(False, "non-isolated critical point")
 
 
 # -- symmetry and slci tests ---------------------------------------------------
@@ -225,7 +235,7 @@ def is_slci(f: Polynomial, point: Point) -> bool:
     common tangent: the partials have initial forms h_x and h_y, for the
     initial form h, that share no line.  By Euler's relation m*h = x*h_x +
     y*h_y that is ``is_ordinary``'s test, h squarefree."""
-    return _Germ(f, point).ordinary("slci test")
+    return _Germ.of(f, point).ordinary("slci test")
 
 
 def embedding_dimension(gens: Sequence[Polynomial]) -> int:
@@ -260,7 +270,12 @@ def classify_double_point(f: Polynomial, point: Point):
     is curvilinear of length n exactly for A_n).  Raises OffCurveError off
     the curve, and ``local_tjurina``'s StabilizationError if it is not reduced.
     """
-    germ = _Germ(f, point)
+    return _classify(_Germ.of(f, point))
+
+
+def _classify(germ: _Germ):
+    """``classify_double_point`` of a germ, which the CLI builds from its
+    parsed table."""
     if germ.m == 0:
         raise OffCurveError(f"point {germ.where()} is not on the curve")
     if germ.m == 1:
@@ -302,7 +317,12 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     """
     if f.degree() == 0:  # the zero polynomial has degree None: _Germ refuses it
         raise ValueError("a nonzero constant defines the empty curve")
-    germ = _Germ(f, point)
+    return _analyze(_Germ.of(f, point))
+
+
+def _analyze(germ: _Germ) -> SingularityReport:
+    """``analyze`` of a nonconstant germ, which the CLI builds from its
+    parsed table."""
     m, d, packed = germ.m, germ.d, germ.packed()
 
     errors = []

@@ -46,10 +46,9 @@ except ImportError:  # an interpreter without the C accelerator
     from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .exprio import ExprSyntaxError, parse_poly, render_poly
+from .exprio import ExprSyntaxError, _parse, _polynomial, render_poly
 from .groebner import MonomialRangeError
 from .lengths import INFINITE, StabilizationError
-from .poly import Polynomial
 
 if TYPE_CHECKING:
     import argparse
@@ -81,9 +80,12 @@ def _parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
     return tuple(_parse_rational(p) for p in parts)
 
 
-def _parse_curve(text: str, ambient: str) -> Polynomial:
+def _parse_curve(text: str, ambient: str) -> tuple[dict, int]:
+    """The curve's integer term table and its denominator, as ``_parse``
+    gives them: ``analyze`` and ``classify`` hand both to the germ as they
+    are, and no coefficient becomes a Fraction on the way."""
     try:
-        return parse_poly(text, ambient)
+        return _parse(text, ambient)
     except ExprSyntaxError as e:
         raise _CliError(EXIT_BAD_INPUT, f"cannot parse curve: {e}") from e
 
@@ -188,7 +190,7 @@ def _print_human_report(curve_text: str, report: SingularityReport, out,
 
 
 def cmd_analyze(args, out) -> int:
-    from .analyzer import analyze
+    from .analyzer import _analyze, _Germ
 
     if args.json and args.trace:
         raise _CliError(EXIT_BAD_INPUT, "--trace is for the text report; --json always "
@@ -210,13 +212,14 @@ def cmd_analyze(args, out) -> int:
     else:
         raise _CliError(EXIT_BAD_INPUT, "one of --curve / --curves-file is required")
     curves = [_parse_curve(t, "affine2") for t in texts]
-    if any(not c.degree() for c in curves):  # degree None (zero) or 0 (nonzero constant)
+    if any(all(m == (0, 0) for m in table) for table, _ in curves):  # zero or a nonzero constant
         raise _CliError(EXIT_BAD_INPUT, "a constant polynomial does not define a curve")
 
     results = []
-    for curve in curves:
+    for table, den in curves:
         t0 = time.monotonic()
-        results.append((analyze(curve, point), int((time.monotonic() - t0) * 1000)))
+        report = _analyze(_Germ(table, den, point))
+        results.append((report, int((time.monotonic() - t0) * 1000)))
 
     if args.json:
         docs = [_report_document(t, rep, ms) for t, (rep, ms) in zip(texts, results)]
@@ -228,30 +231,31 @@ def cmd_analyze(args, out) -> int:
     return EXIT_OK
 
 
-def _projective_to_affine_chart(F: Polynomial, point) -> tuple[Polynomial, tuple]:
+def _projective_to_affine_chart(table: dict, point) -> tuple[dict, tuple]:
     """The chart x2 = 1, after swapping a nonzero coordinate x_k with x2:
-    the affine curve in the two other coordinates, and the point there."""
-    if not F.is_homogeneous() or F.is_zero():
+    the term table of the affine curve in the two other coordinates, and the
+    point there.  The curve's denominator is unchanged."""
+    if len({sum(m) for m in table}) != 1:  # zero, or not homogeneous
         raise _CliError(EXIT_BAD_INPUT, "projective mode needs a nonzero homogeneous curve")
     if all(c == 0 for c in point):
         raise _CliError(EXIT_BAD_INPUT, "[0,0,0] is not a projective point")
     k = max(i for i, c in enumerate(point) if c != 0)
     a, b = (2 if i == k else i for i in (0, 1))  # x_k is dropped, x2 takes its axis
-    aff = Polynomial(2, {(m[a], m[b]): c for m, c in F.terms()})  # F homogeneous: no clash
+    aff = {(m[a], m[b]): c for m, c in table.items()}  # homogeneous: no clash
     return aff, (point[a] / point[k], point[b] / point[k])
 
 
 def cmd_classify(args, out) -> int:
-    from .analyzer import DoubleA, OffCurveError, SimplePoint, classify_double_point
+    from .analyzer import DoubleA, OffCurveError, SimplePoint, _classify, _Germ
 
     ambient, dim = ("projective3", 3) if args.projective else ("affine2", 2)
-    curve, point = _parse_curve(args.curve, ambient), _parse_point(args.point, dim)
+    (table, den), point = _parse_curve(args.curve, ambient), _parse_point(args.point, dim)
     if args.projective:
-        curve, point = _projective_to_affine_chart(curve, point)
-    if curve.is_zero():
+        table, point = _projective_to_affine_chart(table, point)
+    if not table:
         raise _CliError(EXIT_BAD_INPUT, "the zero polynomial does not define a curve")
     try:
-        outcome = classify_double_point(curve, point)
+        outcome = _classify(_Germ(table, den, point))
     except OffCurveError as e:
         raise _CliError(EXIT_OFF_CURVE, "point is not on the curve") from e
 
@@ -276,7 +280,7 @@ def cmd_classify(args, out) -> int:
 def cmd_global_tjurina(args, out) -> int:
     from .lengths import global_tjurina
 
-    curve = _parse_curve(args.curve, "projective3")
+    curve = _polynomial(3, *_parse_curve(args.curve, "projective3"))
     try:
         value, hf_values = global_tjurina(curve, with_trace=True)
     except ValueError as e:  # a zero, inhomogeneous or linear curve

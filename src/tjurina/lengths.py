@@ -20,7 +20,7 @@ from itertools import accumulate
 from math import comb
 from typing import Sequence
 
-from ._record import Record
+from ._record import Record, _setattr
 from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
@@ -71,7 +71,9 @@ class TruncationTrace(Record):
     includes the confirming pair (r+1, alpha_{r+1}).  ``basis`` is the local
     standard basis the pairs were read from, which a length of a larger
     ideal can continue (``_local_length``'s ``base``); it takes no part in
-    equality.
+    equality.  The trace of a local run (``_read``) counts its pairs, one per
+    degree, from the basis when they are first read, so a caller that reads
+    only the length never builds them.
     """
 
     __slots__ = ("pairs", "stabilized_at", "basis")
@@ -80,6 +82,23 @@ class TruncationTrace(Record):
     def __init__(self, pairs: tuple[tuple[int, int], ...], stabilized_at: int,
                  basis: GroebnerBasis | None = None):
         self._set(pairs, stabilized_at, basis)
+
+    @classmethod
+    def _read(cls, basis: GroebnerBasis) -> TruncationTrace:
+        """The trace of a local run's basis, whose staircase closes at its cut."""
+        self = cls.__new__(cls)
+        _setattr(self, "stabilized_at", max(basis.cut, 1))  # the unit ideal's closes at 0
+        _setattr(self, "basis", basis)
+        return self
+
+    def __getattr__(self, name):  # only a field never set gets here
+        if name != "pairs":
+            raise AttributeError(name)
+        n = self.stabilized_at + 1
+        alphas = accumulate(_standard_counts(self.basis.leading_monomials(), n))
+        pairs = tuple(zip(range(1, n + 1), alphas))
+        _setattr(self, "pairs", pairs)
+        return pairs
 
     @property
     def value(self) -> int:
@@ -100,8 +119,14 @@ def staircase_length(lt: MonomialIdeal):
         raise ValueError("staircases are counted in the plane (2 variables)")
     if not is_zero_dimensional(lt):
         return INFINITE
-    # every run but the last (height 0) is a finite block of columns
-    return sum((stop - start) * height for start, stop, height in _staircase(lt.gens)[:-1])
+    return _area(lt.gens)
+
+
+def _area(lms: Sequence[Monomial]) -> int:
+    """The number of standard monomials of a zero-dimensional monomial ideal
+    in the plane: every run of its staircase but the last (height 0) is a
+    finite block of columns."""
+    return sum((stop - start) * height for start, stop, height in _staircase(lms)[:-1])
 
 
 _LOCAL = MonomialOrder("local")
@@ -175,7 +200,9 @@ def _local_length(reducers: list[tuple], d: int, base: GroebnerBasis | None = No
     of degree k < N leads in J + m^N, m^k lies in J + m^(k+1), so in J in
     the local ring (Nakayama).  The length fails when the final cut reaches
     d^2 + 1, and raises MonomialRangeError, before any count is read, when
-    it reaches only the clamp.
+    it reaches only the clamp.  Otherwise the length is the area of the
+    staircase closed at the final cut, and the trace's pairs are counted
+    from the basis only when read (``TruncationTrace._read``).
 
     With ``base``, the basis of an earlier length (``TruncationTrace.basis``),
     the run continues it, and the length is that of base's ideal plus the
@@ -201,17 +228,17 @@ def _local_length(reducers: list[tuple], d: int, base: GroebnerBasis | None = No
             f"cut {bound} = d^2 + 1 (d = {d}, the largest generator degree) outside the "
             f"packed field range: the truncation sequence is still growing at r = {clamp}, "
             "the largest cut the packed words hold, so its length is undecided")
-    n = stable + 1 if stable < bound else min(bound, _SHOWN)
-    alphas = list(accumulate(_standard_counts(gb.leading_monomials(), n)))
     if stable >= bound:
+        alphas = list(accumulate(_standard_counts(gb.leading_monomials(), min(bound, _SHOWN))))
         shown = str(alphas)[:-1] + (", ...]" if bound > _SHOWN else "]")
         raise StabilizationError(
             f"truncation sequence still growing at r = {bound} = d^2 + 1 "
             f"(d = {d}, the largest generator degree); a scheme zero-dimensional "
             "at the origin stabilizes by r = d^2 (proven bound), so this one is not "
             f"(alphas = {shown})")
-    pairs = tuple(zip(range(1, n + 1), alphas))
-    return alphas[-1], TruncationTrace(pairs, stabilized_at=stable, basis=gb)
+    # the staircase closes at the final cut: the length is its area, and the
+    # trace counts its pairs from the basis only when they are read
+    return _area(gb.leading_monomials()), TruncationTrace._read(gb)
 
 
 # ---------------------------------------------------------------------------

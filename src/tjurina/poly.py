@@ -397,25 +397,36 @@ def translate_to_origin(f: Polynomial, point: tuple[Scalar, Scalar]) -> Polynomi
     """Return g(x, y) = f(x + p, y + q), so that g(0,0) = f(p, q): each
     coefficient of ``_integer_translate``'s integer multiple becomes one
     rational."""
-    h, scale = _integer_translate(f, point)
+    h, scale = _integer_translate(*_integer_table(f), point)
     return h if scale == 1 else Polynomial._from_valid(
         2, {m: _norm_coeff(Fraction(n, scale)) for m, n in h._terms.items()})
 
 
-def _integer_translate(f: Polynomial, point: tuple[Scalar, Scalar]) -> tuple[Polynomial, int]:
-    """(h, s) with h = s * f(x + p, y + q) an integer polynomial, s > 0.
-
-    Only affine (2-variable) polynomials are translated, and only to exact
-    points: a float coordinate raises TypeError.  With p = a/b, q = u/v and
-    D the common denominator of the coefficients, h = D * b^dx * v^dy * g
-    (dx, dy the degrees of f in x and y) is built by an integer Horner
-    Taylor shift per variable: x along each row of equal y-degree, in
-    (b*x + a), then y along each column of equal x-degree, in (v*y + u).  At
-    the origin h is D*f (f itself for D = 1).  A dense polynomial of degree
-    D costs O(D^3) multiply-adds.
-    """
+def _integer_table(f: Polynomial) -> tuple[dict[Monomial, int], int]:
+    """(T, D) with T = D * f the integer term table of an affine (2-variable)
+    polynomial, D > 0 the least common denominator of its coefficients: what
+    ``_integer_translate`` reads.  T is f's own table when D = 1."""
     if f.nvars != 2:
         raise ValueError("translation is defined for affine 2-variable polynomials")
+    den = lcm(*(c.denominator for c in f._terms.values() if isinstance(c, Fraction)))
+    if den == 1:
+        return f._terms, 1
+    return {m: c.numerator * (den // c.denominator) for m, c in f._terms.items()}, den
+
+
+def _integer_translate(table: dict[Monomial, int], den: int,
+                       point: tuple[Scalar, Scalar]) -> tuple[Polynomial, int]:
+    """(h, s) with h = s * f(x + p, y + q) an integer polynomial, s > 0, for
+    f = T/D given by an integer term table T in x, y and a denominator D > 0.
+
+    Only exact points are translated: a float coordinate raises TypeError.
+    With p = a/b, q = u/v and dx, dy the degrees of T in x and y, h =
+    D * b^dx * v^dy * f(x + p, y + q) is built by an integer Horner Taylor
+    shift per variable: x along each row of equal y-degree, in (b*x + a),
+    then y along each column of equal x-degree, in (v*y + u).  At the origin
+    h is T itself, adopted as h's table.  A dense polynomial of degree n
+    costs O(n^3) multiply-adds.
+    """
     if len(point) != 2:
         raise ValueError(f"a point in the plane has 2 coordinates, got {len(point)}")
     for c in point:
@@ -423,11 +434,8 @@ def _integer_translate(f: Polynomial, point: tuple[Scalar, Scalar]) -> tuple[Pol
             raise TypeError(f"point coordinates must be exact (int or Fraction), "
                             f"not {type(c).__name__}")
     (a, b), (u, v) = ((c.numerator, c.denominator) for c in point)
-    den = lcm(*(c.denominator for c in f._terms.values() if isinstance(c, Fraction)))
-    table = f._terms if den == 1 else {m: c.numerator * (den // c.denominator)
-                                       for m, c in f._terms.items()}
     if not (table and (a or u)):
-        return (f if den == 1 else Polynomial._from_valid(2, table)), den
+        return Polynomial._from_valid(2, table), den
     dx = max(i for i, _ in table)
     dy = max(j for _, j in table)
     rows = [[0] * (dx + 1) for _ in range(dy + 1)]

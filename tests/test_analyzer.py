@@ -25,7 +25,7 @@ from tjurina import (
     nodes_only_check,
     parse_poly,
 )
-from tjurina.lengths import INFINITE
+from tjurina.lengths import INFINITE, TruncationTrace
 from tjurina.poly import Polynomial, translate_to_origin
 
 from reference import (VERTICAL, binary_form_resultant, line_restriction_length,
@@ -589,6 +589,30 @@ def test_a_large_degree_double_point_is_classified(text, n):
     assert classify_double_point(P(text), O) == DoubleA(n=n)
 
 
+def test_a_long_double_point_is_classified_without_per_degree_tables():
+    # the length is the area of the closed staircase, O(leading monomials);
+    # only a trace that is read counts one alpha per degree (up to 999,999)
+    import tracemalloc
+    f = P("y^2+x^1000000")
+    tracemalloc.start()
+    try:
+        assert classify_double_point(f, O) == DoubleA(n=999999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_a_read_trace_counts_its_pairs_from_the_basis():
+    # local_tjurina returns the trace of its run; its pairs are counted when
+    # first read, one per degree up to the stabilization index and one more:
+    # the ideal is (y, x^999), so alpha_r = min(r, 999)
+    n, trace = local_tjurina(P("y^2+x^1000"), O)
+    assert (n, trace.stabilized_at) == (999, 999)
+    assert trace.pairs == tuple((r, min(r, 999)) for r in range(1, 1001))
+    assert trace == TruncationTrace(trace.pairs, 999) and trace.value == n
+
+
 def test_a_large_degree_germ_that_does_not_close_is_a_range_error(monkeypatch):
     # y^2*(1+x^23200) is not reduced, but no cut the packed words hold proves
     # it: a range error naming d^2 + 1, raised before any count is read
@@ -722,9 +746,9 @@ def test_each_request_translates_the_curve_once(monkeypatch):
     calls = []
     translate = poly._integer_translate
 
-    def counted(f, point):
+    def counted(table, den, point):
         calls.append(point)
-        return translate(f, point)
+        return translate(table, den, point)
 
     # so the count sees every translation, the public one included
     assert not hasattr(cli, "_integer_translate") and not hasattr(cli, "translate_to_origin")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from tjurina import (
     parse_poly,
     render_poly,
 )
+from tjurina import exprio
 
 
 def test_parse_direct_literal():
@@ -119,13 +121,34 @@ def _random_poly(rng, nvars):
     return Polynomial(nvars, terms)
 
 
+def _canonical_tokens(f, order):
+    """The tokens of render_poly(f, order): a sign between terms (and before
+    a negative first one), and each nonconstant term as one monomial token."""
+    tokens = []
+    for m in sorted(f.terms_dict(), key=order.key, reverse=True):
+        c = f.coefficient(m)
+        if c < 0 or tokens:
+            tokens.append("-" if c < 0 else "+")
+        body = render_poly(Polynomial.monomial(f.nvars, m, abs(c)))
+        tokens += [body] if any(m) else exprio._FINE.findall(body)
+    return tokens
+
+
 def test_round_trip_on_200_random_polynomials():
+    # rational coefficients in both ambients: every canonical text is read a
+    # monomial token per term, and _parse gives the least common denominator
     rng = random.Random(31415)
     for i in range(200):
         nvars, ambient = ((2, "affine2"), (3, "projective3"))[i % 2]
         f = _random_poly(rng, nvars)
         for order in (GRLEX, LEX, DEGREVLEX):
-            assert parse_poly(render_poly(f, order), ambient) == f
+            text = render_poly(f, order)
+            assert parse_poly(text, ambient) == f
+            if not f.is_zero():
+                assert exprio._tokens(ambient).findall(text) == _canonical_tokens(f, order), text
+            table, den = exprio._parse(text, ambient)
+            assert den == lcm(*(Fraction(c).denominator for _, c in f.terms()))
+            assert table == {m: c * den for m, c in f.terms()}
 
 
 @given(st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=255), max_size=30))
@@ -158,10 +181,11 @@ def test_fuzz_ten_thousand_byte_strings():
 def _random_expression(rng, names, depth):
     """(text, value): a random expression over ``names`` and the Polynomial it
     denotes, built with the Polynomial operators.  Covers parentheses, ``^`` on
-    sums and on literals, unary minus, ``p/q`` literals and spacing."""
+    sums and on literals, unary minus, ``p/q`` literals, canonical monomials
+    with rational coefficients and spacing."""
     nvars = len(names)
     sp = lambda: rng.choice(("", "", " ", "\t"))  # noqa: E731
-    kind = rng.choice(("int", "frac", "var", "var")) if depth == 0 else rng.choice(
+    kind = rng.choice(("int", "frac", "var", "var", "monomial")) if depth == 0 else rng.choice(
         ("var", "sum", "sum", "product", "product", "power", "neg"))
     if kind == "int":
         n = rng.choice((0, 1, 2, 3, 7, 12, 10**20))
@@ -172,6 +196,11 @@ def _random_expression(rng, names, depth):
             e = rng.randint(0, 3)
             return f"{p}/{q}^{e}", Polynomial.constant(nvars, Fraction(p, q) ** e)
         return f"{p}/{q}", Polynomial.constant(nvars, Fraction(p, q))
+    if kind == "monomial":  # as render_poly prints one: a monomial token
+        expo = [rng.choice((0, 0, 1, 2, 5)) for _ in names]
+        expo[rng.randrange(nvars)] += 1
+        value = Polynomial.monomial(nvars, expo, Fraction(rng.randint(1, 30), rng.choice((1, 2, 9))))
+        return render_poly(value), value
     if kind == "var":
         i = rng.randrange(nvars)
         v = Polynomial.variable(nvars, i)
@@ -212,6 +241,11 @@ def test_parse_matches_polynomial_arithmetic_on_random_trees():
         assert parsed == value, text
         # integral rationals are stored as int, as the validating constructor does
         assert all(type(c) is int or c.denominator != 1 for _, c in parsed.terms()), text
+        # _parse's denominator is the least common one, also after unreduced
+        # p/q literals, products and sums whose terms merge or cancel
+        table, den = exprio._parse(text, ambient)
+        assert den == lcm(*(Fraction(c).denominator for _, c in value.terms())), text
+        assert table == {m: c * den for m, c in value.terms()}, text
 
 
 # Every ``ExprSyntaxError`` the parser raises, keyed by its raise site; each
@@ -291,3 +325,61 @@ def test_monomial_terms_are_folded_without_table_products(monkeypatch):
     # the counter does see the products of parenthesised factors
     assert parse_poly("2*(x+1)^2*y*(y-1)") == parse_poly("2*x^2*y^2+4*x*y^2+2*y^2-2*x^2*y-4*x*y-2*y")
     assert calls == ["_power_table", "_product_table"]
+
+
+@pytest.mark.parametrize("text, table, den", [
+    ("1/2*x+1/3*y", {(1, 0): 3, (0, 1): 2}, 6),
+    ("6/4*x", {(1, 0): 3}, 2),                        # a p/q literal not in lowest terms
+    ("1/6*x+1/3*x", {(1, 0): 1}, 2),                  # two terms merge into x/2
+    ("1/2*x-1/2*x+y", {(0, 1): 1}, 1),                # two terms cancel
+    ("(1/2*x+1/2)*2", {(1, 0): 1, (0, 0): 1}, 1),     # a product
+])
+def test_parse_gives_the_least_common_denominator(text, table, den):
+    assert exprio._parse(text, "affine2") == (table, den)
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("y*x", {(1, 1): 1}),                    # out of ambient order
+    ("x*x^2", {(3, 0): 1}),                  # a variable twice
+    ("x*3/4", {(1, 0): Fraction(3, 4)}),     # the coefficient last
+    ("3 * x ^ 2", {(2, 0): 3}),              # spaced
+    ("2/3^2*x", {(1, 0): Fraction(4, 9)}),   # (2/3)^2*x: ^ binds the literal p/q
+    ("3^2*y", {(0, 1): 9}),                  # a power of the coefficient
+])
+def test_other_spellings_of_a_monomial_take_the_fine_tokens(text, terms):
+    tokens = exprio._tokens("affine2").findall(text)
+    assert text.replace(" ", "") not in tokens and len(tokens) > 1
+    assert parse_poly(text) == Polynomial(2, terms)
+
+
+# Errors at or inside what would be one monomial token keep the fine tokens'
+# message and offset: (text, ambient, whether the error lies inside a
+# monomial token, the last one, or else only fine tokens are read).
+_LONG_4301 = "7" * 4301  # one digit past int()'s default limit
+MONOMIAL_ERRORS = [
+    ("2x", "affine2", False, (1, "unexpected 'x' after expression", "end of input or operator")),
+    ("x^2^3", "affine2", False, (3, "unexpected '^' after expression", "end of input or operator")),
+    ("x0", "affine2", False, (0, "unknown variable 'x0'", "x, y")),
+    ("2/0*x", "affine2", True, (2, "fraction has zero denominator", "nonzero integer")),
+    ("1/0*x^" + _LONG_4301, "affine2", True, (2, "fraction has zero denominator", "nonzero integer")),
+    ("x^2+" + _LONG_4301 + "*x*y", "affine2", True,
+     (4, "integer literal of 4301 digits is too long", "fewer digits")),
+    ("x^2-1/" + _LONG_4301 + "*x*y", "affine2", True,
+     (6, "integer literal of 4301 digits is too long", "fewer digits")),
+    ("x^2+3*x*y^" + _LONG_4301, "affine2", True,
+     (10, "integer literal of 4301 digits is too long", "fewer digits")),
+    ("3/4*x0*x2^" + _LONG_4301, "projective3", True,
+     (10, "integer literal of 4301 digits is too long", "fewer digits")),
+]
+
+
+@pytest.mark.parametrize("text, ambient, inside, triple", MONOMIAL_ERRORS,
+                         ids=[row[0][:12] for row in MONOMIAL_ERRORS])
+def test_errors_in_a_monomial_keep_the_fine_tokens_message_and_offset(text, ambient, inside,
+                                                                       triple):
+    tokens = exprio._tokens(ambient).findall(text)
+    assert (tokens != exprio._FINE.findall(text)) == inside
+    assert not inside or exprio._FINE.fullmatch(tokens[-1]) is None
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_poly(text, ambient)
+    assert (exc.value.offset, exc.value.message, exc.value.expected) == triple

@@ -25,10 +25,12 @@ from tjurina import (
     local_milnor,
     local_tjurina,
     parse_poly,
+    render_poly,
     translate_to_origin,
 )
 from tjurina.analyzer import OffCurveError, _Germ
 from tjurina.cli import main
+from tjurina.exprio import _parse
 from tjurina.groebner import _integer_reducer, _words
 from tjurina.poly import Polynomial
 
@@ -85,7 +87,7 @@ def _reference_length(gens):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_the_germ_keeps_a_positive_integer_multiple_of_the_translate(seed):
     for f, point in _cases(seed):
-        germ = _Germ(f, point)
+        germ = _Germ.of(f, point)
         g, _, _ = _explicit(f, point)
         assert germ.scale > 0 and all(type(c) is int for _, c in germ.h.terms())
         assert germ.h == g.scale(germ.scale), (f, point)
@@ -101,7 +103,7 @@ def test_the_packed_germ_is_the_integer_reducer_of_the_translate_and_its_partial
     x, y = P("x"), P("y")
     for f, point in _cases(seed):
         g, gx, gy = _explicit(f, point)
-        packed = _Germ(f, point).packed()
+        packed = _Germ.of(f, point).packed()
         assert packed[1:] == [_integer_reducer(h, LOCAL) for h in (gx, gy)
                               if not h.is_zero()], (f, point)
         m = g.min_degree()
@@ -146,6 +148,21 @@ def test_analyze_and_classify_match_the_explicit_lengths(seed):
             assert local_milnor(f, point) == mu
 
 
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_the_germ_of_the_parsed_table_is_the_germ_of_the_polynomial(seed):
+    # the CLI hands _parse's integer table and its denominator to the germ:
+    # the same multiple h, scale, m and d as the public route from parse_poly
+    kinds = set()
+    for f, point in _cases(seed):
+        text = render_poly(f)
+        table, den = _parse(text, "affine2")
+        germ, reference = _Germ(table, den, point), _Germ.of(P(text), point)
+        assert (germ.h, germ.scale, germ.m, germ.d) == \
+            (reference.h, reference.scale, reference.m, reference.d), (text, point)
+        kinds.add((not any(point), den > 1))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
 # -- no partials, no rationals between the Taylor shift and the local run --------
 
 
@@ -184,6 +201,24 @@ def test_a_singular_request_makes_no_fraction(monkeypatch):
         made.clear()
         request(f, point)
         assert made == [], request.__name__
+
+
+def test_a_rational_point_classify_request_builds_no_fraction_for_the_curve(monkeypatch):
+    # the text's coefficients go to the germ as integers over one denominator;
+    # the point's two coordinates are the only Fractions of the request
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    text = render_poly(P("(y+1/3)^2-(x-3/2)^7+5/7*(x-3/2)^4*(y+1/3)^2"))
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    out = io.StringIO()
+    assert main(["classify", f"--curve={text}", "--point=3/2,-1/3", "--json"], out=out) == 0
+    assert '"n": 6' in out.getvalue()
+    assert made == [("3/2",), ("-1/3",)]
 
 
 # -- edges the integer route keeps ----------------------------------------------------

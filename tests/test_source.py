@@ -168,12 +168,13 @@ def test_every_private_definition_is_named_by_the_package():
 
 
 def test_one_tangent_cone_test_serves_every_per_point_reader():
-    # is_ordinary, is_slci and analyze read the germ's one squarefree test;
-    # is_slci keeps no order-and-gcd code of its own
+    # is_ordinary, is_slci and analyze (whose germ entry is _analyze) read
+    # the germ's one squarefree test; is_slci keeps no order-and-gcd code of
+    # its own
     source = Path(tjurina.__file__).resolve().parent / "analyzer.py"
     funcs = {node.name: node for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
              if isinstance(node, ast.FunctionDef)}
-    for name in ("is_ordinary", "is_slci", "analyze"):
+    for name in ("is_ordinary", "is_slci", "_analyze"):
         calls = {getattr(node.func, "id", getattr(node.func, "attr", None))
                  for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)}
         assert "ordinary" in calls and "squarefree_binary_form" not in calls, name
