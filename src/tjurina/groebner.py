@@ -5,15 +5,31 @@ sorted by decreasing leading monomial) under a global order, as a
 ``GroebnerBasis`` whose generators are built on first read.  The same run,
 ``_buchberger``, gives the local lengths a minimal standard basis in
 Q[x]/m^cut with unreduced tails under the local degree order.  Pairs follow
-the normal strategy (lowest lcm degree, then smallest lcm) and are pruned
-by the Gebauer-Moeller update (Gebauer and Moeller 1988, "On an
-installation of Buchberger's algorithm"), run as each element enters.  Of
-its new pairs it keeps those whose lcm no other new pair's lcm divides, and
-a coprime pair prunes the pairs its lcm divides and is then dropped itself.
-It drops the queued pairs whose lcm the new leading word divides strictly
-on both sides, and it retires the elements whose leading word the new one
-divides: they stay reducers but form no new pairs.  S-polynomials of two
-monomials vanish and are skipped.
+the normal strategy (lowest lcm degree, then smallest lcm).  Coprime pairs
+are never queued and S-polynomials of two monomials are skipped: both vanish
+on reduction.  The rest are pruned by Buchberger's chain criterion
+(Buchberger 1979; Gebauer and Moeller 1988, "On an installation of
+Buchberger's algorithm"): a pair needs no reduction when treated pairs chain
+its elements through elements whose leading words divide its lcm.  In three
+or more variables the Gebauer-Moeller update runs as each element enters.
+Of its new pairs it keeps those whose lcm no other new pair's lcm divides,
+and a coprime pair prunes the pairs its lcm divides and is then dropped
+itself.  It drops the queued pairs whose lcm the new leading word divides
+strictly on both sides, and it retires the elements whose leading word the
+new one divides: they stay reducers but form no new pairs.
+
+In the plane the minimal leading monomials form a staircase, kept as its
+corners x^a y^b sorted by a.  Adjacent corners generate its syzygies, so a
+new corner pairs with its two neighbours.  A corner placed inside a gap
+divides the gap's lcm strictly on both sides, so the chain through it covers
+the gap's pending pair, dropped when popped.  The corners a new leading word
+divides retire, and an input whose leading word a corner divides is
+redundant: either keeps one pair, to an element whose leading word divides
+its own, and stays a reducer.  A retired corner with the new corner's a (or
+b) gave its gap to the left (right) neighbour the new gap's lcm: the gap's
+old pair stands for the new one, chained through the retired corner.  The
+same list gives the cut's closing degree (``_buchberger``) and the minimal
+basis.
 
 The reduction core is fraction-free: basis elements are primitive integer
 term tables with a positive leading coefficient, S-polynomials are built
@@ -57,6 +73,7 @@ reached with smaller multipliers.  Under a cut nothing is refreshed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
@@ -188,14 +205,13 @@ def _staircase(lms: Iterable[Monomial]) -> list[tuple]:
     return runs
 
 
-def _closing_degree(lms: Iterable[Monomial]) -> int | None:
+def _closing_degree(corners: Sequence[tuple]) -> int:
     """The least r such that every monomial of degree r in two variables is
-    a multiple of one in ``lms`` (one more than the largest degree of a
-    standard monomial), or None when there is no such r."""
-    runs = _staircase(lms)
-    if runs[0][2] is None or runs[-1][2]:
-        return None
-    return max((stop + height - 1 for _, stop, height in runs[:-1]), default=0)
+    a multiple of a corner (one more than the largest degree of a standard
+    monomial), for the corners (a, b, ...) of x^a y^b, an antichain sorted
+    by a whose first corner lies on the y-axis (a = 0) and last on the
+    x-axis (b = 0): the largest a_(k+1) + b_k - 1 over adjacent corners."""
+    return max((c[0] + p[1] for p, c in zip(corners, corners[1:])), default=1) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -586,19 +602,20 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
     terms in degrees >= its leading degree, and reduction only adds terms of
     higher degree, so m^r lies in the ideal plus m^cut: both cuts give the
     same ideal and the same minimal leading monomials.  The staircase closes
-    only once both pure powers lead, so it is not looked at before.
-    ``GroebnerBasis.cut`` is the cut the run ended with.
+    only once both pure powers lead, so its corner list is not read before
+    (``_closing_degree``).  ``GroebnerBasis.cut`` is the cut the run ended
+    with.
 
     With ``base``, a basis an earlier run under a cut returned in the order
     of ``words``, the run continues it: the result is a minimal standard
     basis of base's ideal plus the reducers, which the caller truncates
-    under a ``cut`` of at most ``base.cut``.  The base elements start active
-    with no queued pairs, as the run that built the base treated their
-    pairs."""
+    under a ``cut`` of at most ``base.cut``.  The base elements start as
+    active elements (corners, in the plane) with no queued pairs, as the
+    run that built the base treated their pairs."""
     over, word = words.over, words.word
 
     # (lm, lc, tail): packed primitive integer basis elements, and their
-    # leading exponents, for the staircase and pair degrees
+    # leading exponents, for the corners and pair degrees
     leads: list[tuple] = [] if base is None else list(base._leads)
     exps: list[Monomial] = [] if base is None else list(base._exps)
     old = len(leads)
@@ -606,73 +623,111 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
     exps += [words.exponents(w[0]) for w in reducers]
     lms = [r[0] for r in leads]
     entered = len(leads)
+    limit = cut  # the cut in force, lowered in the plane where the staircase closes
 
-    # the cut in force, lowered where the staircase of lms closes; it closes
-    # only once both axes hold a leading monomial (a pure power of x and of y)
-    lowerable = cut is not None and words.nvars == 2
-    axes: set[int] = set()
-
-    def lowered(limit: int, new: Iterable[Monomial]) -> int:
-        axes.update(v for m in new for v in (0, 1) if not m[1 - v])
-        return limit if len(axes) < 2 else min(limit, _closing_degree(exps))
-
-    limit = lowered(cut, exps) if lowerable else cut
-
-    # the queued pairs (degree, lcm word, i, j), lowest lcm degree first, then
-    # the smallest lcm in the order: the normal strategy for degree orders,
-    # and low degrees first under a local order.  Only active elements form
-    # new pairs; the base is minimal and its own pairs were treated by the
-    # run that built it.
+    # the queued pairs (degree, lcm word, i, j), i < j, lowest lcm degree
+    # first, then the smallest lcm in the order: the normal strategy for
+    # degree orders, and low degrees first under a local order.  New pairs
+    # lie below the cut (above it the S-polynomial lies in m^cut).  The base
+    # is minimal and its own pairs were treated by the run that built it.
     heap: list = []
-    active: list[int] = list(range(old))
+    dead: set = set()  # the queued plane pairs a later corner made needless
 
-    def update(h: int):
-        """The Gebauer-Moeller update for the entering element h."""
-        wh, eh = lms[h], exps[h]
-        # B_k: a queued pair whose lcm wh divides, strictly on both sides,
-        # reduces by the chain through h
-        for e in heap:
-            if not (e[1] - wh) & over:
-                heap[:] = [e for e in heap if (e[1] - wh) & over
-                           or e[0] == sum(map(max, exps[e[2]], eh))
-                           or e[0] == sum(map(max, exps[e[3]], eh))]
-                heapify(heap)
-                break
-        # the new pairs below the cut (above it the S-polynomial lies in
-        # m^cut), lowest lcm first and a coprime pair before the others with
-        # its lcm: a pair whose lcm an earlier one's divides is dropped, and
-        # a coprime pair, whose S-polynomial reduces to zero, is not queued.
-        # g retires when wh divides lm_g (the lcm is lm_g): it stays a reducer
-        pairs, kept = [], []
-        for g in active:
-            top = tuple(map(max, exps[g], eh))
-            if top != exps[g]:
-                kept.append(g)
-            degree = sum(top)
-            if limit is None or degree < limit:
-                w = word(top)  # in range, as both factors are
-                pairs.append((degree, w, w != lms[g] + wh, g))
-        kept.append(h)
-        active[:] = kept
-        pairs.sort()
-        tops: list[int] = []
-        for degree, w, joint, g in pairs:
-            for t in tops:
-                if not (w - t) & over:
+    plane = words.nvars == 2
+    if plane:
+        # the corners (a, b, k) of the minimal leading monomials lm_k = x^a y^b
+        # sorted by a, and per corner the pair standing for its right gap
+        corners = sorted((*exps[k], k) for k in range(old))
+        gaps: dict = {}
+        ux, uy = words.units
+
+        def push(g: int, h: int, a: int, b: int) -> tuple | None:
+            """Queue the pair (g, h) of lcm x^a y^b below the cut unless coprime."""
+            if (limit is None or a + b < limit) and (w := a * ux + b * uy) != lms[g] + lms[h]:
+                heappush(heap, (a + b, w, g, h))
+                return g, h
+            return None
+
+        def enter(h: int):
+            """The plane rule for the entering element h."""
+            nonlocal limit
+            a, b = exps[h]
+            p, n = bisect_left(corners, (a,)), len(corners)
+            q = p
+            while q < n and corners[q][1] >= b:
+                q += 1
+            if p and corners[p - 1][1] <= b:  # the corner left of h divides lm_h
+                return push(corners[p - 1][2], h, a, b)
+            if q == p < n and corners[p][0] == a:  # the corner at p divides lm_h
+                return push(corners[p][2], h, a, b)
+            block = corners[p:q]  # lm_h divides these: they retire
+            corners[p:q] = [(a, b, h)]
+            if limit is not None and corners[0][0] == 0 == corners[-1][1]:
+                limit = min(limit, _closing_degree(corners))
+            # the gaps on either side of h, unless a retirement keeps the lcm
+            if q < n:
+                x, y, v = corners[p + 1]
+                gaps[h] = (gaps.pop(block[-1][2], None) if block and block[-1][1] == b
+                           else push(v, h, x, b))
+            if p and not (block and block[0][0] == a):
+                x, y, u = corners[p - 1]
+                dead.add(gaps.get(u))
+                gaps[u] = push(u, h, a, y)
+            for x, y, k in block:
+                dead.add(gaps.pop(k, None))
+                push(k, h, x, y)
+    else:
+        active: list[int] = list(range(old))
+
+        def enter(h: int):
+            """The Gebauer-Moeller update for the entering element h."""
+            wh, eh = lms[h], exps[h]
+            # B_k: a queued pair whose lcm wh divides, strictly on both sides,
+            # reduces by the chain through h
+            for e in heap:
+                if not (e[1] - wh) & over:
+                    heap[:] = [e for e in heap if (e[1] - wh) & over
+                               or e[0] == sum(map(max, exps[e[2]], eh))
+                               or e[0] == sum(map(max, exps[e[3]], eh))]
+                    heapify(heap)
                     break
-            else:
-                tops.append(w)
-                if joint:
-                    heappush(heap, (degree, w, g, h))
+            # the new pairs below the cut, lowest lcm first and a coprime
+            # pair before the others with its lcm: a pair whose lcm an
+            # earlier one's divides is dropped, and a coprime pair, whose
+            # S-polynomial reduces to zero, is not queued.  g retires when
+            # wh divides lm_g (the lcm is lm_g): it stays a reducer
+            pairs, kept = [], []
+            for g in active:
+                top = tuple(map(max, exps[g], eh))
+                if top != exps[g]:
+                    kept.append(g)
+                degree = sum(top)
+                if limit is None or degree < limit:
+                    w = word(top)  # in range, as both factors are
+                    pairs.append((degree, w, w != lms[g] + wh, g))
+            kept.append(h)
+            active[:] = kept
+            pairs.sort()
+            tops: list[int] = []
+            for degree, w, joint, g in pairs:
+                for t in tops:
+                    if not (w - t) & over:
+                        break
+                else:
+                    tops.append(w)
+                    if joint:
+                        heappush(heap, (degree, w, g, h))
 
     for h in range(old, entered):
-        update(h)
+        enter(h)
 
     memo: dict = {}
     stale: set[int] = set()  # filled in global runs only
     level, born = 0, len(leads)
     while heap:
         degree, top, i, j = heappop(heap)
+        if dead and (i, j) in dead:
+            continue
         if cut is None and degree != level:
             stale.update(range(born, len(leads) - 1))
             level, born = degree, len(leads)
@@ -693,17 +748,18 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
             leads.append(_reducer_of(rem))
             lms.append(leads[-1][0])
             exps.append(words.exponents(lms[-1]))
-            if lowerable:
-                limit = lowered(limit, exps[-1:])
-            update(len(leads) - 1)
+            enter(len(leads) - 1)
 
-    # minimalize: no later element's leading word divides an active one's,
-    # and no earlier one divides a remainder's, so only an input generator
-    # can be a multiple of an earlier active element
-    keep: list[int] = []
-    for i in active:
-        if i >= entered or not any(not (lms[i] - lms[k]) & over for k in keep):
-            keep.append(i)
+    if plane:
+        keep = [k for *_, k in corners]
+    else:
+        # minimalize: no later element's leading word divides an active
+        # one's, and no earlier one divides a remainder's, so only an input
+        # generator can be a multiple of an earlier active element
+        keep = []
+        for i in active:
+            if i >= entered or not any(not (lms[i] - lms[k]) & over for k in keep):
+                keep.append(i)
     keep.sort(key=lms.__getitem__, reverse=True)
     return GroebnerBasis(words, [leads[i] for i in keep], [exps[i] for i in keep], limit)
 

@@ -436,18 +436,15 @@ def _integer_translate(table: dict[Monomial, int], den: int,
     (a, b), (u, v) = ((c.numerator, c.denominator) for c in point)
     if not (table and (a or u)):
         return Polynomial._from_valid(2, table), den
-    dx = max(i for i, _ in table)
+    dx = max(table)[0]
     dy = max(j for _, j in table)
     rows = [[0] * (dx + 1) for _ in range(dy + 1)]
     for (i, j), c in table.items():
         rows[j][i] = c
     if a:  # a = 0 means b = 1: the rows need neither a shift nor a scale
         rows = [_taylor_shift(row, a, b, dx) if any(row) else row for row in rows]
-    shifted: dict[Monomial, int] = {}
-    for i, col in enumerate(zip(*rows)):
-        if u and any(col):
-            col = _taylor_shift(col, u, v, dy)
-        for j, n in enumerate(col):
-            if n:
-                shifted[(i, j)] = n
+    # a column no term reaches stays zero: it is neither shifted nor read
+    cols = [(i, _taylor_shift(col, u, v, dy) if u else col)
+            for i, col in enumerate(zip(*rows)) if any(col)]
+    shifted = {(i, j): n for i, col in cols for j, n in enumerate(col) if n}
     return Polynomial._from_valid(2, shifted), den * b ** dx * v ** dy

@@ -4,12 +4,14 @@ the same way, plain rational division and S-polynomials, independent of the
 package's packed integer core, exact evaluation at a point, the product of
 two term tables, a Fraction-Euclid gcd, determinants and line
 restrictions, independent routes to what ``tjurina.binforms`` decides by one
-gcd, the monomials of one degree, and the Macaulay-matrix oracle for the
+gcd, the monomials of one degree, the Macaulay-matrix oracle for the
 truncated local lengths alpha_r, an exact rank that shares no code with the
-standard-basis route."""
+standard-basis route, and seeded plane ideals whose inputs put the plane
+pair rule of ``groebner`` through each of its cases."""
 
 from __future__ import annotations
 
+import random
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -322,6 +324,50 @@ def line_restriction_length(gens: Sequence[Polynomial], line):
         if v is not None:
             best = v if best is None else min(best, v)
     return INFINITE if best is None else best
+
+
+# Leading monomials x^a y^b in entry order.  Inputs enter before any pair
+# is popped, so each list puts the plane rule of ``groebner._buchberger``
+# through the case it is named after.  An entry (a, b, k) is a monomial
+# multiple of the k-th generator: its pair to that generator vanishes, so
+# only the gap's old pair joins the ends of the new gap.
+PLANE_RULE_CASES = {
+    # (1, 1) retires (2, 3) and (3, 2); both gaps around it are new
+    "one-retires-two": [(2, 3), (3, 2), (5, 0), (0, 6), (1, 1)],
+    # (1, 2) retires (1, 4) and (2, 2), and the gap (2, 2)-(4, 0) keeps its lcm
+    "retirement-keeps-the-right-gap": [(2, 2), (1, 4), (4, 0), (1, 2)],
+    # (2, 0) retires (2, 1) = y * (2, 0), and the gap (1, 2)-(2, 1) keeps its lcm
+    "retired-multiple-keeps-the-left-gap": [(1, 2), (2, 1, 2), (2, 0)],
+    # (0, 2) retires (1, 2) = x * (0, 2), and the gap (1, 2)-(2, 1) keeps its lcm
+    "retired-multiple-keeps-the-right-gap": [(2, 1), (1, 2, 2), (0, 2)],
+    "duplicate-leading-monomials": [(2, 0), (2, 0), (0, 3)],
+    # the corner (0, 2) divides (1, 3)
+    "redundant-input": [(0, 2), (2, 1), (1, 3)],
+    "unit-ideal": [(1, 0), (0, 1), (0, 0)],
+}
+
+
+def plane_rule_ideal(rng: random.Random, case: str, order: MonomialOrder) -> list[Polynomial]:
+    """One generator per entry of ``PLANE_RULE_CASES[case]``: the monomial
+    with one to three more terms of random coefficients, of lower degree
+    under ``order`` = GRLEX and of higher degree below 9 under the local
+    order, so that the monomial leads either way; or a monomial multiple of
+    a later generator."""
+    gens: list = []
+    for lm in PLANE_RULE_CASES[case]:
+        terms = {lm[:2]: rng.choice((1, -1, 2, 3))}
+        degrees = range(sum(lm[:2])) if order == GRLEX else range(sum(lm[:2]) + 1, 9)
+        for _ in range(rng.randint(1, 3) if degrees else 0):
+            d = rng.choice(degrees)
+            i = rng.randint(0, d)
+            terms[(i, d - i)] = rng.choice((1, -1, 2, -3))
+        gens.append(Polynomial(2, terms))
+    for n, (a, b, *later) in enumerate(PLANE_RULE_CASES[case]):
+        if later:
+            g = gens[later[0]]
+            c = g.leading_monomial(order)
+            gens[n] = Polynomial(2, {(a - c[0], b - c[1]): 1}) * g
+    return gens
 
 
 def monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:

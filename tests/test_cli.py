@@ -674,10 +674,12 @@ def _closed_early(argv, lines):
 # The close must come before the last write.  A --json document leaves in one
 # write, so that pipe is closed at once, long before the child has started up;
 # a scan prints a line per tuple and computes the next one before it writes.
+# Its 411 tuples for a = 2..12 outlast a reader that is descheduled after its
+# first line; the 98 for a = 2..6 were sometimes all written before the close.
 @pytest.mark.parametrize("argv, lines", [
     (["global-tjurina", "--curve=x0*x1*(x0+x1)*(x0-x1+x2)", "--json", "--trace"], 0),
-    (["family", "--scan", "--a-max", "6"], 0),
-    (["family", "--scan", "--a-max", "6"], 1),
+    (["family", "--scan", "--a-max", "12"], 0),
+    (["family", "--scan", "--a-max", "12"], 1),
 ])
 def test_closed_stdout_exits_1_without_a_traceback(argv, lines):
     assert _closed_early(argv, lines) == (1, "")

@@ -15,6 +15,7 @@ sympy = pytest.importorskip("sympy")
 from tjurina import DEGREVLEX, GRLEX, LEX, Polynomial, buchberger
 from tjurina.exprio import render_poly
 
+import reference
 from reference import monomials_of_degree
 
 
@@ -67,6 +68,20 @@ def test_reduced_bases_match_independent_cas(nvars, my_order, sp_order, max_deg,
                                 *syms, order=sp_order, domain=sympy.QQ)
         assert set(mine.generators) == {_from_sympy(p, nvars) for p in theirs.polys}
         agreed += 1
+
+
+@pytest.mark.parametrize("case", sorted(reference.PLANE_RULE_CASES))
+def test_the_plane_rule_cases_match_independent_cas(case):
+    # each case of the plane pair rule, as its inputs enter a global grlex
+    # run: the reduced generators are sympy's
+    syms = sympy.symbols("x y")
+    rng = random.Random(f"plane-rule:{case}:grlex")
+    for _ in range(6):
+        gens = reference.plane_rule_ideal(rng, case, GRLEX)
+        mine = buchberger(gens, GRLEX)
+        theirs = sympy.groebner([_to_sympy(g, syms) for g in gens],
+                                *syms, order="grlex", domain=sympy.QQ)
+        assert set(mine.generators) == {_from_sympy(p, 2) for p in theirs.polys}, gens
 
 
 def _line_arrangement(rng, d):

@@ -544,16 +544,63 @@ def test_the_staircase_is_read_only_once_both_axes_hold_a_leading_monomial(monke
     calls = []
     closing_degree = groebner._closing_degree
 
-    def counted(lms):
-        calls.append(tuple(lms))
-        return closing_degree(lms)
+    def counted(corners):
+        calls.append(tuple(c[:2] for c in corners))
+        return closing_degree(corners)
 
     monkeypatch.setattr(groebner, "_closing_degree", counted)
     # (x*y + y^4, y^3): no pure power of x ever leads, so the staircase never closes
     local_basis([P("x*y+y^4"), P("y^3")], 10)
     assert calls == []
     assert local_basis([P("x^2"), P("y^3")], 10).cut == 4
-    assert calls == [((2, 0), (0, 3))]
+    assert calls == [((0, 3), (2, 0))]
+
+
+@pytest.mark.parametrize("case", sorted(reference.PLANE_RULE_CASES))
+def test_the_plane_rule_cases_match_the_oracle(case):
+    # each case of the plane pair rule, as its inputs enter: the counts of
+    # the leading monomials below the final cut are the oracle's, and the
+    # final cut is the first degree the oracle's alphas repeat at
+    from itertools import accumulate
+
+    from tjurina.lengths import _LOCAL, _standard_counts
+    rng, cut = random.Random(f"plane-rule:{case}"), 9
+    for _ in range(6):
+        gens = reference.plane_rule_ideal(rng, case, _LOCAL)
+        gb = checked_buchberger(gens, _LOCAL, cut=cut)
+        alphas = [0] + [local_length_oracle(gens, r) for r in range(1, min(gb.cut + 1, cut) + 1)]
+        counts = accumulate(_standard_counts(gb.leading_monomials(), len(alphas) - 1))
+        assert alphas == [0, *counts], gens
+        repeat = next((r for r in range(len(alphas) - 1) if alphas[r + 1] == alphas[r]), cut)
+        assert gb.cut == repeat, gens
+
+
+def test_an_euler_remainder_on_the_mu_staircase_matches_the_oracle():
+    # tau continues mu's basis with f's Euler remainder, here -x^3*y^2 plus
+    # terms of degree 6 and 7, whose leading monomial the base corner x^3
+    # divides: the input keeps one pair to it and forms no other
+    from itertools import accumulate
+
+    from tjurina.lengths import _LOCAL, _standard_counts, local_length_at_origin
+    x, y = P("x"), P("y")
+    rng = random.Random(3907)
+    for _ in range(6):
+        f = P("x^4+y^5+x^3*y^2")
+        for _ in range(3):
+            d = rng.randint(6, 7)
+            i = rng.randint(0, d)
+            f += Polynomial(2, {(i, d - i): rng.choice((1, -1, 2))})
+        fx, fy = f.partial_derivative(0), f.partial_derivative(1)
+        _, trace = local_length_at_origin([fx, fy])
+        euler = 4 * f - x * fx - y * fy
+        lm = euler.leading_monomial(_LOCAL)
+        assert lm == (3, 2) and any(monomial_divides(c, lm)
+                                    for c in trace.basis.leading_monomials())
+        gb = checked_continuation([euler], trace.basis)
+        alphas = [0] + [local_length_oracle([f, fx, fy], r) for r in range(1, gb.cut + 2)]
+        counts = accumulate(_standard_counts(gb.leading_monomials(), gb.cut + 1))
+        assert alphas == [0, *counts] and alphas[-1] == alphas[-2], f
+        assert all(a < b for a, b in zip(alphas[:-2], alphas[1:-1])), f
 
 
 def _packing_orders():

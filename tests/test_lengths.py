@@ -22,7 +22,7 @@ from tjurina import (
     staircase_length,
     translate_to_origin,
 )
-from tjurina.groebner import _closing_degree
+from tjurina.groebner import _buchberger, _words
 from tjurina.lengths import (
     _LOCAL,
     _projective_dimension_at_most_points,
@@ -295,12 +295,13 @@ def test_standard_counts_and_closing_degree_match_enumeration():
                          if not any(monomial_divides(g, m) for g in lms)) for t in range(20)]
         R = rng.randint(1, 20)
         assert _standard_counts(lms, R) == by_degree[:R], (lms, R)
-        # the least degree with no standard monomial, when one is below 20
-        closing = _closing_degree(lms)
-        if 0 in by_degree:
-            assert closing == by_degree.index(0), lms
-        else:
-            assert closing is None or closing >= 20, lms
+        # the least degree with no standard monomial, when one is below 20, is
+        # the cut a local run on the monomials lowers 20 to; duplicate and
+        # redundant monomials among them do not reach its minimal basis
+        words = _words(_LOCAL, 2)
+        gb = _buchberger([(words.pack(m), 1, ()) for m in lms], words, 20)
+        assert gb.cut == (by_degree.index(0) if 0 in by_degree else 20), lms
+        assert set(gb.leading_monomials()) == MonomialIdeal(2, lms).gens, lms
 
 
 def _counts_by_enumeration(lms, R):
