@@ -157,14 +157,15 @@ class _Germ:
         its partials.  By Euler's relation the partials have degree d - 1."""
         return _packed_gradient(self.h, _words(_LOCAL, 2), with_f=True)
 
-    def length(self, jacobian: bool, failure: str) -> tuple[int, TruncationTrace]:
+    def length(self, jacobian: bool) -> tuple[int, TruncationTrace]:
         """The local length of (h, h_x, h_y), or of (h_x, h_y), whose
-        StabilizationError names the point."""
+        StabilizationError names the point and what fails there."""
         packed = self.packed()
         reducers, d = (packed, self.d) if jacobian else (packed[1:], self.d - 1)
         try:
             return _local_length(reducers, d)
         except StabilizationError as e:
+            failure = "curve not reduced" if jacobian else "non-isolated critical point"
             raise StabilizationError(f"{failure} at {self.where()}: {e}") from e
 
 
@@ -187,12 +188,12 @@ def local_tjurina(f: Polynomial, point: Point) -> tuple[int, TruncationTrace]:
     Zero iff the point is smooth or off the curve.  Raises
     StabilizationError if the curve is not reduced at the point.
     """
-    return _Germ.of(f, point).length(True, "curve not reduced")
+    return _Germ.of(f, point).length(True)
 
 
 def local_milnor(f: Polynomial, point: Point) -> tuple[int, TruncationTrace]:
     """Length at the point of the Milnor scheme of (f_x, f_y)."""
-    return _Germ.of(f, point).length(False, "non-isolated critical point")
+    return _Germ.of(f, point).length(False)
 
 
 # -- symmetry and slci tests ---------------------------------------------------
@@ -282,7 +283,7 @@ def _classify(germ: _Germ):
         return SimplePoint(tangent=germ.tangent())
     if germ.m >= 3:
         return MultiplicityAtLeastThree(multiplicity=germ.m)
-    n, _trace = germ.length(True, "curve not reduced")
+    n, _trace = germ.length(True)
     return DoubleA(n=n)
 
 

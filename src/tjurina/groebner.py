@@ -10,26 +10,28 @@ are never queued and S-polynomials of two monomials are skipped: both vanish
 on reduction.  The rest are pruned by Buchberger's chain criterion
 (Buchberger 1979; Gebauer and Moeller 1988, "On an installation of
 Buchberger's algorithm"): a pair needs no reduction when treated pairs chain
-its elements through elements whose leading words divide its lcm.  In three
-or more variables the Gebauer-Moeller update runs as each element enters.
-Of its new pairs it keeps those whose lcm no other new pair's lcm divides,
-and a coprime pair prunes the pairs its lcm divides and is then dropped
-itself.  It drops the queued pairs whose lcm the new leading word divides
-strictly on both sides, and it retires the elements whose leading word the
-new one divides: they stay reducers but form no new pairs.
+its elements through elements whose leading words divide its lcm.  Pairs
+leave the queue only when popped, and are judged then.  In three or more
+variables the Gebauer-Moeller update runs as each element enters: of its new
+pairs it keeps those whose lcm no other new pair's lcm divides, a coprime
+pair prunes the pairs its lcm divides and is then dropped itself, and the
+elements whose leading word the new one divides retire: they stay reducers
+but form no new pairs.  A popped pair is skipped (B_k) when an element that
+entered after it has a leading word dividing its lcm strictly on both sides.
 
 In the plane the minimal leading monomials form a staircase, kept as its
 corners x^a y^b sorted by a.  Adjacent corners generate its syzygies, so a
-new corner pairs with its two neighbours.  A corner placed inside a gap
-divides the gap's lcm strictly on both sides, so the chain through it covers
-the gap's pending pair, dropped when popped.  The corners a new leading word
+new corner pairs with its two neighbours.  The corners a new leading word
 divides retire, and an input whose leading word a corner divides is
 redundant: either keeps one pair, to an element whose leading word divides
-its own, and stays a reducer.  A retired corner with the new corner's a (or
-b) gave its gap to the left (right) neighbour the new gap's lcm: the gap's
-old pair stands for the new one, chained through the retired corner.  The
-same list gives the cut's closing degree (``_buchberger``) and the minimal
-basis.
+its own, and stays a reducer.  A popped pair whose lcm is neither leading
+word is treated only while that lcm is two adjacent corners': else a corner
+placed since divides it strictly on both sides, and the chain through the
+corners between covers it.  A new corner with the b (a) of the last (first)
+corner it retires queues no right (left) pair: that corner's gap pair has
+the lcm, and the retire pair, of lower degree and so treated first, chains
+the two.  The same list gives the cut's closing degree (``_buchberger``) and
+the minimal basis.
 
 The reduction core is fraction-free: basis elements are primitive integer
 term tables with a positive leading coefficient, S-polynomials are built
@@ -631,22 +633,18 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
     # lie below the cut (above it the S-polynomial lies in m^cut).  The base
     # is minimal and its own pairs were treated by the run that built it.
     heap: list = []
-    dead: set = set()  # the queued plane pairs a later corner made needless
 
     plane = words.nvars == 2
     if plane:
         # the corners (a, b, k) of the minimal leading monomials lm_k = x^a y^b
-        # sorted by a, and per corner the pair standing for its right gap
+        # sorted by a
         corners = sorted((*exps[k], k) for k in range(old))
-        gaps: dict = {}
         ux, uy = words.units
 
-        def push(g: int, h: int, a: int, b: int) -> tuple | None:
+        def push(g: int, h: int, a: int, b: int):
             """Queue the pair (g, h) of lcm x^a y^b below the cut unless coprime."""
             if (limit is None or a + b < limit) and (w := a * ux + b * uy) != lms[g] + lms[h]:
                 heappush(heap, (a + b, w, g, h))
-                return g, h
-            return None
 
         def enter(h: int):
             """The plane rule for the entering element h."""
@@ -664,33 +662,22 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
             corners[p:q] = [(a, b, h)]
             if limit is not None and corners[0][0] == 0 == corners[-1][1]:
                 limit = min(limit, _closing_degree(corners))
-            # the gaps on either side of h, unless a retirement keeps the lcm
-            if q < n:
-                x, y, v = corners[p + 1]
-                gaps[h] = (gaps.pop(block[-1][2], None) if block and block[-1][1] == b
-                           else push(v, h, x, b))
+            # the gaps on either side of h, unless a retired corner with h's b
+            # (a) left the gap's lcm as it was
+            if q < n and not (block and block[-1][1] == b):
+                x, _, v = corners[p + 1]
+                push(v, h, x, b)
             if p and not (block and block[0][0] == a):
-                x, y, u = corners[p - 1]
-                dead.add(gaps.get(u))
-                gaps[u] = push(u, h, a, y)
+                _, y, u = corners[p - 1]
+                push(u, h, a, y)
             for x, y, k in block:
-                dead.add(gaps.pop(k, None))
                 push(k, h, x, y)
     else:
         active: list[int] = list(range(old))
 
         def enter(h: int):
-            """The Gebauer-Moeller update for the entering element h."""
+            """The Gebauer-Moeller update's new pairs and retirements for h."""
             wh, eh = lms[h], exps[h]
-            # B_k: a queued pair whose lcm wh divides, strictly on both sides,
-            # reduces by the chain through h
-            for e in heap:
-                if not (e[1] - wh) & over:
-                    heap[:] = [e for e in heap if (e[1] - wh) & over
-                               or e[0] == sum(map(max, exps[e[2]], eh))
-                               or e[0] == sum(map(max, exps[e[3]], eh))]
-                    heapify(heap)
-                    break
             # the new pairs below the cut, lowest lcm first and a coprime
             # pair before the others with its lcm: a pair whose lcm an
             # earlier one's divides is dropped, and a coprime pair, whose
@@ -726,8 +713,6 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
     level, born = 0, len(leads)
     while heap:
         degree, top, i, j = heappop(heap)
-        if dead and (i, j) in dead:
-            continue
         if cut is None and degree != level:
             stale.update(range(born, len(leads) - 1))
             level, born = degree, len(leads)
@@ -736,6 +721,19 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
             continue
         # two monomials: S-polynomial is identically zero
         if not leads[i][2] and not leads[j][2]:
+            continue
+        if plane:
+            # a gap pair (no leading word is its lcm x^a y^b) while (a, b) is
+            # still the lcm of two adjacent corners
+            if top != lms[i] and top != lms[j]:
+                a, b = max(exps[i][0], exps[j][0]), max(exps[i][1], exps[j][1])
+                k = bisect_left(corners, (a,))
+                if k == len(corners) or corners[k][0] != a or corners[k - 1][1] != b:
+                    continue
+        # B_k: a later element h's leading word divides the lcm, and lcm(i, h)
+        # and lcm(j, h) are of lower degree: the chain through h covers it
+        elif any(not (top - w) & over and sum(map(max, exps[i], e)) != degree
+                 != sum(map(max, exps[j], e)) for w, e in zip(lms[j + 1:], exps[j + 1:])):
             continue
         for k in (i, j):
             if stale and k in stale:

@@ -351,6 +351,23 @@ def test_classify_names_a_non_reduced_double_point(curve, point):
     assert str(info.value) == str(tau_info.value)
 
 
+def test_each_local_length_names_its_own_failure():
+    # the Jacobian length fails on a non-reduced curve, the Milnor length on
+    # a non-isolated critical point; each text names the point
+    f = P("x*(y-1)^2")
+    tail = ("truncation sequence still growing at r = {} = d^2 + 1 (d = {}, the largest "
+            "generator degree); a scheme zero-dimensional at the origin stabilizes by "
+            "r = d^2 (proven bound), so this one is not (alphas = {})")
+    with pytest.raises(StabilizationError) as info:
+        local_milnor(f, (0, 1))
+    assert str(info.value) == ("non-isolated critical point at (0,1): "
+                               + tail.format(5, 2, [1, 3, 4, 5, 6]))
+    with pytest.raises(StabilizationError) as info:
+        local_tjurina(f, (0, 1))
+    assert str(info.value) == ("curve not reduced at (0,1): "
+                               + tail.format(10, 3, [1, *range(3, 12)]))
+
+
 def test_classify_away_from_origin():
     assert classify_double_point(P("y^2-(x-2)^5"), (2, 0)) == DoubleA(4)
 

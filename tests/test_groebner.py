@@ -808,6 +808,28 @@ def test_global_bases_match_recorded_fixtures(case):
     assert list(gb.generators) == _fixture_polys(case, "basis")
 
 
+def test_the_three_variable_runs_form_no_more_pairs_than_the_gebauer_moeller_update(
+        monkeypatch):
+    # the 40 three-variable fixtures form at most 150 (grlex), 133 (lex) and
+    # 123 (degrevlex) S-pairs, the counts with the B_k criterion; without it
+    # they formed 150, 152 and 124
+    from tjurina import groebner
+    counts = {"grlex": 0, "lex": 0, "degrevlex": 0}
+    s_pair = groebner._s_pair
+    kind = None
+
+    def counted(*args):
+        counts[kind] += 1
+        return s_pair(*args)
+
+    monkeypatch.setattr(groebner, "_s_pair", counted)
+    for case in GLOBAL_BASES:
+        if case["nvars"] == 3:
+            kind = case["order"]
+            buchberger(_fixture_polys(case, "gens"), _fixture_order(case))
+    assert counts["grlex"] <= 150 and counts["lex"] <= 133 and counts["degrevlex"] <= 123, counts
+
+
 def test_global_runs_refresh_stale_tails_and_runs_under_a_cut_do_not(monkeypatch):
     from tjurina import local_length_at_origin
     counts = _count_calls(monkeypatch)
@@ -1023,6 +1045,45 @@ def test_a_queued_pair_made_redundant_by_a_new_leading_word_is_never_reduced(mon
     first, second = words.pack((3, 1)), words.pack((1, 3))
     assert entries[:3] == [first, second, words.pack((2, 2))]
     assert pairs and {first, second} not in [set(p) for p in pairs]
+
+
+class _Enough(Exception):
+    """Ends a run once it has formed the S-pairs a test compares."""
+
+
+@pytest.mark.parametrize("order", [GRLEX, LEX], ids=["grlex", "lex"])
+def test_the_plane_rule_forms_the_pairs_of_the_gebauer_moeller_update(monkeypatch, order):
+    # the same generators in x, y and in x, y, z with z unused: the plane rule
+    # and the Gebauer-Moeller update form the same S-pairs, lcm for lcm, in the
+    # same order, and reach the same leading monomials (not under a cut: only
+    # plane runs lower it).  Beyond 30 S-pairs some lex runs here take seconds
+    # each as their coefficients grow (ROADMAP item 10), so a run is compared
+    # on its first 30
+    from tjurina import groebner
+    lcms = []
+    s_pair = groebner._s_pair
+
+    def recorded(a, b, top, words):
+        if len(lcms) == 30:
+            raise _Enough
+        lcms.append(words.exponents(top)[:2])
+        return s_pair(a, b, top, words)
+
+    def run(gens, nvars):
+        lcms.clear()
+        try:
+            gb = buchberger([Polynomial(nvars, {m + (0,) * (nvars - 2): c for m, c in g.items()})
+                             for g in gens], order)
+        except _Enough:
+            return lcms[:], None
+        return lcms[:], [m[:2] for m in gb.leading_monomials()]
+
+    monkeypatch.setattr(groebner, "_s_pair", recorded)
+    rng = random.Random(4111)
+    for _ in range(150):
+        gens = [{(rng.randint(0, 6), rng.randint(0, 6)): rng.choice((1, -1, 2, -2, 3))
+                 for _ in range(rng.randint(1, 5))} for _ in range(rng.randint(1, 4))]
+        assert run(gens, 3) == run(gens, 2), gens
 
 
 def test_leading_term_ideal_adopts_the_minimal_leading_monomials():

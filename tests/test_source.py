@@ -179,3 +179,26 @@ def test_one_tangent_cone_test_serves_every_per_point_reader():
                  for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)}
         assert "ordinary" in calls and "squarefree_binary_form" not in calls, name
         assert "common_factor_degree" not in calls, name
+
+
+def test_the_pair_queue_changes_only_by_push_and_pop():
+    # a queued pair is judged when it is popped, so inside _buchberger the
+    # queue is named only to create it, to test it for pairs left, and as
+    # the queue of heappush and heappop: no heapify, no heap[...] rewrite
+    source = Path(tjurina.__file__).resolve().parent / "groebner.py"
+    func = next(node for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+                if isinstance(node, ast.FunctionDef) and node.name == "_buchberger")
+    allowed = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("heappush",
+                                                                              "heappop"):
+            allowed.add(id(node.args[0]))
+        elif isinstance(node, ast.AnnAssign):
+            allowed.add(id(node.target))
+        elif isinstance(node, ast.While):
+            allowed.add(id(node.test))
+    found = [node.lineno for node in ast.walk(func)
+             if isinstance(node, ast.Name) and node.id == "heap" and id(node) not in allowed]
+    calls = [node.lineno for node in ast.walk(func)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "heapify"]
+    assert found == [] and calls == []
