@@ -6,7 +6,9 @@ an integer multiple of the translate, packed with its gradient for the
 local lengths, and reads the invariants off ideals in Q[x,y].  The report
 of ``analyze`` keeps that germ.
 
-* multiplicity and ordinariness (squarefreeness of the initial form);
+* multiplicity and ordinariness (squarefreeness of the initial form), which
+  ``is_ordinary`` and ``is_slci`` decide by one gcd of binary forms and
+  ``analyze`` reads off mu = (m-1)^2, running the gcd only above that bound;
 * the Tjurina number tau = length at O of (f, f_x, f_y) and the Milnor
   number mu = length at O of (f_x, f_y), both via truncation traces;
 * symmetry order of a zero-dimensional scheme (the common length of its
@@ -310,11 +312,14 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     (f_x, f_y) lies inside (f, f_x, f_y) = (r, f_x, f_y).  When mu fails,
     tau is computed from scratch, so a non-reduced input produces one
     diagnostic naming everything that went wrong (tau's failure first).  At m >= 2 the
-    level-(m-1) forms of (f, f_x, f_y) are the partials of the initial
-    form, so one gcd decides ordinariness and the symmetry order (m - 1
-    when ordinary, else None), both at the point alone.  A violation of
-    tau <= mu, or of mu = (m-1)^2 at an ordinary point, raises
-    AssertionError.
+    partials have multiplicity m - 1 and initial forms h_x and h_y, for the
+    initial form h, so mu = I_O(f_x, f_y) >= (m-1)^2, with equality iff h_x
+    and h_y share no line (Fulton, "Algebraic Curves", §3.3), that is, by
+    Euler's relation, iff h is squarefree.  So mu decides ordinariness and
+    the symmetry order (m - 1 when ordinary, else None); the gcd of binary
+    forms runs only where mu exceeds (m-1)^2, as a cross-check.  A
+    violation of tau <= mu, of mu = (m-1)^2 at a point the gcd finds
+    ordinary, or of mu >= (m-1)^2, raises AssertionError.
     """
     if f.degree() == 0:  # the zero polynomial has degree None: _Germ refuses it
         raise ValueError("a nonzero constant defines the empty curve")
@@ -345,8 +350,8 @@ def _analyze(germ: _Germ) -> SingularityReport:
         raise StabilizationError(f"{where}: " + "; ".join(errors))
 
     ordinary = symmetry = None
-    if m >= 2:
-        ordinary = germ.ordinary("ordinariness")
+    if m >= 2:  # mu = (m-1)^2 iff the initial form is squarefree
+        ordinary = mu == (m - 1) ** 2 or germ.ordinary("ordinariness")
         symmetry = m - 1 if ordinary else None
 
     if m == 0:
@@ -364,6 +369,9 @@ def _analyze(germ: _Germ) -> SingularityReport:
         raise AssertionError(f"Tjurina number {tau} exceeds Milnor number {mu}")
     if ordinary and mu != (m - 1) ** 2:
         raise AssertionError(f"ordinary point with mu = {mu} != (m-1)^2 = {(m - 1) ** 2}")
+    if m >= 2 and mu < (m - 1) ** 2:
+        raise AssertionError(f"mu = {mu} < (m-1)^2 = {(m - 1) ** 2} at a point of "
+                             f"multiplicity {m}")
 
     return SingularityReport(
         point=germ.point,

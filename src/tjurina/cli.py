@@ -73,11 +73,30 @@ def _parse_rational(text: str) -> Fraction:
         raise _CliError(EXIT_BAD_INPUT, f"bad rational number {text!r}: {e}") from e
 
 
+def _parse_coordinate(text: str) -> Fraction:
+    """``_parse_rational`` of one coordinate.  ASCII ``[+-]digits`` and
+    ``[+-]digits/digits`` with a nonzero denominator are read by ``int``,
+    which is cheaper than ``Fraction``'s regular expression; every other
+    text, and a literal past ``int``'s digit limit, goes to
+    ``_parse_rational``, so value and error text are the same."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num.startswith(("+", "-")) else num
+    if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+        try:
+            if not slash:
+                return Fraction(int(num))
+            if q := int(den):
+                return Fraction(int(num), q)
+        except ValueError:  # past int's digit limit
+            pass
+    return _parse_rational(text)
+
+
 def _parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
     parts = text.split(",")
     if len(parts) != dim:
         raise _CliError(EXIT_BAD_INPUT, f"point must have {dim} comma-separated coordinates")
-    return tuple(_parse_rational(p) for p in parts)
+    return tuple(_parse_coordinate(p) for p in parts)
 
 
 def _parse_curve(text: str, ambient: str) -> tuple[dict, int]:

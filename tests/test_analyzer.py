@@ -675,6 +675,80 @@ def test_analyze_raises_at_an_ordinary_point_whose_mu_is_not_m_minus_1_squared(m
     assert str(info.value) == "ordinary point with mu = 5 != (m-1)^2 = 4"
 
 
+def test_analyze_raises_where_mu_is_below_m_minus_1_squared(monkeypatch):
+    # Fulton: mu = I_O(f_x, f_y) >= (m-1)^2 at a point of multiplicity m >= 2.
+    # x^3+y^4 is non-ordinary, so lowering both lengths keeps tau <= mu and
+    # leaves the gcd's cross-check silent: only the lower bound fires
+    _lying_lengths(monkeypatch, tau_shift=-3, mu_shift=-3)
+    with pytest.raises(AssertionError) as info:
+        analyze(P("x^3+y^4"), O)
+    assert str(info.value) == "mu = 3 < (m-1)^2 = 4 at a point of multiplicity 3"
+
+
+def _lines_form(rng, m):
+    """A squarefree binary form of degree m: distinct rational lines, and an
+    irreducible quadratic (two complex lines) in every other draw."""
+    lines = [VERTICAL] + sorted({Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3)})
+    quadratic = m >= 2 and rng.random() < 0.5
+    form = P("x^2+x*y+y^2") if quadratic else P("1")
+    for line in rng.sample(lines, m - 2 * quadratic):
+        form = form * _line_form(line)
+    return form.scale(rng.choice([-3, -2, -1, 1, 2, 3]))
+
+
+def _non_ordinary_form(rng, m, i):
+    """A binary form of degree m with a repeated linear factor: x^m, y^m
+    (one partial vanishes), or a squared line times any form."""
+    if i % 3 == 0:
+        return P(f"x^{m}")
+    if i % 3 == 1:
+        return P(f"y^{m}")
+    line = _lines_form(rng, 1)
+    rest = _random_form(rng, m - 2) if m > 2 else P("1")
+    return line * line * rest
+
+
+def test_analyze_reads_ordinariness_off_mu_as_the_gcd_does():
+    # mu = (m-1)^2 exactly when the initial form is squarefree, so the
+    # report's ordinariness, symmetry order and mu agree with is_ordinary's gcd
+    rng = random.Random(4646)
+    seen = {True: set(), False: set()}
+    for i in range(150):
+        m = 2 + i % 5
+        planted = i % 2 == 0
+        init = _lines_form(rng, m) if planted else _non_ordinary_form(rng, m, i // 2)
+        g = (init + P(f"x^{m + 1}+y^{m + 1}") + _random_form(rng, m + 1)
+             + _random_form(rng, m + 2))
+        point = O if i % 4 < 2 else (Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                     rng.randint(-2, 2))
+        f = translate_to_origin(g, (-point[0], -point[1]))  # g moved to the point
+        r = analyze(f, point)
+        assert r.multiplicity == m, (g, point)
+        assert r.ordinary == is_ordinary(f, point) == planted, (g, point)
+        assert r.symmetry_order == (m - 1 if planted else None), (g, point)
+        assert (r.milnor == (m - 1) ** 2) == planted, (g, point)
+        assert r.milnor >= (m - 1) ** 2, (g, point)
+        seen[planted].add((m, point == O))
+    assert seen[True] == seen[False] == {(m, at_o) for m in range(2, 7) for at_o in (True, False)}
+
+
+def test_analyze_runs_the_gcd_only_where_mu_exceeds_m_minus_1_squared(monkeypatch):
+    from tjurina import analyzer
+    calls = []
+    real = analyzer.squarefree_binary_form
+    monkeypatch.setattr(analyzer, "squarefree_binary_form",
+                        lambda form: calls.append(form) or real(form))
+    r = analyze(P("x^4-y^4+x^5"), O)
+    assert (r.ordinary, r.milnor, r.symmetry_order) == (True, 9, 3)
+    assert calls == []
+    r = analyze(P("(x-1)^3+(y+2)^4"), (1, -2))
+    assert (r.ordinary, r.milnor, r.symmetry_order) == (False, 6, None)
+    assert len(calls) == 1
+    # is_ordinary and is_slci have no mu: they keep the gcd
+    assert is_ordinary(P("x^4-y^4+x^5"), O) and is_slci(P("x^4-y^4+x^5"), O)
+    assert len(calls) == 3
+
+
 def test_analyze_off_curve_where_mu_is_one():
     r = analyze(P("x^2+y^2+1"), O)
     assert (r.tjurina, r.milnor) == (0, 1)

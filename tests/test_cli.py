@@ -2,15 +2,17 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tjurina.cli import _json_text, main
+from tjurina.cli import _CliError, _json_text, _parse_coordinate, _parse_rational, main
 
 
 def run_cli(*argv):
@@ -178,6 +180,48 @@ def test_analyze_curves_file_in_order(tmp_path):
     assert [d["curve"] for d in docs] == [
         "x^5-y^5", "y^2-x^3", "x*y*(x-y)*(x+y)^2+x^6+y^6"]
     assert [d["tjurina"] for d in docs] == [16, 2, 15]
+
+
+# -- points ----------------------------------------------------------------------
+
+
+def _read(parse, text):
+    try:
+        value = parse(text)
+    except _CliError as e:
+        return e.code, e.message
+    return type(value), value
+
+
+_COORDINATE_EDGES = [
+    "", "+", "-", "/", "3/", "/3", " 3/2", "3/2 ", "+3", "-0", "+0/7", "007/014",
+    "0.5", "1e3", "1_000", "3/0", "0/0", "3/-2", "3/+2", "+-3", "--3", "3/2/5",
+    "١", "3/٢", "²", "nan", "inf", "4" * 4300, "4" * 4301, "-" + "4" * 4301,
+    "1/" + "7" * 4301, "7" * 4301 + "/3",
+]
+
+
+def test_point_coordinates_read_as_fraction_reads_them():
+    # the int() reading of plain literals gives the same value or error text
+    # as _parse_rational, whose Fraction(str) it skips
+    rng = random.Random(4646)
+    texts = list(_COORDINATE_EDGES)
+    for _ in range(10000):  # any short text over a small alphabet
+        texts.append("".join(rng.choice("0123456789+-/ ._e١") for _ in range(rng.randint(0, 7))))
+    for _ in range(10000):  # mostly plain literals, some with a zero denominator
+        text = rng.choice(["", "+", "-"]) + str(rng.randint(0, 10 ** rng.randint(0, 30)))
+        if rng.random() < 0.6:
+            text += "/" + str(rng.randint(0, 10 ** rng.randint(0, 30)))
+        texts.append(text)
+    for text in texts:
+        assert _read(_parse_coordinate, text) == _read(_parse_rational, text), text
+
+
+def test_plain_point_coordinates_skip_fraction_parsing(monkeypatch):
+    from tjurina import cli
+    monkeypatch.setattr(cli, "_parse_rational", lambda text: pytest.fail(text))
+    assert cli._parse_point("-3/2,7", 2) == (Fraction(-3, 2), Fraction(7))
+    assert cli._parse_point("0,+4/6,-0", 3) == (0, Fraction(2, 3), 0)
 
 
 # -- classify ------------------------------------------------------------------

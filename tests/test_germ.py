@@ -205,7 +205,8 @@ def test_a_singular_request_makes_no_fraction(monkeypatch):
 
 def test_a_rational_point_classify_request_builds_no_fraction_for_the_curve(monkeypatch):
     # the text's coefficients go to the germ as integers over one denominator;
-    # the point's two coordinates are the only Fractions of the request
+    # the point's two coordinates are the only Fractions of the request, each
+    # built from the integers of its literal
     made = []
     new = Fraction.__new__
 
@@ -218,7 +219,7 @@ def test_a_rational_point_classify_request_builds_no_fraction_for_the_curve(monk
     out = io.StringIO()
     assert main(["classify", f"--curve={text}", "--point=3/2,-1/3", "--json"], out=out) == 0
     assert '"n": 6' in out.getvalue()
-    assert made == [("3/2",), ("-1/3",)]
+    assert made == [(3, 2), (-1, 3)]
 
 
 # -- edges the integer route keeps ----------------------------------------------------
