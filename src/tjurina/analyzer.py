@@ -7,8 +7,11 @@ local lengths, and reads the invariants off ideals in Q[x,y].  The report
 of ``analyze`` keeps that germ.
 
 * multiplicity and ordinariness (squarefreeness of the initial form), which
-  ``is_ordinary`` and ``is_slci`` decide by one gcd of binary forms and
-  ``analyze`` reads off mu = (m-1)^2, running the gcd only above that bound;
+  ``is_ordinary`` and ``is_slci`` decide by one gcd of binary forms;
+  ``analyze`` runs that gcd first at multiplicity m <= 4, where an
+  ordinary point has tau = mu = (m-1)^2 and its traces in closed form, with
+  no local run, and at m >= 5 reads ordinariness off mu = (m-1)^2, running
+  the gcd only above that bound;
 * the Tjurina number tau = length at O of (f, f_x, f_y) and the Milnor
   number mu = length at O of (f_x, f_y), both via truncation traces;
 * symmetry order of a zero-dimensional scheme (the common length of its
@@ -95,7 +98,8 @@ class MultiplicityAtLeastThree(Record):
 
 class SingularityReport(Record):
     """What ``analyze`` found at a point.  The ``germ`` it was read from takes
-    no part in equality, hash or repr."""
+    no part in equality, hash or repr.  At an ordinary point of multiplicity
+    m <= 4 both traces are one closed-form TruncationTrace with no basis."""
 
     __slots__ = ("point", "multiplicity", "is_on_curve", "ordinary", "tjurina", "milnor",
                  "symmetry_order", "classification", "tjurina_trace", "milnor_trace", "germ")
@@ -316,10 +320,29 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
     initial form h, so mu = I_O(f_x, f_y) >= (m-1)^2, with equality iff h_x
     and h_y share no line (Fulton, "Algebraic Curves", §3.3), that is, by
     Euler's relation, iff h is squarefree.  So mu decides ordinariness and
-    the symmetry order (m - 1 when ordinary, else None); the gcd of binary
-    forms runs only where mu exceeds (m-1)^2, as a cross-check.  A
-    violation of tau <= mu, of mu = (m-1)^2 at a point the gcd finds
-    ordinary, or of mu >= (m-1)^2, raises AssertionError.
+    the symmetry order (m - 1 when ordinary, else None); at m >= 5 the gcd
+    of binary forms runs only where mu exceeds (m-1)^2, as a cross-check.
+
+    At 2 <= m <= 4 the gcd runs first, and an ordinary point takes a closed
+    form with no local run: tau = mu = (m-1)^2, and both traces are the one
+    TruncationTrace, without a basis, of the Hilbert-Samuel function
+    HF(t) = min(t+1, 2m-3-t) for t < 2m-3 and 0 from t = 2m-3 on: its pairs
+    are (r, HF(0) + ... + HF(r-1)) for r = 1 .. 2m-2, stabilized at 2m-3.
+    Let J = (f_x, f_y) in the local ring at O.
+
+    1. h_x and h_y are coprime forms of degree m - 1 (above), so a regular
+       sequence: they generate the tangent-cone ideal of J (its initial
+       forms), whose quotient has the Hilbert function of two coprime
+       forms of degree m - 1, which is HF above.
+    2. HF vanishes from degree 2m-3 on, so every monomial of that degree
+       lies in J + m^(2m-2), and m^(2m-3) lies in J by Nakayama.
+    3. The Euler remainder r has no term below degree m + 1, and m + 1 >=
+       2m-3 for m <= 4, so r lies in J, (f, f_x, f_y) = J and tau = mu.
+
+    (At m >= 5 the paper's minimum tau = floor((3m^2-2m-4)/4) lies below
+    (m-1)^2, so tau needs the runs.)  A violation of tau <= mu, of
+    mu = (m-1)^2 at a point the gcd finds ordinary, or of mu >= (m-1)^2,
+    raises AssertionError.
     """
     if f.degree() == 0:  # the zero polynomial has degree None: _Germ refuses it
         raise ValueError("a nonzero constant defines the empty curve")
@@ -329,30 +352,18 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
 def _analyze(germ: _Germ) -> SingularityReport:
     """``analyze`` of a nonconstant germ, which the CLI builds from its
     parsed table."""
-    m, d, packed = germ.m, germ.d, germ.packed()
-
-    errors = []
-    mu_trace = None
-    try:
-        mu, mu_trace = _local_length(packed[1:], d - 1)
-    except StabilizationError as e:
-        errors.append(f"milnor: {e}")
-    try:
-        if mu_trace is None:
-            tau, tau_trace = _local_length(packed, d)
-        else:  # (f_x, f_y) lies inside (r, f_x, f_y): continue mu's basis with r
-            tau, tau_trace = _local_length(packed[:1], d, base=mu_trace.basis)
-    except StabilizationError as e:
-        errors.insert(0, f"tjurina: {e}")
-    if errors:  # off the curve, (f) is the unit ideal: only mu can fail
-        where = (f"point {germ.where()} is not on the curve, and f has a non-isolated "
-                 "critical point there" if m == 0 else f"curve not reduced at {germ.where()}")
-        raise StabilizationError(f"{where}: " + "; ".join(errors))
-
-    ordinary = symmetry = None
-    if m >= 2:  # mu = (m-1)^2 iff the initial form is squarefree
-        ordinary = mu == (m - 1) ** 2 or germ.ordinary("ordinariness")
-        symmetry = m - 1 if ordinary else None
+    m = germ.m
+    ordinary = germ.ordinary("ordinariness") if 2 <= m <= 4 else None
+    if ordinary:  # the closed form of ``analyze``: no local run
+        top = 2 * m - 3  # HF(t) = min(t+1, top-t) vanishes from t = top on
+        mu = tau = (m - 1) ** 2
+        mu_trace = tau_trace = TruncationTrace(tuple(
+            (r, sum(min(t + 1, top - t) for t in range(r))) for r in range(1, top + 2)), top)
+    else:
+        tau, tau_trace, mu, mu_trace = _run_lengths(germ)
+        if m >= 5:  # mu = (m-1)^2 iff the initial form is squarefree
+            ordinary = mu == (m - 1) ** 2 or germ.ordinary("ordinariness")
+    symmetry = m - 1 if ordinary else None
 
     if m == 0:
         classification = Classification("off_curve")
@@ -386,3 +397,28 @@ def _analyze(germ: _Germ) -> SingularityReport:
         milnor_trace=mu_trace,
         germ=germ,
     )
+
+
+def _run_lengths(germ: _Germ) -> tuple:
+    """tau, its trace, mu and its trace by the local runs: mu's standard
+    basis first, which tau continues with the packed Euler remainder."""
+    m, d, packed = germ.m, germ.d, germ.packed()
+
+    errors = []
+    mu_trace = None
+    try:
+        mu, mu_trace = _local_length(packed[1:], d - 1)
+    except StabilizationError as e:
+        errors.append(f"milnor: {e}")
+    try:
+        if mu_trace is None:
+            tau, tau_trace = _local_length(packed, d)
+        else:  # (f_x, f_y) lies inside (r, f_x, f_y): continue mu's basis with r
+            tau, tau_trace = _local_length(packed[:1], d, base=mu_trace.basis)
+    except StabilizationError as e:
+        errors.insert(0, f"tjurina: {e}")
+    if errors:  # off the curve, (f) is the unit ideal: only mu can fail
+        where = (f"point {germ.where()} is not on the curve, and f has a non-isolated "
+                 "critical point there" if m == 0 else f"curve not reduced at {germ.where()}")
+        raise StabilizationError(f"{where}: " + "; ".join(errors))
+    return tau, tau_trace, mu, mu_trace

@@ -6,7 +6,8 @@ origin.  Whether forms share a line is decided exactly over Q by
 ``common_factor_degree``: one gcd of the forms dehomogenized at x = 1,
 which hides the factor x, plus the least x-exponent, which counts it.
 Whether a form repeats a line (``squarefree_binary_form``) is whether x^2
-divides it or g(1, y) shares a root with its derivative.  Both run one
+or y^2 divides it, read off its exponents, or g(1, y) shares a root with
+its derivative.  Both run one
 integer kernel: each form is read once into a primitive integer
 coefficient list (denominators cleared once), and a primitive
 pseudo-remainder sequence gives the degree of the gcd.
@@ -93,19 +94,25 @@ def _gcd_degree(us: Sequence[UPoly]) -> int:
 # binary forms
 
 
+def _form_degree(g: Polynomial) -> int:
+    """Check that g is a binary form, from its exponents alone: its degree."""
+    if g.nvars != 2:
+        raise ValueError("binary forms live in 2 variables")
+    degrees = {i + j for (i, j), _c in g.terms()}
+    if not degrees:
+        raise ValueError("binary form must be nonzero")
+    if len(degrees) > 1:
+        raise ValueError("binary form must be homogeneous")
+    return degrees.pop()
+
+
 def _dehomogenize(g: Polynomial) -> tuple[int, UPoly]:
     """Check that g is a binary form and read it once: its degree m and
     g(1, y), trimmed.  The degree drop m - deg(g(1, y)) is the
     multiplicity of the factor x."""
-    if g.nvars != 2:
-        raise ValueError("binary forms live in 2 variables")
-    if g.is_zero():
-        raise ValueError("binary form must be nonzero")
-    m = g.degree()
+    m = _form_degree(g)
     coeffs: UPoly = [0] * (m + 1)
-    for (i, j), c in g.terms():
-        if i + j != m:
-            raise ValueError("binary form must be homogeneous")
+    for (_i, j), c in g.terms():
         coeffs[j] = c
     return m, upoly_trim(coeffs)
 
@@ -127,10 +134,12 @@ def squarefree_binary_form(g: Polynomial) -> bool:
 
     Write g = x^e * h with x not dividing h, and u = g(1, y) = h(1, y), of
     degree m - e.  The lines of h are the roots of u, so g is squarefree
-    iff e <= 1 and u shares no root with its derivative.
+    iff e <= 1 and u shares no root with its derivative.  Where x^2 or y^2
+    divides g, the exponents say so before u, a list of m + 1
+    coefficients, is built.
     """
-    m, u = _dehomogenize(g)
-    if m - (len(u) - 1) > 1:
+    _form_degree(g)
+    if max(map(min, zip(*g.terms_dict()))) > 1:  # the least x- or y-exponent
         return False
-    u = _primitive(u)
+    u = _primitive(_dehomogenize(g)[1])
     return len(u) <= 2 or _gcd_degree([u, upoly_derivative(u)]) == 0

@@ -71,9 +71,11 @@ class TruncationTrace(Record):
     includes the confirming pair (r+1, alpha_{r+1}).  ``basis`` is the local
     standard basis the pairs were read from, which a length of a larger
     ideal can continue (``_local_length``'s ``base``); it takes no part in
-    equality.  The trace of a local run (``_read``) counts its pairs, one per
-    degree, from the basis when they are first read, so a caller that reads
-    only the length never builds them.
+    equality, and is None where no run made the trace: ``analyze`` gives
+    both traces of an ordinary point of multiplicity m <= 4 in closed form,
+    from the tangent cone.  The trace of a local run (``_read``) counts its
+    pairs, one per degree, from the basis when they are first read, so a
+    caller that reads only the length never builds them.
     """
 
     __slots__ = ("pairs", "stabilized_at", "basis")

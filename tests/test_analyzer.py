@@ -669,10 +669,12 @@ def test_analyze_raises_when_tau_exceeds_mu(monkeypatch):
 
 
 def test_analyze_raises_at_an_ordinary_point_whose_mu_is_not_m_minus_1_squared(monkeypatch):
+    # an ordinary point of multiplicity m <= 4 runs no length at all, so the
+    # lie is told at m = 5, where mu is still run
     _lying_lengths(monkeypatch, tau_shift=0, mu_shift=1)
     with pytest.raises(AssertionError) as info:
-        analyze(P("x^3-y^3+x^4"), O)
-    assert str(info.value) == "ordinary point with mu = 5 != (m-1)^2 = 4"
+        analyze(P("x^5+y^5+x^3*y^3"), O)
+    assert str(info.value) == "ordinary point with mu = 17 != (m-1)^2 = 16"
 
 
 def test_analyze_raises_where_mu_is_below_m_minus_1_squared(monkeypatch):
@@ -738,15 +740,101 @@ def test_analyze_runs_the_gcd_only_where_mu_exceeds_m_minus_1_squared(monkeypatc
     real = analyzer.squarefree_binary_form
     monkeypatch.setattr(analyzer, "squarefree_binary_form",
                         lambda form: calls.append(form) or real(form))
-    r = analyze(P("x^4-y^4+x^5"), O)
-    assert (r.ordinary, r.milnor, r.symmetry_order) == (True, 9, 3)
+    # at m >= 5 an ordinary point reads ordinariness off mu alone
+    r = analyze(P("x^5+y^5+x^3*y^3"), O)
+    assert (r.ordinary, r.milnor, r.symmetry_order) == (True, 16, 4)
     assert calls == []
+    # at m <= 4 the gcd runs first, once, and a non-ordinary point runs on
     r = analyze(P("(x-1)^3+(y+2)^4"), (1, -2))
     assert (r.ordinary, r.milnor, r.symmetry_order) == (False, 6, None)
     assert len(calls) == 1
     # is_ordinary and is_slci have no mu: they keep the gcd
     assert is_ordinary(P("x^4-y^4+x^5"), O) and is_slci(P("x^4-y^4+x^5"), O)
     assert len(calls) == 3
+
+
+def _ordinary_germ(rng, m, at_origin):
+    """A curve with an ordinary m-fold point, at O or at a rational point,
+    and that point: a squarefree initial form plus terms of degree m + 1 up
+    to 2m + 1, moved there."""
+    g = _lines_form(rng, m)
+    for k in range(m + 1, 2 * m + 2):
+        if rng.random() < 0.6:
+            g = g + _random_form(rng, k)
+    point = O if at_origin else (Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                 rng.randint(-2, 2))
+    return translate_to_origin(g, (-point[0], -point[1])), point
+
+
+def test_an_ordinary_point_of_multiplicity_at_most_4_reports_what_the_runs_give():
+    # the closed form tau = mu = (m-1)^2 and its Hilbert-Samuel trace equal
+    # what the local runs it replaces read off the standard basis
+    from tjurina.analyzer import _Germ, _run_lengths
+    rng = random.Random(4747)
+    seen = set()
+    for i in range(180):
+        m, at_origin = 2 + i % 3, i % 6 < 3
+        f, point = _ordinary_germ(rng, m, at_origin)
+        r = analyze(f, point)
+        assert r.milnor_trace.basis is None and r.tjurina_trace.basis is None, (f, point)
+        tau, tau_trace, mu, mu_trace = _run_lengths(_Germ.of(f, point))
+        assert (r.tjurina, r.milnor) == (tau, mu) == ((m - 1) ** 2, (m - 1) ** 2), (f, point)
+        assert r.tjurina_trace == tau_trace and r.milnor_trace == mu_trace, (f, point)
+        assert (r.multiplicity, r.ordinary) == (m, True)
+        assert r.symmetry_order == (m - 1 if mu == (m - 1) ** 2 else None), (f, point)
+        assert r.classification == (Classification("A_n", tau) if m == 2 else Classification(
+            "ordinary" if mu == (m - 1) ** 2 else "non_ordinary", m)), (f, point)
+        if i % 7 == 0:  # every alpha_r against the Macaulay matrix
+            gens = jacobian_gens(f, point)
+            for r_, alpha in r.milnor_trace.pairs:
+                assert local_length_oracle(gens[1:], r_) == alpha, (f, point, r_)
+                assert local_length_oracle(gens, r_) == alpha, (f, point, r_)
+            seen.add((m, at_origin, "oracle"))
+        seen.add((m, at_origin))
+    assert seen == {(m, at_o, *tag) for m in (2, 3, 4) for at_o in (True, False)
+                    for tag in ((), ("oracle",))}
+
+
+@pytest.mark.parametrize("expr, point, pairs", [
+    ("x^2-y^2+x^3", O, ((1, 1), (2, 1))),
+    ("(x-1)^3-(y+2)^3+(x-1)^4", (1, -2), ((1, 1), (2, 3), (3, 4), (4, 4))),
+    ("x^4-y^4+x^5", O, ((1, 1), (2, 3), (3, 6), (4, 8), (5, 9), (6, 9))),
+])
+def test_the_closed_form_trace_at_an_ordinary_point(expr, point, pairs):
+    r = analyze(P(expr), point)
+    m = len(pairs) // 2 + 1
+    assert r.tjurina_trace == r.milnor_trace == TruncationTrace(pairs, 2 * m - 3)
+    assert r.milnor_trace.basis is None
+    assert (r.tjurina, r.milnor, r.symmetry_order) == ((m - 1) ** 2, (m - 1) ** 2, m - 1)
+    if m == 2:
+        assert r.classification == Classification("A_n", 1)
+        assert str(r.classification) == "node (A_1)"
+    else:
+        assert r.classification == Classification("ordinary", m)
+
+
+def test_analyze_runs_one_gcd_and_no_length_at_an_ordinary_point_of_multiplicity_at_most_4(
+        monkeypatch):
+    from tjurina import analyzer
+    gcds, runs = [], []
+    gcd, run = analyzer.squarefree_binary_form, analyzer._local_length
+    monkeypatch.setattr(analyzer, "squarefree_binary_form",
+                        lambda form: gcds.append(form) or gcd(form))
+    monkeypatch.setattr(analyzer, "_local_length",
+                        lambda *args, **kwargs: runs.append(args) or run(*args, **kwargs))
+
+    def counts(expr, point=O):
+        gcds.clear()
+        runs.clear()
+        r = analyze(P(expr), point)
+        return r.ordinary, r.milnor, len(gcds), len(runs)
+
+    assert counts("x^4-y^4+x^5") == (True, 9, 1, 0)
+    assert counts("(x-1)^3-(y+2)^3+(x-1)^4", (1, -2)) == (True, 4, 1, 0)
+    # m = 5: mu is run, and equals (m-1)^2, so no gcd
+    assert counts("x^5+y^5+x^3*y^3") == (True, 16, 0, 2)
+    # non-ordinary at m = 3: the one gcd, then both runs, and never a second gcd
+    assert counts("x^3+y^4") == (False, 6, 1, 2)
 
 
 def test_analyze_off_curve_where_mu_is_one():

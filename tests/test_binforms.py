@@ -46,6 +46,25 @@ def test_squarefree_examples():
     assert squarefree_binary_form(P("x*y*(x+y)"))
 
 
+def test_a_square_of_an_axis_is_read_off_the_exponents(monkeypatch):
+    # x^2 or y^2 dividing the form decides it before the dense list of its
+    # m + 1 coefficients is built, so a huge degree costs nothing
+    from tjurina import binforms, is_ordinary
+    read = []
+    dehomogenize = binforms._dehomogenize
+    monkeypatch.setattr(binforms, "_dehomogenize", lambda g: read.append(g) or dehomogenize(g))
+    assert not squarefree_binary_form(P("x^7*y"))
+    assert not squarefree_binary_form(P("x*y^9"))
+    assert read == []
+    assert not is_ordinary(P("x^1073741824"), (0, 0))
+    assert read == []
+    # the other forms are still read, and a non-form still refused
+    assert squarefree_binary_form(P("x*y")) and len(read) == 1
+    for bad in (P("x^2+x^3"), P("y^2*(1+x)"), P("0"), P("x0^2*x1", "projective3")):
+        with pytest.raises(ValueError):
+            squarefree_binary_form(bad)
+
+
 def test_discriminant_normalization():
     # disc(t^2 + bt + c) = b^2 - 4c
     assert discriminant([Fraction(3), Fraction(2), Fraction(1)]) == -8
