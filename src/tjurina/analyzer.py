@@ -7,11 +7,9 @@ local lengths, and reads the invariants off ideals in Q[x,y].  The report
 of ``analyze`` keeps that germ.
 
 * multiplicity and ordinariness (squarefreeness of the initial form), which
-  ``is_ordinary`` and ``is_slci`` decide by one gcd of binary forms;
-  ``analyze`` runs that gcd first at multiplicity m <= 4, where an
-  ordinary point has tau = mu = (m-1)^2 and its traces in closed form, with
-  no local run, and at m >= 5 reads ordinariness off mu = (m-1)^2, running
-  the gcd only above that bound;
+  ``is_ordinary``, ``is_slci`` and ``analyze`` decide by one gcd of binary
+  forms; at an ordinary point ``analyze`` reads mu = (m-1)^2 and its trace
+  off the tangent cone, with no local run, and tau too at m <= 4;
 * the Tjurina number tau = length at O of (f, f_x, f_y) and the Milnor
   number mu = length at O of (f_x, f_y), both via truncation traces;
 * symmetry order of a zero-dimensional scheme (the common length of its
@@ -98,8 +96,9 @@ class MultiplicityAtLeastThree(Record):
 
 class SingularityReport(Record):
     """What ``analyze`` found at a point.  The ``germ`` it was read from takes
-    no part in equality, hash or repr.  At an ordinary point of multiplicity
-    m <= 4 both traces are one closed-form TruncationTrace with no basis."""
+    no part in equality, hash or repr.  At an ordinary point the Milnor trace
+    is read off the tangent cone and has no basis; at multiplicity m <= 4 the
+    Tjurina trace is that same trace."""
 
     __slots__ = ("point", "multiplicity", "is_on_curve", "ordinary", "tjurina", "milnor",
                  "symmetry_order", "classification", "tjurina_trace", "milnor_trace", "germ")
@@ -225,11 +224,6 @@ def k_symmetry_order(gens: Sequence[Polynomial]) -> int | None:
         local_length_at_origin(gens)
     except StabilizationError as e:
         raise ValueError(f"the scheme is not zero-dimensional at the origin: {e}") from e
-    return _symmetry_order(gens)
-
-
-def _symmetry_order(gens: Sequence[Polynomial]) -> int | None:
-    """The core of ``k_symmetry_order``, for a scheme zero-dimensional at O."""
     polys = [g for g in gens if not g.is_zero()]
     k = min(g.min_degree() for g in polys)
     level = [init for g in polys if not (init := g.homogeneous_component(k)).is_zero()]
@@ -310,39 +304,39 @@ def nodes_only_check(d: int, g: int, tau: int) -> bool:
 def analyze(f: Polynomial, point: Point) -> SingularityReport:
     """Complete singularity report for a curve at a rational point.
 
-    The Milnor number mu is computed first; the Tjurina number tau then
-    continues mu's local standard basis with f's Euler remainder
-    r = m*f - x*f_x - y*f_y alone (f itself when m = 0 or r = 0), since
-    (f_x, f_y) lies inside (f, f_x, f_y) = (r, f_x, f_y).  When mu fails,
-    tau is computed from scratch, so a non-reduced input produces one
-    diagnostic naming everything that went wrong (tau's failure first).  At m >= 2 the
-    partials have multiplicity m - 1 and initial forms h_x and h_y, for the
-    initial form h, so mu = I_O(f_x, f_y) >= (m-1)^2, with equality iff h_x
-    and h_y share no line (Fulton, "Algebraic Curves", §3.3), that is, by
-    Euler's relation, iff h is squarefree.  So mu decides ordinariness and
-    the symmetry order (m - 1 when ordinary, else None); at m >= 5 the gcd
-    of binary forms runs only where mu exceeds (m-1)^2, as a cross-check.
+    At a point of multiplicity m >= 2 the gcd of binary forms decides
+    first whether the initial form h is squarefree (ordinariness).  The
+    partials have multiplicity m - 1 and initial forms h_x and h_y, so mu =
+    I_O(f_x, f_y) >= (m-1)^2, with equality iff h_x and h_y share no line
+    (Fulton, "Algebraic Curves", §3.3), that is, by Euler's relation, iff h
+    is squarefree.  So an ordinary point has mu = (m-1)^2 and symmetry
+    order m - 1, and a non-ordinary one mu > (m-1)^2 and no symmetry order.
 
-    At 2 <= m <= 4 the gcd runs first, and an ordinary point takes a closed
-    form with no local run: tau = mu = (m-1)^2, and both traces are the one
-    TruncationTrace, without a basis, of the Hilbert-Samuel function
-    HF(t) = min(t+1, 2m-3-t) for t < 2m-3 and 0 from t = 2m-3 on: its pairs
-    are (r, HF(0) + ... + HF(r-1)) for r = 1 .. 2m-2, stabilized at 2m-3.
-    Let J = (f_x, f_y) in the local ring at O.
+    At an ordinary point mu takes a closed form with no local run.  Let
+    J = (f_x, f_y) in the local ring at O.
 
     1. h_x and h_y are coprime forms of degree m - 1 (above), so a regular
        sequence: they generate the tangent-cone ideal of J (its initial
-       forms), whose quotient has the Hilbert function of two coprime
-       forms of degree m - 1, which is HF above.
+       forms), whose quotient has the Hilbert function HF(t) = min(t+1,
+       2m-3-t) for t < 2m-3 and 0 from t = 2m-3 on, that of the staircase
+       of (x^(m-1), y^(m-1)).  mu's trace is read off that staircase,
+       closed at 2m-3, as a run's trace is read off its basis: it has no
+       basis, and its pairs are built only when read.
     2. HF vanishes from degree 2m-3 on, so every monomial of that degree
        lies in J + m^(2m-2), and m^(2m-3) lies in J by Nakayama.
-    3. The Euler remainder r has no term below degree m + 1, and m + 1 >=
-       2m-3 for m <= 4, so r lies in J, (f, f_x, f_y) = J and tau = mu.
+    3. The Euler remainder r = m*f - x*f_x - y*f_y has no term below degree
+       m + 1, and m + 1 >= 2m-3 for m <= 4, so there r lies in J, (f, f_x,
+       f_y) = J, and tau = mu with the same trace.
 
-    (At m >= 5 the paper's minimum tau = floor((3m^2-2m-4)/4) lies below
-    (m-1)^2, so tau needs the runs.)  A violation of tau <= mu, of
-    mu = (m-1)^2 at a point the gcd finds ordinary, or of mu >= (m-1)^2,
-    raises AssertionError.
+    At an ordinary point of multiplicity m >= 5 (where the paper's minimum
+    tau = floor((3m^2-2m-4)/4) lies below (m-1)^2) tau is one local run
+    from scratch.  Elsewhere (m <= 1, or a non-ordinary point) mu is run
+    first, and tau then continues mu's local standard basis with r alone
+    (f itself when m = 0 or r = 0), since (f_x, f_y) lies inside (f, f_x,
+    f_y) = (r, f_x, f_y).  When mu fails, tau is computed from scratch, so
+    a non-reduced input produces one diagnostic naming everything that
+    went wrong (tau's failure first).  A violation of tau <= mu, or of mu >
+    (m-1)^2 at a non-ordinary point, raises AssertionError.
     """
     if f.degree() == 0:  # the zero polynomial has degree None: _Germ refuses it
         raise ValueError("a nonzero constant defines the empty curve")
@@ -353,16 +347,13 @@ def _analyze(germ: _Germ) -> SingularityReport:
     """``analyze`` of a nonconstant germ, which the CLI builds from its
     parsed table."""
     m = germ.m
-    ordinary = germ.ordinary("ordinariness") if 2 <= m <= 4 else None
-    if ordinary:  # the closed form of ``analyze``: no local run
-        top = 2 * m - 3  # HF(t) = min(t+1, top-t) vanishes from t = top on
-        mu = tau = (m - 1) ** 2
-        mu_trace = tau_trace = TruncationTrace(tuple(
-            (r, sum(min(t + 1, top - t) for t in range(r))) for r in range(1, top + 2)), top)
+    ordinary = germ.ordinary("ordinariness") if m >= 2 else None
+    if ordinary:  # mu and its trace off the tangent cone, tau too at m <= 4
+        mu = (m - 1) ** 2
+        mu_trace = TruncationTrace._read(((m - 1, 0), (0, m - 1)), 2 * m - 3)
+        tau, tau_trace = (mu, mu_trace) if m <= 4 else germ.length(True)
     else:
         tau, tau_trace, mu, mu_trace = _run_lengths(germ)
-        if m >= 5:  # mu = (m-1)^2 iff the initial form is squarefree
-            ordinary = mu == (m - 1) ** 2 or germ.ordinary("ordinariness")
     symmetry = m - 1 if ordinary else None
 
     if m == 0:
@@ -378,11 +369,9 @@ def _analyze(germ: _Germ) -> SingularityReport:
 
     if not tau <= mu:
         raise AssertionError(f"Tjurina number {tau} exceeds Milnor number {mu}")
-    if ordinary and mu != (m - 1) ** 2:
-        raise AssertionError(f"ordinary point with mu = {mu} != (m-1)^2 = {(m - 1) ** 2}")
-    if m >= 2 and mu < (m - 1) ** 2:
-        raise AssertionError(f"mu = {mu} < (m-1)^2 = {(m - 1) ** 2} at a point of "
-                             f"multiplicity {m}")
+    if m >= 2 and not ordinary and mu <= (m - 1) ** 2:
+        raise AssertionError(f"mu = {mu} <= (m-1)^2 = {(m - 1) ** 2} at a non-ordinary "
+                             f"point of multiplicity {m}")
 
     return SingularityReport(
         point=germ.point,

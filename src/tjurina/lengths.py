@@ -72,35 +72,40 @@ class TruncationTrace(Record):
     standard basis the pairs were read from, which a length of a larger
     ideal can continue (``_local_length``'s ``base``); it takes no part in
     equality, and is None where no run made the trace: ``analyze`` gives
-    both traces of an ordinary point of multiplicity m <= 4 in closed form,
-    from the tangent cone.  The trace of a local run (``_read``) counts its
-    pairs, one per degree, from the basis when they are first read, so a
-    caller that reads only the length never builds them.
+    the Milnor trace of every ordinary point in closed form, from the
+    tangent cone.  A trace read off a staircase (``_read``), a run's or
+    that closed form's, counts its pairs, one per degree, when they are
+    first read, so a caller that reads only the length never builds them.
     """
 
-    __slots__ = ("pairs", "stabilized_at", "basis")
-    _hidden = ("basis",)
+    __slots__ = ("pairs", "stabilized_at", "basis", "_lms")
+    _hidden = ("basis", "_lms")
 
     def __init__(self, pairs: tuple[tuple[int, int], ...], stabilized_at: int,
                  basis: GroebnerBasis | None = None):
         self._set(pairs, stabilized_at, basis)
 
     @classmethod
-    def _read(cls, basis: GroebnerBasis) -> TruncationTrace:
-        """The trace of a local run's basis, whose staircase closes at its cut."""
+    def _read(cls, lms: Sequence[Monomial], cut: int,
+              basis: GroebnerBasis | None = None) -> TruncationTrace:
+        """The trace of the staircase of ``lms``, which closes at ``cut``."""
         self = cls.__new__(cls)
-        _setattr(self, "stabilized_at", max(basis.cut, 1))  # the unit ideal's closes at 0
+        _setattr(self, "stabilized_at", max(cut, 1))  # the unit ideal's closes at 0
         _setattr(self, "basis", basis)
+        _setattr(self, "_lms", lms)
         return self
 
     def __getattr__(self, name):  # only a field never set gets here
         if name != "pairs":
             raise AttributeError(name)
         n = self.stabilized_at + 1
-        alphas = accumulate(_standard_counts(self.basis.leading_monomials(), n))
+        alphas = accumulate(_standard_counts(self._lms, n))
         pairs = tuple(zip(range(1, n + 1), alphas))
         _setattr(self, "pairs", pairs)
         return pairs
+
+    def __reduce__(self):  # the pairs, read now, stand for the staircase
+        return type(self), (self.pairs, self.stabilized_at, self.basis)
 
     @property
     def value(self) -> int:
@@ -240,7 +245,8 @@ def _local_length(reducers: list[tuple], d: int, base: GroebnerBasis | None = No
             f"(alphas = {shown})")
     # the staircase closes at the final cut: the length is its area, and the
     # trace counts its pairs from the basis only when they are read
-    return _area(gb.leading_monomials()), TruncationTrace._read(gb)
+    lms = gb.leading_monomials()
+    return _area(lms), TruncationTrace._read(lms, gb.cut, gb)
 
 
 # ---------------------------------------------------------------------------

@@ -180,9 +180,9 @@ def _line_form(line):
 
 def test_symmetry_order_matches_line_restrictions():
     # a line the level-k forms all vanish on meets the scheme in length > k,
-    # and with no such line every line meets it in length exactly k
-    from tjurina.analyzer import _symmetry_order
-
+    # and with no such line every line meets it in length exactly k.  x^(k+2)
+    # and y^(k+2) make the scheme zero-dimensional, as k_symmetry_order asks,
+    # and leave the level-k forms as they are
     rng = random.Random(1313)
     slopes = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
     outcomes = set()
@@ -199,7 +199,7 @@ def test_symmetry_order_matches_line_restrictions():
             gens.append(init + _random_form(rng, order + rng.randint(1, 2)))
         if min(g.min_degree() for g in gens) != k:
             continue
-        got = _symmetry_order(gens)
+        got = k_symmetry_order(gens + [P(f"x^{k + 2}"), P(f"y^{k + 2}")])
         outcomes.add(got)
         if planted is not None:
             longer = line_restriction_length(gens, planted)
@@ -649,15 +649,21 @@ def test_a_large_degree_germ_that_does_not_close_is_a_range_error(monkeypatch):
 
 
 def _lying_lengths(monkeypatch, tau_shift, mu_shift):
-    """Make ``analyze``'s lengths read off by the given shifts."""
+    """Make ``analyze``'s local runs read off by the given shifts: both of
+    ``_run_lengths``, and the one length a germ runs, tau from scratch."""
     from tjurina import analyzer
-    real = analyzer._local_length
+    runs, length = analyzer._run_lengths, analyzer._Germ.length
 
-    def lying(reducers, d, base=None):
-        value, trace = real(reducers, d, base)
-        return value + (mu_shift if base is None else tau_shift), trace
+    def lying_runs(germ):
+        tau, tau_trace, mu, mu_trace = runs(germ)
+        return tau + tau_shift, tau_trace, mu + mu_shift, mu_trace
 
-    monkeypatch.setattr(analyzer, "_local_length", lying)
+    def lying_length(germ, jacobian):
+        value, trace = length(germ, jacobian)
+        return value + (tau_shift if jacobian else mu_shift), trace
+
+    monkeypatch.setattr(analyzer, "_run_lengths", lying_runs)
+    monkeypatch.setattr(analyzer._Germ, "length", lying_length)
 
 
 def test_analyze_raises_when_tau_exceeds_mu(monkeypatch):
@@ -668,23 +674,32 @@ def test_analyze_raises_when_tau_exceeds_mu(monkeypatch):
     assert str(info.value) == "Tjurina number 7 exceeds Milnor number 6"
 
 
-def test_analyze_raises_at_an_ordinary_point_whose_mu_is_not_m_minus_1_squared(monkeypatch):
-    # an ordinary point of multiplicity m <= 4 runs no length at all, so the
-    # lie is told at m = 5, where mu is still run
-    _lying_lengths(monkeypatch, tau_shift=0, mu_shift=1)
+def test_analyze_raises_where_the_scratch_tau_exceeds_the_closed_mu(monkeypatch):
+    # an ordinary point of multiplicity m >= 5 runs tau alone, from scratch,
+    # and tau <= mu checks it against the closed mu = (m-1)^2
+    _lying_lengths(monkeypatch, tau_shift=2, mu_shift=0)
     with pytest.raises(AssertionError) as info:
         analyze(P("x^5+y^5+x^3*y^3"), O)
-    assert str(info.value) == "ordinary point with mu = 17 != (m-1)^2 = 16"
+    assert str(info.value) == "Tjurina number 17 exceeds Milnor number 16"
 
 
 def test_analyze_raises_where_mu_is_below_m_minus_1_squared(monkeypatch):
-    # Fulton: mu = I_O(f_x, f_y) >= (m-1)^2 at a point of multiplicity m >= 2.
-    # x^3+y^4 is non-ordinary, so lowering both lengths keeps tau <= mu and
-    # leaves the gcd's cross-check silent: only the lower bound fires
+    # Fulton: mu = I_O(f_x, f_y) > (m-1)^2 at a non-ordinary point of
+    # multiplicity m >= 2.  Lowering both lengths of x^3+y^4 keeps tau <= mu:
+    # only that bound fires
     _lying_lengths(monkeypatch, tau_shift=-3, mu_shift=-3)
     with pytest.raises(AssertionError) as info:
         analyze(P("x^3+y^4"), O)
-    assert str(info.value) == "mu = 3 < (m-1)^2 = 4 at a point of multiplicity 3"
+    assert str(info.value) == "mu = 3 <= (m-1)^2 = 4 at a non-ordinary point of multiplicity 3"
+
+
+def test_analyze_raises_where_mu_falls_to_m_minus_1_squared_at_a_non_ordinary_point(
+        monkeypatch):
+    # (m-1)^2 itself is the ordinary value: the gcd found x^3 not squarefree
+    _lying_lengths(monkeypatch, tau_shift=-2, mu_shift=-2)
+    with pytest.raises(AssertionError) as info:
+        analyze(P("x^3+y^4"), O)
+    assert str(info.value) == "mu = 4 <= (m-1)^2 = 4 at a non-ordinary point of multiplicity 3"
 
 
 def _lines_form(rng, m):
@@ -734,23 +749,28 @@ def test_analyze_reads_ordinariness_off_mu_as_the_gcd_does():
     assert seen[True] == seen[False] == {(m, at_o) for m in range(2, 7) for at_o in (True, False)}
 
 
-def test_analyze_runs_the_gcd_only_where_mu_exceeds_m_minus_1_squared(monkeypatch):
+def test_analyze_runs_one_gcd_at_every_point_of_multiplicity_at_least_2(monkeypatch):
     from tjurina import analyzer
     calls = []
     real = analyzer.squarefree_binary_form
     monkeypatch.setattr(analyzer, "squarefree_binary_form",
                         lambda form: calls.append(form) or real(form))
-    # at m >= 5 an ordinary point reads ordinariness off mu alone
-    r = analyze(P("x^5+y^5+x^3*y^3"), O)
-    assert (r.ordinary, r.milnor, r.symmetry_order) == (True, 16, 4)
+    # off the curve and at a smooth point there is no tangent cone to test
+    analyze(P("x^2+y^2+1"), O)
+    analyze(P("y-x^2"), O)
     assert calls == []
-    # at m <= 4 the gcd runs first, once, and a non-ordinary point runs on
-    r = analyze(P("(x-1)^3+(y+2)^4"), (1, -2))
-    assert (r.ordinary, r.milnor, r.symmetry_order) == (False, 6, None)
-    assert len(calls) == 1
-    # is_ordinary and is_slci have no mu: they keep the gcd
+    for expr, point, report in [("x^5+y^5+x^3*y^3", O, (True, 16, 4)),
+                                ("x^5+y^6", O, (False, 20, None)),
+                                ("(x-1)^3+(y+2)^4", (1, -2), (False, 6, None)),
+                                ("x^2-y^2+x^3", O, (True, 1, 1))]:
+        calls.clear()
+        r = analyze(P(expr), point)
+        assert (r.ordinary, r.milnor, r.symmetry_order) == report, expr
+        assert len(calls) == 1, expr
+    # is_ordinary and is_slci ask the same gcd
+    calls.clear()
     assert is_ordinary(P("x^4-y^4+x^5"), O) and is_slci(P("x^4-y^4+x^5"), O)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def _ordinary_germ(rng, m, at_origin):
@@ -766,32 +786,36 @@ def _ordinary_germ(rng, m, at_origin):
     return translate_to_origin(g, (-point[0], -point[1])), point
 
 
-def test_an_ordinary_point_of_multiplicity_at_most_4_reports_what_the_runs_give():
-    # the closed form tau = mu = (m-1)^2 and its Hilbert-Samuel trace equal
-    # what the local runs it replaces read off the standard basis
+def test_an_ordinary_point_reports_what_the_runs_give():
+    # the closed form mu = (m-1)^2 and its tangent-cone trace equal what the
+    # local runs it replaces read off the standard basis; so do tau and its
+    # trace, the closed ones at m <= 4 and the scratch run's at m >= 5
     from tjurina.analyzer import _Germ, _run_lengths
     rng = random.Random(4747)
     seen = set()
-    for i in range(180):
-        m, at_origin = 2 + i % 3, i % 6 < 3
+    for i in range(168):
+        m, at_origin = 2 + i % 6, i % 12 < 6
         f, point = _ordinary_germ(rng, m, at_origin)
         r = analyze(f, point)
-        assert r.milnor_trace.basis is None and r.tjurina_trace.basis is None, (f, point)
+        assert r.milnor_trace.basis is None, (f, point)
+        assert (r.tjurina_trace.basis is None) == (m <= 4), (f, point)
         tau, tau_trace, mu, mu_trace = _run_lengths(_Germ.of(f, point))
-        assert (r.tjurina, r.milnor) == (tau, mu) == ((m - 1) ** 2, (m - 1) ** 2), (f, point)
+        # at m >= 5 the report's tau is run from scratch, the runs' continues mu
+        assert (r.tjurina, r.milnor) == (tau, mu), (f, point)
+        assert mu == (m - 1) ** 2 and (m >= 5 or tau == mu), (f, point)
         assert r.tjurina_trace == tau_trace and r.milnor_trace == mu_trace, (f, point)
-        assert (r.multiplicity, r.ordinary) == (m, True)
-        assert r.symmetry_order == (m - 1 if mu == (m - 1) ** 2 else None), (f, point)
+        assert (r.multiplicity, r.ordinary, r.symmetry_order) == (m, True, m - 1)
         assert r.classification == (Classification("A_n", tau) if m == 2 else Classification(
-            "ordinary" if mu == (m - 1) ** 2 else "non_ordinary", m)), (f, point)
+            "ordinary", m)), (f, point)
         if i % 7 == 0:  # every alpha_r against the Macaulay matrix
             gens = jacobian_gens(f, point)
             for r_, alpha in r.milnor_trace.pairs:
                 assert local_length_oracle(gens[1:], r_) == alpha, (f, point, r_)
+            for r_, alpha in r.tjurina_trace.pairs:
                 assert local_length_oracle(gens, r_) == alpha, (f, point, r_)
             seen.add((m, at_origin, "oracle"))
         seen.add((m, at_origin))
-    assert seen == {(m, at_o, *tag) for m in (2, 3, 4) for at_o in (True, False)
+    assert seen == {(m, at_o, *tag) for m in range(2, 8) for at_o in (True, False)
                     for tag in ((), ("oracle",))}
 
 
@@ -813,6 +837,30 @@ def test_the_closed_form_trace_at_an_ordinary_point(expr, point, pairs):
         assert r.classification == Classification("ordinary", m)
 
 
+def test_a_large_ordinary_point_builds_its_trace_only_when_read(monkeypatch):
+    # mu's closed trace at x^N+y^N is read off the staircase of (x^(N-1),
+    # y^(N-1)) when first read: 2N-2 pairs, about 26 MB at N = 10^5, of
+    # which analyze alone builds none (the gcd's coefficient lists are ~3 MB)
+    import tracemalloc
+    from tjurina import lengths
+    counted = []
+    real = lengths._standard_counts
+    monkeypatch.setattr(lengths, "_standard_counts",
+                        lambda lms, R: counted.append(R) or real(lms, R))
+    n = 100_000
+    f = P(f"x^{n}+y^{n}")
+    tracemalloc.start()
+    try:
+        r = analyze(f, O)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted == [] and peak < 8_000_000, peak
+    assert (r.ordinary, r.milnor, r.milnor_trace.stabilized_at) == (True, (n - 1) ** 2, 2 * n - 3)
+    assert len(r.milnor_trace.pairs) == 2 * n - 2 and counted == [2 * n - 2]
+    assert r.milnor_trace.value == (n - 1) ** 2 and r.milnor_trace.basis is None
+
+
 def test_analyze_runs_one_gcd_and_no_length_at_an_ordinary_point_of_multiplicity_at_most_4(
         monkeypatch):
     from tjurina import analyzer
@@ -831,8 +879,8 @@ def test_analyze_runs_one_gcd_and_no_length_at_an_ordinary_point_of_multiplicity
 
     assert counts("x^4-y^4+x^5") == (True, 9, 1, 0)
     assert counts("(x-1)^3-(y+2)^3+(x-1)^4", (1, -2)) == (True, 4, 1, 0)
-    # m = 5: mu is run, and equals (m-1)^2, so no gcd
-    assert counts("x^5+y^5+x^3*y^3") == (True, 16, 0, 2)
+    # m = 5: the gcd, then tau alone, run from scratch
+    assert counts("x^5+y^5+x^3*y^3") == (True, 16, 1, 1)
     # non-ordinary at m = 3: the one gcd, then both runs, and never a second gcd
     assert counts("x^3+y^4") == (False, 6, 1, 2)
 
