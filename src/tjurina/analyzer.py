@@ -330,10 +330,9 @@ def analyze(f: Polynomial, point: Point) -> SingularityReport:
 
     At an ordinary point of multiplicity m >= 5 (where the paper's minimum
     tau = floor((3m^2-2m-4)/4) lies below (m-1)^2) tau is one local run
-    from scratch.  Elsewhere (m <= 1, or a non-ordinary point) mu is run
-    first, and tau then continues mu's local standard basis with r alone
-    (f itself when m = 0 or r = 0), since (f_x, f_y) lies inside (f, f_x,
-    f_y) = (r, f_x, f_y).  When mu fails, tau is computed from scratch, so
+    from scratch.  Elsewhere (m <= 1, or a non-ordinary point) mu and then
+    tau are each one local run from scratch, tau's from (r, f_x, f_y), with
+    f itself for r when m = 0 or r = 0.  Both run even when one fails, so
     a non-reduced input produces one diagnostic naming everything that
     went wrong (tau's failure first).  A violation of tau <= mu, or of mu >
     (m-1)^2 at a non-ordinary point, raises AssertionError.
@@ -389,21 +388,18 @@ def _analyze(germ: _Germ) -> SingularityReport:
 
 
 def _run_lengths(germ: _Germ) -> tuple:
-    """tau, its trace, mu and its trace by the local runs: mu's standard
-    basis first, which tau continues with the packed Euler remainder."""
+    """tau, its trace, mu and its trace by two local runs from scratch:
+    mu's from the packed partials, then tau's from those and the packed
+    Euler remainder."""
     m, d, packed = germ.m, germ.d, germ.packed()
 
     errors = []
-    mu_trace = None
     try:
         mu, mu_trace = _local_length(packed[1:], d - 1)
     except StabilizationError as e:
         errors.append(f"milnor: {e}")
     try:
-        if mu_trace is None:
-            tau, tau_trace = _local_length(packed, d)
-        else:  # (f_x, f_y) lies inside (r, f_x, f_y): continue mu's basis with r
-            tau, tau_trace = _local_length(packed[:1], d, base=mu_trace.basis)
+        tau, tau_trace = _local_length(packed, d)
     except StabilizationError as e:
         errors.insert(0, f"tjurina: {e}")
     if errors:  # off the curve, (f) is the unit ideal: only mu can fail

@@ -136,10 +136,15 @@ def squarefree_binary_form(g: Polynomial) -> bool:
     degree m - e.  The lines of h are the roots of u, so g is squarefree
     iff e <= 1 and u shares no root with its derivative.  Where x^2 or y^2
     divides g, the exponents say so before u, a list of m + 1
-    coefficients, is built.
+    coefficients, is built.  Nor is u built for a form of two terms that
+    x^2 and y^2 do not divide: it is x^i y^j (a x^k + b y^k) with i, j <= 1
+    and ab != 0, whose k lines are distinct and off both axes, so it is
+    squarefree.
     """
     _form_degree(g)
     if max(map(min, zip(*g.terms_dict()))) > 1:  # the least x- or y-exponent
         return False
+    if len(g) == 2:
+        return True
     u = _primitive(_dehomogenize(g)[1])
     return len(u) <= 2 or _gcd_degree([u, upoly_derivative(u)]) == 0

@@ -4,8 +4,9 @@
 sorted by decreasing leading monomial) under a global order, as a
 ``GroebnerBasis`` whose generators are built on first read.  The same run,
 ``_buchberger``, gives the local lengths a minimal standard basis in
-Q[x]/m^cut with unreduced tails under the local degree order.  Pairs follow
-the normal strategy (lowest lcm degree, then smallest lcm).  Coprime pairs
+Q[x]/m^cut with unreduced tails under the local degree order.  Pairs are
+taken lowest lcm degree first, then smallest lcm in the order: the normal
+strategy under grlex and degrevlex, degree-first under lex.  Coprime pairs
 are never queued and S-polynomials of two monomials are skipped: both vanish
 on reduction.  The rest are pruned by Buchberger's chain criterion
 (Buchberger 1979; Gebauer and Moeller 1988, "On an installation of
@@ -95,9 +96,8 @@ class GroebnerBasis:
     ``leading_monomials`` reads their stored leading exponents.  The
     generators are built on first read, once: a reduced basis has its tails
     inter-reduced and every element is made monic.  ``cut`` is the degree
-    cut the run ended with, after lowering (None without a cut); a later
-    run can continue the basis under it (``_buchberger``'s ``base``).  A
-    basis is ``reduced`` exactly when its run had no cut.
+    cut the run ended with, after lowering (None without a cut).  A basis
+    is ``reduced`` exactly when its run had no cut.
     Bases compare and hash by identity.  Two reduced bases of one ideal
     under one order have equal ``generators``; under a cut the tails depend
     on which S-pairs the run formed, so compare ``(order, cut,
@@ -583,8 +583,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX) -> Groe
     return _buchberger([_integer_reducer(g, words) for g in polys], words)
 
 
-def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None,
-                base: GroebnerBasis | None = None) -> GroebnerBasis:
+def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None) -> GroebnerBasis:
     """The run on ``reducers``, packed primitive integer reducers in the ring
     of ``words`` (none only where a cut removed all), not checked again.  Without
     ``cut`` (a global order) it gives the reduced basis.  With ``cut`` (a
@@ -606,23 +605,13 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
     same ideal and the same minimal leading monomials.  The staircase closes
     only once both pure powers lead, so its corner list is not read before
     (``_closing_degree``).  ``GroebnerBasis.cut`` is the cut the run ended
-    with.
-
-    With ``base``, a basis an earlier run under a cut returned in the order
-    of ``words``, the run continues it: the result is a minimal standard
-    basis of base's ideal plus the reducers, which the caller truncates
-    under a ``cut`` of at most ``base.cut``.  The base elements start as
-    active elements (corners, in the plane) with no queued pairs, as the
-    run that built the base treated their pairs."""
+    with."""
     over, word = words.over, words.word
 
     # (lm, lc, tail): packed primitive integer basis elements, and their
     # leading exponents, for the corners and pair degrees
-    leads: list[tuple] = [] if base is None else list(base._leads)
-    exps: list[Monomial] = [] if base is None else list(base._exps)
-    old = len(leads)
-    leads += reducers
-    exps += [words.exponents(w[0]) for w in reducers]
+    leads: list[tuple] = list(reducers)
+    exps: list[Monomial] = [words.exponents(w[0]) for w in reducers]
     lms = [r[0] for r in leads]
     entered = len(leads)
     limit = cut  # the cut in force, lowered in the plane where the staircase closes
@@ -630,15 +619,14 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
     # the queued pairs (degree, lcm word, i, j), i < j, lowest lcm degree
     # first, then the smallest lcm in the order: the normal strategy for
     # degree orders, and low degrees first under a local order.  New pairs
-    # lie below the cut (above it the S-polynomial lies in m^cut).  The base
-    # is minimal and its own pairs were treated by the run that built it.
+    # lie below the cut (above it the S-polynomial lies in m^cut).
     heap: list = []
 
     plane = words.nvars == 2
     if plane:
         # the corners (a, b, k) of the minimal leading monomials lm_k = x^a y^b
         # sorted by a
-        corners = sorted((*exps[k], k) for k in range(old))
+        corners: list[tuple] = []
         ux, uy = words.units
 
         def push(g: int, h: int, a: int, b: int):
@@ -673,7 +661,7 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
             for x, y, k in block:
                 push(k, h, x, y)
     else:
-        active: list[int] = list(range(old))
+        active: list[int] = []
 
         def enter(h: int):
             """The Gebauer-Moeller update's new pairs and retirements for h."""
@@ -705,7 +693,7 @@ def _buchberger(reducers: Sequence[tuple], words: _Words, cut: int | None = None
                     if joint:
                         heappush(heap, (degree, w, g, h))
 
-    for h in range(old, entered):
+    for h in range(entered):
         enter(h)
 
     memo: dict = {}

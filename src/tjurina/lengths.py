@@ -69,9 +69,8 @@ class TruncationTrace(Record):
 
     ``stabilized_at`` is the first r with alpha_r = alpha_{r+1}; the trace
     includes the confirming pair (r+1, alpha_{r+1}).  ``basis`` is the local
-    standard basis the pairs were read from, which a length of a larger
-    ideal can continue (``_local_length``'s ``base``); it takes no part in
-    equality, and is None where no run made the trace: ``analyze`` gives
+    standard basis the pairs were read from; it takes no part in equality,
+    and is None where no run made the trace: ``analyze`` gives
     the Milnor trace of every ordinary point in closed form, from the
     tangent cone.  A trace read off a staircase (``_read``), a run's or
     that closed form's, counts its pairs, one per degree, when they are
@@ -197,7 +196,7 @@ def local_length_at_origin(gens: Sequence[Polynomial]):
                          max((g.degree() for g in polys), default=0))
 
 
-def _local_length(reducers: list[tuple], d: int, base: GroebnerBasis | None = None):
+def _local_length(reducers: list[tuple], d: int):
     """``local_length_at_origin`` of generators packed under the local order
     in two variables, d their largest degree: the one run, and the only
     raiser of StabilizationError.  The stabilization index is the run's
@@ -209,26 +208,17 @@ def _local_length(reducers: list[tuple], d: int, base: GroebnerBasis | None = No
     d^2 + 1, and raises MonomialRangeError, before any count is read, when
     it reaches only the clamp.  Otherwise the length is the area of the
     staircase closed at the final cut, and the trace's pairs are counted
-    from the basis only when read (``TruncationTrace._read``).
-
-    With ``base``, the basis of an earlier length (``TruncationTrace.basis``),
-    the run continues it, and the length is that of base's ideal plus the
-    generators, as ``analyze``'s tau continues mu's basis with f.  The sum's
-    staircase lies inside base's in every degree, so it closes no later,
-    and base's cut bounds this read-out too.  d must be at least the degree
-    of base's generators (f has degree d, its partials d - 1): base's
-    staircase then closed below the clamped d^2 + 1, and so does the sum's."""
-    if not reducers and base is None:
+    from the basis only when read (``TruncationTrace._read``)."""
+    if not reducers:
         raise ValueError("need at least one nonzero generator")
     bound = max(d * d + 1, 2)  # the trace always holds alpha_1 and alpha_2
     words = _words(_LOCAL, 2)
     clamp = min(bound, 1 << words.bits - 1)
-    cut = clamp if base is None else min(clamp, base.cut)
-    if d >= cut:  # only under base's cut or the clamp can a term reach it
-        floor = words.floor(cut)
+    if d >= clamp:  # only under the clamp can a term reach the cut
+        floor = words.floor(clamp)
         reducers = [_primitive_reducer([(lm, lc), *(t for t in tail if t[0] >= floor)])
                     for lm, lc, tail in reducers if lm >= floor]
-    gb = _buchberger(reducers, words, cut, base) if reducers or base is None else base
+    gb = _buchberger(reducers, words, clamp)
     stable = max(gb.cut, 1)  # the unit ideal's staircase closes at 0
     if clamp < bound and stable >= clamp:
         raise MonomialRangeError(

@@ -1,6 +1,6 @@
 """Test-only references: ``buchberger`` with its postcondition checked, a
-local standard basis under a degree cut and a continued local run checked
-the same way, plain rational division and S-polynomials, independent of the
+local standard basis under a degree cut checked the same way, plain rational
+division and S-polynomials, independent of the
 package's packed integer core, exact evaluation at a point, the product of
 two term tables, a Fraction-Euclid gcd, determinants and line
 restrictions, independent routes to what ``tjurina.binforms`` decides by one
@@ -16,10 +16,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from tjurina import groebner, lengths
+from tjurina import groebner
 from tjurina.binforms import UPoly, _dehomogenize, upoly_derivative
-from tjurina.groebner import (GroebnerBasis, _integer_reducer, _normal_form, _primitive_reducer,
-                              _s_pair, _words)
+from tjurina.groebner import GroebnerBasis, _integer_reducer, _normal_form, _s_pair, _words
 from tjurina.lengths import _LOCAL, INFINITE
 from tjurina.poly import GRLEX, Monomial, MonomialOrder, Polynomial, Scalar, monomial_divides
 
@@ -79,38 +78,6 @@ def checked_buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GRLEX,
     gb = groebner.buchberger(gens, order) if cut is None else local_basis(gens, cut, order)
     verify_reduced_basis(gb, cut)
     return gb
-
-
-def checked_continuation(gens: Sequence[Polynomial], base: GroebnerBasis,
-                         cut: int | None = None):
-    """A local run that continues ``base`` with ``gens``, as ``analyze``'s tau
-    continues mu's basis, through ``groebner._buchberger``: the nonzero
-    generators are packed, truncated under ``base.cut`` (or ``cut``, if
-    smaller), and base itself is returned when nothing is left.  The result
-    is checked by ``verify_reduced_basis`` under that cut."""
-    words = _words(_LOCAL, 2)
-    cut = base.cut if cut is None else min(cut, base.cut)
-    floor = words.floor(cut)
-    kept = []
-    for g in gens:
-        if not g.is_zero():
-            lm, lc, tail = _integer_reducer(g, words)
-            if lm >= floor:
-                kept.append(_primitive_reducer([(lm, lc), *(t for t in tail if t[0] >= floor)]))
-    gb = groebner._buchberger(kept, words, cut, base) if kept else base
-    verify_reduced_basis(gb, cut)
-    return gb
-
-
-def continued_length(gens: Sequence[Polynomial], base: GroebnerBasis):
-    """``local_length_at_origin`` of base's ideal plus ``gens``, continuing
-    ``base`` (a ``TruncationTrace.basis``) through ``lengths._local_length``,
-    as ``analyze``'s tau continues mu's basis; the largest degree in
-    ``gens`` must be at least that of base's generators."""
-    polys = [g for g in gens if not g.is_zero()]
-    words = _words(_LOCAL, 2)
-    return lengths._local_length([_integer_reducer(g, words) for g in polys],
-                                 max((g.degree() for g in polys), default=0), base)
 
 
 def divide(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GRLEX):

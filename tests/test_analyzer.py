@@ -546,7 +546,7 @@ def test_analytic_invariance_smoke():
         assert base == moved == n
 
 
-# -- tau continues mu's local basis: fixtures captured before the change --------
+# -- mu's and tau's local runs: pinned failure texts -----------------------------
 
 _OFF_CURVE_MILNOR_FAILS = (
     "point (0,0) is not on the curve, and f has a non-isolated critical point there: "
@@ -594,7 +594,7 @@ def test_analyze_checks_f_own_term_against_the_packed_fields():
 def test_a_large_degree_germ_closes_below_the_clamped_cut(text, tau, mu):
     report = analyze(P(text), O)
     assert (report.tjurina, report.milnor) == (tau, mu)
-    # tau continues mu's basis and ends at its cut, below the clamp
+    # tau's ideal holds mu's, so its staircase closes no later, below the clamp
     assert report.tjurina_trace.stabilized_at <= report.milnor_trace.stabilized_at
 
 
@@ -727,7 +727,9 @@ def _non_ordinary_form(rng, m, i):
 
 def test_analyze_reads_ordinariness_off_mu_as_the_gcd_does():
     # mu = (m-1)^2 exactly when the initial form is squarefree, so the
-    # report's ordinariness, symmetry order and mu agree with is_ordinary's gcd
+    # report's ordinariness, symmetry order and mu agree with is_ordinary's
+    # gcd.  A non-ordinary point runs mu and tau each from its own
+    # generators: every alpha_r of both traces is the Macaulay matrix's
     rng = random.Random(4646)
     seen = {True: set(), False: set()}
     for i in range(150):
@@ -745,8 +747,30 @@ def test_analyze_reads_ordinariness_off_mu_as_the_gcd_does():
         assert r.symmetry_order == (m - 1 if planted else None), (g, point)
         assert (r.milnor == (m - 1) ** 2) == planted, (g, point)
         assert r.milnor >= (m - 1) ** 2, (g, point)
+        if not planted:
+            gens = jacobian_gens(f, point)
+            for trace, ideal in ((r.milnor_trace, gens[1:]), (r.tjurina_trace, gens)):
+                assert [a for _, a in trace.pairs] == \
+                    [local_length_oracle(ideal, r_) for r_, _ in trace.pairs], (g, point)
         seen[planted].add((m, point == O))
     assert seen[True] == seen[False] == {(m, at_o) for m in range(2, 7) for at_o in (True, False)}
+
+
+def test_a_non_ordinary_point_runs_mu_then_tau_from_their_own_generators(monkeypatch):
+    # two local runs where no closed form holds (m <= 1 too): mu's from the
+    # packed partials, of degree d - 1, then tau's from all three reducers
+    from tjurina import analyzer
+    runs = []
+    real = analyzer._local_length
+    monkeypatch.setattr(analyzer, "_local_length",
+                        lambda reducers, d: runs.append((list(reducers), d)) or real(reducers, d))
+    for expr, point in [("x^3+y^4", O), ("(x-1)^3+(y+2)^4", (1, -2)), ("y^2-x^5", O),
+                        ("x*y*(x-y)*(x+y)^2+x^6+y^6", O), ("y-x^2", O), ("x^2+y^2+1", O)]:
+        runs.clear()
+        r = analyze(P(expr), point)
+        packed = r.germ.packed()
+        assert len(packed) == 3 and r.ordinary is not True, expr
+        assert runs == [(packed[1:], r.germ.d - 1), (packed, r.germ.d)], expr
 
 
 def test_analyze_runs_one_gcd_at_every_point_of_multiplicity_at_least_2(monkeypatch):
@@ -800,7 +824,7 @@ def test_an_ordinary_point_reports_what_the_runs_give():
         assert r.milnor_trace.basis is None, (f, point)
         assert (r.tjurina_trace.basis is None) == (m <= 4), (f, point)
         tau, tau_trace, mu, mu_trace = _run_lengths(_Germ.of(f, point))
-        # at m >= 5 the report's tau is run from scratch, the runs' continues mu
+        # at m >= 5 the report's tau is the same scratch run as _run_lengths'
         assert (r.tjurina, r.milnor) == (tau, mu), (f, point)
         assert mu == (m - 1) ** 2 and (m >= 5 or tau == mu), (f, point)
         assert r.tjurina_trace == tau_trace and r.milnor_trace == mu_trace, (f, point)
@@ -894,14 +918,12 @@ def test_analyze_off_curve_where_mu_is_one():
 
 
 def test_analyze_smooth_point_continues_the_unit_ideal():
-    # f_y = 1: mu's basis is the unit ideal and its cut is lowered to 0, so f
-    # truncates to zero and tau reads mu's basis as it is
+    # f_y = 1: each run's basis is the unit ideal and its cut is lowered to 0
     r = analyze(P("y-x^2"), O)
     assert (r.tjurina, r.milnor) == (0, 0)
     assert r.tjurina_trace.pairs == r.milnor_trace.pairs == ((1, 0), (2, 0))
-    basis = r.milnor_trace.basis
-    assert basis.cut == 0 and basis.leading_monomials() == ((0, 0),)
-    assert r.tjurina_trace.basis is basis
+    for basis in (r.milnor_trace.basis, r.tjurina_trace.basis):
+        assert basis.cut == 0 and basis.leading_monomials() == ((0, 0),)
 
 
 @pytest.mark.parametrize("expr, tau, mu, tau_pairs, mu_pairs", [
@@ -938,9 +960,9 @@ def test_analyze_nonreduced_curve_at_a_rational_point():
 
 
 def test_analyze_packs_each_partial_once(monkeypatch):
-    # one local standard basis per analyze, from one packing of the germ: the
-    # packed f_x and f_y enter mu's run, and tau continues it with the packed
-    # Euler remainder of f alone; no generator passes through _integer_reducer
+    # one packing of the germ per analyze, which every local run reads: at
+    # this ordinary quintic, tau's run from the packed Euler remainder of f
+    # and the packed partials; no generator passes through _integer_reducer
     import tjurina.analyzer as A
     from tjurina import groebner, lengths
     packings = []
@@ -1012,7 +1034,7 @@ from tjurina.lengths import TruncationTrace
 if __debug__:
     raise SystemExit("not running under -O")
 trace = TruncationTrace(((1, 1), (2, 1)), stabilized_at=1)
-A._local_length = lambda reducers, d, base=None: (4 if len(reducers) == 2 else 5, trace)
+A._local_length = lambda reducers, d: (4 if len(reducers) == 2 else 5, trace)
 try:
     A.analyze(parse_poly("y^2-x^3"), (0, 0))
 except AssertionError as e:

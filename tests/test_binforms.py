@@ -48,8 +48,11 @@ def test_squarefree_examples():
 
 def test_a_square_of_an_axis_is_read_off_the_exponents(monkeypatch):
     # x^2 or y^2 dividing the form decides it before the dense list of its
-    # m + 1 coefficients is built, so a huge degree costs nothing
-    from tjurina import binforms, is_ordinary
+    # m + 1 coefficients is built, so a huge degree costs nothing; so does a
+    # form of two terms that neither divides, x^i*y^j*(a*x^k + b*y^k) with
+    # i, j <= 1 and ab != 0, whose k lines are distinct and off both axes:
+    # every tangent cone x^a + y^a + x^b*y^c has at O is one
+    from tjurina import analyze, binforms, is_ordinary
     read = []
     dehomogenize = binforms._dehomogenize
     monkeypatch.setattr(binforms, "_dehomogenize", lambda g: read.append(g) or dehomogenize(g))
@@ -57,6 +60,9 @@ def test_a_square_of_an_axis_is_read_off_the_exponents(monkeypatch):
     assert not squarefree_binary_form(P("x*y^9"))
     assert read == []
     assert not is_ordinary(P("x^1073741824"), (0, 0))
+    assert squarefree_binary_form(P("x^7-2*x*y^6"))
+    assert squarefree_binary_form(P("x*y^5+3*x^6"))
+    assert analyze(P("x^100000+y^100000"), (0, 0)).ordinary
     assert read == []
     # the other forms are still read, and a non-form still refused
     assert squarefree_binary_form(P("x*y")) and len(read) == 1
@@ -178,6 +184,10 @@ def test_squarefree_gcd_route_matches_discriminant_route():
     # divisible by x^2 or y^2
     forms += [_random_form(rng, rng.randint(0, 6), max_den=12) * P(rng.choice(("x^2", "y^2")))
               for _ in range(40)]
+    # binomials x^i*y^j*(a*x^k + b*y^k), decided by their two terms
+    forms += [Polynomial(2, {(i + k, j): Fraction(rng.choice((-5, -2, 1, 7)), rng.randint(1, 12)),
+                             (i, j + k): Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 12))})
+              for k in range(1, 13) for i in (0, 1) for j in (0, 1)]
     # pure powers c*x^m and c*y^m, whose other partial is zero
     forms += [Polynomial(2, {(m, 0) if axis == "x" else (0, m):
                              Fraction(rng.choice((-5, -1, 1, 3)), rng.randint(1, 12))})

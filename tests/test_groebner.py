@@ -21,8 +21,8 @@ from tjurina.groebner import _integer_reducer, _normal_form, _s_pair, _words
 from tjurina.poly import monomial_divides, monomial_mul
 
 import reference
-from reference import checked_buchberger, checked_continuation, continued_length, divide, \
-    lcm_word, local_basis, local_length_oracle, monomials_of_degree, s_polynomial
+from reference import checked_buchberger, divide, lcm_word, local_basis, local_length_oracle, \
+    monomials_of_degree, s_polynomial
 
 P = parse_poly
 
@@ -491,52 +491,30 @@ def test_buchberger_has_no_verify_switch():
     assert not hasattr(groebner, "VERIFY_BASES")
     with pytest.raises(TypeError):
         buchberger([P("x")], GRLEX, verify=True)
-    # only the local lengths run under a cut or continue a basis (``_buchberger``)
+    # only the local lengths run under a cut (``_buchberger``)
     with pytest.raises(TypeError):
         buchberger([P("x")], GRLEX, cut=4)
-    base = local_basis([P("x^2"), P("y^3")], 8)
-    with pytest.raises(TypeError):
-        buchberger([P("x*y")], GRLEX, base=base)
 
 
-@pytest.mark.parametrize("continued, cut, start", [(False, 10, 10), (True, None, 10),
-                                                    (True, 12, 10), (True, 7, 7)],
-                         ids=["no-base", "base-cut-none", "base-cut-larger", "base-cut-smaller"])
-def test_checked_buchberger_checks_under_the_cut_the_run_started_with(monkeypatch, continued,
-                                                                     cut, start):
-    # x^2*y leads alone, so the base keeps its cut 10; x^3 and y^4 then
-    # close the staircase in degree 5, below every starting cut
+def test_every_local_run_starts_from_its_own_generators():
+    # no run continues an earlier basis: the core and the length take only
+    # their reducers, with the words and the cut, or the largest degree
+    import inspect
+
+    from tjurina import groebner, lengths
+    assert list(inspect.signature(groebner._buchberger).parameters) == \
+        ["reducers", "words", "cut"]
+    assert list(inspect.signature(lengths._local_length).parameters) == ["reducers", "d"]
+
+
+@pytest.mark.parametrize("cut, start", [(10, 10)], ids=["no-base"])
+def test_checked_buchberger_checks_under_the_cut_the_run_started_with(monkeypatch, cut, start):
+    # x^3 and y^4 close the staircase in degree 5, below the starting cut
     from tjurina.lengths import _LOCAL
-    first, seen = [P("x^2*y+y^5")], []
+    seen = []
     monkeypatch.setattr(reference, "verify_reduced_basis", lambda gb, cut=None: seen.append(cut))
-    gens = [P("x^3"), P("y^4")]
-    if continued:
-        base = local_basis(first, 10)
-        gb = checked_continuation(gens, base, cut)
-    else:
-        base, gb = None, checked_buchberger(gens + first, _LOCAL, cut)
-    assert seen == [start] and gb.cut == 5 and (base is None or base.cut == 10)
-
-
-def test_a_continued_run_pairs_only_the_new_elements(monkeypatch):
-    # the base's own pairs were treated by the run that built it
-    from tjurina import groebner
-    from tjurina.lengths import _LOCAL
-    gens = [P("x^3+x*y^3"), P("x^2*y+y^5")]
-    base = checked_buchberger(gens, _LOCAL, cut=30)
-    pairs = []
-    s_pair = groebner._s_pair
-
-    def counted(a, b, top, words):
-        pairs.append((a, b))
-        return s_pair(a, b, top, words)
-
-    monkeypatch.setattr(groebner, "_s_pair", counted)
-    gb = checked_continuation([P("x^2+y^3")], base)
-    old = set(base._leads)
-    assert pairs and all(a not in old or b not in old for a, b in pairs)
-    fresh = checked_buchberger(gens + [P("x^2+y^3")], _LOCAL, cut=30)
-    assert gb.leading_monomials() == fresh.leading_monomials() == ((2, 0), (0, 4))
+    gb = checked_buchberger([P("x^3"), P("y^4"), P("x^2*y+y^5")], _LOCAL, cut)
+    assert seen == [start] and gb.cut == 5
 
 
 def test_the_staircase_is_read_only_once_both_axes_hold_a_leading_monomial(monkeypatch):
@@ -576,9 +554,9 @@ def test_the_plane_rule_cases_match_the_oracle(case):
 
 
 def test_an_euler_remainder_on_the_mu_staircase_matches_the_oracle():
-    # tau continues mu's basis with f's Euler remainder, here -x^3*y^2 plus
-    # terms of degree 6 and 7, whose leading monomial the base corner x^3
-    # divides: the input keeps one pair to it and forms no other
+    # tau's run starts from f's Euler remainder, here -x^3*y^2 plus terms of
+    # degree 6 and 7, whose leading monomial the corner x^3 of mu's
+    # staircase divides, beside the partials
     from itertools import accumulate
 
     from tjurina.lengths import _LOCAL, _standard_counts, local_length_at_origin
@@ -596,7 +574,7 @@ def test_an_euler_remainder_on_the_mu_staircase_matches_the_oracle():
         lm = euler.leading_monomial(_LOCAL)
         assert lm == (3, 2) and any(monomial_divides(c, lm)
                                     for c in trace.basis.leading_monomials())
-        gb = checked_continuation([euler], trace.basis)
+        gb = checked_buchberger([euler, fx, fy], _LOCAL, cut=f.degree() ** 2 + 1)
         alphas = [0] + [local_length_oracle([f, fx, fy], r) for r in range(1, gb.cut + 2)]
         counts = accumulate(_standard_counts(gb.leading_monomials(), gb.cut + 1))
         assert alphas == [0, *counts] and alphas[-1] == alphas[-2], f
@@ -885,12 +863,13 @@ def test_bases_compare_by_identity():
 # -- local bases under a cut, pinned before the pair update changed -------------
 
 # Seeded plane ideals under the local degree order with a cut, both fresh and
-# continued from a base (``_buchberger``'s ``base``, through
-# ``checked_continuation``), and the mu and tau traces of seeded curves (tau
-# continuing mu's basis through ``_local_length``), recorded once from the
-# engine whose pair update scanned for the chain criterion at every pop.  Only
-# leading monomials, the final cut and the traces are read under a cut, so
-# those are pinned.
+# continued from a base, and the mu and tau traces of seeded curves (tau then
+# continuing mu's basis), recorded once from the engine whose pair update
+# scanned for the chain criterion at every pop.  Only leading monomials, the
+# final cut and the traces are read under a cut, so those are pinned.  Every
+# run starts from its own generators: a continued case runs the base's
+# generators and the new ones together under the base's starting cut, and tau
+# runs (f, f_x, f_y); both give the pinned answers.
 LOCAL_BASES = json.loads((Path(__file__).parent / "local_bases.json").read_text(encoding="utf-8"))
 
 
@@ -898,53 +877,42 @@ def _plane_polys(tables):
     return [Polynomial(2, {tuple(m): Fraction(c) for m, c in terms}) for terms in tables]
 
 
-def _local_run(gens, cut, base=None):
+def _local_run(gens, cut):
     from tjurina.lengths import _LOCAL
-    gens = _plane_polys(gens)
-    gb = checked_buchberger(gens, _LOCAL, cut) if base is None else \
-        checked_continuation(gens, base, cut)
-    return gb, ([list(m) for m in gb.leading_monomials()], gb.cut)
+    gb = checked_buchberger(_plane_polys(gens), _LOCAL, cut)
+    return [list(m) for m in gb.leading_monomials()], gb.cut
 
 
-def _local_trace(gens, base=None):
-    """The trace of the length of ``gens`` (continuing ``base``), or None
-    when the length fails."""
+def _local_trace(gens):
+    """The trace of the length of ``gens``, or None when the length fails."""
     from tjurina.lengths import StabilizationError, local_length_at_origin
     try:
-        _, trace = local_length_at_origin(gens) if base is None else \
-            continued_length(gens, base)
+        _, trace = local_length_at_origin(gens)
     except StabilizationError:
         return None
     return trace
 
 
-def _recorded_trace(gens, base=None):
-    trace = _local_trace(gens, base)
-    if trace is None:
-        return "StabilizationError", None
-    return [list(p) for p in trace.pairs], trace.basis
+def _recorded_trace(gens):
+    trace = _local_trace(gens)
+    return "StabilizationError" if trace is None else [list(p) for p in trace.pairs]
 
 
 @pytest.mark.parametrize("case", LOCAL_BASES, ids=[case["id"] for case in LOCAL_BASES])
 def test_local_bases_match_recorded_fixtures(case):
     # checked_buchberger also checks that each basis passes Buchberger's criterion
     if case["kind"] == "fresh":
-        _, out = _local_run(case["gens"], case["cut"])
-        assert out == (case["leading"], case["final_cut"])
+        assert _local_run(case["gens"], case["cut"]) == (case["leading"], case["final_cut"])
     elif case["kind"] == "continued":
-        base, out = _local_run(case["base_gens"], case["base_cut"])
-        assert out == (case["base_leading"], case["base_final_cut"])
-        gb, out = _local_run(case["gens"], case["cut"], base=base)
-        assert out == (case["leading"], case["final_cut"])
-        assert (gb is base) == case["returned_base"]
+        assert _local_run(case["base_gens"], case["base_cut"]) == \
+            (case["base_leading"], case["base_final_cut"])
+        assert _local_run(case["base_gens"] + case["gens"], case["base_cut"]) == \
+            (case["leading"], case["final_cut"])
     else:
         (f,) = _plane_polys([case["curve"]])
         parts = [g for g in (f.partial_derivative(0), f.partial_derivative(1)) if not g.is_zero()]
-        mu, basis = _recorded_trace(parts)
-        assert mu == case["mu_trace"]
-        tau, _ = _recorded_trace([f], base=basis) if basis is not None else \
-            _recorded_trace([f] + parts)
-        assert tau == case["tau_trace"]
+        assert _recorded_trace(parts) == case["mu_trace"]
+        assert _recorded_trace([f] + parts) == case["tau_trace"]
 
 
 def _bench_pool_reports(monkeypatch):
@@ -972,9 +940,8 @@ def test_every_trace_stabilizes_at_its_runs_final_cut(monkeypatch):
             (f,) = _plane_polys([case["curve"]])
             parts = [g for g in (f.partial_derivative(0), f.partial_derivative(1))
                      if not g.is_zero()]
-            mu = _local_trace(parts)
-            tau = _local_trace([f], base=mu.basis) if mu else _local_trace([f] + parts)
-            traces += [t for t in (mu, tau) if t is not None]
+            traces += [t for t in (_local_trace(parts), _local_trace([f] + parts))
+                       if t is not None]
     # an ordinary point of multiplicity m <= 4 runs nothing: its closed-form
     # trace carries no basis, so there the runs it replaces are checked
     from tjurina.analyzer import _run_lengths

@@ -20,7 +20,6 @@ from tjurina import (
     local_length_at_origin,
     parse_poly,
     staircase_length,
-    translate_to_origin,
 )
 from tjurina.groebner import _buchberger, _words
 from tjurina.lengths import (
@@ -30,8 +29,8 @@ from tjurina.lengths import (
 )
 from tjurina.poly import monomial_divides
 
-from reference import (VERTICAL, checked_buchberger, checked_continuation, continued_length,
-                       line_restriction_length, local_length_oracle, monomials_of_degree)
+from reference import (VERTICAL, checked_buchberger, line_restriction_length, local_length_oracle,
+                       monomials_of_degree)
 
 P = parse_poly
 
@@ -335,65 +334,9 @@ def test_standard_counts_by_runs_on_long_runs():
         assert _standard_counts(lms, R) == _counts_by_enumeration(lms, R), (lms, R)
 
 
-def _random_curves(rng, count):
-    """Seeded plane curves, each with three rational points: one where the
-    curve has a point of multiplicity 1 to 4 by construction, the origin and
-    one more.  Every third curve is non-reduced, a square times a curve."""
-    def local(low, high, terms):
-        table = {}
-        for _ in range(terms):
-            t = rng.randint(low, high)
-            i = rng.randint(0, t)
-            table[i, t - i] = rng.choice((-3, -2, -1, 1, 2, 5))
-        return Polynomial(2, table)
-
-    for index in range(count):
-        point = (Fraction(rng.randint(-2, 2), rng.randint(1, 3)), Fraction(rng.randint(-1, 2)))
-        h = local(rng.choice((1, 2, 2, 3, 3, 4)), 6, rng.randint(2, 5))
-        if index % 3 == 2:
-            h = local(1, 2, 2) ** 2 * local(0, 3, 2)
-        if h.is_zero() or h.degree() == 0:
-            continue
-        f = translate_to_origin(h, (-point[0], -point[1]))
-        yield f, [point, (0, 0), (rng.randint(-1, 1), Fraction(1, 2))]
-
-
-def test_tau_continued_from_mu_matches_tau_from_scratch():
-    # (f_x, f_y) lies inside (f, f_x, f_y): continuing mu's basis with f gives
-    # tau's value and trace, and the leading monomials of a fresh run
-    rng = random.Random(20261018)
-    continued = 0
-    for f, points in _random_curves(rng, 150):
-        for point in points:
-            g = translate_to_origin(f, point)
-            gx, gy = g.partial_derivative(0), g.partial_derivative(1)
-            try:
-                _, mu_trace = local_length_at_origin([gx, gy])
-            except StabilizationError:
-                continue
-            fresh = local_length_at_origin([g, gx, gy])
-            tau, trace = continued_length([g], mu_trace.basis)
-            assert (tau, trace.pairs, trace.stabilized_at) == \
-                (fresh[0], fresh[1].pairs, fresh[1].stabilized_at), (f, point)
-            base, c = mu_trace.basis, mu_trace.basis.cut
-            continued += c > 0
-            gb = checked_continuation([g], base)
-            if g.min_degree() >= c:
-                assert gb is base  # f truncates to zero under the cut
-            every = [h for h in (gx, gy, g) if not h.is_zero() and h.min_degree() < c]
-            if every:
-                below = checked_buchberger(every, _LOCAL, cut=c).leading_monomials()
-                assert tuple(m for m in gb.leading_monomials() if sum(m) < c) == below
-            # the sum closes by degree c, so one degree more shows its whole staircase
-            above = checked_buchberger([gx, gy, g], _LOCAL, cut=c + 1)
-            assert gb.leading_monomials() == above.leading_monomials(), (f, point)
-    assert continued >= 50  # continued past the unit ideal (55 at this seed)
-
-
 def test_a_length_takes_its_generators_alone():
-    # a basis is continued only inside the local lengths (``_local_length``),
-    # whose caller meets its degree precondition; a public base whose
-    # generators were of larger degree than the new ones once raised a false
+    # no length continues a basis; a public base whose generators were of
+    # larger degree than the new ones once raised a false
     # StabilizationError here: the length of (y, x^10) is 10
     import inspect
 
