@@ -3,8 +3,7 @@
 Everything is exact and local.  One germ per point: each per-point function
 moves f from a rational point to the origin once, into a private record of
 an integer multiple of the translate, packed with its gradient for the
-local lengths, and reads the invariants off ideals in Q[x,y].  The report
-of ``analyze`` keeps that germ.
+local lengths, and reads the invariants off ideals in Q[x,y].
 
 * multiplicity and ordinariness (squarefreeness of the initial form), which
   ``is_ordinary``, ``is_slci`` and ``analyze`` decide by one gcd of binary
@@ -95,22 +94,19 @@ class MultiplicityAtLeastThree(Record):
 
 
 class SingularityReport(Record):
-    """What ``analyze`` found at a point.  The ``germ`` it was read from takes
-    no part in equality, hash or repr.  At an ordinary point the Milnor trace
-    is read off the tangent cone and has no basis; at multiplicity m <= 4 the
-    Tjurina trace is that same trace."""
+    """What ``analyze`` found at a point, as plain data.  At an ordinary
+    point the Milnor trace is read off the tangent cone and has no basis; at
+    multiplicity m <= 4 the Tjurina trace is that same trace."""
 
     __slots__ = ("point", "multiplicity", "is_on_curve", "ordinary", "tjurina", "milnor",
-                 "symmetry_order", "classification", "tjurina_trace", "milnor_trace", "germ")
-    _hidden = ("germ",)
+                 "symmetry_order", "classification", "tjurina_trace", "milnor_trace")
 
     def __init__(self, point: Point, multiplicity: int, is_on_curve: bool,
                  ordinary: bool | None, tjurina: int, milnor: int,
                  symmetry_order: int | None, classification: Classification,
-                 tjurina_trace: TruncationTrace, milnor_trace: TruncationTrace,
-                 germ: _Germ | None = None):
+                 tjurina_trace: TruncationTrace, milnor_trace: TruncationTrace):
         self._set(point, multiplicity, is_on_curve, ordinary, tjurina, milnor,
-                  symmetry_order, classification, tjurina_trace, milnor_trace, germ)
+                  symmetry_order, classification, tjurina_trace, milnor_trace)
 
 
 # -- basic local data ---------------------------------------------------------
@@ -123,18 +119,19 @@ class _Germ:
     """A nonzero curve f moved from a rational point to the origin, as every
     per-point invariant reads it: h = scale * g, a positive integer multiple
     of the translate g (multiplicity, tangent cone and lengths do not see a
-    nonzero scalar), its multiplicity m (0 off the curve) and its degree d.
+    nonzero scalar), and its multiplicity m (0 off the curve); it keeps no
+    degree, which each local run reads off its own generators.
 
     f comes as an integer term table T in x, y and a denominator D > 0, f =
     T/D, as ``exprio._parse`` gives it; ``of`` converts a Polynomial."""
 
-    __slots__ = ("point", "h", "scale", "m", "d")
+    __slots__ = ("point", "h", "scale", "m")
 
     def __init__(self, table: dict, den: int, point: Point, zero: str = _ZERO):
         if not table:
             raise ValueError(zero)
         h, self.scale = _integer_translate(table, den, point)
-        self.h, self.point, self.m, self.d = h, tuple(point), h.min_degree(), h.degree()
+        self.h, self.point, self.m = h, tuple(point), h.min_degree()
 
     @classmethod
     def of(cls, f: Polynomial, point: Point, zero: str = _ZERO) -> _Germ:
@@ -159,16 +156,15 @@ class _Germ:
         """The reducers of h's Euler remainder m*h - x*h_x - y*h_y (of h
         itself when m = 0 or h is homogeneous) and of h's nonzero partials,
         packed once under the local order: they generate the ideal of h and
-        its partials.  By Euler's relation the partials have degree d - 1."""
+        its partials, and a run reads its degree bound off them."""
         return _packed_gradient(self.h, _words(_LOCAL, 2), with_f=True)
 
     def length(self, jacobian: bool) -> tuple[int, TruncationTrace]:
         """The local length of (h, h_x, h_y), or of (h_x, h_y), whose
         StabilizationError names the point and what fails there."""
         packed = self.packed()
-        reducers, d = (packed, self.d) if jacobian else (packed[1:], self.d - 1)
         try:
-            return _local_length(reducers, d)
+            return _local_length(packed if jacobian else packed[1:])
         except StabilizationError as e:
             failure = "curve not reduced" if jacobian else "non-isolated critical point"
             raise StabilizationError(f"{failure} at {self.where()}: {e}") from e
@@ -383,7 +379,6 @@ def _analyze(germ: _Germ) -> SingularityReport:
         classification=classification,
         tjurina_trace=tau_trace,
         milnor_trace=mu_trace,
-        germ=germ,
     )
 
 
@@ -391,15 +386,15 @@ def _run_lengths(germ: _Germ) -> tuple:
     """tau, its trace, mu and its trace by two local runs from scratch:
     mu's from the packed partials, then tau's from those and the packed
     Euler remainder."""
-    m, d, packed = germ.m, germ.d, germ.packed()
+    m, packed = germ.m, germ.packed()
 
     errors = []
     try:
-        mu, mu_trace = _local_length(packed[1:], d - 1)
+        mu, mu_trace = _local_length(packed[1:])
     except StabilizationError as e:
         errors.append(f"milnor: {e}")
     try:
-        tau, tau_trace = _local_length(packed, d)
+        tau, tau_trace = _local_length(packed)
     except StabilizationError as e:
         errors.insert(0, f"tjurina: {e}")
     if errors:  # off the curve, (f) is the unit ideal: only mu can fail

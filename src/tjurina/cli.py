@@ -53,7 +53,7 @@ from .lengths import INFINITE, StabilizationError
 if TYPE_CHECKING:
     import argparse
 
-    from .analyzer import SingularityReport
+    from .analyzer import SingularityReport, _Germ
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -182,16 +182,16 @@ def _report_document(curve_text: str, report: SingularityReport, elapsed_ms: int
     }
 
 
-def _print_human_report(curve_text: str, report: SingularityReport, out,
+def _print_human_report(curve_text: str, germ: _Germ, report: SingularityReport, out,
                         with_trace: bool = False):
     print(f"curve: {curve_text}", file=out)
-    print(f"point: {report.germ.where()}", file=out)
+    print(f"point: {germ.where()}", file=out)
     if not report.is_on_curve:
         print("the point is not on the curve", file=out)
         return
     print(f"multiplicity: {report.multiplicity}", file=out)
     if report.multiplicity == 1:
-        tangent = render_poly(report.germ.tangent())
+        tangent = render_poly(germ.tangent())
         print(f"smooth point, tangent: {tangent} = 0", file=out)
         return
     cls = report.classification
@@ -237,16 +237,17 @@ def cmd_analyze(args, out) -> int:
     results = []
     for table, den in curves:
         t0 = time.monotonic()
-        report = _analyze(_Germ(table, den, point))
-        results.append((report, int((time.monotonic() - t0) * 1000)))
+        germ = _Germ(table, den, point)
+        report = _analyze(germ)
+        results.append((germ, report, int((time.monotonic() - t0) * 1000)))
 
     if args.json:
-        docs = [_report_document(t, rep, ms) for t, (rep, ms) in zip(texts, results)]
+        docs = [_report_document(t, rep, ms) for t, (_, rep, ms) in zip(texts, results)]
         payload = docs[0] if len(docs) == 1 and not args.curves_file else docs
         print(_json_text(payload), file=out)
     else:
-        for text, (rep, _ms) in zip(texts, results):
-            _print_human_report(text, rep, out, with_trace=args.trace)
+        for text, (germ, rep, _ms) in zip(texts, results):
+            _print_human_report(text, germ, rep, out, with_trace=args.trace)
     return EXIT_OK
 
 

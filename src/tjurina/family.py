@@ -257,7 +257,6 @@ def verify_params(p: FamilyParams, check_gb: bool = False,
             # at O alone; its staircase count reads no generator
             lt_match = live_tau == (p.a - 1) ** 2
     else:
-        live_tau = _local_length(_packed_gradient(f, _words(_LOCAL, 2), with_f=True),
-                                 f.degree())[0]
+        live_tau = _local_length(_packed_gradient(f, _words(_LOCAL, 2), with_f=True))[0]
     return FamilyVerification(p, family_case(p), tjurina_formula(p), live_tau,
                               gb_match, lt_match)

@@ -186,46 +186,47 @@ def local_length_at_origin(gens: Sequence[Polynomial]):
     and the sequence stabilizes by r = d^2.  Its text lists at most 1000
     alphas.  From d = 23,171 the run starts at 2^29, and a sequence still
     growing there raises MonomialRangeError.  The generators are packed
-    once, for ``_local_length``.
+    once, for ``_local_length``, which reads d off them.
     """
     polys = [g for g in gens if not g.is_zero()]
     if any(g.nvars != 2 for g in polys):
         raise ValueError("local lengths are computed in the plane (2 variables)")
     words = _words(_LOCAL, 2)
-    return _local_length([_integer_reducer(g, words) for g in polys],
-                         max((g.degree() for g in polys), default=0))
+    return _local_length([_integer_reducer(g, words) for g in polys])
 
 
-def _local_length(reducers: list[tuple], d: int):
+def _local_length(reducers: list[tuple]):
     """``local_length_at_origin`` of generators packed under the local order
-    in two variables, d their largest degree: the one run, and the only
-    raiser of StabilizationError.  The stabilization index is the run's
-    final cut (at least 1).  The run starts at the bound d^2 + 1, clamped to
-    2^29, the largest cut the packed words hold (d >= 23,171 passes it).  A
-    staircase closing below any cut N certifies the index: if every monomial
-    of degree k < N leads in J + m^N, m^k lies in J + m^(k+1), so in J in
-    the local ring (Nakayama).  The length fails when the final cut reaches
-    d^2 + 1, and raises MonomialRangeError, before any count is read, when
-    it reaches only the clamp.  Otherwise the length is the area of the
-    staircase closed at the final cut, and the trace's pairs are counted
-    from the basis only when read (``TruncationTrace._read``)."""
+    in two variables: the one run, and the only raiser of
+    StabilizationError.  It reads d, the largest generator degree, off the
+    reducers: under the local order a reducer's last term has its largest
+    degree.  The stabilization index is the run's final cut (at least 1).
+    The run starts at the bound d^2 + 1, clamped to 2^29, the largest cut
+    the packed words hold (d >= 23,171 passes it).  A staircase closing below
+    any cut N certifies the index: if every monomial of degree k < N leads
+    in J + m^N, m^k lies in J + m^(k+1), so in J in the local ring
+    (Nakayama).  The length fails when the final cut reaches d^2 + 1, and
+    raises MonomialRangeError, before any count is read, when it reaches
+    only the clamp.  Otherwise the length is the area of the staircase
+    closed at the final cut, and the trace's pairs are counted from the
+    basis only when read (``TruncationTrace._read``)."""
     if not reducers:
         raise ValueError("need at least one nonzero generator")
-    bound = max(d * d + 1, 2)  # the trace always holds alpha_1 and alpha_2
     words = _words(_LOCAL, 2)
+    d = max(sum(words.exponents(tail[-1][0] if tail else lm)) for lm, _, tail in reducers)
+    bound = max(d * d + 1, 2)  # the trace always holds alpha_1 and alpha_2
     clamp = min(bound, 1 << words.bits - 1)
     if d >= clamp:  # only under the clamp can a term reach the cut
         floor = words.floor(clamp)
         reducers = [_primitive_reducer([(lm, lc), *(t for t in tail if t[0] >= floor)])
                     for lm, lc, tail in reducers if lm >= floor]
     gb = _buchberger(reducers, words, clamp)
-    stable = max(gb.cut, 1)  # the unit ideal's staircase closes at 0
-    if clamp < bound and stable >= clamp:
+    if clamp < bound and gb.cut >= clamp:
         raise MonomialRangeError(
             f"cut {bound} = d^2 + 1 (d = {d}, the largest generator degree) outside the "
             f"packed field range: the truncation sequence is still growing at r = {clamp}, "
             "the largest cut the packed words hold, so its length is undecided")
-    if stable >= bound:
+    if gb.cut >= bound:
         alphas = list(accumulate(_standard_counts(gb.leading_monomials(), min(bound, _SHOWN))))
         shown = str(alphas)[:-1] + (", ...]" if bound > _SHOWN else "]")
         raise StabilizationError(

@@ -91,7 +91,9 @@ def test_the_germ_keeps_a_positive_integer_multiple_of_the_translate(seed):
         g, _, _ = _explicit(f, point)
         assert germ.scale > 0 and all(type(c) is int for _, c in germ.h.terms())
         assert germ.h == g.scale(germ.scale), (f, point)
-        assert (germ.m, germ.d) == (g.min_degree(), g.degree())
+        assert germ.m == g.min_degree()
+    # the germ keeps no degree: each local run reads its own (_local_length)
+    assert _Germ.__slots__ == ("point", "h", "scale", "m")
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
@@ -151,14 +153,14 @@ def test_analyze_and_classify_match_the_explicit_lengths(seed):
 @pytest.mark.parametrize("seed", [10, 11, 12])
 def test_the_germ_of_the_parsed_table_is_the_germ_of_the_polynomial(seed):
     # the CLI hands _parse's integer table and its denominator to the germ:
-    # the same multiple h, scale, m and d as the public route from parse_poly
+    # the same multiple h, scale and m as the public route from parse_poly
     kinds = set()
     for f, point in _cases(seed):
         text = render_poly(f)
         table, den = _parse(text, "affine2")
         germ, reference = _Germ(table, den, point), _Germ.of(P(text), point)
-        assert (germ.h, germ.scale, germ.m, germ.d) == \
-            (reference.h, reference.scale, reference.m, reference.d), (text, point)
+        assert (germ.h, germ.scale, germ.m) == \
+            (reference.h, reference.scale, reference.m), (text, point)
         kinds.add((not any(point), den > 1))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 

@@ -497,14 +497,15 @@ def test_buchberger_has_no_verify_switch():
 
 
 def test_every_local_run_starts_from_its_own_generators():
-    # no run continues an earlier basis: the core and the length take only
-    # their reducers, with the words and the cut, or the largest degree
+    # no run continues an earlier basis: the core takes only its reducers,
+    # with the words and the cut, and the length only its reducers, off
+    # which it reads its bound
     import inspect
 
     from tjurina import groebner, lengths
     assert list(inspect.signature(groebner._buchberger).parameters) == \
         ["reducers", "words", "cut"]
-    assert list(inspect.signature(lengths._local_length).parameters) == ["reducers", "d"]
+    assert list(inspect.signature(lengths._local_length).parameters) == ["reducers"]
 
 
 @pytest.mark.parametrize("cut, start", [(10, 10)], ids=["no-base"])
@@ -916,11 +917,13 @@ def test_local_bases_match_recorded_fixtures(case):
 
 
 def _bench_pool_reports(monkeypatch):
-    """``analyze`` on every request of the benchmark's ordinary_batch and
-    an_ladder pools (``bench/workloads.py``), at its point."""
+    """The germ of every request of the benchmark's ordinary_batch and
+    an_ladder pools (``bench/workloads.py``) at its point, and ``analyze``
+    of it there."""
     import importlib.util
     import sys
     from tjurina import analyze
+    from tjurina.analyzer import _Germ
     path = Path(__file__).parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -928,7 +931,8 @@ def _bench_pool_reports(monkeypatch):
     spec.loader.exec_module(workloads)
     for request in workloads.ordinary_pool() + workloads.ladder_pool():
         options = dict(arg[2:].split("=", 1) for arg in request.argv if "=" in arg)
-        yield analyze(P(options["curve"]), tuple(map(Fraction, options["point"].split(","))))
+        f, point = P(options["curve"]), tuple(map(Fraction, options["point"].split(",")))
+        yield _Germ.of(f, point), analyze(f, point)
 
 
 def test_every_trace_stabilizes_at_its_runs_final_cut(monkeypatch):
@@ -942,14 +946,14 @@ def test_every_trace_stabilizes_at_its_runs_final_cut(monkeypatch):
                      if not g.is_zero()]
             traces += [t for t in (_local_trace(parts), _local_trace([f] + parts))
                        if t is not None]
-    # an ordinary point of multiplicity m <= 4 runs nothing: its closed-form
-    # trace carries no basis, so there the runs it replaces are checked
+    # an ordinary point runs no mu, and no tau at m <= 4: a closed-form trace
+    # carries no basis, so there the runs it replaces are checked
     from tjurina.analyzer import _run_lengths
-    for report in _bench_pool_reports(monkeypatch):
+    for germ, report in _bench_pool_reports(monkeypatch):
         traces += [t for t in (report.milnor_trace, report.tjurina_trace)
                    if t.basis is not None]
         if report.milnor_trace.basis is None:
-            traces += _run_lengths(report.germ)[1::2]  # tau's and mu's traces
+            traces += _run_lengths(germ)[1::2]  # tau's and mu's traces
     assert len(traces) > 400
     for trace in traces:
         assert trace.stabilized_at == max(trace.basis.cut, 1), trace

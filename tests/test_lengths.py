@@ -348,6 +348,54 @@ def test_a_length_takes_its_generators_alone():
         local_length_at_origin([y], base=trace.basis)
 
 
+def _germ_of_order(rng, m):
+    """A nonconstant plane curve of order m at O, its terms of degree m .. m + 3."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            t = rng.randint(m, m + 3)
+            i = rng.randint(0, t)
+            terms[(i, t - i)] = rng.choice([-3, -2, -1, 1, 2, 5])
+        f = Polynomial(2, terms)
+        if f.degree() and f.min_degree() == m:
+            return f
+
+
+def test_a_run_reads_its_bound_off_its_generators(monkeypatch):
+    # every run starts at the cut d^2 + 1 (at least 2, clamped to 2^29), d the
+    # largest degree of the generators it is given: the packed gradient with
+    # and without the Euler remainder, and the reducers local_length_at_origin
+    # packs, of curves of order 0..7, homogeneous ones, one with a zero
+    # partial, and one of degree >= 23,171
+    from tjurina import lengths
+    from tjurina.groebner import MonomialRangeError, _packed_gradient
+    cuts = []
+    real = lengths._buchberger
+    monkeypatch.setattr(lengths, "_buchberger",
+                        lambda reducers, words, cut: cuts.append(cut) or real(reducers, words, cut))
+    rng = random.Random("run-bound")
+    curves = [_germ_of_order(rng, m) for m in range(8) for _ in range(4)]
+    curves += [P(e) for e in ("x^4-y^4", "x^2*y^3+y^5", "x^5+x^2", "y^2-x^23200")]
+    words = _words(_LOCAL, 2)
+    x, y = P("x"), P("y")
+    for f in curves:
+        fx, fy = f.partial_derivative(0), f.partial_derivative(1)
+        m = f.min_degree()
+        r = f.scale(m) - x * fx - y * fy
+        first = f if m == 0 or r.is_zero() else r
+        for gens, packed in [([fx, fy], _packed_gradient(f, words)),
+                             ([first, fx, fy], _packed_gradient(f, words, with_f=True))]:
+            gens = [g for g in gens if not g.is_zero()]
+            d = max(g.degree() for g in gens)
+            for run, arg in [(lengths._local_length, packed), (local_length_at_origin, gens)]:
+                cuts.clear()
+                try:
+                    run(arg)
+                except (StabilizationError, MonomialRangeError):
+                    pass
+                assert cuts == [min(max(d * d + 1, 2), 2 ** 29)], (f, gens)
+
+
 # -- Hilbert functions ---------------------------------------------------------------
 
 

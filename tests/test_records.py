@@ -173,24 +173,19 @@ def test_pickle_round_trip_gives_an_equal_record():
             assert copy.reduced and copy.generators == basis.generators
 
 
-def test_a_report_carries_its_germ_outside_its_contract():
-    # analyze's report keeps the germ it was read from, as a trace keeps its
-    # basis: equality, hash, repr and pickling are those of the shown fields
+def test_a_report_is_plain_data():
+    # analyze's report is plain data: equality, hash, repr and pickling are
+    # those of all its fields
     report = _report()
-    # at the origin an integer curve is its own integer multiple (scale 1)
-    assert report.germ is not None and report.germ.h == parse_poly("x^3 + y^7 + x*y^5")
-    assert report.germ.scale == 1
+    assert report._shown == SingularityReport.__slots__
+    assert "germ" not in SingularityReport.__slots__
     fields = [getattr(report, name) for name in report._shown]
-    bare = SingularityReport(*fields)
-    assert bare.germ is None
-    assert bare == report and hash(bare) == hash(report) and hash(report) == hash(tuple(fields))
-    assert repr(bare) == repr(report) == REPORT
+    rebuilt = SingularityReport(*fields)
+    assert rebuilt == report and hash(rebuilt) == hash(report)
+    assert hash(report) == hash(tuple(fields))
+    assert repr(rebuilt) == repr(report) == REPORT
     copy = pickle.loads(pickle.dumps(report))
     assert copy == report and repr(copy) == REPORT
-    assert (copy.germ.point, copy.germ.h, copy.germ.scale, copy.germ.m, copy.germ.d,
-            copy.germ.packed()) == \
-        (report.germ.point, report.germ.h, 1, 3, 7, report.germ.packed())
-    assert pickle.loads(pickle.dumps(bare)).germ is None
 
 
 def test_every_record_kind_is_covered():
