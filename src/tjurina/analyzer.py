@@ -22,7 +22,6 @@ local lengths, and reads the invariants off ideals in Q[x,y].
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
@@ -31,7 +30,7 @@ from .binforms import common_factor_degree, squarefree_binary_form
 from .groebner import _packed_gradient, _words
 from .lengths import (_LOCAL, StabilizationError, TruncationTrace, _local_length,
                       local_length_at_origin)
-from .poly import Polynomial, _integer_table, _integer_translate
+from .poly import Polynomial, _integer_table, _integer_translate, _ratio
 
 Point = tuple
 
@@ -136,6 +135,8 @@ class _Germ:
     @classmethod
     def of(cls, f: Polynomial, point: Point, zero: str = _ZERO) -> _Germ:
         """The germ of a Polynomial in x, y."""
+        if f.nvars != 2:
+            raise ValueError("translation is defined for affine 2-variable polynomials")
         return cls(*_integer_table(f), point, zero)
 
     def where(self) -> str:
@@ -143,7 +144,8 @@ class _Germ:
 
     def tangent(self) -> Polynomial:
         """The linear part of the translate g, exact: the one rational output."""
-        return self.h.homogeneous_component(1).scale(Fraction(1, self.scale))
+        return Polynomial._from_valid(
+            2, {m: _ratio(c, self.scale) for m, c in self.h.terms() if sum(m) == 1})
 
     def ordinary(self, test: str) -> bool:
         """True iff the tangent cone consists of distinct lines (squarefree

@@ -8,9 +8,10 @@ which hides the factor x, plus the least x-exponent, which counts it.
 Whether a form repeats a line (``squarefree_binary_form``) is whether x^2
 or y^2 divides it, read off its exponents, or g(1, y) shares a root with
 its derivative.  Both run one
-integer kernel: each form is read once into a primitive integer
-coefficient list (denominators cleared once), and a primitive
-pseudo-remainder sequence gives the degree of the gcd.
+integer kernel: each form is checked once (``_form_degree``) and read once
+into the primitive integer coefficient list of g(1, y), off its integer
+table (``poly._integer_table``, where its denominators are cleared), and a
+primitive pseudo-remainder sequence gives the degree of the gcd.
 
 The tests cross-check both against determinants (the Sylvester resultant
 and the discriminant), which live in ``tests/reference.py``.
@@ -18,10 +19,10 @@ and the discriminant), which live in ``tests/reference.py``.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
-from .poly import Polynomial
+from .poly import Polynomial, _integer_table
 
 # Univariate polynomials are coefficient lists, lowest degree first,
 # trailing zeros stripped; [] is the zero polynomial.
@@ -36,13 +37,6 @@ def upoly_trim(u: UPoly) -> UPoly:
 
 def upoly_derivative(u: UPoly) -> UPoly:
     return upoly_trim([i * c for i, c in enumerate(u)][1:])
-
-
-def _primitive(u: UPoly) -> UPoly:
-    """The primitive integer multiple of a rational coefficient list (its
-    denominators cleared once, its content divided out), trimmed."""
-    den = lcm(*(c.denominator for c in u))
-    return _content_free(upoly_trim([c.numerator * (den // c.denominator) for c in u]))
 
 
 def _content_free(r: UPoly) -> UPoly:
@@ -106,15 +100,14 @@ def _form_degree(g: Polynomial) -> int:
     return degrees.pop()
 
 
-def _dehomogenize(g: Polynomial) -> tuple[int, UPoly]:
-    """Check that g is a binary form and read it once: its degree m and
-    g(1, y), trimmed.  The degree drop m - deg(g(1, y)) is the
-    multiplicity of the factor x."""
-    m = _form_degree(g)
+def _dehomogenize(g: Polynomial, m: int) -> UPoly:
+    """The primitive integer coefficient list of g(1, y), trimmed, for a
+    binary form g of degree m, read off its integer table.  The degree drop
+    m - deg(g(1, y)) is the multiplicity of the factor x."""
     coeffs: UPoly = [0] * (m + 1)
-    for (_i, j), c in g.terms():
+    for (_i, j), c in _integer_table(g)[0].items():
         coeffs[j] = c
-    return m, upoly_trim(coeffs)
+    return _content_free(upoly_trim(coeffs))
 
 
 def common_factor_degree(forms: Sequence[Polynomial]) -> int:
@@ -124,9 +117,9 @@ def common_factor_degree(forms: Sequence[Polynomial]) -> int:
     every other shared line is a common root of the g(1, y)."""
     if not forms:
         raise ValueError("common_factor_degree: no binary form given")
-    read = [_dehomogenize(g) for g in forms]
-    e = min(m - (len(u) - 1) for m, u in read)
-    return e + _gcd_degree([_primitive(u) for _m, u in read])
+    degrees = [_form_degree(g) for g in forms]
+    us = [_dehomogenize(g, m) for g, m in zip(forms, degrees)]
+    return min(m - (len(u) - 1) for m, u in zip(degrees, us)) + _gcd_degree(us)
 
 
 def squarefree_binary_form(g: Polynomial) -> bool:
@@ -141,10 +134,10 @@ def squarefree_binary_form(g: Polynomial) -> bool:
     and ab != 0, whose k lines are distinct and off both axes, so it is
     squarefree.
     """
-    _form_degree(g)
-    if max(map(min, zip(*g.terms_dict()))) > 1:  # the least x- or y-exponent
+    m = _form_degree(g)
+    if max(map(min, zip(*g._terms))) > 1:  # the least x- or y-exponent
         return False
     if len(g) == 2:
         return True
-    u = _primitive(_dehomogenize(g)[1])
+    u = _dehomogenize(g, m)
     return len(u) <= 2 or _gcd_degree([u, upoly_derivative(u)]) == 0

@@ -30,22 +30,21 @@ message and its offset are those of the fine tokens.
 A term folds its factors into one integer numerator, one denominator and
 one exponent vector; only a parenthesised factor becomes a term table.
 Tables hold integer numerators over one positive denominator per sum, so
-no ``Fraction`` is built while parsing: ``parse_poly`` builds one per
-non-integral coefficient of its result, and ``_parse`` hands the table and
-its denominator on as they are, as the CLI's ``analyze`` and ``classify``
-do to the germ (``analyzer._Germ``).
+the parser builds no rational: ``parse_poly`` rebuilds each coefficient of
+its result by ``poly._ratio``, and ``_parse`` hands the table and its
+denominator to the CLI's germ (``analyzer._Germ``) as they are.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import gcd, lcm
 from operator import add
 
-from .poly import GRLEX, MonomialOrder, Polynomial, _power_table, _product_table, _render_terms
+from .poly import (GRLEX, MonomialOrder, Polynomial, _power_table, _product_table, _ratio,
+                   _render_terms)
 
 AMBIENTS = {
     "affine2": ("x", "y"),
@@ -335,7 +334,7 @@ def _polynomial(nvars: int, table: Table, den: int) -> Polynomial:
     """The Polynomial table/den of ``_parse``'s result, adopting the table."""
     if den != 1:
         for m, n in table.items():
-            table[m] = n // den if n % den == 0 else Fraction(n, den)
+            table[m] = _ratio(n, den)
     return Polynomial._from_valid(nvars, table)
 
 

@@ -21,13 +21,12 @@ parameters are normalized to b >= c on entry.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import Iterator
 
 from ._record import Record
 from .groebner import MonomialIdeal, _buchberger, _packed_gradient, _words, leading_term_ideal
 from .lengths import _LOCAL, _local_length, staircase_length
-from .poly import GRLEX, Polynomial, _norm_coeff
+from .poly import GRLEX, Polynomial, _ratio
 
 
 class FamilyCase(Enum):
@@ -118,9 +117,9 @@ def _shape(p: FamilyParams, i: int) -> Polynomial:
     """
     a, b, c = p.a, p.b, p.c
     if i == 1:
-        table = {(b - 1, c): 1, (a - 1, 0): _norm_coeff(Fraction(a, b))}
+        table = {(b - 1, c): 1, (a - 1, 0): _ratio(a, b)}
     elif i == 2:
-        table = {(b, c - 1): 1, (0, a - 1): _norm_coeff(Fraction(a, c))}
+        table = {(b, c - 1): 1, (0, a - 1): _ratio(a, c)}
     else:  # F3..F7, as listed in the module docstring
         table = {((a, 0), (0, a), (a - b - 1, a - 1), (a - 1, a - c - 1), (a - b, a - 1))[i - 3]: 1}
     return Polynomial._from_valid(2, table)

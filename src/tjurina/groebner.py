@@ -35,21 +35,16 @@ the two.  The same list gives the cut's closing degree (``_buchberger``) and
 the minimal basis.
 
 The reduction core is fraction-free: basis elements are primitive integer
-term tables with a positive leading coefficient, S-polynomials are built
-with integer cofactors, and ``_normal_form`` reduces by scaled
-pseudo-division, so a remainder is an integer multiple of the rational one.
-A polynomial enters the core through one of two gates: ``_integer_reducer``,
-which refuses a zero polynomial and one from another ring with one
-ValueError, and ``_packed_gradient``, which packs the nonzero partial
-derivatives of a polynomial straight from its terms, and if asked one more
-generator of the Jacobian ideal: the polynomial's Euler remainder
-``m*f - sum x_v*f_v`` (m its order at the origin), or the polynomial itself
-when that remainder is zero or m is.  ``buchberger`` checks its order,
-passes its generators through the first gate and hands the packed reducers
-to ``_buchberger``, the run itself; the local lengths and
-``global_tjurina`` use the second gate.
-Both gates end in one primitive step, ``_primitive_reducer``.  Rationals
-leave the core only through ``_monic``.
+term tables with a positive leading coefficient, and ``_normal_form``
+reduces by scaled pseudo-division, so a remainder is an integer multiple of
+the rational one.  Rationals are cleared and rebuilt in ``poly`` alone.  A
+polynomial enters the core through one of two gates, each reading its
+integer table (``poly._integer_table``) and ending in
+``_primitive_reducer``: ``_integer_reducer``, for ``buchberger``'s
+generators, and ``_packed_gradient``, for the local lengths and
+``global_tjurina``, which packs a polynomial's nonzero partials and, if
+asked, its Euler remainder.  Rationals leave the core only through
+``_monic``, whose coefficients ``poly._ratio`` rebuilds.
 
 Inside the core a monomial is a packed word (``_Words``): one int whose
 high fields hold the order key, linear in the exponents for every order
@@ -77,15 +72,15 @@ reached with smaller multipliers.  Under a cut nothing is refreshed.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 from struct import Struct
 from typing import Iterable, Sequence
 
-from .poly import GRLEX, Monomial, MonomialOrder, Polynomial, _render_terms, monomial_divides
+from .poly import (GRLEX, Monomial, MonomialOrder, Polynomial, _integer_table, _ratio,
+                   _render_terms, monomial_divides)
 
 
 class GroebnerBasis:
@@ -324,16 +319,10 @@ def _ring_error(nvars: int) -> ValueError:
 
 
 def _primitive_reducer(terms: list) -> tuple:
-    """(lm, lc, tail) of the primitive integer multiple, with a positive
-    leading coefficient, of the nonzero terms (word, rational coefficient)
-    sorted by decreasing word: denominators are cleared once, then the
-    content is divided out."""
-    cs = [c for _, c in terms]
-    if any(type(c) is not int for c in cs):  # all-int terms need no common denominator
-        den = lcm(*(c.denominator for c in cs))
-        terms = [(m, c.numerator * (den // c.denominator)) for m, c in terms]
-        cs = [c for _, c in terms]
-    g = gcd(*cs)
+    """(lm, lc, tail) of the primitive multiple, with a positive leading
+    coefficient, of the nonzero integer terms (word, coefficient) sorted by
+    decreasing word."""
+    g = gcd(*(c for _, c in terms))
     if terms[0][1] < 0:
         g = -g
     if g != 1:
@@ -345,12 +334,12 @@ def _primitive_reducer(terms: list) -> tuple:
 def _integer_reducer(p: Polynomial, words: _Words) -> tuple:
     """(lm, lc, tail): the packed reducer of the primitive integer multiple
     of p with a positive leading coefficient lc, its tail sorted by
-    decreasing word.  The multiple is lc / p's leading coefficient.  The one
-    gate from a Polynomial into the integer core: a zero polynomial, or one
-    outside the ring of ``words``, raises ValueError."""
-    table = p._terms
-    if not table or p.nvars != words.nvars:
+    decreasing word, read off p's integer table (``poly._integer_table``).
+    A zero polynomial, or one outside the ring of ``words``, raises
+    ValueError."""
+    if not p._terms or p.nvars != words.nvars:
         raise _ring_error(words.nvars)
+    table = _integer_table(p)[0]
     if max(map(max, table)) >> words.bits:
         for m in table:
             words.pack(m)  # raises the range error of the first bad term
@@ -359,22 +348,22 @@ def _integer_reducer(p: Polynomial, words: _Words) -> tuple:
 
 def _packed_gradient(f: Polynomial, words: _Words, with_f: bool = False) -> list[tuple]:
     """The packed reducers of f's nonzero partial derivatives, in variable
-    order: ``[_integer_reducer(f.partial_derivative(v), words)]`` with the
-    zero partials dropped, and the same errors, but no partial is built.
-    With ``with_f``, one more reducer comes first: that of f's Euler
-    remainder ``r = m*f - sum x_v*f_v``, where m is f's order at the origin.
-    Since ``m*f = r + sum x_v*f_v``, r and the partials generate the ideal
-    of f and its partials, and r has no term of degree m, so a run from it
-    need not find Euler's relation again.  f's own reducer stands in for r
-    when m = 0 (f is a unit) or r = 0 (f is homogeneous).  The range checks
-    stay on f's terms, last.
-    Each term is packed once: words are linear, so the partial in x_v of the
-    term of word w has the word w - word(x_v), and the partials' terms come
-    out of one sort already sorted.  An f outside the ring of ``words`` (or
-    zero, with ``with_f``) raises ValueError."""
-    table = f._terms
-    if f.nvars != words.nvars or with_f and not table:
+    order, read off f's integer table (``poly._integer_table``):
+    ``[_integer_reducer(f.partial_derivative(v), words)]`` with the zero
+    partials dropped, and the same errors.  With ``with_f``, one more
+    reducer comes first: that of f's Euler remainder
+    ``r = m*f - sum x_v*f_v``, where m is f's order at the origin.  Since
+    ``m*f = r + sum x_v*f_v``, r and the partials generate the ideal of f
+    and its partials, and r has no term of degree m, so a run from it need
+    not find Euler's relation again.  f's own reducer stands in for r when
+    m = 0 (f is a unit) or r = 0 (f is homogeneous).  Words are linear, so
+    the partial in x_v of the term of word w has the word w - word(x_v),
+    and the partials' terms come out of one sort already sorted.  An f
+    outside the ring of ``words`` (or zero, with ``with_f``) raises
+    ValueError."""
+    if f.nvars != words.nvars or with_f and not f._terms:
         raise _ring_error(words.nvars)
+    table = _integer_table(f)[0]
     if table and max(map(max, table)) >> words.bits:
         # only a partial's own terms must lie in range, and
         # _integer_reducer meets its bad terms in f's term order
@@ -429,12 +418,12 @@ def _s_pair(a: tuple, b: tuple, top: int, words: _Words) -> dict:
 
 
 def _monic(nvars: int, reducer: tuple) -> Polynomial:
-    """The monic rational polynomial of an integer reducer."""
+    """The monic rational polynomial of an unpacked integer reducer: each
+    tail coefficient over lc, rebuilt by ``poly._ratio``."""
     lm, lc, tail = reducer
     table = {lm: 1}
     for m, c in tail:
-        c = Fraction(c, lc)
-        table[m] = c.numerator if c.denominator == 1 else c
+        table[m] = _ratio(c, lc)
     return Polynomial._from_valid(nvars, table)
 
 

@@ -40,6 +40,12 @@ def _norm_coeff(c: Scalar) -> Scalar:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
+def _ratio(n: int, d: int) -> Scalar:
+    """The coefficient n/d of integers n and d > 0: an int when d divides n.
+    The one place an integer over a denominator becomes a coefficient."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
 # ---------------------------------------------------------------------------
 # monomial helpers (exponent tuples)
 
@@ -394,20 +400,20 @@ def _taylor_shift(c: Sequence[int], a: int, b: int, top: int) -> list[int]:
 
 
 def translate_to_origin(f: Polynomial, point: tuple[Scalar, Scalar]) -> Polynomial:
-    """Return g(x, y) = f(x + p, y + q), so that g(0,0) = f(p, q): each
-    coefficient of ``_integer_translate``'s integer multiple becomes one
-    rational."""
+    """Return g(x, y) = f(x + p, y + q), so that g(0,0) = f(p, q)."""
+    if f.nvars != 2:
+        raise ValueError("translation is defined for affine 2-variable polynomials")
     h, scale = _integer_translate(*_integer_table(f), point)
     return h if scale == 1 else Polynomial._from_valid(
-        2, {m: _norm_coeff(Fraction(n, scale)) for m, n in h._terms.items()})
+        2, {m: _ratio(n, scale) for m, n in h._terms.items()})
 
 
 def _integer_table(f: Polynomial) -> tuple[dict[Monomial, int], int]:
-    """(T, D) with T = D * f the integer term table of an affine (2-variable)
-    polynomial, D > 0 the least common denominator of its coefficients: what
-    ``_integer_translate`` reads.  T is f's own table when D = 1."""
-    if f.nvars != 2:
-        raise ValueError("translation is defined for affine 2-variable polynomials")
+    """(T, D) with T = D * f the integer term table of f, D > 0 the least
+    common denominator of its coefficients; T is f's own table when D = 1.
+    The one place a polynomial's denominators are cleared: the Groebner
+    gates, the binary-form reader and the translations read f through it,
+    and ``_ratio`` rebuilds coefficients."""
     den = lcm(*(c.denominator for c in f._terms.values() if isinstance(c, Fraction)))
     if den == 1:
         return f._terms, 1

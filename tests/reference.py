@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from tjurina import groebner
-from tjurina.binforms import UPoly, _dehomogenize, upoly_derivative
+from tjurina.binforms import UPoly, upoly_derivative
 from tjurina.groebner import GroebnerBasis, _integer_reducer, _normal_form, _s_pair, _words
 from tjurina.lengths import _LOCAL, INFINITE
 from tjurina.poly import GRLEX, Monomial, MonomialOrder, Polynomial, Scalar, monomial_divides
@@ -231,6 +231,23 @@ def discriminant(u: UPoly) -> Scalar:
 
 
 
+def dehomogenized(g: Polynomial) -> tuple[int, list[Fraction]]:
+    """(m, g(1, y)) for a binary form g of degree m, the coefficients as
+    Fractions, trimmed; ValueError unless g is a nonzero homogeneous
+    polynomial in two variables.  Shares no code with ``tjurina.binforms``'
+    integer reader."""
+    degrees = {sum(e) for e, _ in g.terms()}
+    if g.nvars != 2 or len(degrees) != 1:
+        raise ValueError(f"not a nonzero binary form: {g!r}")
+    m = degrees.pop()
+    u = [Fraction(0)] * (m + 1)
+    for (_i, j), c in g.terms():
+        u[j] = Fraction(c)
+    while not u[-1]:
+        u.pop()
+    return m, u
+
+
 def binary_form_resultant(g: Polynomial, h: Polynomial) -> Scalar:
     """Nonzero iff the two forms share no linear factor over C.
 
@@ -238,8 +255,8 @@ def binary_form_resultant(g: Polynomial, h: Polynomial) -> Scalar:
     factor x shows up as a degree drop, and a shared x factor forces the
     result to 0 directly.
     """
-    mg, gu = _dehomogenize(g)
-    mh, hu = _dehomogenize(h)
+    mg, gu = dehomogenized(g)
+    mh, hu = dehomogenized(h)
     x_in_g = mg - (len(gu) - 1)
     x_in_h = mh - (len(hu) - 1)
     if x_in_g > 0 and x_in_h > 0:

@@ -1,17 +1,16 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from tjurina import parse_poly, squarefree_binary_form
-from tjurina.binforms import (
-    _dehomogenize, _integer_gcd, _primitive, common_factor_degree, upoly_derivative,
-)
+from tjurina.binforms import _content_free, _integer_gcd, common_factor_degree, upoly_derivative
 from tjurina.poly import Polynomial
 
 from reference import (
-    binary_form_resultant, discriminant, fraction_euclid_gcd, monomials_of_degree,
-    sylvester_resultant,
+    binary_form_resultant, dehomogenized, discriminant, fraction_euclid_gcd,
+    monomials_of_degree, sylvester_resultant,
 )
 
 P = parse_poly
@@ -53,9 +52,11 @@ def test_a_square_of_an_axis_is_read_off_the_exponents(monkeypatch):
     # i, j <= 1 and ab != 0, whose k lines are distinct and off both axes:
     # every tangent cone x^a + y^a + x^b*y^c has at O is one
     from tjurina import analyze, binforms, is_ordinary
-    read = []
-    dehomogenize = binforms._dehomogenize
-    monkeypatch.setattr(binforms, "_dehomogenize", lambda g: read.append(g) or dehomogenize(g))
+    read, checked = [], []
+    dehomogenize, form_degree = binforms._dehomogenize, binforms._form_degree
+    monkeypatch.setattr(binforms, "_dehomogenize",
+                        lambda g, m: read.append(g) or dehomogenize(g, m))
+    monkeypatch.setattr(binforms, "_form_degree", lambda g: checked.append(g) or form_degree(g))
     assert not squarefree_binary_form(P("x^7*y"))
     assert not squarefree_binary_form(P("x*y^9"))
     assert read == []
@@ -64,11 +65,19 @@ def test_a_square_of_an_axis_is_read_off_the_exponents(monkeypatch):
     assert squarefree_binary_form(P("x*y^5+3*x^6"))
     assert analyze(P("x^100000+y^100000"), (0, 0)).ordinary
     assert read == []
-    # the other forms are still read, and a non-form still refused
+    # the other forms are still read, and a non-form still refused; each
+    # form is checked once, when it is read too
+    checked.clear()
     assert squarefree_binary_form(P("x*y")) and len(read) == 1
+    assert not squarefree_binary_form(P("x^3-3*x*y^2+2*y^3")) and len(read) == 2
+    assert squarefree_binary_form(P("x^3-2*x*y^2+y^3")) and len(read) == 3
+    assert len(checked) == 3
+    assert common_factor_degree([P("x^2*y"), P("x^3*(x+y)"), P("x-y")]) == 0
+    assert len(checked) == 6 and len(read) == 6
     for bad in (P("x^2+x^3"), P("y^2*(1+x)"), P("0"), P("x0^2*x1", "projective3")):
         with pytest.raises(ValueError):
             squarefree_binary_form(bad)
+    assert len(checked) == 10 and len(read) == 6
 
 
 def test_discriminant_normalization():
@@ -169,7 +178,7 @@ def _squarefree_by_discriminant(g):
         return False
     if min_x == 1:
         g = Polynomial(2, {(i - 1, j): c for (i, j), c in g.terms()})
-    u = _dehomogenize(g)[1]
+    u = dehomogenized(g)[1]
     return len(u) - 1 < 1 or discriminant(u) != 0
 
 
@@ -214,6 +223,12 @@ def _upoly_mul(u, v):
     return w
 
 
+def _cleared(u):
+    """A rational coefficient list times its least common denominator."""
+    den = lcm(*(c.denominator for c in u))
+    return [c.numerator * (den // c.denominator) for c in u]
+
+
 def test_upoly_gcd_matches_fraction_euclid():
     rng = random.Random(41414)
     cases = []
@@ -235,7 +250,7 @@ def test_upoly_gcd_matches_fraction_euclid():
     for u, v in cases:
         expected = fraction_euclid_gcd(u, v) if (u or v) else []
         # the kernel's gcd is primitive and integral, up to a unit: made monic here
-        a = _integer_gcd(_primitive(u), _primitive(v))
+        a = _integer_gcd(_content_free(_cleared(u)), _content_free(_cleared(v)))
         got = [Fraction(c, a[-1]) for c in a]
         assert got == expected, (u, v)
         assert all(type(c) is Fraction for c in got)

@@ -42,13 +42,21 @@ def test_analyzer_runs_no_global_basis():
 
 
 def test_normal_form_uses_no_fractions():
-    # the reduction core is fraction-free: rationals appear only at the boundary
-    source = Path(tjurina.__file__).resolve().parent / "groebner.py"
+    # the reduction core is fraction-free: rationals appear only at the
+    # boundary, which poly alone draws (cli reads point coordinates)
+    package = Path(tjurina.__file__).resolve().parent
+    source = package / "groebner.py"
     func = next(node for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
                 if isinstance(node, ast.FunctionDef) and node.name == "_normal_form")
     found = [node.lineno for node in ast.walk(func)
              if getattr(node, "id", getattr(node, "attr", None)) == "Fraction"]
     assert found == []
+    importers = sorted(path.name for path in package.glob("*.py")
+                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                       if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                       or isinstance(node, ast.Import)
+                       and any(alias.name == "fractions" for alias in node.names))
+    assert importers == ["cli.py", "poly.py"]
 
 
 def test_local_length_runs_one_standard_basis():
